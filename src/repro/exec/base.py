@@ -29,7 +29,9 @@ plug in by subclassing :class:`ExecutionBackend` and registering a name.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Optional, Union
+from contextlib import nullcontext
+from time import perf_counter
+from typing import TYPE_CHECKING, ContextManager, Dict, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..mapreduce.engine import JobResult, MapReduceEngine, ProgramResult
@@ -97,13 +99,47 @@ class ExecutionBackend(ABC):
 
     @abstractmethod
     def run_job(self, job: "MapReduceJob", database: "Database") -> "JobResult":
-        """Execute one MapReduce job against *database*."""
+        """Execute one MapReduce job against *database*.
 
-    @abstractmethod
+        Implementations stamp a
+        :class:`~repro.mapreduce.counters.WallClockMetrics` carrying this
+        backend's :attr:`name` on the result's metrics.
+        """
+
     def run_program(
         self, program: "MRProgram", database: "Database"
     ) -> "ProgramResult":
-        """Execute an MR program level by level against *database*."""
+        """Execute an MR program level by level against *database*.
+
+        Every backend walks the engine's one level loop
+        (:meth:`~repro.mapreduce.engine.MapReduceEngine.run_program`) with its
+        own :meth:`run_job`; the result's metrics carry the backend's name
+        and the measured wall-clock time of the whole run.
+        """
+        start = perf_counter()
+        result = self.engine.run_program(
+            program,
+            database,
+            run_job=self.run_job,
+            level_context=self.level_context,
+            backend=self.name,
+            **self.prepare(database),
+        )
+        result.metrics.backend = self.name
+        result.metrics.wall_elapsed_s = perf_counter() - start
+        return result
+
+    def prepare(self, database: "Database") -> Dict[str, object]:
+        """Hook: per-program set-up; returns extra ``program``-span attributes."""
+        return {}
+
+    def level_context(self) -> ContextManager[object]:
+        """Hook: a context shared by one level's jobs.
+
+        A value other than ``None`` is handed to :meth:`run_job` as a third
+        positional argument for every job of the level.
+        """
+        return nullcontext()
 
     def close(self) -> None:
         """Release any resources (worker pools); safe to call repeatedly."""

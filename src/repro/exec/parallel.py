@@ -1,182 +1,45 @@
-"""A true multiprocessing runtime behind the execution-backend seam.
+"""The process-pool transport of the fan-out job.
 
 :class:`ParallelBackend` actually fans work out across OS processes, the way
-the paper's Gumbo system fans tasks out across its 10-node Hadoop cluster:
+the paper's Gumbo system fans tasks out across its 10-node Hadoop cluster.
+The job recipe itself — one map task per map chunk, the shuffle merged in
+task order, one reduce task per non-empty reducer bucket, the metric
+hand-off that keeps outputs and simulated metrics bit-identical to the
+serial engine — is :class:`~repro.exec.fanout.FanoutBackend`'s; this module
+is only the transport underneath it:
 
-* the *map phase* of a job becomes one task per map chunk (the same strided
-  chunks the serial engine iterates), executed on a ``multiprocessing`` pool;
-* the shuffle hash-partitions the grouped keys over the chosen number of
-  reducers with the shared :func:`~repro.exec.partition.partition_index`
-  (Hadoop's default-partitioner behaviour), and the *reduce phase* becomes
-  one task per non-empty reduce partition;
-* tasks are wave-scheduled: at most
+* a lazily created ``multiprocessing`` pool, reused across jobs;
+* wave scheduling: at most
   :attr:`~repro.mapreduce.cluster.ClusterConfig.total_slots` tasks are in
   flight per wave, mirroring how the simulated cluster's containers execute
-  in waves, and each wave's wall-clock time is recorded.
+  in waves, and each wave's wall-clock time is recorded;
+* *every* map chunk ships with its task (pool workers are stateless), as a
+  packed :class:`~repro.model.relation.ColumnBlock` payload — homogeneous
+  numeric columns travel as typed ``array`` buffers instead of per-row
+  pickle records (the reduce side still ships key groups as plain pairs).
 
-Because the chunking, partitioning and byte accounting are shared with the
-serial engine — and all simulated metrics funnel through
-:meth:`~repro.mapreduce.engine.MapReduceEngine.finalise_job_metrics` — the
-outputs and simulated Hadoop metrics are bit-identical to
-:class:`~repro.exec.simulated.SimulatedBackend`; only the measured
-wall-clock metrics differ.
-
-Jobs and rows are shipped to the workers by pickling, so jobs must be
-picklable (all jobs in this package are: they hold only query dataclasses
-and options, never closures).  The job is pickled once per job run and the
-resulting blob shared by every task of both phases; workers memoise the
-deserialised job per blob, so neither side pays the job's serialisation cost
-per task.  Map-task inputs ship as packed
-:class:`~repro.model.relation.ColumnBlock` payloads — homogeneous numeric
-columns travel as typed ``array`` buffers instead of per-row pickle records
-(the reduce side still ships key groups as plain pairs).
-
-Since the shared-memory data plane (see :mod:`repro.exec.shm` and
-``docs/dataplane.md``), packed chunks may cross the pool boundary as
-:class:`~repro.exec.shm.ShmPayload` descriptors instead: the typed columns
-are placed once into a shared-memory segment owned by the backend's
-:class:`~repro.exec.shm.SegmentPool`, workers attach and build
-memoryview-backed blocks without copying, and the parent releases the
-segments when the wave's results are in.  ``data_plane="auto"`` (the
-default) picks per chunk by size; outputs and simulated metrics are
-bit-identical on every plane.
+Chunks cross the pool boundary over the backend's *data plane* (see
+:mod:`repro.exec.shm` and ``docs/dataplane.md``); the fan-out driver encodes
+them, and releases their segments when the map phase's waves are in.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
-from collections import Counter, defaultdict
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..mapreduce.counters import PartitionMetrics, ProgramMetrics, WallClockMetrics
-from ..mapreduce.engine import (
-    JobResult,
-    MapReduceEngine,
-    ProgramResult,
-    add_output_fact,
-    prepare_output_relations,
-)
-from ..mapreduce.job import Key, MapReduceJob
-from ..mapreduce.kernels import use_kernel
-from ..mapreduce.program import MRProgram
-from ..model.database import Database
-from ..model.relation import ColumnBlock, Relation, tuple_sort_key
-from ..obs import metrics as obs_metrics
+from ..mapreduce.counters import WallClockMetrics
+from ..mapreduce.engine import MapReduceEngine
+from ..model.relation import ColumnBlock, Relation
 from .. import obs
-from .base import PARALLEL, ExecutionBackend
-from .partition import partition_index
-from .shm import (
-    SegmentPool,
-    decode_payload,
-    encode_block,
-    normalise_data_plane,
-    payload_segment,
-)
-
-_MB = 1024.0 * 1024.0
-
-#: Jobs run through this backend's task fan-out (the kernel path is counted
-#: by the engine as ``path="kernel"``; the serial interpreter as
-#: ``path="interpreted"``).
-_JOBS_FANOUT = obs_metrics.default_registry().counter(
-    "repro_jobs_total", path="fanout"
-)
-
-#: A map task shipped to a worker:
-#: (job pickle, input relation, packed column block, trace this task?).
-_MapTask = Tuple[bytes, str, object, bool]
-
-#: A reduce task shipped to a worker:
-#: (job pickle, [(key, values), ...], trace this task?).
-_ReduceTask = Tuple[bytes, List[Tuple[Key, List[object]]], bool]
-
-#: Worker-side memo of deserialised jobs, keyed by their pickle blob.  Every
-#: task of a job run carries the *same* bytes object, so each worker pays the
-#: job deserialisation once per job instead of once per task.
-_job_cache: Dict[bytes, MapReduceJob] = {}
+from .base import PARALLEL
+from .fanout import FanoutBackend, run_map_task, run_reduce_task
+from .shm import normalise_data_plane
 
 
-def _job_from_blob(blob: bytes) -> MapReduceJob:
-    job = _job_cache.get(blob)
-    if job is None:
-        if len(_job_cache) >= 16:
-            _job_cache.clear()
-        job = pickle.loads(blob)
-        _job_cache[blob] = job
-    return job
-
-
-def _run_map_task(task: _MapTask):
-    """Worker-side map task: map, combine and size one chunk of rows.
-
-    Returns the emitted ``(key, value)`` pairs in emission order (so the
-    parent can rebuild the exact key-group ordering the serial engine
-    produces), the chunk's intermediate bytes, and its per-key byte loads —
-    plus a :func:`~repro.obs.trace.worker_payload` span dict when the parent
-    asked for tracing (``None`` otherwise).
-    """
-    job_blob, relation_name, packed, traced = task
-    start_s = perf_counter() if traced else 0.0
-    job = _job_from_blob(job_blob)
-    block = decode_payload(packed)
-    rows = block.rows()
-    block.release()  # transient chunk: unpin the shm segment (no-op on pickle)
-    buffer: Dict[Key, List[object]] = {}
-    for row in rows:
-        for key, value in job.map(relation_name, row):
-            buffer.setdefault(key, []).append(value)
-    pairs: List[Tuple[Key, object]] = []
-    intermediate_bytes = 0
-    key_bytes: Dict[Key, int] = {}
-    for key, values in buffer.items():
-        if job.uses_combiner():
-            values = job.combine(key, values)
-        for value in values:
-            pair_size = job.pair_bytes(key, value)
-            intermediate_bytes += pair_size
-            key_bytes[key] = key_bytes.get(key, 0) + pair_size
-            pairs.append((key, value))
-    payload = (
-        obs.worker_payload(
-            "map_task",
-            start_s,
-            perf_counter(),
-            relation=relation_name,
-            rows=len(rows),
-            pairs=len(pairs),
-        )
-        if traced
-        else None
-    )
-    return (pairs, intermediate_bytes, key_bytes), payload
-
-
-def _run_reduce_task(task: _ReduceTask):
-    """Worker-side reduce task: reduce every key group of one partition."""
-    job_blob, items, traced = task
-    start_s = perf_counter() if traced else 0.0
-    job = _job_from_blob(job_blob)
-    facts: List[Tuple[str, Tuple[object, ...]]] = []
-    for key, values in items:
-        facts.extend(job.reduce(key, values))
-    payload = (
-        obs.worker_payload(
-            "reduce_task",
-            start_s,
-            perf_counter(),
-            groups=len(items),
-            facts=len(facts),
-        )
-        if traced
-        else None
-    )
-    return facts, payload
-
-
-class ParallelBackend(ExecutionBackend):
+class ParallelBackend(FanoutBackend):
     """Executes map tasks and reduce partitions on a process pool.
 
     Parameters
@@ -201,6 +64,8 @@ class ParallelBackend(ExecutionBackend):
     """
 
     name = PARALLEL
+    path = "fanout"
+    width_attr = "workers"
 
     def __init__(
         self,
@@ -209,23 +74,14 @@ class ParallelBackend(ExecutionBackend):
         start_method: Optional[str] = None,
         data_plane: Optional[str] = None,
     ) -> None:
-        self.engine = engine or MapReduceEngine()
+        super().__init__(engine, normalise_data_plane(data_plane))
         self.workers = max(1, int(workers or os.cpu_count() or 1))
-        self.data_plane = normalise_data_plane(data_plane)
         self._context = (
             multiprocessing.get_context(start_method)
             if start_method
             else multiprocessing.get_context()
         )
         self._pool = None
-        self._segments = SegmentPool()
-
-    # -- pool lifecycle -----------------------------------------------------------
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = self._context.Pool(processes=self.workers)
-        return self._pool
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent; a later run re-creates it)."""
@@ -235,9 +91,19 @@ class ParallelBackend(ExecutionBackend):
             self._pool = None
         self._segments.close_all()
 
-    # -- wave scheduling ----------------------------------------------------------
+    # -- the transport: every chunk ships, tasks run in waves ---------------------
 
-    def _run_waves(self, phase: str, func, tasks: List, wall: WallClockMetrics) -> List:
+    def chunk_sources(
+        self, relation_name: str, relation: Optional[Relation], mappers: int
+    ) -> Sequence[ColumnBlock]:
+        """Every map chunk ships; a missing input is one mapper over zero rows."""
+        if relation is None:
+            return [ColumnBlock.from_rows([])]
+        return relation.column_chunks(mappers)
+
+    def dispatch(
+        self, phase: str, tasks: List[tuple], wall: WallClockMetrics
+    ) -> List[object]:
         """Run *tasks* through the pool in waves of at most ``total_slots``.
 
         Each wave gets a span, and any worker-side span payloads the tasks
@@ -246,7 +112,9 @@ class ParallelBackend(ExecutionBackend):
         """
         if not tasks:
             return []
-        pool = self._ensure_pool()
+        func = run_map_task if phase == "map" else run_reduce_task
+        if self._pool is None:
+            self._pool = self._context.Pool(processes=self.workers)
         slots = max(1, self.engine.cluster.total_slots)
         tracer = obs.current_tracer()
         results: List = []
@@ -254,202 +122,9 @@ class ParallelBackend(ExecutionBackend):
             wave = tasks[start : start + slots]
             begin = perf_counter()
             with obs.span("wave", phase=phase, tasks=len(wave)) as wave_span:
-                for result, payload in pool.map(func, wave):
+                for result, payload in self._pool.map(func, wave):
                     results.append(result)
                     if payload is not None and tracer is not None:
                         tracer.adopt_payload(payload, wave_span.span_id)
             wall.record_wave(phase, len(wave), perf_counter() - begin)
         return results
-
-    # -- single job ---------------------------------------------------------------
-
-    def run_job(self, job: MapReduceJob, database: Database) -> JobResult:
-        """Execute one MapReduce job with parallel map and reduce phases.
-
-        ``kernel_mode="on"`` jobs run through the engine's in-process batch
-        kernel instead of fanning out (the kernel is a single-process set
-        algorithm and beats the fan-out by a wide margin); ``"auto"`` keeps
-        the fan-out here, so this backend's task parallelism is preserved by
-        default.  Outputs and simulated metrics are identical either way.
-        """
-        if use_kernel(job, fanout=True):
-            start = perf_counter()
-            result = self.engine.run_job_kernel(job, database)
-            result.metrics.wall = WallClockMetrics(
-                backend=self.name,
-                workers=self.workers,
-                elapsed_s=perf_counter() - start,
-            )
-            return result
-        _JOBS_FANOUT.inc()
-        with obs.span(
-            "job", job_id=job.job_id, kind=type(job).__name__, path="fanout"
-        ) as job_span:
-            start = perf_counter()
-            wall = WallClockMetrics(backend=self.name, workers=self.workers)
-            job_blob = pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
-            groups, key_bytes, partition_metrics = self._map_phase(
-                job, job_blob, database, wall
-            )
-            input_mb = sum(p.input_mb for p in partition_metrics)
-            intermediate_mb = sum(p.intermediate_mb for p in partition_metrics)
-            reducers = self.engine.reducers_for(job, input_mb, intermediate_mb)
-            outputs = self._reduce_phase(job, job_blob, groups, reducers, wall)
-            metrics = self.engine.finalise_job_metrics(
-                job, partition_metrics, key_bytes, outputs
-            )
-            wall.elapsed_s = perf_counter() - start
-            metrics.wall = wall
-            job_span.set(reducers=reducers, workers=self.workers)
-            return JobResult(job_id=job.job_id, outputs=outputs, metrics=metrics)
-
-    def _map_phase(
-        self,
-        job: MapReduceJob,
-        job_blob: bytes,
-        database: Database,
-        wall: WallClockMetrics,
-    ):
-        """Fan the job's map chunks out to the pool and merge the shuffle."""
-        traced = obs.tracing_enabled()
-        tagged: List[Tuple[int, _MapTask]] = []
-        parts: List[Tuple[str, float, int, int]] = []
-        shipped_segments: List[str] = []
-        for relation_name in job.input_relations():
-            relation = database.get(relation_name)
-            input_records = len(relation) if relation is not None else 0
-            input_mb = relation.size_mb() if relation is not None else 0.0
-            mappers = self.engine.mappers_for(input_mb)
-            chunks = (
-                relation.column_chunks(mappers)
-                if relation is not None
-                else [ColumnBlock.from_rows([])]
-            )
-            for chunk in chunks:
-                payload = encode_block(chunk, self._segments, self.data_plane)
-                segment = payload_segment(payload)
-                if segment is not None:
-                    shipped_segments.append(segment)
-                tagged.append(
-                    (len(parts), (job_blob, relation_name, payload, traced))
-                )
-            parts.append((relation_name, input_mb, input_records, mappers))
-
-        try:
-            results = self._run_waves(
-                "map", _run_map_task, [t for _, t in tagged], wall
-            )
-        finally:
-            # The wave is merged (or failed); the workers have materialised
-            # their rows, so the parent-owned segments can be unlinked now.
-            for segment in shipped_segments:
-                self._segments.release(segment)
-
-        groups: Dict[Key, List[object]] = defaultdict(list)
-        key_bytes: Counter = Counter()
-        part_bytes = [0] * len(parts)
-        part_records = [0] * len(parts)
-        # Merge in task order: chunks of the first relation first, then the
-        # next relation's, exactly the order the serial engine processes them.
-        for (part_index, _), (pairs, chunk_bytes, chunk_key_bytes) in zip(
-            tagged, results
-        ):
-            part_bytes[part_index] += chunk_bytes
-            part_records[part_index] += len(pairs)
-            for key, value in pairs:
-                groups[key].append(value)
-            key_bytes.update(chunk_key_bytes)
-
-        partition_metrics = [
-            PartitionMetrics(
-                relation=relation_name,
-                input_mb=input_mb,
-                input_records=input_records,
-                intermediate_mb=part_bytes[index] / _MB,
-                output_records=part_records[index],
-                mappers=mappers,
-            )
-            for index, (relation_name, input_mb, input_records, mappers) in enumerate(
-                parts
-            )
-        ]
-        return groups, key_bytes, partition_metrics
-
-    def _reduce_phase(
-        self,
-        job: MapReduceJob,
-        job_blob: bytes,
-        groups: Dict[Key, List[object]],
-        reducers: int,
-        wall: WallClockMetrics,
-    ) -> Dict[str, Relation]:
-        """Hash-partition the key groups over the reducers and reduce in parallel."""
-        buckets: List[List[Tuple[Key, List[object]]]] = [
-            [] for _ in range(max(1, reducers))
-        ]
-        for key in sorted(groups, key=tuple_sort_key):
-            buckets[partition_index(key, len(buckets))].append((key, groups[key]))
-        traced = obs.tracing_enabled()
-        tasks: List[_ReduceTask] = [
-            (job_blob, bucket, traced) for bucket in buckets if bucket
-        ]
-
-        outputs = prepare_output_relations(job)
-        for facts in self._run_waves("reduce", _run_reduce_task, tasks, wall):
-            for relation_name, row in facts:
-                add_output_fact(job, outputs, relation_name, row)
-        return outputs
-
-    # -- programs -----------------------------------------------------------------
-
-    def run_program(self, program: MRProgram, database: Database) -> ProgramResult:
-        """Execute an MR program level by level, mirroring the serial engine."""
-        program.validate()
-        start = perf_counter()
-        working = database.copy()
-        all_outputs: Dict[str, Relation] = {}
-        metrics = ProgramMetrics(backend=self.name)
-        levels = program.levels()
-        metrics.rounds = len(levels)
-
-        with obs.span(
-            "program",
-            program=program.name,
-            jobs=len(program),
-            rounds=len(levels),
-            backend=self.name,
-        ):
-            for level_index, level_jobs in enumerate(levels):
-                with obs.span("level", index=level_index, jobs=len(level_jobs)):
-                    level_map_tasks: List[float] = []
-                    level_reduce_tasks: List[float] = []
-                    level_results: List[JobResult] = []
-                    for job in level_jobs:
-                        result = self.run_job(job, working)
-                        level_results.append(result)
-                        metrics.add_job(result.metrics)
-                        level_map_tasks.extend(result.metrics.map_task_durations)
-                        level_reduce_tasks.extend(
-                            result.metrics.reduce_task_durations
-                        )
-                    for result in level_results:
-                        for name, relation in result.outputs.items():
-                            working.add_relation(relation)
-                            all_outputs[name] = relation
-                    metrics.level_net_times.append(
-                        self.engine.level_net_time(
-                            level_map_tasks, level_reduce_tasks
-                        )
-                    )
-
-        metrics.net_time = sum(metrics.level_net_times)
-        metrics.wall_elapsed_s = perf_counter() - start
-        return ProgramResult(
-            program=program,
-            outputs=all_outputs,
-            metrics=metrics,
-            database=working,
-        )
-
-    def __repr__(self) -> str:
-        return f"ParallelBackend(workers={self.workers})"

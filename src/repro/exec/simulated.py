@@ -4,7 +4,8 @@
 :class:`~repro.mapreduce.engine.MapReduceEngine` — identical semantics and
 identical simulated metrics to calling the engine directly — and additionally
 stamps measured wall-clock times on the results so it can serve as the
-baseline of simulated-vs-real speedup comparisons.
+baseline of simulated-vs-real speedup comparisons.  Programs run through the
+inherited :meth:`~repro.exec.base.ExecutionBackend.run_program`.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from time import perf_counter
 from typing import Optional
 
 from ..mapreduce.counters import WallClockMetrics
-from ..mapreduce.engine import JobResult, MapReduceEngine, ProgramResult
+from ..mapreduce.engine import JobResult, MapReduceEngine
 from ..mapreduce.job import MapReduceJob
-from ..mapreduce.program import MRProgram
 from ..model.database import Database
 from .base import SERIAL, ExecutionBackend
 
@@ -35,12 +35,4 @@ class SimulatedBackend(ExecutionBackend):
         result.metrics.wall = WallClockMetrics(
             backend=self.name, workers=1, elapsed_s=perf_counter() - start
         )
-        return result
-
-    def run_program(self, program: MRProgram, database: Database) -> ProgramResult:
-        """Run a whole program in-process and stamp the measured wall clock."""
-        start = perf_counter()
-        result = self.engine.run_program(program, database)
-        result.metrics.backend = self.name
-        result.metrics.wall_elapsed_s = perf_counter() - start
         return result

@@ -17,7 +17,8 @@ translate faithfully.  The contract is the same as the kernel path's:
   so every :class:`~repro.mapreduce.counters.JobMetrics` field matches the
   serial backend exactly.
 
-Program runs compile level-at-once: all jobs of one MRProgram level share a
+Program runs compile level-at-once: through the :meth:`SQLBackend.level_context`
+hook of the shared level loop all jobs of one MRProgram level share a
 single :class:`SQLContext` (one database, each input relation loaded once),
 which is what makes on-disk databases (``sql_db=PATH``) useful for guard
 relations larger than memory.
@@ -26,23 +27,13 @@ relations larger than memory.
 from __future__ import annotations
 
 import sqlite3
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ...mapreduce.counters import (
-    PartitionMetrics,
-    ProgramMetrics,
-    WallClockMetrics,
-)
-from ...mapreduce.engine import (
-    JobResult,
-    MapReduceEngine,
-    ProgramResult,
-    prepare_output_relations,
-)
+from ...mapreduce.counters import PartitionMetrics, WallClockMetrics
+from ...mapreduce.engine import JobResult, MapReduceEngine, prepare_output_relations
 from ...mapreduce.job import MapReduceJob
-from ...mapreduce.program import MRProgram
 from ...model.database import Database
 from ...model.relation import Relation
 from ...obs import metrics as obs_metrics
@@ -337,88 +328,33 @@ class SQLBackend(ExecutionBackend):
                 pass
         return self.engine.run_job(job, database)
 
-    def run_job(self, job: MapReduceJob, database: Database) -> JobResult:
-        """Execute one job in its own SQL context and stamp wall-clock time.
+    def run_job(
+        self,
+        job: MapReduceJob,
+        database: Database,
+        ctx: Optional[SQLContext] = None,
+    ) -> JobResult:
+        """Execute one job as SQL and stamp wall-clock time.
 
         Args:
             job: The job to run.
             database: Input database; never mutated.
+            ctx: The level's shared SQL context when called from a program
+                run (see :meth:`level_context`); a private context is opened
+                for the job when omitted.
 
         Returns:
             A :class:`~repro.mapreduce.engine.JobResult` whose outputs and
             simulated metrics are bit-identical to the serial backend's.
         """
         start = perf_counter()
-        with self._context() as ctx:
+        with self._context() if ctx is None else nullcontext(ctx) as ctx:
             result = self._run_with_fallback(job, database, ctx)
         result.metrics.wall = WallClockMetrics(
             backend=self.name, workers=1, elapsed_s=perf_counter() - start
         )
         return result
 
-    def run_program(self, program: MRProgram, database: Database) -> ProgramResult:
-        """Execute an MR program level by level, one SQL context per level.
-
-        Args:
-            program: The program to run (validated first, as the engine does).
-            database: Input database; a working copy receives the outputs.
-
-        Returns:
-            A :class:`~repro.mapreduce.engine.ProgramResult` matching the
-            serial backend's outputs and simulated metrics, with this
-            backend's name and measured wall time stamped on the metrics.
-        """
-        start = perf_counter()
-        program.validate()
-        working = database.copy()
-        all_outputs: Dict[str, Relation] = {}
-        metrics = ProgramMetrics()
-        levels = program.levels()
-        metrics.rounds = len(levels)
-
-        with obs.span(
-            "program",
-            program=program.name,
-            jobs=len(program),
-            rounds=len(levels),
-            backend=self.name,
-        ):
-            for level_index, level_jobs in enumerate(levels):
-                level_map_tasks: List[float] = []
-                level_reduce_tasks: List[float] = []
-                level_results: List[JobResult] = []
-                with obs.span("level", index=level_index, jobs=len(level_jobs)):
-                    with self._context() as ctx:
-                        for job in level_jobs:
-                            job_start = perf_counter()
-                            result = self._run_with_fallback(job, working, ctx)
-                            result.metrics.wall = WallClockMetrics(
-                                backend=self.name,
-                                workers=1,
-                                elapsed_s=perf_counter() - job_start,
-                            )
-                            level_results.append(result)
-                            metrics.add_job(result.metrics)
-                            level_map_tasks.extend(
-                                result.metrics.map_task_durations
-                            )
-                            level_reduce_tasks.extend(
-                                result.metrics.reduce_task_durations
-                            )
-                for result in level_results:
-                    for name, relation in result.outputs.items():
-                        working.add_relation(relation)
-                        all_outputs[name] = relation
-                metrics.level_net_times.append(
-                    self.engine.level_net_time(level_map_tasks, level_reduce_tasks)
-                )
-
-        metrics.net_time = sum(metrics.level_net_times)
-        metrics.backend = self.name
-        metrics.wall_elapsed_s = perf_counter() - start
-        return ProgramResult(
-            program=program,
-            outputs=all_outputs,
-            metrics=metrics,
-            database=working,
-        )
+    def level_context(self) -> ContextManager[SQLContext]:
+        """One SQL context per program level, shared by the level's jobs."""
+        return self._context()

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, ContextManager, Dict, List, Optional, Tuple, Union
 
 from ..cost.constants import (
     CostConstants,
@@ -58,10 +59,10 @@ _stable_hash = stable_hash
 
 #: Process-global execution counters (see :mod:`repro.obs.metrics`), created
 #: once at import so per-job recording is a single locked add.  The dispatch
-#: counters are bumped at the three dispatch sites (interpreted here, kernel
-#: in :meth:`MapReduceEngine.run_job_kernel`, fan-out in the parallel
-#: backend); the byte/row counters in :meth:`finalise_job_metrics`, which
-#: every backend funnels through.
+#: counters are bumped at the dispatch sites (interpreted here, kernel in
+#: :meth:`MapReduceEngine.run_job_kernel`, the fan-out transports in
+#: :mod:`repro.exec.fanout`, sql in its backend); the byte/row counters in
+#: :meth:`finalise_job_metrics`, which every backend funnels through.
 _JOBS_INTERPRETED = obs_metrics.default_registry().counter(
     "repro_jobs_total", path="interpreted"
 )
@@ -441,16 +442,29 @@ class MapReduceEngine:
     # -- programs ---------------------------------------------------------------------
 
     def run_program(
-        self, program: MRProgram, database: Database
+        self,
+        program: MRProgram,
+        database: Database,
+        run_job: Optional[Callable[..., JobResult]] = None,
+        level_context: Callable[[], ContextManager[object]] = nullcontext,
+        **span_attrs: object,
     ) -> ProgramResult:
-        """Execute an MR program level by level.
+        """Execute an MR program level by level — the one level loop.
 
         Jobs within a level run concurrently and share the cluster's task
         slots; the level's net time is one job-startup overhead plus the map
         makespan plus the reduce makespan.  Outputs become visible to the next
         level (they are added to a working copy of the database).
+
+        Execution backends drive this same loop through
+        :meth:`repro.exec.base.ExecutionBackend.run_program`: *run_job* is the
+        per-job callable (default: this engine's :meth:`run_job`),
+        *level_context* opens one context per level whose value, unless
+        ``None``, is passed to *run_job* as a third argument, and
+        *span_attrs* are extra attributes of the ``program`` span.
         """
         program.validate()
+        run_job = run_job or self.run_job
         working = database.copy()
         all_outputs: Dict[str, Relation] = {}
         metrics = ProgramMetrics()
@@ -458,15 +472,22 @@ class MapReduceEngine:
         metrics.rounds = len(levels)
 
         with obs.span(
-            "program", program=program.name, jobs=len(program), rounds=len(levels)
+            "program",
+            program=program.name,
+            jobs=len(program),
+            rounds=len(levels),
+            **span_attrs,
         ):
             for level_index, level_jobs in enumerate(levels):
                 level_map_tasks: List[float] = []
                 level_reduce_tasks: List[float] = []
                 level_results: List[JobResult] = []
-                with obs.span("level", index=level_index, jobs=len(level_jobs)):
+                with obs.span(
+                    "level", index=level_index, jobs=len(level_jobs)
+                ), level_context() as context:
+                    extra = () if context is None else (context,)
                     for job in level_jobs:
-                        result = self.run_job(job, working)
+                        result = run_job(job, working, *extra)
                         level_results.append(result)
                         metrics.add_job(result.metrics)
                         level_map_tasks.extend(result.metrics.map_task_durations)

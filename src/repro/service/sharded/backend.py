@@ -1,21 +1,23 @@
 """The ``"sharded"`` execution backend: persistent workers, warm shards.
 
 :class:`ShardedBackend` plugs the shard cluster into the execution-backend
-seam.  Where the parallel backend ships every map chunk to a stateless pool
-worker on every run, this backend *places* chunks: chunk ``i`` of relation
-``R`` permanently belongs to shard ``shard_for_chunk("R", i, shards)``
-(a pure function of :func:`~repro.exec.partition.stable_hash`), the owning
-worker keeps the chunk's :class:`~repro.model.relation.ColumnBlock` resident
-across requests, and a map task names ``(relation, chunk, version)`` instead
-of carrying rows.  Reduce buckets are placed the same way by bucket index.
+seam as a second *transport* of the shared fan-out job
+(:class:`~repro.exec.fanout.FanoutBackend`).  Where the parallel transport
+ships every map chunk to a stateless pool worker on every run, this one
+*places* chunks: chunk ``i`` of relation ``R`` permanently belongs to shard
+``shard_for_chunk("R", i, shards)`` (a pure function of
+:func:`~repro.exec.partition.stable_hash`), the owning worker keeps the
+chunk's :class:`~repro.model.relation.ColumnBlock` resident across requests,
+and a map task names ``(relation, chunk, version)`` instead of carrying
+rows.  Reduce buckets are placed the same way by bucket index.  What this
+module adds to the shared driver is exactly that: the resident-reference vs
+inline-payload choice per input part, the routing, one
+``cluster.run_tasks`` round trip per phase, and :meth:`ensure_loaded`.
 
 Bit-identical parity with the serial reference is inherited, not re-proven:
-the chunk boundaries are the serial engine's own strided chunks, the
-map/combine/byte arithmetic on the worker is the parallel backend's task
-arithmetic, results merge in task order, the shuffle sorts and partitions
-with the shared helpers, and all simulated metrics funnel through
-:meth:`~repro.mapreduce.engine.MapReduceEngine.finalise_job_metrics`.  Only
-wall-clock metrics (and which process computed what) differ.
+everything that decides an output or a simulated metric is the fan-out
+driver's, shared with the parallel backend.  Only wall-clock metrics (and
+which process computed what) differ.
 
 Warm-shard detection is copy-on-write identity: a relation's cached column
 block survives :meth:`Database.copy`, so ``resident token is
@@ -34,48 +36,23 @@ re-shipping them.
 
 from __future__ import annotations
 
-import pickle
-from collections import Counter, defaultdict
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ...exec.base import SHARDED, ExecutionBackend
-from ...exec.partition import partition_index
-from ...exec.shm import (
-    SegmentPool,
-    encode_block,
-    normalise_data_plane,
-    payload_segment,
-)
-from ...mapreduce.counters import PartitionMetrics, ProgramMetrics, WallClockMetrics
-from ...mapreduce.engine import (
-    JobResult,
-    MapReduceEngine,
-    ProgramResult,
-    add_output_fact,
-    prepare_output_relations,
-)
-from ...mapreduce.job import Key, MapReduceJob
-from ...mapreduce.kernels import use_kernel
-from ...mapreduce.program import MRProgram
+from ...exec.base import SHARDED
+from ...exec.fanout import FanoutBackend
+from ...exec.shm import normalise_data_plane
+from ...mapreduce.counters import WallClockMetrics
+from ...mapreduce.engine import MapReduceEngine
 from ...model.database import Database
-from ...model.relation import Relation, tuple_sort_key
-from ...obs import metrics as obs_metrics
+from ...model.relation import Relation
 from ... import obs
 from .cluster import ShardCluster
 from .routing import shard_for_bucket, shard_for_chunk
-from .rpc import MapTask, ReduceTask, TaskDone
-
-_MB = 1024.0 * 1024.0
-
-#: Jobs run through the sharded fan-out (kernel-path jobs are counted by the
-#: engine as ``path="kernel"``, like on the parallel backend).
-_JOBS_SHARDED = obs_metrics.default_registry().counter(
-    "repro_jobs_total", path="sharded"
-)
+from .rpc import MapTask, ReduceTask
 
 
-class ShardedBackend(ExecutionBackend):
+class ShardedBackend(FanoutBackend):
     """Execute MR jobs on a persistent, hash-sharded worker cluster.
 
     Parameters
@@ -101,6 +78,8 @@ class ShardedBackend(ExecutionBackend):
     """
 
     name = SHARDED
+    path = "sharded"
+    width_attr = "shards"
 
     def __init__(
         self,
@@ -110,7 +89,6 @@ class ShardedBackend(ExecutionBackend):
         cluster: Optional[ShardCluster] = None,
         data_plane: Optional[str] = None,
     ) -> None:
-        self.engine = engine or MapReduceEngine()
         if cluster is not None:
             if shards is not None and shards != cluster.shards:
                 raise ValueError(
@@ -133,11 +111,10 @@ class ShardedBackend(ExecutionBackend):
                 data_plane=normalise_data_plane(data_plane),
             )
             self._owns_cluster = True
+        # The driver's shipping pool carries the *inline* task payloads
+        # (program intermediates); resident chunks live in the cluster's own.
+        super().__init__(engine, self._cluster.data_plane)
         self.shards = self._cluster.shards
-        self.data_plane = self._cluster.data_plane
-        #: Shipping pool for *inline* task payloads (program intermediates);
-        #: resident chunks live in the cluster's own pool.
-        self._segments = SegmentPool()
 
     @property
     def cluster(self) -> ShardCluster:
@@ -173,279 +150,80 @@ class ShardedBackend(ExecutionBackend):
             shipped += 1
         return shipped
 
-    # -- single job ---------------------------------------------------------------
+    def prepare(self, database: Database) -> Dict[str, object]:
+        """Make the base database resident before a program's first level.
 
-    def run_job(self, job: MapReduceJob, database: Database) -> JobResult:
-        """Execute one MapReduce job across the shard workers.
-
-        ``kernel_mode="on"`` jobs run through the engine's in-process batch
-        kernel, exactly as on the parallel backend — outputs and simulated
-        metrics are identical either way.
+        Free when the workers are already warm from a previous request over
+        the same data; intermediates produced between levels ship inline
+        with their tasks.
         """
-        if use_kernel(job, fanout=True):
-            start = perf_counter()
-            result = self.engine.run_job_kernel(job, database)
-            result.metrics.wall = WallClockMetrics(
-                backend=self.name,
-                workers=self.shards,
-                elapsed_s=perf_counter() - start,
-            )
-            return result
-        _JOBS_SHARDED.inc()
-        with obs.span(
-            "job", job_id=job.job_id, kind=type(job).__name__, path="sharded"
-        ) as job_span:
-            start = perf_counter()
-            wall = WallClockMetrics(backend=self.name, workers=self.shards)
-            job_blob = pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
-            groups, key_bytes, partition_metrics = self._map_phase(
-                job, job_blob, database, wall
-            )
-            input_mb = sum(p.input_mb for p in partition_metrics)
-            intermediate_mb = sum(p.intermediate_mb for p in partition_metrics)
-            reducers = self.engine.reducers_for(job, input_mb, intermediate_mb)
-            outputs = self._reduce_phase(job, job_blob, groups, reducers, wall)
-            metrics = self.engine.finalise_job_metrics(
-                job, partition_metrics, key_bytes, outputs
-            )
-            wall.elapsed_s = perf_counter() - start
-            metrics.wall = wall
-            job_span.set(reducers=reducers, shards=self.shards)
-            return JobResult(job_id=job.job_id, outputs=outputs, metrics=metrics)
+        return {
+            "shards": self.shards,
+            "shipped_relations": self.ensure_loaded(database),
+        }
 
-    def _dispatch(
-        self, phase: str, tasks: List[Tuple[int, object]], wall: WallClockMetrics
-    ) -> List[TaskDone]:
-        """Fan one phase's tasks out to their shards and adopt worker spans."""
+    # -- the transport: placed chunks, one round trip per phase -------------------
+
+    def chunk_sources(
+        self, relation_name: str, relation: Optional[Relation], mappers: int
+    ) -> Sequence[object]:
+        """Resident references when the shards are warm, inline chunks otherwise.
+
+        A resident chunk is named by the ship version (an ``int``) its shard
+        holds.  A missing or empty relation yields no source at all: the serial
+        engine still accounts one mapper over zero rows, but zero rows emit
+        zero pairs, so the single empty chunk needs no task.
+        """
+        if relation is None or not len(relation):
+            return []
+        resident = self._cluster.resident_info(relation_name, relation.columns())
+        if resident is not None:
+            version, chunk_count = resident
+            return [version] * chunk_count
+        return relation.column_chunks(mappers)
+
+    def _route(self, phase: str, task_id: int, task: tuple):
+        """One driver task as ``(owning shard, RPC message)``."""
+        if phase == "map":
+            job_blob, relation_name, index, source, traced = task
+            resident = isinstance(source, int)
+            return shard_for_chunk(relation_name, index, self.shards), MapTask(
+                task_id=task_id,
+                job_blob=job_blob,
+                relation=relation_name,
+                chunk_index=index,
+                version=source if resident else 0,
+                payload=None if resident else source,
+                traced=traced,
+            )
+        job_blob, index, items, traced = task
+        return shard_for_bucket(index, self.shards), ReduceTask(
+            task_id=task_id, job_blob=job_blob, items=items, traced=traced
+        )
+
+    def dispatch(
+        self, phase: str, tasks: List[tuple], wall: WallClockMetrics
+    ) -> List[object]:
+        """Route one phase's tasks to their shards and adopt worker spans.
+
+        ``run_tasks`` returns the replies sorted by ``task_id`` — the task
+        order — and handles the death → respawn → retry-once contract
+        internally, so inline segments may be freed as soon as it returns.
+        """
         if not tasks:
             return []
+        routed = [
+            self._route(phase, task_id, task) for task_id, task in enumerate(tasks)
+        ]
         tracer = obs.current_tracer()
         begin = perf_counter()
         with obs.span(
             "shard_fanout", phase=phase, tasks=len(tasks), shards=self.shards
         ) as fanout_span:
-            responses = self._cluster.run_tasks(tasks)
+            responses = self._cluster.run_tasks(routed)
             if tracer is not None:
                 for response in responses:
                     if response.span is not None:
                         tracer.adopt_payload(response.span, fanout_span.span_id)
         wall.record_wave(phase, len(tasks), perf_counter() - begin)
-        return responses
-
-    def _map_phase(
-        self,
-        job: MapReduceJob,
-        job_blob: bytes,
-        database: Database,
-        wall: WallClockMetrics,
-    ):
-        """Fan the job's map chunks out to their owning shards, merge the shuffle.
-
-        Chunk boundaries, task order and the merge order are exactly the
-        parallel backend's; the only difference is that resident chunks
-        travel as ``(relation, chunk, version)`` references.  Empty chunks
-        (missing or empty input relations) produce no pairs by definition and
-        are synthesised locally instead of crossing the wire.
-        """
-        traced = obs.tracing_enabled()
-        parts: List[Tuple[str, float, int, int]] = []
-        tasks: List[Tuple[int, object]] = []
-        inline_segments: List[str] = []
-        #: task_id -> part index, for remote tasks; local empties are merged
-        #: directly (they contribute nothing, but keep the accounting exact).
-        task_parts: Dict[int, int] = {}
-        task_id = 0
-        for relation_name in job.input_relations():
-            relation = database.get(relation_name)
-            input_records = len(relation) if relation is not None else 0
-            input_mb = relation.size_mb() if relation is not None else 0.0
-            mappers = self.engine.mappers_for(input_mb)
-            part_index = len(parts)
-            resident = (
-                self._cluster.resident_info(relation_name, relation.columns())
-                if relation is not None and input_records
-                else None
-            )
-            if resident is not None:
-                version, chunk_count = resident
-                for index in range(chunk_count):
-                    task_parts[task_id] = part_index
-                    tasks.append(
-                        (
-                            shard_for_chunk(relation_name, index, self.shards),
-                            MapTask(
-                                task_id=task_id,
-                                job_blob=job_blob,
-                                relation=relation_name,
-                                chunk_index=index,
-                                version=version,
-                                traced=traced,
-                            ),
-                        )
-                    )
-                    task_id += 1
-            elif input_records:
-                chunks = relation.column_chunks(mappers)
-                for index, chunk in enumerate(chunks):
-                    task_parts[task_id] = part_index
-                    payload = encode_block(chunk, self._segments, self.data_plane)
-                    segment = payload_segment(payload)
-                    if segment is not None:
-                        inline_segments.append(segment)
-                    tasks.append(
-                        (
-                            shard_for_chunk(relation_name, index, self.shards),
-                            MapTask(
-                                task_id=task_id,
-                                job_blob=job_blob,
-                                relation=relation_name,
-                                chunk_index=index,
-                                payload=payload,
-                                traced=traced,
-                            ),
-                        )
-                    )
-                    task_id += 1
-            # Missing or empty relation: the serial engine still accounts one
-            # mapper over zero rows; zero rows emit zero pairs, so the single
-            # empty chunk needs no task at all.
-            parts.append((relation_name, input_mb, input_records, mappers))
-
-        try:
-            # run_tasks handles the death → respawn → retry-once contract
-            # internally, so segments may be freed as soon as it returns.
-            responses = self._dispatch("map", tasks, wall)
-        finally:
-            for segment in inline_segments:
-                self._segments.release(segment)
-
-        groups: Dict[Key, List[object]] = defaultdict(list)
-        key_bytes: Counter = Counter()
-        part_bytes = [0] * len(parts)
-        part_records = [0] * len(parts)
-        # Merge in task order: chunks of the first relation first, then the
-        # next relation's, exactly the order the serial engine processes them
-        # (run_tasks returns responses sorted by task_id).
-        for response in responses:
-            pairs, chunk_bytes, chunk_key_bytes = response.result
-            part_index = task_parts[response.task_id]
-            part_bytes[part_index] += chunk_bytes
-            part_records[part_index] += len(pairs)
-            for key, value in pairs:
-                groups[key].append(value)
-            key_bytes.update(chunk_key_bytes)
-
-        partition_metrics = [
-            PartitionMetrics(
-                relation=relation_name,
-                input_mb=input_mb,
-                input_records=input_records,
-                intermediate_mb=part_bytes[index] / _MB,
-                output_records=part_records[index],
-                mappers=mappers,
-            )
-            for index, (relation_name, input_mb, input_records, mappers) in enumerate(
-                parts
-            )
-        ]
-        return groups, key_bytes, partition_metrics
-
-    def _reduce_phase(
-        self,
-        job: MapReduceJob,
-        job_blob: bytes,
-        groups: Dict[Key, List[object]],
-        reducers: int,
-        wall: WallClockMetrics,
-    ) -> Dict[str, Relation]:
-        """Hash-partition the key groups and reduce each bucket on its shard."""
-        buckets: List[List[Tuple[Key, List[object]]]] = [
-            [] for _ in range(max(1, reducers))
-        ]
-        for key in sorted(groups, key=tuple_sort_key):
-            buckets[partition_index(key, len(buckets))].append((key, groups[key]))
-        traced = obs.tracing_enabled()
-        tasks: List[Tuple[int, object]] = [
-            (
-                shard_for_bucket(bucket_index, self.shards),
-                ReduceTask(
-                    task_id=task_id,
-                    job_blob=job_blob,
-                    items=bucket,
-                    traced=traced,
-                ),
-            )
-            for task_id, (bucket_index, bucket) in enumerate(
-                (index, bucket)
-                for index, bucket in enumerate(buckets)
-                if bucket
-            )
-        ]
-
-        outputs = prepare_output_relations(job)
-        for response in self._dispatch("reduce", tasks, wall):
-            for relation_name, row in response.result:
-                add_output_fact(job, outputs, relation_name, row)
-        return outputs
-
-    # -- programs -----------------------------------------------------------------
-
-    def run_program(self, program: MRProgram, database: Database) -> ProgramResult:
-        """Execute an MR program level by level, mirroring the serial engine.
-
-        The base database is made resident up front (free when the workers
-        are already warm from a previous request over the same data);
-        intermediates produced between levels ship inline with their tasks.
-        """
-        program.validate()
-        start = perf_counter()
-        shipped = self.ensure_loaded(database)
-        working = database.copy()
-        all_outputs: Dict[str, Relation] = {}
-        metrics = ProgramMetrics(backend=self.name)
-        levels = program.levels()
-        metrics.rounds = len(levels)
-
-        with obs.span(
-            "program",
-            program=program.name,
-            jobs=len(program),
-            rounds=len(levels),
-            backend=self.name,
-            shards=self.shards,
-            shipped_relations=shipped,
-        ):
-            for level_index, level_jobs in enumerate(levels):
-                with obs.span("level", index=level_index, jobs=len(level_jobs)):
-                    level_map_tasks: List[float] = []
-                    level_reduce_tasks: List[float] = []
-                    level_results: List[JobResult] = []
-                    for job in level_jobs:
-                        result = self.run_job(job, working)
-                        level_results.append(result)
-                        metrics.add_job(result.metrics)
-                        level_map_tasks.extend(result.metrics.map_task_durations)
-                        level_reduce_tasks.extend(
-                            result.metrics.reduce_task_durations
-                        )
-                    for result in level_results:
-                        for name, relation in result.outputs.items():
-                            working.add_relation(relation)
-                            all_outputs[name] = relation
-                    metrics.level_net_times.append(
-                        self.engine.level_net_time(
-                            level_map_tasks, level_reduce_tasks
-                        )
-                    )
-
-        metrics.net_time = sum(metrics.level_net_times)
-        metrics.wall_elapsed_s = perf_counter() - start
-        return ProgramResult(
-            program=program,
-            outputs=all_outputs,
-            metrics=metrics,
-            database=working,
-        )
-
-    def __repr__(self) -> str:
-        return f"ShardedBackend(shards={self.shards})"
+        return [response.result for response in responses]

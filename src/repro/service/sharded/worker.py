@@ -14,26 +14,23 @@ The blocks' memoised key tuples and
 the per-blob job cache stay warm with them, which is the entire point of the
 tier — repeated queries pay neither serialisation nor cache-warmup cost.
 
-The map/combine/size arithmetic is line-for-line the arithmetic of the
-parallel backend's ``_run_map_task`` / ``_run_reduce_task`` (and therefore
-of the serial engine): the sharded tier changes *where* tasks run and what
-stays warm, never what they compute — outputs and simulated metrics must
-stay bit-identical to the serial reference.
+The task arithmetic is not written here: map and reduce tasks are
+:func:`repro.exec.fanout.run_map_task` / :func:`~repro.exec.fanout.run_reduce_task`,
+the same functions the parallel backend's pool workers run.  The sharded
+tier changes *where* tasks run and what stays warm, never what they compute
+— outputs and simulated metrics stay bit-identical to the serial reference.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import socket
 import traceback
-from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from ...exec import fanout
 from ...exec.shm import decode_payload
-from ...mapreduce.job import Key, MapReduceJob
 from ...model.relation import ColumnBlock
-from ...obs.trace import worker_payload
 from .rpc import (
     Crash,
     Failure,
@@ -58,26 +55,12 @@ class _WorkerState:
         self.shard = shard
         #: relation name -> (version, {global chunk index: resident block}).
         self.relations: Dict[str, Tuple[int, Dict[int, ColumnBlock]]] = {}
-        #: Deserialised jobs keyed by their pickle blob (one decode per job
-        #: run, not per task — same memo discipline as the parallel pool).
-        self.jobs: Dict[bytes, MapReduceJob] = {}
         self.map_tasks = 0
         self.reduce_tasks = 0
         self.requests = 0
 
-    def job_from_blob(self, blob: bytes) -> MapReduceJob:
-        job = self.jobs.get(blob)
-        if job is None:
-            if len(self.jobs) >= 16:
-                self.jobs.clear()
-            job = pickle.loads(blob)
-            self.jobs[blob] = job
-        return job
-
     def chunk_for(self, task: MapTask) -> ColumnBlock:
-        """The rows of one map task: inline payload or resident chunk."""
-        if task.payload is not None:
-            return decode_payload(task.payload)
+        """The resident chunk a payload-less map task names."""
         entry = self.relations.get(task.relation)
         if entry is None:
             raise LookupError(
@@ -112,71 +95,26 @@ class _WorkerState:
 
 
 def run_map_task(state: _WorkerState, task: MapTask) -> TaskDone:
-    """Map, combine and size one chunk — the serial engine's exact recipe."""
-    start_s = perf_counter() if task.traced else 0.0
-    job = state.job_from_blob(task.job_blob)
-    block = state.chunk_for(task)
-    rows = block.rows()
-    if task.payload is not None:
-        block.release()  # transient chunk: detach its shm segment (if any)
-    buffer: Dict[Key, List[object]] = {}
-    for row in rows:
-        for key, value in job.map(task.relation, row):
-            buffer.setdefault(key, []).append(value)
-    pairs: List[Tuple[Key, object]] = []
-    intermediate_bytes = 0
-    key_bytes: Dict[Key, int] = {}
-    for key, values in buffer.items():
-        if job.uses_combiner():
-            values = job.combine(key, values)
-        for value in values:
-            pair_size = job.pair_bytes(key, value)
-            intermediate_bytes += pair_size
-            key_bytes[key] = key_bytes.get(key, 0) + pair_size
-            pairs.append((key, value))
+    """Run the shared map task over the task's resident or inline chunk."""
+    warm = state.chunk_for(task) if task.payload is None else None
+    result, span = fanout.run_map_task(
+        (task.job_blob, task.relation, task.chunk_index, task.payload, task.traced),
+        warm,
+        shard=state.shard,
+        chunk=task.chunk_index,
+        resident=warm is not None,
+    )
     state.map_tasks += 1
-    span = (
-        worker_payload(
-            "map_task",
-            start_s,
-            perf_counter(),
-            shard=state.shard,
-            relation=task.relation,
-            chunk=task.chunk_index,
-            resident=task.payload is None,
-            rows=len(rows),
-            pairs=len(pairs),
-        )
-        if task.traced
-        else None
-    )
-    return TaskDone(
-        task_id=task.task_id,
-        result=(pairs, intermediate_bytes, key_bytes),
-        span=span,
-    )
+    return TaskDone(task_id=task.task_id, result=result, span=span)
 
 
 def run_reduce_task(state: _WorkerState, task: ReduceTask) -> TaskDone:
     """Reduce every key group of one shuffle partition, in shipped order."""
-    start_s = perf_counter() if task.traced else 0.0
-    job = state.job_from_blob(task.job_blob)
-    facts: List[Tuple[str, Tuple[object, ...]]] = []
-    for key, values in task.items:
-        facts.extend(job.reduce(key, values))
-    state.reduce_tasks += 1
-    span = (
-        worker_payload(
-            "reduce_task",
-            start_s,
-            perf_counter(),
-            shard=state.shard,
-            groups=len(task.items),
-            facts=len(facts),
-        )
-        if task.traced
-        else None
+    # The bucket index only routes a task to its shard; it is spent by now.
+    facts, span = fanout.run_reduce_task(
+        (task.job_blob, 0, task.items, task.traced), shard=state.shard
     )
+    state.reduce_tasks += 1
     return TaskDone(task_id=task.task_id, result=facts, span=span)
 
 

@@ -34,6 +34,7 @@ import repro
 from repro.core.config import ExecutionConfig
 from repro.core.gumbo import Gumbo
 from repro.core.options import GumboOptions
+from repro.core.strategies import build_bsgf_program
 from repro.exec import SimulatedBackend, make_backend
 from repro.exec.shm import (
     DATA_PLANES,
@@ -361,6 +362,40 @@ class TestCrashRecovery:
             _assert_results_match(serial, result)
             # Wave segments are released eagerly, not held until close().
             assert len(backend._segments) == 0
+        finally:
+            backend.close()
+
+
+    @pytest.mark.parametrize("name", ["parallel", "sharded"])
+    def test_failed_encode_releases_earlier_chunks(self, name, monkeypatch):
+        """Shipping fails on the second chunk (say /dev/shm is full): the
+        error propagates and the first chunk's segment is not left pinned in
+        the backend's pool until close().  On sharded the database is not
+        resident, so run_job ships every chunk inline."""
+        from repro.exec import fanout
+
+        queries = bsgf_query_set("A1")
+        database = database_for(queries, guard_tuples=200, selectivity=0.5, seed=9)
+        job = build_bsgf_program(queries, "par").levels()[0][0]
+        assert len(job.input_relations()) >= 2
+        shipped = []
+
+        def failing_encode(block, pool, plane):
+            if shipped:
+                raise OSError("no space left on /dev/shm")
+            payload = encode_block(block, pool, plane)
+            shipped.append(payload_segment(payload))
+            return payload
+
+        monkeypatch.setattr(fanout, "encode_block", failing_encode)
+        before = set(_leaked_segments())
+        backend = make_backend(name, workers=2, shards=2, data_plane="shm")
+        try:
+            with pytest.raises(OSError, match="no space left"):
+                backend.run_job(job, database)
+            assert shipped[0] is not None  # chunk 0 really sat in a segment
+            assert len(backend._segments) == 0
+            assert set(_leaked_segments()) <= before
         finally:
             backend.close()
 

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.core.dynamic import DynamicSGFExecutor
 from repro.core.gumbo import Gumbo
 from repro.core.options import GumboOptions
 from repro.core.skew import SkewAwareMSJJob, detect_heavy_hitters
+from repro.core.strategies import build_bsgf_program
 from repro.cost.estimates import StatisticsCatalog
 from repro.exec import (
+    BACKEND_NAMES,
     ExecutionBackend,
     ParallelBackend,
     SimulatedBackend,
@@ -153,6 +156,46 @@ class TestMakeBackend:
             assert result.output().tuples() == {(1, 2)}
             assert gumbo.backend._pool is not None
         assert gumbo.backend._pool is None
+
+
+class TestExecutionSkeleton:
+    """One level loop for every backend: ``ExecutionBackend.run_program``."""
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_every_backend_walks_the_shared_level_loop(self, name, serial_backend):
+        queries = bsgf_query_set("A3")
+        database = database_for(queries, guard_tuples=250, selectivity=0.5, seed=3)
+        program = build_bsgf_program(queries, "par")
+        serial = serial_backend.run_program(program, database)
+        with make_backend(name, workers=WORKERS, shards=WORKERS) as backend:
+            assert "run_program" not in vars(type(backend))
+            with obs.trace("skeleton", enabled=True):
+                result = backend.run_program(program, database)
+            spans = obs.spans_of(obs.drain_traces())
+
+        assert result.metrics.rounds == serial.metrics.rounds >= 2
+        # summary() (net time included) and level_net_times, job by job:
+        _assert_metrics_match(serial.metrics, result.metrics)
+        assert set(result.outputs) == set(serial.outputs)
+        for relation_name, relation in serial.outputs.items():
+            assert result.outputs[relation_name].tuples() == relation.tuples()
+
+        # Identity is stamped on the program and on every job of it.
+        assert result.metrics.backend == name
+        assert result.metrics.wall_elapsed_s > 0
+        for job_metrics in result.metrics.job_metrics.values():
+            assert job_metrics.wall.backend == name
+            assert job_metrics.wall.elapsed_s > 0
+
+        # program → level → job, on every backend.
+        by_id = {span.span_id: span for span in spans}
+        (program_span,) = [span for span in spans if span.name == "program"]
+        jobs = [span for span in spans if span.name == "job"]
+        assert len(jobs) == len(program)
+        for job_span in jobs:
+            level_span = by_id[job_span.parent_id]
+            assert level_span.name == "level"
+            assert level_span.parent_id == program_span.span_id
 
 
 class TestBSGFStrategyParity:

@@ -5,10 +5,11 @@ Runs a fixed workload mix — the Section 5 A3 query plus a handwritten
 mixed-type database that stresses the type-tagged sort order (ints, floats,
 strings, ``None`` sharing columns) — under both kernel modes and every
 applicable strategy, then prints a canonical digest per combination.  A
-final pass re-runs the mix on the sharded persistent tier (every map/reduce
-task executed in long-lived worker processes with their own interpreters,
-routed by ``stable_hash`` placement), whose digests must equal the serial
-ones line for line:
+final pass re-runs the mix through both transports of the shared fan-out
+driver — the parallel pool and the sharded persistent tier (every map/reduce
+task executed in worker processes with their own interpreters, shards routed
+by ``stable_hash`` placement) — whose digests must equal the serial ones
+line for line:
 
 * ``outputs`` — SHA-256 over the sorted output relations, with floats
   rendered as their IEEE-754 bit patterns so the digest is bit-exact;
@@ -107,18 +108,22 @@ def run_case(label: str, query, database, backend=None) -> None:
             print(_digest_result(label, strategy, mode, result))
 
 
-def run_sharded_case(label: str, query, database, shards: int = 2) -> None:
-    """The same digests, computed through the sharded worker tier.
+#: The fan-out transports of the final pass (2 pool workers, 2 shards).
+FANOUT_TRANSPORTS = ("parallel", "sharded")
 
-    One cluster serves every strategy × kernel-mode combination, so the
-    check also covers warm-shard reuse; worker processes inherit the parent's
-    ``PYTHONHASHSEED``, so hash-order dependence on either side of the RPC
-    boundary shows up as a digest change.
+
+def run_fanout_case(label: str, query, database, transport: str) -> None:
+    """The same digests, computed through one fan-out transport.
+
+    One backend serves every strategy × kernel-mode combination, so the
+    check also covers pool and warm-shard reuse; worker processes inherit
+    the parent's ``PYTHONHASHSEED``, so hash-order dependence on either side
+    of the process boundary shows up as a digest change.
     """
-    from repro.service.sharded import ShardedBackend
+    from repro.exec import make_backend
 
-    with ShardedBackend(shards=shards) as backend:
-        run_case(label, query, database, backend=backend)
+    with make_backend(transport, workers=2, shards=2) as backend:
+        run_case(f"{label}[{transport}]", query, database, backend=backend)
 
 
 def main() -> None:
@@ -137,8 +142,9 @@ def main() -> None:
     mixed_db = Database.from_dict(MIXED_DB)
     run_case("A3", a3, a3_db)
     run_case("mixed-types", mixed, mixed_db)
-    run_sharded_case("A3[sharded]", a3, a3_db)
-    run_sharded_case("mixed-types[sharded]", mixed, mixed_db)
+    for transport in FANOUT_TRANSPORTS:
+        run_fanout_case("A3", a3, a3_db, transport)
+        run_fanout_case("mixed-types", mixed, mixed_db, transport)
 
 
 if __name__ == "__main__":
