@@ -7,6 +7,12 @@ with ``PARALLEL_WORKERS`` workers, and the wall-clock speedup is reported.
 Output relations and simulated metrics must be bit-identical across all runs
 — the backends only differ in where the map/reduce functions execute.
 
+The parallel runs pin ``kernel_mode="off"``: what is measured is how the
+interpreted per-tuple fan-out — map tasks, driver shuffle, reduce tasks —
+scales with the pool size.  Under the default mode the workers run the batch
+kernels instead, the map phase shrinks to a few relation-sized tasks, and a
+pool-size race would measure their skew rather than the scheduler.
+
 The speedup assertion is gated on the host's CPU count: real parallel
 speedup is physically impossible on a single core, so there the benchmark
 only records the measurement (and checks parity).  The workload size can be
@@ -19,6 +25,7 @@ from __future__ import annotations
 import os
 
 from repro.core.gumbo import Gumbo
+from repro.core.options import GumboOptions
 from repro.exec import ParallelBackend, SimulatedBackend
 from repro.workloads.queries import bsgf_query_set, database_for
 from repro.workloads.scaling import ScaledEnvironment
@@ -33,7 +40,7 @@ DEFAULT_TUPLES = int(os.environ.get("REPRO_BENCH_PARALLEL_TUPLES", 8_000))
 
 def _execute_on(backend, queries, database, warmup_database):
     """Warm the backend's pool on a tiny run, then execute the real workload."""
-    gumbo = Gumbo(backend=backend)
+    gumbo = Gumbo(backend=backend, options=GumboOptions(kernel_mode="off"))
     gumbo.execute(queries, warmup_database, "par")
     return gumbo.execute(queries, database, "par")
 

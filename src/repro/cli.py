@@ -692,9 +692,10 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         "--kernel-mode",
         default="auto",
         choices=list(KERNEL_MODES),
-        help="batch-kernel execution path: auto (kernel on the serial "
-        "engine), on (kernel everywhere), off (always interpret); outputs "
-        "and simulated metrics are identical in every mode (default auto)",
+        help="batch-kernel execution path: auto (kernel wherever the job "
+        "has one, on every backend), on (same as auto), off (always "
+        "interpret); outputs and simulated metrics are identical in every "
+        "mode (default auto)",
     )
 
 

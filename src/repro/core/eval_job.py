@@ -26,7 +26,12 @@ from ..mapreduce.job import (
 )
 from collections import Counter
 
-from ..mapreduce.kernels import MapBatch, PlainPairAccumulator, as_column_block
+from ..mapreduce.kernels import (
+    MapBatch,
+    PlainPairAccumulator,
+    as_column_block,
+    union_key_set,
+)
 from ..model.atoms import Atom
 from ..query.bsgf import BSGFQuery
 from .messages import (
@@ -258,11 +263,12 @@ class EvalJob(MapReduceJob):
         Boolean evaluation per distinct mask, projection via compiled
         extractors."""
         members: Dict[Tuple[int, int], set] = {}
+        owned: set = set()
         guard_rows: Dict[int, List[Tuple[object, ...]]] = {}
         for batch in batches:
             kind = batch.data[0]
             if kind == "member":
-                members[batch.data[1]] = batch.data[2]
+                union_key_set(members, owned, batch.data[1], batch.data[2])
             else:
                 for t_index, rows in batch.data[1].items():
                     guard_rows.setdefault(t_index, []).extend(rows)

@@ -30,6 +30,7 @@ from ..mapreduce.kernels import (
     PackedChunkAccumulator,
     PlainPairAccumulator,
     as_column_block,
+    union_key_set,
 )
 from ..model.atoms import Atom
 from ..model.terms import Variable
@@ -330,13 +331,10 @@ class _FusedKernel:
     def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
         job = self.job
         asserted: Dict[int, set] = {}
+        owned: set = set()
         for batch in batches:
             for tag, keys in batch.data[1].items():
-                existing = asserted.get(tag)
-                if existing is None:
-                    asserted[tag] = set(keys)
-                else:
-                    existing.update(keys)
+                union_key_set(asserted, owned, tag, keys)
         guard_segments: Dict[int, List[tuple]] = {}
         for batch in batches:
             for q_index, segments in batch.data[0].items():

@@ -42,6 +42,7 @@ from ..mapreduce.kernels import (
     PackedChunkAccumulator,
     PlainPairAccumulator,
     as_column_block,
+    union_key_set,
 )
 from ..model.atoms import Atom
 from ..model.terms import Variable
@@ -422,17 +423,10 @@ class _MSJKernel:
     def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
         job = self.job
         asserted: Dict[int, set] = {}
+        owned: set = set()
         for batch in batches:
             for tag_index, keys in batch.data[1].items():
-                existing = asserted.get(tag_index)
-                if existing is None:
-                    # A tag spec reads exactly one input relation, so this is
-                    # normally the only contributor: alias, don't copy.
-                    asserted[tag_index] = keys
-                else:
-                    merged = set(existing)
-                    merged.update(keys)
-                    asserted[tag_index] = merged
+                union_key_set(asserted, owned, tag_index, keys)
         outputs: Dict[str, set] = {spec.output: set() for spec in job.specs}
         for batch in batches:
             for index, segments in batch.data[0].items():

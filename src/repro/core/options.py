@@ -70,12 +70,11 @@ class GumboOptions:
     kernel_mode:
         The batch ("kernel") execution path selector (see
         :mod:`repro.mapreduce.kernels`): ``"auto"`` (the default) evaluates
-        kernel-capable jobs set-at-a-time on the in-process serial engine
-        while the parallel backend keeps its task fan-out; ``"on"`` forces
-        the kernel wherever the job supports it (including on the parallel
-        backend, which then runs the job in-process); ``"off"`` always
-        interprets tuple-at-a-time.  Outputs and simulated metrics are
-        identical in every mode — only wall-clock speed changes.
+        kernel-capable jobs set-at-a-time on every backend — in-process on
+        the serial engine, inside the workers on the parallel and sharded
+        backends; ``"on"`` is a synonym; ``"off"`` always interprets
+        tuple-at-a-time.  Outputs and simulated metrics are identical in
+        every mode — only wall-clock speed changes.
     trace:
         Runtime tracing (see :mod:`repro.obs`): entry points —
         ``Gumbo.execute`` / ``execute_program`` / ``execute_delta`` and the

@@ -2,21 +2,24 @@
 
 :class:`ParallelBackend` actually fans work out across OS processes, the way
 the paper's Gumbo system fans tasks out across its 10-node Hadoop cluster.
-The job recipe itself — one map task per map chunk, the shuffle merged in
-task order, one reduce task per non-empty reducer bucket, the metric
-hand-off that keeps outputs and simulated metrics bit-identical to the
-serial engine — is :class:`~repro.exec.fanout.FanoutBackend`'s; this module
-is only the transport underneath it:
+The job recipe itself — one map task per map chunk (a batch kernel over the
+chunk's columns, or the interpreted map with its driver-side shuffle and
+reduce tasks), the metric hand-off that keeps outputs and simulated metrics
+bit-identical to the serial engine — is
+:class:`~repro.exec.fanout.FanoutBackend`'s; this module is only the
+transport underneath it:
 
 * a lazily created ``multiprocessing`` pool, reused across jobs;
 * wave scheduling: at most
   :attr:`~repro.mapreduce.cluster.ClusterConfig.total_slots` tasks are in
   flight per wave, mirroring how the simulated cluster's containers execute
-  in waves, and each wave's wall-clock time is recorded;
+  in waves, and each wave's wall-clock time is recorded; a wave reaches the
+  pool as one message per worker, not one per task;
 * *every* map chunk ships with its task (pool workers are stateless), as a
   packed :class:`~repro.model.relation.ColumnBlock` payload — homogeneous
   numeric columns travel as typed ``array`` buffers instead of per-row
-  pickle records (the reduce side still ships key groups as plain pairs).
+  pickle records (interpreted reduce tasks still ship key groups as plain
+  pairs).
 
 Chunks cross the pool boundary over the backend's *data plane* (see
 :mod:`repro.exec.shm` and ``docs/dataplane.md``); the fan-out driver encodes
@@ -25,6 +28,7 @@ them, and releases their segments when the map phase's waves are in.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from time import perf_counter
@@ -106,6 +110,8 @@ class ParallelBackend(FanoutBackend):
     ) -> List[object]:
         """Run *tasks* through the pool in waves of at most ``total_slots``.
 
+        A wave is cut into one run of consecutive tasks per worker, so it
+        costs each worker one pool message however many tasks it holds.
         Each wave gets a span, and any worker-side span payloads the tasks
         shipped back are re-parented under it, so the trace shows exactly
         which wave ran which task in which worker process.
@@ -122,7 +128,10 @@ class ParallelBackend(FanoutBackend):
             wave = tasks[start : start + slots]
             begin = perf_counter()
             with obs.span("wave", phase=phase, tasks=len(wave)) as wave_span:
-                for result, payload in self._pool.map(func, wave):
+                per_worker = math.ceil(len(wave) / self.workers)
+                for result, payload in self._pool.map(
+                    func, wave, chunksize=per_worker
+                ):
                     results.append(result)
                     if payload is not None and tracer is not None:
                         tracer.adopt_payload(payload, wave_span.span_id)

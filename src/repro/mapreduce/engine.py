@@ -29,6 +29,7 @@ import math
 from collections import Counter, defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, ContextManager, Dict, List, Optional, Tuple, Union
 
 from ..cost.constants import (
@@ -44,13 +45,23 @@ from ..model.relation import ColumnBlock, Relation, tuple_sort_key
 from ..obs import metrics as obs_metrics
 from .. import obs
 from .cluster import ClusterConfig
-from .counters import JobMetrics, PartitionMetrics, ProgramMetrics
+from .counters import JobMetrics, PartitionMetrics, ProgramMetrics, WallClockMetrics
 from .job import Key, MapReduceJob
-from .kernels import use_kernel
+from .kernels import MapBatch, use_kernel
 from .program import MRProgram
 from .scheduler import makespan
 
 _MB = 1024.0 * 1024.0
+
+#: One uniform input part of a job (see :meth:`MapReduceEngine.input_parts`):
+#: the relation, ``None`` when the database lacks it, and its partition
+#: metrics, whose ``relation`` field names the input either way.
+InputPart = Tuple[Optional[Relation], PartitionMetrics]
+
+#: Where a kernel job's ``map_batch`` runs (see
+#: :meth:`MapReduceEngine.run_job_kernel`): the job's input parts in, per
+#: part its partial batches in chunk order out.
+MapPhase = Callable[[List[InputPart]], List[List[MapBatch]]]
 
 #: Backward-compatible alias; the shared implementation lives in
 #: :mod:`repro.exec.partition` so every execution backend partitions
@@ -192,59 +203,55 @@ class MapReduceEngine:
             )
         return JobResult(job_id=job.job_id, outputs=outputs, metrics=metrics)
 
-    def run_job_kernel(self, job: MapReduceJob, database: Database) -> JobResult:
+    def run_job_kernel(
+        self,
+        job: MapReduceJob,
+        database: Database,
+        map_phase: Optional[MapPhase] = None,
+        wall: Optional[WallClockMetrics] = None,
+    ) -> JobResult:
         """Execute one kernel-capable job through its batch path.
 
-        Per input partition the job's ``map_batch`` computes the partition's
-        intermediate bytes, records and per-key byte loads analytically (the
-        numbers the interpreted map + combiner would have produced) together
-        with the build/probe data its reduce kernel needs; ``reduce_batch``
-        then materialises the outputs as set operations.  All metric
-        derivation funnels through :meth:`finalise_job_metrics`, exactly as
-        on the interpreted path.
+        Per input part the job's ``map_batch`` computes the intermediate
+        bytes, records and per-key byte loads analytically (the numbers the
+        interpreted map + combiner would have produced) together with the
+        build/probe data its reduce kernel needs; ``reduce_batch`` then
+        materialises the outputs as set operations.  All metric derivation
+        funnels through :meth:`finalise_job_metrics`, exactly as on the
+        interpreted path.
+
+        *map_phase* decides only **where** ``map_batch`` runs: it takes the
+        job's :meth:`input_parts` and returns, per part, that part's
+        :class:`~repro.mapreduce.kernels.MapBatch` partials in chunk order.
+        The default runs one whole-relation batch per part in this process;
+        the fan-out backends (:mod:`repro.exec.fanout`) run one batch per
+        map chunk on their workers.  Either way the partials' accounting is
+        summed here — every quantity is an exact integer sum over chunks, so
+        the metrics do not depend on how a part was cut into batches — and
+        ``reduce_batch`` runs here, on the driver.  A backend's *wall* gets
+        the measured ``reduce_batch`` time added to its reduce subtotal (the
+        map phase records its own waves).
         """
         _JOBS_KERNEL.inc()
         with obs.span(
             "job", job_id=job.job_id, kind=type(job).__name__, path="kernel"
         ):
-            # Per-partition key loads are kept as separate dicts: the reducer
-            # load accounting only ever *sums* them, so merging into one
-            # Counter here would be pure overhead.
-            key_bytes_parts: List[Dict[Key, int]] = []
-            partition_metrics: List[PartitionMetrics] = []
-            batches = []
-
-            for relation_name in job.input_relations():
-                with obs.span("map_batch", relation=relation_name) as map_span:
-                    relation = database.get(relation_name)
-                    if relation is not None:
-                        input_records = len(relation)
-                        input_mb = relation.size_mb()
-                        mappers = self.mappers_for(input_mb)
-                        # Columnar map-task chunks with the identical strided
-                        # boundaries map_task_chunks would produce.
-                        chunks = relation.column_chunks(mappers)
-                    else:
-                        input_records = 0
-                        input_mb = 0.0
-                        mappers = self.mappers_for(0.0)
-                        chunks = [ColumnBlock.from_rows([])]
-                    batch = job.map_batch(relation_name, chunks)
-                    map_span.set(mappers=mappers, rows=input_records)
-                batches.append(batch)
-                key_bytes_parts.append(batch.key_bytes)
-                partition_metrics.append(
-                    PartitionMetrics(
-                        relation=relation_name,
-                        input_mb=input_mb,
-                        input_records=input_records,
-                        intermediate_mb=batch.intermediate_bytes / _MB,
-                        output_records=batch.output_records,
-                        mappers=mappers,
-                    )
-                )
+            parts = self.input_parts(job, database)
+            if map_phase is None:
+                partials = self._map_batches(job, parts)
+            else:
+                partials = map_phase(parts)
+            batches: List[MapBatch] = []
+            for (_, partition), part_batches in zip(parts, partials):
+                intermediate_bytes = 0
+                for batch in part_batches:
+                    intermediate_bytes += batch.intermediate_bytes
+                    partition.output_records += batch.output_records
+                partition.intermediate_mb = intermediate_bytes / _MB
+                batches.extend(part_batches)
 
             outputs = prepare_output_relations(job)
+            begin = perf_counter()
             with obs.span("reduce_batch"):
                 for relation_name, rows in job.reduce_batch(batches).items():
                     if relation_name not in outputs:
@@ -253,12 +260,70 @@ class MapReduceEngine:
                             f"{relation_name!r}"
                         )
                     outputs[relation_name].update(rows)
+            if wall is not None:
+                wall.reduce_elapsed_s += perf_counter() - begin
+            # The key loads stay separate dicts, one per batch: the reducer
+            # load accounting only ever *sums* them, so merging into one
+            # Counter here would be pure overhead.
             metrics = self.finalise_job_metrics(
-                job, partition_metrics, key_bytes_parts, outputs
+                job,
+                [partition for _, partition in parts],
+                [batch.key_bytes for batch in batches],
+                outputs,
             )
         return JobResult(job_id=job.job_id, outputs=outputs, metrics=metrics)
 
+    def _map_batches(
+        self, job: MapReduceJob, parts: List[InputPart]
+    ) -> List[List[MapBatch]]:
+        """The in-process map phase: one whole-relation batch per input part."""
+        partials: List[List[MapBatch]] = []
+        for relation, partition in parts:
+            with obs.span(
+                "map_batch",
+                relation=partition.relation,
+                mappers=partition.mappers,
+                rows=partition.input_records,
+            ):
+                # Columnar map-task chunks with the identical strided
+                # boundaries map_task_chunks would produce; a missing input is
+                # one mapper over zero rows.
+                chunks = (
+                    relation.column_chunks(partition.mappers)
+                    if relation is not None
+                    else [ColumnBlock.from_rows([])]
+                )
+                partials.append([job.map_batch(partition.relation, chunks)])
+        return partials
+
     # -- accounting shared with the execution backends ----------------------------
+
+    def input_parts(self, job: MapReduceJob, database: Database) -> List[InputPart]:
+        """One uniform input part per input relation of *job* (Figure 1, step 1).
+
+        Each part is the relation (``None`` when *database* lacks it) and its
+        :class:`PartitionMetrics` with the input side filled in — size,
+        records, map-task count — and the map output still zero, to be
+        filled in once the map phase has run.
+        """
+        parts: List[InputPart] = []
+        for relation_name in job.input_relations():
+            relation = database.get(relation_name)
+            input_mb = relation.size_mb() if relation is not None else 0.0
+            parts.append(
+                (
+                    relation,
+                    PartitionMetrics(
+                        relation=relation_name,
+                        input_mb=input_mb,
+                        input_records=len(relation) if relation is not None else 0,
+                        intermediate_mb=0.0,
+                        output_records=0,
+                        mappers=self.mappers_for(input_mb),
+                    ),
+                )
+            )
+        return parts
 
     def mappers_for(self, input_mb: float) -> int:
         """Number of map tasks for one uniform input part of *input_mb* MB."""

@@ -92,16 +92,22 @@ class MapReduceJob:
         return False
 
     def map_batch(self, relation: str, chunks: Sequence[Sequence[Tuple[object, ...]]]):
-        """Kernelised map phase over one input partition's map-task chunks.
+        """Kernelised map phase over map-task chunks of one input partition.
 
-        Returns a :class:`~repro.mapreduce.kernels.MapBatch`.  Only called
-        when :meth:`supports_kernel` is True.
+        *chunks* holds all of the partition's chunks (the serial engine) or
+        any subset of them — the fan-out workers call this once per chunk —
+        and the returned :class:`~repro.mapreduce.kernels.MapBatch` accounts
+        for exactly those chunks.  Only called when :meth:`supports_kernel`
+        is True.
         """
         raise NotImplementedError(f"{type(self).__name__} has no batch kernel")
 
     def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
         """Kernelised reduce phase over the partitions' :class:`MapBatch` data.
 
+        *batches* holds any number of partial batches per input relation, in
+        relation-then-chunk order: whatever several batches of one relation
+        carry (key sets, probe rows) must be unioned, never overwritten.
         Returns ``{output relation name: iterable of rows}``.  Only called
         when :meth:`supports_kernel` is True.
         """

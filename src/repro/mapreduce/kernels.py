@@ -13,19 +13,27 @@ A kernel-capable job implements three methods (see
 
 * ``supports_kernel()`` — whether batch evaluation is implemented *and*
   faithful for this instance (e.g. the skew-salted MSJ job opts out);
-* ``map_batch(relation, chunks)`` — evaluate the map phase of one input
-  partition over its map-task chunks, returning a :class:`MapBatch` with the
-  partition's byte/record accounting plus whatever per-relation data the
-  job's reduce kernel needs (key sets to build, rows to probe);
-* ``reduce_batch(batches)`` — combine the per-partition batches into the
+* ``map_batch(relation, chunks)`` — evaluate the map phase over some or all
+  of one input partition's map-task chunks, returning a :class:`MapBatch`
+  with those chunks' byte/record accounting plus whatever data the job's
+  reduce kernel needs from them (key sets to build, rows to probe);
+* ``reduce_batch(batches)`` — combine the batches of all partitions into the
   output relations, returning ``{relation name: iterable of rows}``.
 
-Kernels run *in-process* on the driver and ship nothing: the shared-memory
-data plane (``docs/dataplane.md``) applies only to the fan-out paths — the
-parallel backend's pool tasks and the sharded tier's resident/inline
-payloads — where chunks actually cross a process boundary.  A kernelised
-job on those backends short-circuits the fan-out entirely, so the two
-optimisations compose rather than overlap.
+Where the two halves run is the backend's choice, never the job's.  On the
+serial engine both run in-process, ``map_batch`` once per input relation
+over all of its chunks.  On the fan-out backends (parallel pool, sharded
+tier — see :mod:`repro.exec.fanout`) ``map_batch`` runs *inside the
+workers*, once per map chunk, straight over the chunk's attached
+(``docs/dataplane.md``) or resident :class:`ColumnBlock`; each worker replies
+with its chunk's partial :class:`MapBatch` and the driver runs
+``reduce_batch`` over all of them.  ``reduce_batch`` therefore receives *any
+number* of partial batches per relation, in relation-then-chunk order, and
+must union what they carry; the accounting needs no such care, because every
+counted quantity is an exact integer sum over chunks
+(:meth:`PackedChunkAccumulator.flush` already closes the books per chunk).
+:meth:`~repro.mapreduce.engine.MapReduceEngine.run_job_kernel` is the one
+recipe behind both.
 
 Metric fidelity contract: for every job the kernel path must produce the
 *identical* ``PartitionMetrics``, per-key byte loads and output relations the
@@ -37,14 +45,10 @@ this contract.
 
 Mode selection (``GumboOptions.kernel_mode``, carried by the job's options):
 
-* ``"off"``  — always interpret;
-* ``"auto"`` (default) — use the kernel wherever the job supports it on the
-  in-process serial engine; the parallel backend keeps its per-task fan-out
-  (a batch kernel is a single-process algorithm — fanning it out would just
-  re-serialise the relation);
-* ``"on"``   — use the kernel wherever the job supports it, *including* on
-  the parallel backend (which then runs the job in-process instead of
-  fanning out).
+* ``"off"``  — always interpret (on the fan-out backends: the tuple-at-a-time
+  map tasks, the driver-side shuffle and the reduce tasks);
+* ``"auto"`` (default) and ``"on"`` — synonyms: use the kernel wherever the
+  job supports it, on every backend.
 
 Jobs that implement no kernel (the Hive/Pig baseline jobs, user-defined
 jobs) are always interpreted, whatever the mode.
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..model.relation import ColumnBlock
 from .job import Key, MapReduceJob
@@ -88,28 +92,39 @@ def job_kernel_mode(job: MapReduceJob) -> str:
     return mode if mode in KERNEL_MODES else KERNEL_OFF
 
 
-def use_kernel(job: MapReduceJob, fanout: bool = False) -> bool:
-    """Whether *job* should run through the batch kernel path.
+def use_kernel(job: MapReduceJob) -> bool:
+    """Whether *job* runs through the batch kernel path (on every backend)."""
+    return job_kernel_mode(job) != KERNEL_OFF and job.supports_kernel()
 
-    *fanout* is True when the caller is a fan-out backend (the parallel
-    runtime): there only an explicit ``"on"`` engages the kernel, so that
-    ``"auto"`` preserves real task-level parallelism.
+
+def union_key_set(
+    merged: Dict[object, set], owned: Set[object], slot: object, keys: set
+) -> None:
+    """Union *keys* into ``merged[slot]`` for a ``reduce_batch`` merging partials.
+
+    The first contributor is aliased, not copied — on the serial engine it is
+    the only one — and a slot is copied once, when a second contributor
+    arrives (*owned* remembers which), so the batches' own sets are never
+    mutated and merging n partials stays linear.
     """
-    mode = job_kernel_mode(job)
-    if mode == KERNEL_OFF:
-        return False
-    if fanout and mode != KERNEL_ON:
-        return False
-    return job.supports_kernel()
+    existing = merged.get(slot)
+    if existing is None:
+        merged[slot] = keys
+    elif slot in owned:
+        existing.update(keys)
+    else:
+        merged[slot] = existing | keys
+        owned.add(slot)
 
 
 @dataclass
 class MapBatch:
-    """Result of the kernelised map phase over one input partition.
+    """Result of the kernelised map phase over one input partition, or over
+    some of its map chunks (a *partial* batch, see the module docstring).
 
     ``intermediate_bytes`` / ``output_records`` / ``key_bytes`` reproduce the
-    interpreted engine's per-partition accounting exactly (combiner semantics
-    included).  ``data`` carries job-specific reduce-kernel inputs — key sets
+    interpreted engine's accounting of those chunks exactly (combiner
+    semantics included).  ``data`` carries job-specific reduce-kernel inputs — key sets
     built from conditional facts, guard rows to probe — opaque to the engine.
     """
 
@@ -358,5 +373,6 @@ __all__: List[str] = [
     "PlainPairAccumulator",
     "as_column_block",
     "job_kernel_mode",
+    "union_key_set",
     "use_kernel",
 ]

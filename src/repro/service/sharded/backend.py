@@ -9,10 +9,12 @@ ships every map chunk to a stateless pool worker on every run, this one
 :func:`~repro.exec.partition.stable_hash`), the owning worker keeps the
 chunk's :class:`~repro.model.relation.ColumnBlock` resident across requests,
 and a map task names ``(relation, chunk, version)`` instead of carrying
-rows.  Reduce buckets are placed the same way by bucket index.  What this
-module adds to the shared driver is exactly that: the resident-reference vs
-inline-payload choice per input part, the routing, one
-``cluster.run_tasks`` round trip per phase, and :meth:`ensure_loaded`.
+rows — a kernel job's ``map_batch`` then runs over the resident block and
+its memoised key tuples.  The reduce buckets of interpreted jobs are placed
+the same way by bucket index.  What this module adds to the shared driver
+is exactly that: the resident-reference vs inline-payload choice per input
+part, the routing, one ``cluster.run_tasks`` round trip per phase, and
+:meth:`ensure_loaded`.
 
 Bit-identical parity with the serial reference is inherited, not re-proven:
 everything that decides an output or a simulated metric is the fan-out

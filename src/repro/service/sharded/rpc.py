@@ -14,7 +14,7 @@ The message vocabulary (all plain picklable dataclasses):
 request                   worker behaviour
 ========================  =========================================================
 :class:`LoadRelation`     replace the named relation's resident chunks → :class:`Ok`
-:class:`MapTask`          map+combine one chunk (resident or inline) → :class:`TaskDone`
+:class:`MapTask`          map one chunk (resident or inline) → :class:`TaskDone`
 :class:`ReduceTask`       reduce one shuffle partition's key groups → :class:`TaskDone`
 :class:`Ping`             liveness + shard id → :class:`Ok`
 :class:`StatsRequest`     resident inventory and task counters → :class:`Ok`
@@ -85,7 +85,9 @@ class LoadRelation:
 
 @dataclass(frozen=True)
 class MapTask:
-    """One map chunk of one job: map, combine and size its rows.
+    """One map chunk of one job: a kernel job's ``map_batch`` over the
+    chunk, or the interpreted map, combine and sizing of its rows (see
+    :func:`repro.exec.fanout.run_map_task`).
 
     ``payload`` is ``None`` for resident chunks (the worker reads its warm
     block) and a data-plane payload (packed column block or shm segment

@@ -10,15 +10,18 @@ version)`` instead of shipping rows.  Chunks arrive as data-plane payloads
 (:func:`repro.exec.shm.decode_payload`): on the shm plane a worker *attaches*
 the cluster's shared-memory segments instead of unpickling row bytes, and a
 respawned worker's resident reload is therefore a re-attach, not a re-ship.
-The blocks' memoised key tuples and
-the per-blob job cache stay warm with them, which is the entire point of the
-tier — repeated queries pay neither serialisation nor cache-warmup cost.
+The blocks' memoised row and key tuples — what a kernel job's ``map_batch``
+reads — and the per-blob job cache with its compiled kernels stay warm with
+them, which is the entire point of the tier — repeated queries pay neither
+serialisation nor cache-warmup cost.
 
 The task arithmetic is not written here: map and reduce tasks are
 :func:`repro.exec.fanout.run_map_task` / :func:`~repro.exec.fanout.run_reduce_task`,
-the same functions the parallel backend's pool workers run.  The sharded
-tier changes *where* tasks run and what stays warm, never what they compute
-— outputs and simulated metrics stay bit-identical to the serial reference.
+the same functions the parallel backend's pool workers run — ``map_batch``
+over the resident block for a kernel job, the interpreted map otherwise.
+The sharded tier changes *where* tasks run and what stays warm, never what
+they compute — outputs and simulated metrics stay bit-identical to the
+serial reference.
 """
 
 from __future__ import annotations
@@ -95,7 +98,8 @@ class _WorkerState:
 
 
 def run_map_task(state: _WorkerState, task: MapTask) -> TaskDone:
-    """Run the shared map task over the task's resident or inline chunk."""
+    """Run the shared map task (kernel or interpreted, as the job says) over
+    the task's resident or inline chunk."""
     warm = state.chunk_for(task) if task.payload is None else None
     result, span = fanout.run_map_task(
         (task.job_blob, task.relation, task.chunk_index, task.payload, task.traced),

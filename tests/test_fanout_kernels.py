@@ -1,0 +1,265 @@
+"""Kernels inside the workers: per-chunk ``map_batch`` on the fan-out backends.
+
+On the parallel and sharded backends a kernel job's map tasks run
+``job.map_batch`` over one map chunk each, inside the workers, and the
+driver sums the partial batches and runs ``reduce_batch`` (see
+:mod:`repro.exec.fanout`).  With the default 128 MB split every relation of
+every other test is a single chunk, so none of them sees a relation arrive
+as more than one partial batch.  Everything here runs on an engine whose
+split is a few hundred bytes at most — at least three chunks per base
+relation, spread over two pool workers and two shards:
+
+* partial-batch composition, per kernel job type: ``reduce_batch`` over
+  per-chunk partials equals ``reduce_batch`` over whole-relation batches,
+  and the partials' accounting sums to the whole;
+* the parity matrix: serial vs parallel vs sharded × ``auto``/``off`` over
+  every Section 5 workload (the benchmark's five batch shapes among them)
+  under every strategy, bit-identical outputs and simulated metrics;
+* a differential-oracle campaign over all four backends on that engine;
+* a worker crash landing on a kernel map batch: respawn → resident reload →
+  retry → bit-identical;
+* the dispatch bookkeeping: one ``path="kernel"`` job count and nothing
+  else, a ``map`` wave plus ``reduce`` time on the wall clock, and the
+  worker-side job memo evicting one job at a time.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+
+from repro.core.gumbo import Gumbo
+from repro.core.options import GumboOptions
+from repro.core.strategies import applicable_strategies
+from repro.cost.constants import HadoopSettings
+from repro.exec import fanout, make_backend
+from repro.fuzz.generator import FuzzConfig, generate_case
+from repro.fuzz.oracle import DifferentialOracle
+from repro.mapreduce.engine import MapReduceEngine
+from repro.obs import metrics as obs_metrics
+from repro.query.parser import parse_sgf
+from repro.service.sharded.routing import shard_for_chunk
+from repro.workloads.queries import database_for, section5_workloads, workload_query
+from repro.workloads.scaling import ScaledEnvironment
+
+from test_kernels import assert_results_equal
+
+GUARD_TUPLES = 150
+
+#: SEQ evaluates a disjunction branch by branch and unions the survivors.
+UNION_QUERY = (
+    "Z := SELECT (x, y) FROM R(x, y, z, w) "
+    "WHERE (S(x) AND T(y)) OR (U(z) AND NOT V(w));"
+)
+
+
+def tiny_split_engine(split_bytes: int = 420) -> MapReduceEngine:
+    """An engine whose input split is *split_bytes* (the paper's is 128 MB).
+
+    At the default a 150-row 4-ary guard is 15 map chunks and a unary
+    conditional four, so chunks land on both workers and both shards; the
+    per-reducer allowances shrink by the same factor, so jobs also spread
+    over several reducers.
+    """
+    paper_split_bytes = HadoopSettings.paper_values().split_mb * 1024 * 1024
+    return ScaledEnvironment(scale=split_bytes / paper_split_bytes).engine()
+
+
+@pytest.fixture(scope="module")
+def backends():
+    """serial, parallel(2) and sharded(2) over one tiny-split engine."""
+    engine = tiny_split_engine()
+    made = {
+        name: make_backend(name, engine=engine, workers=2, shards=2)
+        for name in ("serial", "parallel", "sharded")
+    }
+    yield made
+    for backend in made.values():
+        backend.close()
+
+
+# -- partial-batch composition -----------------------------------------------------
+
+
+def _check_partials_compose(engine, job, database):
+    """reduce_batch(per-chunk partials) == reduce_batch(whole-relation batches)."""
+    whole, partials = [], []
+    for relation, partition in engine.input_parts(job, database):
+        chunks = relation.column_chunks(partition.mappers)
+        batch = job.map_batch(partition.relation, chunks)
+        pieces = [job.map_batch(partition.relation, [chunk]) for chunk in chunks]
+        assert sum(p.intermediate_bytes for p in pieces) == batch.intermediate_bytes
+        assert sum(p.output_records for p in pieces) == batch.output_records
+        summed: dict = {}
+        for piece in pieces:
+            for key, size in piece.key_bytes.items():
+                summed[key] = summed.get(key, 0) + size
+        assert summed == dict(batch.key_bytes)
+        whole.append(batch)
+        partials.extend(pieces)
+    expected = {name: set(rows) for name, rows in job.reduce_batch(whole).items()}
+    # Pickled like a worker's reply, so nothing leans on shared objects.
+    shipped = pickle.loads(pickle.dumps(partials))
+    got = {name: set(rows) for name, rows in job.reduce_batch(shipped).items()}
+    assert got == expected, job.job_id
+    return len(partials) - len(whole)
+
+
+def test_partial_batches_compose_for_every_kernel_job_type():
+    engine = tiny_split_engine()
+    seen = {}
+    for query, strategies in (
+        (workload_query("A3"), ("seq", "par", "1-round")),
+        (workload_query("C3"), ("greedy-sgf",)),
+        (parse_sgf(UNION_QUERY), ("seq",)),
+    ):
+        database = database_for(
+            query, guard_tuples=GUARD_TUPLES, selectivity=0.5, seed=21
+        )
+        for strategy in strategies:
+            program = Gumbo().plan_with(query, database, strategy).program
+
+            def run_job(job, working):
+                extra = _check_partials_compose(engine, job, working)
+                kind = type(job).__name__
+                seen[kind] = seen.get(kind, 0) + extra
+                return engine.run_job(job, working)
+
+            engine.run_program(program, database, run_job=run_job)
+    assert set(seen) == {
+        "MSJJob",
+        "EvalJob",
+        "FusedOneRoundJob",
+        "SemiJoinChainJob",
+        "UnionProjectJob",
+    }
+    # Every type really saw relations arrive in more than one piece.
+    assert all(extra > 0 for extra in seen.values()), seen
+
+
+# -- the parity matrix ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "query_id,query",
+    section5_workloads(),
+    ids=[query_id for query_id, _ in section5_workloads()],
+)
+def test_tiny_split_parity_matrix(query_id, query, backends):
+    database = database_for(
+        query, guard_tuples=GUARD_TUPLES, selectivity=0.5, seed=17
+    )
+    for strategy in applicable_strategies(query, include_optimal=False):
+        reference = None
+        for name, backend in backends.items():
+            for mode in ("auto", "off"):
+                gumbo = Gumbo(backend=backend, options=GumboOptions(kernel_mode=mode))
+                result = gumbo.execute(query, database, strategy)
+                context = f"{query_id}:{strategy}:{name}:{mode}"
+                if reference is None:
+                    reference = result
+                    base_mappers = [
+                        partition.mappers
+                        for metrics in result.metrics.job_metrics.values()
+                        for partition in metrics.partitions
+                        if partition.relation in database
+                    ]
+                    assert min(base_mappers) >= 3, context
+                else:
+                    assert_results_equal(reference, result, context)
+
+
+def test_oracle_campaign_on_a_tiny_split_engine():
+    """Random programs over all four backends, every relation multi-chunk.
+
+    Fuzz databases hold a handful of rows, so the split is 16 bytes.
+    """
+    config = FuzzConfig(max_statements=3, max_tuples=14)
+    with DifferentialOracle(
+        backends=("serial", "parallel", "sql", "sharded"),
+        workers=2,
+        shards=2,
+        engine=tiny_split_engine(split_bytes=16),
+        include_optimal=False,
+    ) as oracle:
+        for index in range(6):
+            case = generate_case(29, index, config)
+            divergences = oracle.check(case.program, case.database)
+            assert not divergences, "\n".join(str(d) for d in divergences)
+
+
+# -- failure and bookkeeping -----------------------------------------------------------
+
+
+def test_crash_on_a_kernel_map_batch_is_retried_bit_identically():
+    query = workload_query("A3")
+    database = database_for(query, guard_tuples=GUARD_TUPLES, selectivity=0.5, seed=4)
+    engine = tiny_split_engine()
+    serial = Gumbo(backend=make_backend("serial", engine=engine)).execute(
+        query, database, "greedy"
+    )
+    with make_backend("sharded", engine=engine, shards=2) as backend:
+        gumbo = Gumbo(backend=backend)  # kernel_mode="auto": kernel map tasks
+        assert_results_equal(serial, gumbo.execute(query, database, "greedy"))
+        # Shard 0 owns some but not all chunks of the guard relation.
+        guard = database["R"]
+        owners = {
+            shard_for_chunk("R", index, 2)
+            for index in range(engine.mappers_for(guard.size_mb()))
+        }
+        assert owners == {0, 1}
+        backend.cluster.inject_crash(0)
+        assert_results_equal(serial, gumbo.execute(query, database, "greedy"))
+        assert backend.cluster.respawns == 1
+        assert backend.cluster.retries == 1
+        assert backend.ensure_loaded(database) == 0  # reloaded, still warm
+
+
+@pytest.mark.parametrize("name", ["parallel", "sharded"])
+def test_worker_kernel_job_bookkeeping(name, backends):
+    """One ``path="kernel"`` count per job and no other; the dispatch is a
+    ``map`` wave and the driver's ``reduce_batch`` is the ``reduce`` time."""
+    query = workload_query("A1")
+    database = database_for(query, guard_tuples=GUARD_TUPLES, selectivity=0.5, seed=2)
+    registry = obs_metrics.default_registry()
+    paths = ("kernel", "interpreted", "fanout", "sharded", "sql")
+
+    def counts():
+        return {
+            path: registry.counter("repro_jobs_total", path=path).value
+            for path in paths
+        }
+
+    before = counts()
+    result = Gumbo(backend=backends[name]).execute(query, database, "greedy")
+    bumped = {path: value - before[path] for path, value in counts().items()}
+    jobs = len(result.metrics.job_metrics)
+    assert bumped == {**dict.fromkeys(paths, 0), "kernel": jobs}
+    for metrics in result.metrics.job_metrics.values():
+        wall = metrics.wall
+        assert wall.backend == name
+        assert {wave.phase for wave in wall.waves} == {"map"}
+        assert wall.map_elapsed_s > 0 and wall.reduce_elapsed_s > 0
+        assert wall.elapsed_s >= wall.map_elapsed_s + wall.reduce_elapsed_s - 1e-9
+    summary = result.metrics.wall_summary()
+    assert summary["wall_map_s"] > 0 and summary["wall_reduce_s"] > 0
+
+
+def test_job_memo_evicts_one_job_at_a_time():
+    """More distinct jobs than the memo holds must not flush the hot ones."""
+    fanout.job_from_blob.cache_clear()
+    capacity = fanout.job_from_blob.cache_info().maxsize
+    blobs = [pickle.dumps(("job", index)) for index in range(capacity + 1)]
+    hot = fanout.job_from_blob(blobs[0])
+    for blob in blobs[1:capacity]:
+        fanout.job_from_blob(blob)
+    assert fanout.job_from_blob(blobs[0]) is hot  # refreshed: most recent now
+    fanout.job_from_blob(blobs[capacity])  # one over: evicts blobs[1] only
+    assert fanout.job_from_blob(blobs[0]) is hot
+    misses = fanout.job_from_blob.cache_info().misses
+    fanout.job_from_blob(blobs[2])
+    assert fanout.job_from_blob.cache_info().misses == misses
+    fanout.job_from_blob(blobs[1])
+    assert fanout.job_from_blob.cache_info().misses == misses + 1
+    fanout.job_from_blob.cache_clear()

@@ -15,8 +15,9 @@ contract down:
   over the fuzzer's generator), including with the paper optimisations
   ablated;
 * dispatch honours ``kernel_mode`` and ``supports_kernel`` (baseline and
-  skew-salted jobs always interpret; ``"auto"`` keeps the parallel backend's
-  fan-out);
+  skew-salted jobs always interpret; ``"auto"`` and ``"on"`` are synonyms on
+  every backend — ``tests/test_fanout_kernels.py`` covers the kernels that
+  run inside the parallel and sharded workers);
 * the differential oracle's kernel axes detect an (injected) kernel bug.
 """
 
@@ -65,6 +66,14 @@ def assert_job_metrics_equal(interpreted, kernel, context=""):
     assert interpreted.level_net_times == kernel.level_net_times, context
 
 
+def assert_results_equal(expected, got, context=""):
+    """Identical output relations and identical simulated metrics."""
+    assert set(expected.all_outputs) == set(got.all_outputs), context
+    for name, relation in expected.all_outputs.items():
+        assert relation.tuples() == got.all_outputs[name].tuples(), f"{context}:{name}"
+    assert_job_metrics_equal(expected.metrics, got.metrics, context)
+
+
 def assert_parity(query, database, strategy, backend_factory, options=None):
     """Outputs and metrics of kernel-on vs kernel-off runs must be identical."""
     options = options or GumboOptions()
@@ -76,14 +85,7 @@ def assert_parity(query, database, strategy, backend_factory, options=None):
             results[mode] = gumbo.execute(query, database, strategy)
         finally:
             backend.close()
-    interpreted, kernel = results["off"], results["on"]
-    context = f"{strategy}"
-    assert set(interpreted.all_outputs) == set(kernel.all_outputs), context
-    for name in interpreted.all_outputs:
-        assert (
-            interpreted.all_outputs[name].tuples() == kernel.all_outputs[name].tuples()
-        ), f"{context}:{name}"
-    assert_job_metrics_equal(interpreted.metrics, kernel.metrics, context)
+    assert_results_equal(results["off"], results["on"], f"{strategy}")
 
 
 # -- Section 5 workloads: the full strategy matrix ---------------------------------
@@ -294,20 +296,12 @@ def test_kernel_mode_off_never_calls_map_batch(monkeypatch):
     assert result.outputs[specs[0].output].tuples() == {(1,)}
 
 
-def test_kernel_mode_auto_keeps_parallel_fanout_and_on_forces_kernel():
-    job_auto = MSJJob(
-        "msj",
-        parse_bsgf("Z := SELECT (x) FROM R(x, y) WHERE S(x);").semijoin_specs(),
-        GumboOptions(kernel_mode="auto"),
-    )
-    assert use_kernel(job_auto)  # serial engine: kernel
-    assert not use_kernel(job_auto, fanout=True)  # parallel backend: fan-out
-    job_on = MSJJob(
-        "msj",
-        parse_bsgf("Z := SELECT (x) FROM R(x, y) WHERE S(x);").semijoin_specs(),
-        GumboOptions(kernel_mode="on"),
-    )
-    assert use_kernel(job_on, fanout=True)
+def test_kernel_modes_auto_and_on_are_synonyms():
+    """One rule for every backend: no mode-dependent fan-out exception."""
+    specs = parse_bsgf("Z := SELECT (x) FROM R(x, y) WHERE S(x);").semijoin_specs()
+    assert use_kernel(MSJJob("msj", specs, GumboOptions(kernel_mode="auto")))
+    assert use_kernel(MSJJob("msj", specs, GumboOptions(kernel_mode="on")))
+    assert not use_kernel(MSJJob("msj", specs, GumboOptions(kernel_mode="off")))
 
 
 def test_skew_salted_msj_falls_back_to_interpreted():
@@ -336,6 +330,8 @@ def test_parallel_wall_metrics_present_for_forced_kernel():
     for metrics in result.metrics.job_metrics.values():
         assert metrics.wall is not None
         assert metrics.wall.backend == "parallel"
+        # The kernel ran in the pool, not in-process: a real map wave.
+        assert [wave.phase for wave in metrics.wall.waves] == ["map"]
 
 
 # -- the oracle's kernel axes detect kernel bugs -----------------------------------

@@ -284,12 +284,23 @@ class TestEndToEnd:
         return query, database
 
     def test_traced_service_request_on_parallel_backend(self, workload):
+        # Kernel map tasks in the workers, reduce_batch on the driver ...
+        self._check_traced_parallel_request(workload, "auto")
+        # ... and the interpreted fan-out: map tasks, shuffle, reduce tasks.
+        self._check_traced_parallel_request(workload, "off")
+
+    def _check_traced_parallel_request(self, workload, kernel_mode):
+        kernel = kernel_mode != "off"
+        reduce_span, absent = (
+            ("reduce_batch", "reduce_task") if kernel else ("reduce_task", "reduce_batch")
+        )
         query, database = workload
-        backend = make_backend("parallel", workers=2)
-        gumbo = Gumbo(backend=backend, options=GumboOptions(trace=True))
-        with QueryService(database, gumbo) as service:
-            miss = service.execute(query)
-            hit = service.execute(query)
+        options = GumboOptions(trace=True, kernel_mode=kernel_mode)
+        with make_backend("parallel", workers=2) as backend:
+            gumbo = Gumbo(backend=backend, options=options)
+            with QueryService(database, gumbo) as service:
+                miss = service.execute(query)
+                hit = service.execute(query)
         traces = obs.drain_traces()
         assert len(traces) == 2, "one trace per request, no fragments"
         miss_trace, hit_trace = traces
@@ -310,22 +321,29 @@ class TestEndToEnd:
             "job",
             "wave",
             "map_task",
-            "reduce_task",
+            reduce_span,
         } <= names
+        assert absent not in names
         for span in miss_trace.spans:
             assert span.trace_id == miss_trace.trace_id
+            if span.name == "map_task":
+                assert span.attributes["kernel"] is kernel
 
         # Worker-side spans were re-parented under wave spans and carry the
-        # worker pid.
+        # worker pid; the driver's reduce_batch sits under its job.
         waves = [s for s in miss_trace.spans if s.name == "wave"]
         wave_ids = {s.span_id for s in waves}
-        tasks = [
+        worker_tasks = [
             s for s in miss_trace.spans if s.name in ("map_task", "reduce_task")
         ]
-        assert tasks
-        for task in tasks:
+        assert worker_tasks
+        for task in worker_tasks:
             assert task.parent_id in wave_ids
             assert task.pid is not None
+        job_ids = {s.span_id for s in miss_trace.spans if s.name == "job"}
+        for span in miss_trace.spans:
+            if span.name in ("wave", "reduce_batch"):
+                assert span.parent_id in job_ids
 
         # The warm request hits the plan cache: no planning spans.
         assert hit.plan_cached
