@@ -4,7 +4,7 @@ The fuzzer is only useful if a meaningful campaign fits in a CI budget, so
 this benchmark tracks how many random (program, database) cases per second
 the full differential check sustains: generation, the reference evaluation,
 and every applicable strategy on the serial backend (the parallel backend is
-excluded here because pool startup would measure the host, not the fuzzer).
+excluded here because worker startup would measure the host, not the fuzzer).
 The measured rate is recorded in the benchmark's ``extra_info`` so the perf
 trajectory keeps fuzzer overhead visible next to the paper benchmarks.
 """

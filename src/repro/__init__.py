@@ -30,12 +30,11 @@ Execution backends
 ------------------
 Plans run on a pluggable execution backend (:mod:`repro.exec`): ``"serial"``
 executes every task in-process on the simulator (the default), ``"parallel"``
-fans map tasks and reduce partitions out across a true ``multiprocessing``
-worker pool, ``"sql"`` compiles jobs to sqlite3, and ``"sharded"`` serves
-from long-lived worker processes each holding a hash-partitioned shard of
-the database warm (see :mod:`repro.service.sharded` and ``docs/service.md``)
-— same outputs, same simulated metrics on every backend, plus measured
-wall-clock times.  Select one with ``repro.connect(db, backend="sharded",
+and ``"sharded"`` name the one multi-process runtime (batch kernels on
+long-lived worker processes each holding a hash-placed share of the
+database warm, see :mod:`repro.service.sharded` and ``docs/service.md``),
+and ``"sql"`` compiles jobs to sqlite3 — same outputs, same simulated
+metrics on every backend, plus measured wall-clock times.  Select one with ``repro.connect(db, backend="sharded",
 shards=4)``, per :class:`Gumbo` instance (``Gumbo(backend="parallel",
 workers=4)``), through :class:`GumboOptions(backend=...) <GumboOptions>`, or
 on the command line with ``repro query --backend parallel --workers 4``;
@@ -52,7 +51,7 @@ from .core.strategies import AUTO, StrategyChoice, choose_strategy
 from .core.skew import SkewAwareMSJJob, detect_heavy_hitters
 from .cost.constants import CostConstants, HadoopSettings
 from .cost.models import GumboCostModel, WangCostModel
-from .exec import ExecutionBackend, ParallelBackend, SimulatedBackend, make_backend
+from .exec import ExecutionBackend, SimulatedBackend, make_backend
 from .fuzz import DifferentialOracle, FuzzConfig, FuzzOptions, run_fuzz
 from .incremental import DeltaResult, IncrementalError, Materialization
 from .io import load_database, load_relation, save_database, save_relation
@@ -102,7 +101,6 @@ __all__ = [
     "HadoopSettings",
     "MSJJob",
     "MapReduceEngine",
-    "ParallelBackend",
     "Relation",
     "SGFQuery",
     "SimulatedBackend",

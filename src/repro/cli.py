@@ -39,7 +39,7 @@ The subcommands (``python -m repro <command> --help``):
 
 ``bench``
     Run a generated workload on both execution backends (serial simulation vs
-    the multiprocessing runtime) and print a comparison table: simulated total
+    the multi-process runtime) and print a comparison table: simulated total
     and net times, measured wall-clock times, and the parallel speedup.
     ``--kernels`` instead races the interpreted vs the batch-kernel path;
     ``--sql`` races the serial interpreter vs the sqlite3 SQL backend — both
@@ -66,8 +66,9 @@ The subcommands (``python -m repro <command> --help``):
 ``trace``
     End-to-end tracing demo (see :mod:`repro.obs`): run one paper workload
     through the query service twice (a planning miss, then a plan-cache hit),
-    print both span trees — request → plan/cache-hit → program → job → wave →
-    worker-side tasks — and write a validated Chrome trace-event file.
+    print both span trees — request → plan/cache-hit → program → job →
+    shard_fanout → worker-side tasks — and write a validated Chrome
+    trace-event file.
 
 ``query``/``bench``/``serve``/``delta`` additionally accept ``--trace``,
 ``--trace-out PATH``, ``--trace-format chrome|jsonl`` and
@@ -79,6 +80,7 @@ Prometheus text exposition of the metrics registries).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from time import perf_counter
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--workers",
         type=int,
-        default=2,
+        default=None,
         help="parallel-backend worker processes (default 2)",
     )
     trace.add_argument(
@@ -947,7 +949,7 @@ def _command_bench(args: argparse.Namespace) -> int:
             ).execute(queries, database, args.strategy)
         finally:
             backend.close()
-        workers = getattr(backend, "workers", 1)
+        workers = getattr(backend, "shards", 1)
         label = backend_name if backend_name == "serial" else f"parallel[{workers}]"
         runs.append((label, result))
 
@@ -1366,6 +1368,8 @@ def _command_trace(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     config = ExecutionConfig.from_cli_args(args)
+    if config.workers is None and config.shards is None:
+        config = dataclasses.replace(config, workers=2)
     environment = ScaledEnvironment(scale=1.0, nodes=config.nodes)
     backend = config.make_backend(engine=environment.engine())
     gumbo = Gumbo(backend=backend, options=GumboOptions(trace=True))

@@ -203,7 +203,7 @@ class Connection:
         return self._closed
 
     def close(self) -> None:
-        """Release the backend (worker pools / shard processes); idempotent."""
+        """Release the backend (its worker processes); idempotent."""
         if not self._closed:
             self._closed = True
             self.service.close()
@@ -249,7 +249,7 @@ def connect(
         ``"serial"`` (default), ``"parallel"``, ``"sql"`` or ``"sharded"``
         — or any accepted alias.
     workers / shards / sql_db / data_plane:
-        The backend knobs (parallel pool size, persistent shard count,
+        The backend knobs (worker-process count under either spelling,
         sqlite scratch path, shared-memory vs pickle chunk shipping), as in
         :class:`~repro.core.config.ExecutionConfig`.
     strategy:
@@ -269,8 +269,8 @@ def connect(
     Returns
     -------
     Connection
-        Use as a context manager so worker pools and shard processes are
-        released deterministically.
+        Use as a context manager so worker processes are released
+        deterministically.
     """
     if isinstance(database, str):
         from .io import load_database

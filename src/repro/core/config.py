@@ -19,7 +19,7 @@ share now:
 
 Validation happens at construction: unknown backends, non-positive worker/
 shard/node counts and unknown kernel modes all raise ``ValueError`` here,
-before any engine or process pool exists.
+before any engine or worker process exists.
 """
 
 from __future__ import annotations
@@ -47,11 +47,10 @@ class ExecutionConfig:
     backend:
         Canonical backend name (aliases like ``"mp"`` or ``"sqlite3"`` are
         normalised at construction).
-    workers:
-        Worker-pool size for the parallel backend (None → CPU count).
-    shards:
-        Persistent worker count for the sharded backend (None → its
-        default of 2).
+    workers / shards:
+        Two spellings of the multi-process backend's worker-process count
+        (``"parallel"`` / ``"sharded"``); give one, or the same value for
+        both.  Neither → CPU count for ``"parallel"``, 2 for ``"sharded"``.
     sql_db:
         On-disk scratch-database path for the SQL backend (None → memory).
     data_plane:

@@ -104,7 +104,7 @@ class DynamicSGFExecutor:
         self.sample_size = sample_size
 
     def close(self) -> None:
-        """Release the backend's resources (the parallel worker pool)."""
+        """Release the backend's resources (its worker processes)."""
         self.backend.close()
 
     def __enter__(self) -> "DynamicSGFExecutor":

@@ -121,7 +121,7 @@ class Gumbo:
         ``options.backend``; outputs and simulated metrics are identical on
         every backend.
     workers:
-        Worker-pool size for the parallel backend (overrides
+        Worker-process count for the parallel backend (overrides
         ``options.workers``; None → CPU count).
     """
 
@@ -159,7 +159,7 @@ class Gumbo:
         self.sample_size = sample_size
 
     def close(self) -> None:
-        """Release the backend's resources (the parallel worker pool)."""
+        """Release the backend's resources (its worker processes)."""
         self.backend.close()
 
     def __enter__(self) -> "Gumbo":

@@ -3,7 +3,7 @@
 The options bundle is passed to every job builder and plan strategy so that
 individual optimisations can be switched off for the ablation benchmarks.
 It also carries the *execution backend* selection (serial in-process
-simulation vs the true multiprocessing runtime), so backend choice threads
+simulation vs the multi-process runtime), so backend choice threads
 through :class:`~repro.core.gumbo.Gumbo` and the dynamic executor the same
 way the optimisation switches do.
 """
@@ -41,17 +41,17 @@ class GumboOptions:
         it off even there.
     backend:
         The execution backend plans run on: ``"serial"`` (the in-process
-        simulator, the default), ``"parallel"`` (the multiprocessing
-        runtime) or ``"sql"`` (sqlite3 compilation with interpreted
-        fallback).  Not an optimisation — output relations and simulated
+        simulator, the default), ``"parallel"`` / ``"sharded"`` (two names
+        for the multi-process runtime) or ``"sql"`` (sqlite3 compilation with
+        interpreted fallback).  Not an optimisation — output relations and simulated
         metrics are identical on every backend — but carried here so backend
         choice flows through the same plumbing.
-    workers:
-        Worker-pool size for the parallel backend (None → CPU count).
-    shards:
-        Persistent worker count for the sharded backend (None → its default
-        of 2); each worker owns a hash-partitioned shard of the database,
-        held warm across requests.  Ignored by other backends.
+    workers / shards:
+        Two spellings of the multi-process backend's worker-process count;
+        give one, or the same value for both (neither → CPU count under the
+        name ``"parallel"``, 2 under ``"sharded"``).  Each worker owns a
+        hash-placed share of the database's map chunks, held warm across
+        requests.  Ignored by other backends.
     sql_db:
         On-disk scratch-database path for the SQL backend (None → in-memory).
         Lets guard relations spill out of core; ignored by other backends.
@@ -71,16 +71,16 @@ class GumboOptions:
         The batch ("kernel") execution path selector (see
         :mod:`repro.mapreduce.kernels`): ``"auto"`` (the default) evaluates
         kernel-capable jobs set-at-a-time on every backend — in-process on
-        the serial engine, inside the workers on the parallel and sharded
-        backends; ``"on"`` is a synonym; ``"off"`` always interprets
-        tuple-at-a-time.  Outputs and simulated metrics are identical in
+        the serial engine, inside the workers on the multi-process backend;
+        ``"on"`` is a synonym; ``"off"`` always interprets tuple-at-a-time
+        (on the driver, whatever the backend).  Outputs and simulated metrics are identical in
         every mode — only wall-clock speed changes.
     trace:
         Runtime tracing (see :mod:`repro.obs`): entry points —
         ``Gumbo.execute`` / ``execute_program`` / ``execute_delta`` and the
         query service's request paths — start one trace per request, and the
-        engine/backend layers fill it with per-job, per-wave and worker-side
-        spans.  Off by default; the disabled path is a no-op check whose
+        engine/backend layers fill it with per-job, per-dispatch and
+        worker-side spans.  Off by default; the disabled path is a no-op check whose
         overhead is gated by ``BENCH_obs.json``.  Like ``backend``, not an
         optimisation: outputs and simulated metrics are identical either way.
     """

@@ -6,22 +6,20 @@ DAGs) and *running*:
 
 * ``"serial"`` — :class:`SimulatedBackend`, the seed's serial in-process
   engine behind the backend interface;
-* ``"parallel"`` — :class:`ParallelBackend`, a true ``multiprocessing``
-  runtime that fans map tasks and reduce partitions out across a worker
-  pool with a hash-partitioned shuffle, wave-scheduled on the simulated
-  cluster's task slots;
+* ``"parallel"`` / ``"sharded"`` — two names for :class:`ShardedBackend`
+  (from :mod:`repro.service.sharded`), the one multi-process runtime:
+  long-lived worker processes each holding a hash-placed share of the
+  database's map chunks warm across requests, spoken to over
+  length-prefixed RPC, running a kernel job's ``map_batch`` per chunk;
+  jobs without a batch kernel run through the serial engine on the driver;
 * ``"sql"`` — :class:`SQLBackend`, which compiles SQL-expressible jobs to
   queries over an in-memory or on-disk sqlite3 database and falls back to
-  the interpreted engine per job where it cannot;
-* ``"sharded"`` — :class:`ShardedBackend` (from
-  :mod:`repro.service.sharded`), the persistent service tier: long-lived
-  worker processes each holding a hash-partitioned shard of the database
-  warm across requests, spoken to over length-prefixed RPC.
+  the interpreted engine per job where it cannot.
 
 All backends produce bit-identical output relations and simulated Hadoop
-metrics; the parallel backend additionally uses real hardware parallelism
-and records measured wall-clock times per wave and per job.  Select a
-backend by name through :func:`make_backend`,
+metrics; the multi-process backend additionally uses real hardware
+parallelism and records measured wall-clock times per dispatch and per job.
+Select a backend by name through :func:`make_backend`,
 :class:`~repro.core.gumbo.Gumbo`, or the CLI's ``--backend`` flag.  See
 ``docs/backends.md`` for the full contract.
 
@@ -53,7 +51,6 @@ __all__ = [
     "SHARDED",
     "SQL",
     "ExecutionBackend",
-    "ParallelBackend",
     "SegmentPool",
     "ShardedBackend",
     "SimulatedBackend",
@@ -72,10 +69,6 @@ def __getattr__(name: str):
         from .simulated import SimulatedBackend
 
         return SimulatedBackend
-    if name == "ParallelBackend":
-        from .parallel import ParallelBackend
-
-        return ParallelBackend
     if name == "SQLBackend":
         from .sql import SQLBackend
 

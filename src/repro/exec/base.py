@@ -7,27 +7,26 @@ executed is an independent choice captured by :class:`ExecutionBackend`:
 * :class:`~repro.exec.simulated.SimulatedBackend` (``"serial"``) runs every
   task in-process on the serial :class:`~repro.mapreduce.engine.MapReduceEngine`
   — the seed behaviour, and the reference semantics;
-* :class:`~repro.exec.parallel.ParallelBackend` (``"parallel"``) fans map
-  tasks and reduce partitions out across a ``multiprocessing`` worker pool;
+* :class:`~repro.service.sharded.backend.ShardedBackend` (``"parallel"`` and
+  ``"sharded"`` — two names, one class) runs a kernel job's ``map_batch``
+  tasks on long-lived worker processes that each hold a hash-placed share
+  of the database's map chunks warm across requests; jobs without a batch
+  kernel run through the serial engine on the driver;
 * :class:`~repro.exec.sql.SQLBackend` (``"sql"``) compiles SQL-expressible
   jobs to queries over an in-memory or on-disk sqlite3 database, falling
-  back to the interpreted engine per job where it cannot;
-* :class:`~repro.service.sharded.backend.ShardedBackend` (``"sharded"``)
-  fans tasks out to long-lived worker processes that each hold a
-  hash-partitioned shard of the database warm across requests (the
-  persistent service tier).
+  back to the interpreted engine per job where it cannot.
 
 Every backend returns the engine's :class:`~repro.mapreduce.engine.JobResult`
 / :class:`~repro.mapreduce.engine.ProgramResult` types with identical output
 relations and identical *simulated* Hadoop metrics; backends additionally
 stamp real wall-clock measurements (see
 :class:`~repro.mapreduce.counters.WallClockMetrics`) so simulated-vs-real
-speedup curves can be drawn.  Future runtimes (async, sharded, distributed)
-plug in by subclassing :class:`ExecutionBackend` and registering a name.
+speedup curves can be drawn.
 """
 
 from __future__ import annotations
 
+import os
 from abc import ABC, abstractmethod
 from contextlib import nullcontext
 from time import perf_counter
@@ -142,7 +141,7 @@ class ExecutionBackend(ABC):
         return nullcontext()
 
     def close(self) -> None:
-        """Release any resources (worker pools); safe to call repeatedly."""
+        """Release any resources (worker processes); safe to call repeatedly."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -153,6 +152,16 @@ class ExecutionBackend(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def _one_width(workers: Optional[int], shards: Optional[int]) -> Optional[int]:
+    """The process count ``workers=`` / ``shards=`` spell (``None``: neither)."""
+    if workers is not None and shards is not None and workers != shards:
+        raise ValueError(
+            f"workers={workers} and shards={shards} are two spellings of one "
+            "process count; pass one of them, or the same value for both"
+        )
+    return workers if workers is not None else shards
 
 
 def make_backend(
@@ -168,48 +177,48 @@ def make_backend(
     Args:
         backend: ``"serial"``/``"parallel"``/``"sql"``/``"sharded"`` (or an
             alias), an existing :class:`ExecutionBackend` instance (returned
-            unchanged), or ``None`` for the serial default.
+            unchanged), or ``None`` for the serial default.  ``"parallel"``
+            and ``"sharded"`` build the same class; the name asked for is
+            kept as the instance's :attr:`~ExecutionBackend.name`.
         engine: The engine the backend should account against (a
             paper-cluster default is created when omitted).
-        workers: Worker-pool size for the parallel backend (ignored by the
-            others; defaults to the machine's CPU count).
+        workers: Worker-process count of the multi-process backend (ignored
+            by the others).  ``None`` with ``shards`` also ``None`` gives
+            ``"parallel"`` the machine's CPU count and ``"sharded"`` 2.
         sql_db: On-disk scratch-database path for the SQL backend (ignored by
             the others; ``None`` keeps it in ``:memory:``).
-        shards: Persistent worker count for the sharded backend (ignored by
-            the others; ``None`` uses its default of 2).
-        data_plane: How chunk payloads cross process boundaries on the
-            parallel and sharded backends (``"shm"``/``"pickle"``/``"auto"``,
-            see :mod:`repro.exec.shm`; ignored by serial and SQL; ``None``
-            keeps the ``"auto"`` default).
+        shards: Another spelling of *workers*; giving both with different
+            values is an error.
+        data_plane: How chunk payloads reach the multi-process backend's
+            workers (``"shm"``/``"pickle"``/``"auto"``, see
+            :mod:`repro.exec.shm`; ignored by serial and SQL; ``None`` keeps
+            the ``"auto"`` default).
 
     Returns:
         A ready-to-use :class:`ExecutionBackend`.
 
     Raises:
-        ValueError: If *backend* is an unknown name, or an instance was
-            passed together with a conflicting ``engine``, ``workers``,
-            ``sql_db``, ``shards`` or ``data_plane``.
+        ValueError: If *backend* is an unknown name, ``workers`` and
+            ``shards`` disagree, or an instance was passed together with a
+            conflicting ``engine``, ``workers``/``shards``, ``sql_db`` or
+            ``data_plane``.
     """
+    width = _one_width(workers, shards)
     if isinstance(backend, ExecutionBackend):
         if engine is not None and engine is not backend.engine:
             raise ValueError(
                 "an ExecutionBackend instance carries its own engine; "
                 "pass engine= only when selecting a backend by name"
             )
-        if workers is not None and workers != getattr(backend, "workers", workers):
+        if width is not None and width != getattr(backend, "shards", width):
             raise ValueError(
-                "an ExecutionBackend instance carries its own worker count; "
-                "pass workers= only when selecting a backend by name"
+                "an ExecutionBackend instance carries its own process count; "
+                "pass workers=/shards= only when selecting a backend by name"
             )
         if sql_db is not None and sql_db != getattr(backend, "sql_db", sql_db):
             raise ValueError(
                 "an ExecutionBackend instance carries its own database path; "
                 "pass sql_db= only when selecting a backend by name"
-            )
-        if shards is not None and shards != getattr(backend, "shards", shards):
-            raise ValueError(
-                "an ExecutionBackend instance carries its own shard count; "
-                "pass shards= only when selecting a backend by name"
             )
         if data_plane is not None:
             from .shm import normalise_data_plane
@@ -230,10 +239,10 @@ def make_backend(
         from .sql import SQLBackend
 
         return SQLBackend(engine, sql_db=sql_db)
-    if name == SHARDED:
-        from ..service.sharded.backend import ShardedBackend
+    from ..service.sharded.backend import ShardedBackend
 
-        return ShardedBackend(engine, shards=shards, data_plane=data_plane)
-    from .parallel import ParallelBackend
-
-    return ParallelBackend(engine, workers=workers, data_plane=data_plane)
+    if width is None and name == PARALLEL:
+        width = os.cpu_count() or 1
+    process_backend = ShardedBackend(engine, shards=width, data_plane=data_plane)
+    process_backend.name = name
+    return process_backend

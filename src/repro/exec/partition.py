@@ -4,13 +4,13 @@ Hadoop's default partitioner assigns a key to reducer ``hash(key) % r``.  The
 simulator cannot use Python's builtin ``hash`` for this because it is salted
 per process (``PYTHONHASHSEED``), which would make reducer loads — and with
 them the skew-sensitive net times — unstable across runs and across the
-worker processes of the parallel backend.  :func:`stable_hash` therefore uses
+worker processes of the multi-process backend.  :func:`stable_hash` therefore uses
 CRC-32 over the key's ``repr``, which is deterministic, cheap, and identical
 in every process.
 
-Both the serial engine and the multiprocessing backend route *all* key
-placement (reducer load accounting and the parallel shuffle) through this one
-module, which is what makes their outputs and metrics bit-identical.
+Every backend routes *all* key placement (reducer load accounting, chunk
+placement on the worker shards) through this one module, which is what makes
+their outputs and metrics bit-identical.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def map_task_chunks(
     """Split an input part's rows into per-map-task chunks.
 
     Uses the same strided split for every backend (chunk *i* takes rows
-    ``i, i+n, i+2n, ...``), so the serial engine and the parallel backend see
+    ``i, i+n, i+2n, ...``), so the serial engine and the worker shards see
     identical map tasks.  At least one (possibly empty) chunk is returned.
     """
     if mappers < 1:

@@ -1,11 +1,11 @@
 """The shared-memory data plane: typed columns cross processes without copies.
 
-The hot path of the fan-out backends is no longer compute — it is *data
-movement*: every wave of the parallel backend ships its map chunks as pickled
-:meth:`~repro.model.relation.ColumnBlock.packed` payloads through
-``multiprocessing`` pipes, and the sharded tier re-serialises resident chunks
-over its RPC whenever a worker (re)loads them.  This module gives both
-transports a second plane: the typed ``array('q')``/``array('d')`` columns of
+The hot path of the multi-process backend is no longer compute — it is
+*data movement*: resident loads and the inline chunks of program
+intermediates would otherwise cross the RPC boundary as pickled
+:meth:`~repro.model.relation.ColumnBlock.packed` payloads, re-serialised
+whenever a worker (re)loads them.  This module gives the tier a second
+plane: the typed ``array('q')``/``array('d')`` columns of
 a packed block are placed **once** into a ``multiprocessing.shared_memory``
 segment, and what crosses the process boundary is a tiny
 :class:`ShmPayload` descriptor.  Workers attach the segment and build
@@ -40,7 +40,7 @@ Ownership and crash-cleanup guarantees (see ``docs/dataplane.md``):
 * the **creating** process owns a segment: :class:`SegmentPool` names it
   ``repro_dp_*`` (so ``/dev/shm/repro_*`` is auditable), keeps it registered
   with the ``multiprocessing`` resource tracker as a crash backstop, and
-  unlinks it deterministically when its refcount drops (wave finished,
+  unlinks it deterministically when its refcount drops (map phase back,
   resident version replaced, backend closed) or at interpreter exit;
 * **attaching** processes (workers) map the segment through a tracker-free
   ``shm_open``/``mmap`` path (:class:`_AttachedSegment`) instead of

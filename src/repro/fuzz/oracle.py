@@ -15,7 +15,7 @@ are reported:
 
 The oracle owns its execution backends (one engine shared by all of them, so
 simulated metrics are comparable) and reuses them across checks — the
-multiprocessing pool of the parallel backend is started once per campaign,
+worker processes of the multi-process backend are started once per campaign,
 not once per case.
 """
 
@@ -34,7 +34,7 @@ from ..mapreduce.kernels import KERNEL_OFF, KERNEL_ON
 from ..model.database import Database
 from ..query.reference import evaluate_sgf
 from ..query.sgf import SGFQuery
-from ..exec.base import normalise_backend
+from ..exec.base import PARALLEL, SHARDED, normalise_backend
 
 #: Pseudo-strategy name under which the dynamic executor is reported.
 DYNAMIC = "dynamic"
@@ -78,12 +78,12 @@ class DifferentialOracle:
     ----------
     backends:
         Backend names to execute on (default: serial, parallel and sql, so
-        every campaign cross-checks all three executors; add ``"sharded"``
-        for the persistent worker-shard tier as a fourth axis).
-    workers:
-        Worker-pool size for the parallel backend (None → CPU count).
-    shards:
-        Persistent worker count for the sharded backend (None → its default).
+        every campaign cross-checks all three executors).  ``"parallel"``
+        and ``"sharded"`` name one transport: asking for both sweeps it
+        once, under the label ``parallel``.
+    workers / shards:
+        Two spellings of the multi-process backend's worker-process count
+        (see :func:`repro.exec.base.make_backend`).
     sql_db:
         On-disk scratch-database path for the sql backend (None → in-memory).
     data_plane:
@@ -103,11 +103,15 @@ class DifferentialOracle:
     check_metrics:
         Also require bit-identical simulated metrics across backends.
     kernel_axis:
-        Also run every backend with the batch-kernel execution path forced on
-        (``kernel_mode="on"``), reported as ``"<backend>+kernel"`` axes.  The
-        plain axes pin ``kernel_mode="off"``, so kernel-vs-interpreted output
-        *and* simulated-metric parity is checked alongside the cross-backend
-        parity (both funnel through the same metric comparison).
+        Also run the in-process backends (serial, sql) with the batch-kernel
+        execution path forced on (``kernel_mode="on"``), reported as
+        ``"<backend>+kernel"`` axes.  Their plain axes pin
+        ``kernel_mode="off"``, so kernel-vs-interpreted output *and*
+        simulated-metric parity is checked alongside the cross-backend
+        parity (both funnel through the same metric comparison).  The
+        multi-process backend has one axis whatever this flag says: its
+        workers run kernels only, so its plain axis forces them on (with
+        kernels off it would be the serial axis again).
     """
 
     def __init__(
@@ -138,22 +142,27 @@ class DifferentialOracle:
             shards=shards,
             data_plane=data_plane or "auto",
         )
-        names = [normalise_backend(name) for name in backends]
+        names = dict.fromkeys(normalise_backend(name) for name in backends)
+        if PARALLEL in names:
+            names.pop(SHARDED, None)  # one transport, one axis
         self._physical = {
             name: config.with_backend(name).make_backend(engine=self.engine)
-            for name in dict.fromkeys(names)  # dedupe, keep order
+            for name in names
         }
-        # One axis per (backend, kernel mode): the plain axes pin the
-        # interpreted path, the +kernel axes force the batch path; both share
-        # the physical backend (and thus one parallel worker pool).
+        # One axis per (backend, kernel mode), sharing the physical backend:
+        # an in-process backend's plain axis pins the interpreted path and
+        # its +kernel axis forces the batch path; the multi-process backend's
+        # one axis runs kernels, the only mode its workers have.
+        off, on = (GumboOptions(kernel_mode=mode) for mode in (KERNEL_OFF, KERNEL_ON))
+        in_process = [name for name in names if name not in (PARALLEL, SHARDED)]
         axes = [
-            (name, backend, GumboOptions(kernel_mode=KERNEL_OFF))
+            (name, backend, off if name in in_process else on)
             for name, backend in self._physical.items()
         ]
         if kernel_axis:
             axes.extend(
-                (name + KERNEL_SUFFIX, backend, GumboOptions(kernel_mode=KERNEL_ON))
-                for name, backend in self._physical.items()
+                (name + KERNEL_SUFFIX, self._physical[name], on)
+                for name in in_process
             )
         self._backends = {name: backend for name, backend, _ in axes}
         self._gumbos = {
@@ -170,7 +179,7 @@ class DifferentialOracle:
         return tuple(self._backends)
 
     def close(self) -> None:
-        """Release backend resources (the parallel worker pool)."""
+        """Release backend resources (the worker processes)."""
         for backend in self._physical.values():
             backend.close()
 

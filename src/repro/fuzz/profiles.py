@@ -157,8 +157,8 @@ def _adversarial_value(draw: int) -> object:
 
     The mapping is a pure function of the draw, so equal draws produce equal
     values in every relation — join keys stay joinable across the mixed-type
-    columns.  NaN is deliberately absent: the parallel backend pickles rows
-    per task, which clones a NaN into distinct objects that no longer compare
+    columns.  NaN is deliberately absent: the multi-process backend ships rows
+    to its workers, which clones a NaN into distinct objects that no longer compare
     equal anywhere (a genuine property of ``float("nan")``, not a bug), so
     NaN parity is covered by in-process unit tests instead
     (``tests/test_kernels.py``).

@@ -14,8 +14,8 @@ sizes, task counts, task durations — needed to compute them), and
 Besides the *simulated* metrics, execution backends stamp *measured*
 wall-clock times (:class:`WallClockMetrics`, per wave and per job) so that
 simulated-vs-real speedup comparisons are first-class: the serial backend
-records its in-process elapsed time, the parallel backend records the elapsed
-time of every wave of tasks it fans out to its worker pool.
+records its in-process elapsed time, the multi-process backend records the
+elapsed time of every wave of map tasks it fans out to its worker shards.
 """
 
 from __future__ import annotations

@@ -71,8 +71,8 @@ _stable_hash = stable_hash
 #: Process-global execution counters (see :mod:`repro.obs.metrics`), created
 #: once at import so per-job recording is a single locked add.  The dispatch
 #: counters are bumped at the dispatch sites (interpreted here, kernel in
-#: :meth:`MapReduceEngine.run_job_kernel`, the fan-out transports in
-#: :mod:`repro.exec.fanout`, sql in its backend); the byte/row counters in
+#: :meth:`MapReduceEngine.run_job_kernel`, sql in its backend); the byte/row
+#: counters in
 #: :meth:`finalise_job_metrics`, which every backend funnels through.
 _JOBS_INTERPRETED = obs_metrics.default_registry().counter(
     "repro_jobs_total", path="interpreted"
@@ -224,8 +224,8 @@ class MapReduceEngine:
         job's :meth:`input_parts` and returns, per part, that part's
         :class:`~repro.mapreduce.kernels.MapBatch` partials in chunk order.
         The default runs one whole-relation batch per part in this process;
-        the fan-out backends (:mod:`repro.exec.fanout`) run one batch per
-        map chunk on their workers.  Either way the partials' accounting is
+        the multi-process backend (:mod:`repro.service.sharded.backend`) runs
+        one batch per map chunk on its workers.  Either way the partials' accounting is
         summed here — every quantity is an exact integer sum over chunks, so
         the metrics do not depend on how a part was cut into batches — and
         ``reduce_batch`` runs here, on the driver.  A backend's *wall* gets

@@ -22,10 +22,10 @@ A kernel-capable job implements three methods (see
 
 Where the two halves run is the backend's choice, never the job's.  On the
 serial engine both run in-process, ``map_batch`` once per input relation
-over all of its chunks.  On the fan-out backends (parallel pool, sharded
-tier — see :mod:`repro.exec.fanout`) ``map_batch`` runs *inside the
-workers*, once per map chunk, straight over the chunk's attached
-(``docs/dataplane.md``) or resident :class:`ColumnBlock`; each worker replies
+over all of its chunks.  On the multi-process backend (``"parallel"`` /
+``"sharded"`` — see :mod:`repro.service.sharded.backend`) ``map_batch`` runs
+*inside the workers*, once per map chunk, straight over the chunk's resident
+or attached (``docs/dataplane.md``) :class:`ColumnBlock`; each worker replies
 with its chunk's partial :class:`MapBatch` and the driver runs
 ``reduce_batch`` over all of them.  ``reduce_batch`` therefore receives *any
 number* of partial batches per relation, in relation-then-chunk order, and
@@ -45,8 +45,8 @@ this contract.
 
 Mode selection (``GumboOptions.kernel_mode``, carried by the job's options):
 
-* ``"off"``  — always interpret (on the fan-out backends: the tuple-at-a-time
-  map tasks, the driver-side shuffle and the reduce tasks);
+* ``"off"``  — always interpret (on every backend: the serial engine's
+  tuple-at-a-time map, shuffle and reduce, on the driver);
 * ``"auto"`` (default) and ``"on"`` — synonyms: use the kernel wherever the
   job supports it, on every backend.
 

@@ -21,8 +21,8 @@ derived, cached views:
 * :meth:`Relation.columns` — a :class:`ColumnBlock`, the column-major view of
   the sorted rows.  The batch-kernel path slices join keys and projections
   out of it as whole columns (one C-level ``zip`` per batch instead of a
-  Python-level itemgetter per row), and the parallel backend ships map chunks
-  as typed packed columns (``array('q')``/``array('d')``) instead of pickling
+  Python-level itemgetter per row), and the multi-process backend ships map
+  chunks as typed packed columns (``array('q')``/``array('d')``) instead of pickling
   row tuples one by one.
 
 Both caches invalidate on mutation and are shared across copy-on-write
@@ -285,8 +285,8 @@ class ColumnBlock:
         silently coerced) or *exactly* ``float`` are packed; ``array('d')``
         round-trips IEEE-754 doubles bit-exactly (NaN payloads and ``-0.0``
         included).  Blocks are immutable, so the result is cached: shipping
-        the same chunk twice (resident reloads, repeated waves over a warm
-        relation) pays the typed-array conversion once.
+        the same chunk twice (resident reloads after a respawn or a restart)
+        pays the typed-array conversion once.
         """
         if self._packed is not None:
             return self._packed

@@ -18,7 +18,7 @@ gates that this stays negligible.
 
 Timestamps come from :func:`time.perf_counter`, which on the platforms we
 run on is ``CLOCK_MONOTONIC``: values are comparable across processes of the
-same machine/boot, which is what lets the parallel backend's *worker-side*
+same machine/boot, which is what lets the multi-process backend's *worker-side*
 spans (shipped back as plain dicts, see :func:`worker_payload` /
 :meth:`Tracer.adopt_payload`) land on the same timeline as the parent's.
 """
@@ -157,7 +157,7 @@ class Tracer:
 
         Worker processes cannot see the parent's tracer, so they return plain
         dicts (see :func:`worker_payload`); the parent turns each into a
-        first-class span under the wave that shipped the task.
+        first-class span under the dispatch span that shipped the task.
         """
         span = Span(
             name=payload["name"],

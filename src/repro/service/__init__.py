@@ -2,7 +2,7 @@
 
 See :class:`~repro.service.service.QueryService` for the in-process entry
 point and :mod:`repro.service.sharded` for the persistent sharded tier
-(worker-pool backend plus the admission-controlled async front-end).
+(multi-process backend plus the admission-controlled async front-end).
 """
 
 from .cache import CacheStats, LRUCache

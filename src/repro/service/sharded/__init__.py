@@ -10,9 +10,9 @@ Layers, bottom up:
   :func:`~repro.exec.partition.stable_hash` and the shard count;
 * :mod:`~repro.service.sharded.cluster` — the asyncio supervisor: pipelined
   fan-out, death detection, respawn + shard reload + retry-once;
-* :mod:`~repro.service.sharded.backend` — the ``"sharded"`` execution
-  backend (bit-identical outputs and simulated metrics to the serial
-  reference);
+* :mod:`~repro.service.sharded.backend` — the multi-process execution
+  backend, ``"parallel"`` and ``"sharded"`` by name (bit-identical outputs
+  and simulated metrics to the serial reference);
 * :mod:`~repro.service.sharded.frontend` — the admission-controlled asyncio
   front-end with typed shed/timeout errors.
 
@@ -27,7 +27,7 @@ from .frontend import (
     ShardedService,
     ShardedServiceError,
 )
-from .routing import chunk_assignment, shard_for_bucket, shard_for_chunk
+from .routing import chunk_assignment, shard_for_chunk
 from .rpc import WorkerDied
 
 __all__ = [
@@ -41,6 +41,5 @@ __all__ = [
     "WorkerCrashedError",
     "WorkerDied",
     "chunk_assignment",
-    "shard_for_bucket",
     "shard_for_chunk",
 ]

@@ -15,7 +15,7 @@ Failure semantics (the tier's graceful-degradation contract):
 
 * a dropped connection is a dead worker: the cluster respawns the shard,
   reloads every resident chunk it owns, and retries the in-flight batch
-  **once** — map/reduce tasks are pure given the resident state, so the
+  **once** — map tasks are pure given the resident state, so the
   retry is safe and the caller never sees the death;
 * a second death on the retry raises :class:`WorkerCrashedError`;
 * a worker-side exception (shipped back as a ``Failure`` frame) raises

@@ -2,15 +2,12 @@
 
 The sharded tier places work at the granularity the execution semantics
 already define — the map *chunk* (the serial engine's strided column
-chunks) and the shuffle *partition* (the reduce-side hash buckets).  Both
-placements reuse :func:`~repro.exec.partition.partition_index`, i.e. the
-same CRC-32-of-``repr`` hash that partitions keys over reducers, so routing
-is deterministic across processes, runs and ``PYTHONHASHSEED`` values:
-
-* chunk ``i`` of relation ``R`` lives on ``shard_for_chunk("R", i, shards)``
-  — every worker owns a hash-spread slice of every relation, so each map
-  task runs wholly on the worker already holding its rows warm;
-* reduce bucket ``b`` runs on ``shard_for_bucket(b, shards)``.
+chunks).  Placement reuses :func:`~repro.exec.partition.partition_index`,
+i.e. the same CRC-32-of-``repr`` hash that partitions keys over reducers, so
+routing is deterministic across processes, runs and ``PYTHONHASHSEED``
+values: chunk ``i`` of relation ``R`` lives on ``shard_for_chunk("R", i,
+shards)`` — every worker owns a hash-spread slice of every relation, so each
+map task runs wholly on the worker already holding its rows warm.
 
 Because placement is a pure function, "rebalancing" on a shard-count change
 is simply re-evaluating it: :func:`chunk_assignment` for the new count *is*
@@ -27,11 +24,6 @@ from ...exec.partition import partition_index
 def shard_for_chunk(relation: str, chunk_index: int, shards: int) -> int:
     """The shard owning map chunk *chunk_index* of *relation*."""
     return partition_index((relation, chunk_index), shards)
-
-
-def shard_for_bucket(bucket_index: int, shards: int) -> int:
-    """The shard running reduce bucket *bucket_index*."""
-    return partition_index(bucket_index, shards)
 
 
 def chunk_assignment(

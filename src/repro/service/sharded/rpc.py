@@ -14,8 +14,7 @@ The message vocabulary (all plain picklable dataclasses):
 request                   worker behaviour
 ========================  =========================================================
 :class:`LoadRelation`     replace the named relation's resident chunks → :class:`Ok`
-:class:`MapTask`          map one chunk (resident or inline) → :class:`TaskDone`
-:class:`ReduceTask`       reduce one shuffle partition's key groups → :class:`TaskDone`
+:class:`MapTask`          ``map_batch`` one resident/inline chunk → :class:`TaskDone`
 :class:`Ping`             liveness + shard id → :class:`Ok`
 :class:`StatsRequest`     resident inventory and task counters → :class:`Ok`
 :class:`Crash`            ``os._exit`` *without replying* (failure injection)
@@ -85,9 +84,8 @@ class LoadRelation:
 
 @dataclass(frozen=True)
 class MapTask:
-    """One map chunk of one job: a kernel job's ``map_batch`` over the
-    chunk, or the interpreted map, combine and sizing of its rows (see
-    :func:`repro.exec.fanout.run_map_task`).
+    """One map chunk of one kernel job: ``job.map_batch`` over the chunk
+    (see :func:`repro.service.sharded.worker.run_map_task`).
 
     ``payload`` is ``None`` for resident chunks (the worker reads its warm
     block) and a data-plane payload (packed column block or shm segment
@@ -102,16 +100,6 @@ class MapTask:
     chunk_index: int
     version: int = 0
     payload: object = None
-    traced: bool = False
-
-
-@dataclass(frozen=True)
-class ReduceTask:
-    """One shuffle partition: reduce every key group, in order."""
-
-    task_id: int
-    job_blob: bytes
-    items: List[Tuple[object, List[object]]]
     traced: bool = False
 
 
@@ -140,7 +128,7 @@ class Shutdown:
 
 @dataclass(frozen=True)
 class TaskDone:
-    """A finished map/reduce task: its result plus an optional span payload."""
+    """A finished map task: its partial batch plus an optional span payload."""
 
     task_id: int
     result: object
@@ -172,7 +160,6 @@ class WorkerStats:
     #: relation name -> (version, sorted resident chunk indices).
     resident: Dict[str, Tuple[int, List[int]]] = field(default_factory=dict)
     map_tasks: int = 0
-    reduce_tasks: int = 0
     requests: int = 0
 
 

@@ -1,39 +1,40 @@
 """The shard worker: a long-lived process owning one shard's warm state.
 
 Each worker runs :func:`worker_main` — a blocking recv loop over the private
-socket its parent handed it at spawn time.  Unlike the pool workers of the
-parallel backend (which receive a packed chunk with *every* task), a shard
-worker keeps the :class:`~repro.model.relation.ColumnBlock` chunks it owns
-resident across requests: a :class:`~repro.service.sharded.rpc.LoadRelation`
-installs them once, and subsequent map tasks name ``(relation, chunk_index,
-version)`` instead of shipping rows.  Chunks arrive as data-plane payloads
+socket its parent handed it at spawn time.  A shard worker keeps the
+:class:`~repro.model.relation.ColumnBlock` chunks it owns resident across
+requests: a :class:`~repro.service.sharded.rpc.LoadRelation` installs them
+once, and subsequent map tasks name ``(relation, chunk_index, version)``
+instead of shipping rows.  Chunks arrive as data-plane payloads
 (:func:`repro.exec.shm.decode_payload`): on the shm plane a worker *attaches*
 the cluster's shared-memory segments instead of unpickling row bytes, and a
 respawned worker's resident reload is therefore a re-attach, not a re-ship.
 The blocks' memoised row and key tuples — what a kernel job's ``map_batch``
-reads — and the per-blob job cache with its compiled kernels stay warm with
-them, which is the entire point of the tier — repeated queries pay neither
-serialisation nor cache-warmup cost.
+reads — and the per-blob job memo (:func:`job_from_blob`) with its compiled
+kernels stay warm with them, which is the entire point of the tier —
+repeated queries pay neither serialisation nor cache-warmup cost.
 
-The task arithmetic is not written here: map and reduce tasks are
-:func:`repro.exec.fanout.run_map_task` / :func:`~repro.exec.fanout.run_reduce_task`,
-the same functions the parallel backend's pool workers run — ``map_batch``
-over the resident block for a kernel job, the interpreted map otherwise.
-The sharded tier changes *where* tasks run and what stays warm, never what
-they compute — outputs and simulated metrics stay bit-identical to the
-serial reference.
+A worker runs exactly one kind of task: ``job.map_batch`` over one chunk
+(:func:`run_map_task`).  Jobs without a batch kernel never reach it — the
+driver interprets those itself — so the tier changes *where* ``map_batch``
+runs and what stays warm, never what is computed: outputs and simulated
+metrics stay bit-identical to the serial reference.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import socket
 import traceback
+from functools import lru_cache
+from time import perf_counter
 from typing import Dict, Optional, Tuple
 
-from ...exec import fanout
 from ...exec.shm import decode_payload
+from ...mapreduce.job import MapReduceJob
 from ...model.relation import ColumnBlock
+from ... import obs
 from .rpc import (
     Crash,
     Failure,
@@ -41,7 +42,6 @@ from .rpc import (
     MapTask,
     Ok,
     Ping,
-    ReduceTask,
     Shutdown,
     StatsRequest,
     TaskDone,
@@ -49,6 +49,19 @@ from .rpc import (
     recv_frame,
     send_frame,
 )
+
+
+@lru_cache(maxsize=32)
+def job_from_blob(blob: bytes) -> MapReduceJob:
+    """The job pickled as *blob*, deserialised once per worker process.
+
+    Every task of a job run carries the same bytes, so a worker pays the
+    deserialisation — and the compilation of the job's batch kernel, which
+    the cached job then carries — once per job instead of once per task.
+    The memo is a small LRU: a service cycling through more distinct jobs
+    than it holds rebuilds only the least recently used ones.
+    """
+    return pickle.loads(blob)
 
 
 class _WorkerState:
@@ -59,7 +72,6 @@ class _WorkerState:
         #: relation name -> (version, {global chunk index: resident block}).
         self.relations: Dict[str, Tuple[int, Dict[int, ColumnBlock]]] = {}
         self.map_tasks = 0
-        self.reduce_tasks = 0
         self.requests = 0
 
     def chunk_for(self, task: MapTask) -> ColumnBlock:
@@ -92,42 +104,49 @@ class _WorkerState:
                 for name, (version, chunks) in sorted(self.relations.items())
             },
             map_tasks=self.map_tasks,
-            reduce_tasks=self.reduce_tasks,
             requests=self.requests,
         )
 
 
 def run_map_task(state: _WorkerState, task: MapTask) -> TaskDone:
-    """Run the shared map task (kernel or interpreted, as the job says) over
-    the task's resident or inline chunk."""
-    warm = state.chunk_for(task) if task.payload is None else None
-    result, span = fanout.run_map_task(
-        (task.job_blob, task.relation, task.chunk_index, task.payload, task.traced),
-        warm,
-        shard=state.shard,
-        chunk=task.chunk_index,
-        resident=warm is not None,
-    )
+    """``job.map_batch`` over the task's chunk → its partial ``MapBatch``.
+
+    The chunk is the worker's resident block, or the task's inline
+    data-plane payload — attached, and released again once it is mapped.
+    When the parent asked for tracing the reply carries a
+    :func:`~repro.obs.trace.worker_payload` span dict.
+    """
+    start_s = perf_counter() if task.traced else 0.0
+    job = job_from_blob(task.job_blob)
+    resident = task.payload is None
+    block = state.chunk_for(task) if resident else decode_payload(task.payload)
+    rows = len(block)
+    try:
+        batch = job.map_batch(task.relation, [block])
+    finally:
+        if not resident:
+            block.release()  # transient chunk: unpin its shm segment (if any)
     state.map_tasks += 1
-    return TaskDone(task_id=task.task_id, result=result, span=span)
-
-
-def run_reduce_task(state: _WorkerState, task: ReduceTask) -> TaskDone:
-    """Reduce every key group of one shuffle partition, in shipped order."""
-    # The bucket index only routes a task to its shard; it is spent by now.
-    facts, span = fanout.run_reduce_task(
-        (task.job_blob, 0, task.items, task.traced), shard=state.shard
-    )
-    state.reduce_tasks += 1
-    return TaskDone(task_id=task.task_id, result=facts, span=span)
+    span = None
+    if task.traced:
+        span = obs.worker_payload(
+            "map_task",
+            start_s,
+            perf_counter(),
+            relation=task.relation,
+            rows=rows,
+            pairs=batch.output_records,
+            shard=state.shard,
+            chunk=task.chunk_index,
+            resident=resident,
+        )
+    return TaskDone(task_id=task.task_id, result=batch, span=span)
 
 
 def _handle(state: _WorkerState, message: object) -> Optional[object]:
     """One request → one response (``None`` ends the loop after replying)."""
     if isinstance(message, MapTask):
         return run_map_task(state, message)
-    if isinstance(message, ReduceTask):
-        return run_reduce_task(state, message)
     if isinstance(message, LoadRelation):
         previous = state.relations.get(message.name)
         state.relations[message.name] = (

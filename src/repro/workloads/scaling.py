@@ -105,8 +105,8 @@ class ScaledEnvironment:
         """An execution backend over this environment's engine.
 
         ``name`` is ``"serial"`` or ``"parallel"`` (or an
-        :class:`~repro.exec.base.ExecutionBackend` alias); ``workers`` sizes
-        the parallel backend's worker pool.
+        :class:`~repro.exec.base.ExecutionBackend` alias); ``workers`` is
+        the parallel backend's worker-process count.
         """
         return make_backend(
             name, engine=self.engine(mb_per_reducer_input), workers=workers

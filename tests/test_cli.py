@@ -411,7 +411,9 @@ class TestTraceCommand:
                 "--guard-tuples",
                 "80",
                 "--backend",
-                "serial",
+                "sharded",
+                "--shards",  # alone: --workers must not default to a rival width
+                "3",
                 "--trace-out",
                 trace_path,
                 "--trace-format",
@@ -424,7 +426,11 @@ class TestTraceCommand:
         from repro import obs
 
         spans = obs.spans_from_jsonl(trace_path)
-        assert {"service.request", "gumbo.plan", "job"} <= {s.name for s in spans}
+        assert {"service.request", "gumbo.plan", "job", "shard_fanout"} <= {
+            s.name for s in spans
+        }
+        fanouts = [s for s in spans if s.name == "shard_fanout"]
+        assert {s.attributes["shards"] for s in fanouts} == {3}
 
     def test_trace_rejects_unknown_format(self):
         with pytest.raises(SystemExit):

@@ -20,13 +20,15 @@ Covers the two API-surface satellites of the service-tier redesign:
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 
 import pytest
 
 import repro
 from repro import Connection, ExecutionConfig, Gumbo, Result, connect
 from repro.core.options import GumboOptions
-from repro.exec import ParallelBackend, SimulatedBackend
+from repro.exec import SimulatedBackend
 from repro.io import save_database
 from repro.model.database import Database
 from repro.service import BatchFailure, QueryService
@@ -39,6 +41,7 @@ DB = {
     "T": [(4,)],
 }
 EXPECTED = {(1, 2), (5, 6)}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # -- ExecutionConfig -----------------------------------------------------------------
@@ -108,12 +111,13 @@ class TestExecutionConfig:
 
     def test_make_backend_builds_the_configured_backend(self):
         assert isinstance(ExecutionConfig().make_backend(), SimulatedBackend)
+        # Two names and two spellings of the width, one class.
         with ExecutionConfig(backend="parallel", workers=1).make_backend() as b:
-            assert isinstance(b, ParallelBackend)
-            assert b.workers == 1
+            assert isinstance(b, ShardedBackend)
+            assert (b.name, b.shards) == ("parallel", 1)
         with ExecutionConfig(backend="sharded", shards=2).make_backend() as b:
             assert isinstance(b, ShardedBackend)
-            assert b.shards == 2
+            assert (b.name, b.shards) == ("sharded", 2)
 
     def test_with_backend_keeps_the_other_knobs(self):
         config = ExecutionConfig(workers=3, shards=5, kernel_mode="off")
@@ -228,6 +232,28 @@ class TestConnect:
         conn.close()
         conn.close()
         assert conn.closed
+
+        # Closing a parallel connection leaves no child process and no
+        # repro_* segment behind — judged by the end-to-end benchmark's sweep.
+        sys.path.insert(0, os.path.join(ROOT, "benchmarks", "e2e"))
+        try:
+            import procs
+        finally:
+            del sys.path[0]
+
+        script = (
+            "import multiprocessing, repro\n"
+            f"conn = repro.connect({DB!r}, backend='parallel', workers=2,"
+            " data_plane='shm')\n"
+            f"assert conn.execute({QUERY!r}).tuples() == {EXPECTED!r}\n"
+            "assert len(multiprocessing.active_children()) == 2\n"
+            "conn.close()\n"
+            "assert not multiprocessing.active_children()\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+        outcome = procs.run_child([sys.executable, "-c", script], env, 60.0)
+        assert outcome.returncode == 0 and not outcome.timed_out
+        assert (outcome.leaked_processes, outcome.leaked_shm_segments) == (0, 0)
 
     def test_facade_is_exported_at_top_level(self):
         assert repro.connect is connect

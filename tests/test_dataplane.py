@@ -1,7 +1,7 @@
 """The shared-memory data plane: bit-exact round trips, parity, leak-proofing.
 
-The data plane may change *how* chunk payloads reach parallel and sharded
-workers — never *what* they compute.  The tests here pin that contract from
+The data plane may change *how* chunk payloads reach the multi-process
+backend's workers — never *what* they compute.  The tests here pin that contract from
 every side:
 
 * a hypothesis property: ``ColumnBlock.packed()`` ⇄ shm attach round trips
@@ -11,9 +11,9 @@ every side:
 * :class:`SegmentPool` refcounting: create/attach/release, idempotent
   release, ``close_all``, and — after every test — zero orphaned
   ``/dev/shm/repro_*`` segments;
-* the full Section 5 workload matrix on ``parallel`` and ``sharded`` under
-  ``--data-plane shm`` *and* ``pickle``: outputs and simulated metrics
-  bit-identical to the serial reference on both planes;
+* the full Section 5 workload matrix on the multi-process backend (under
+  both of its names) with ``--data-plane shm`` *and* ``pickle``: outputs and
+  simulated metrics bit-identical to the serial reference on both planes;
 * worker-crash recovery on the shm plane: the respawned shard re-attaches
   the cluster-owned segments, the retried batch matches, nothing leaks;
 * a differential fuzz campaign on the shm axis (the nightly CI job runs the
@@ -360,7 +360,8 @@ class TestCrashRecovery:
         try:
             result = Gumbo(backend=backend).execute(queries, database, "greedy")
             _assert_results_match(serial, result)
-            # Wave segments are released eagerly, not held until close().
+            # Inline (intermediate) segments are released as soon as their
+            # map phase is back, not held until close().
             assert len(backend._segments) == 0
         finally:
             backend.close()
@@ -370,9 +371,9 @@ class TestCrashRecovery:
     def test_failed_encode_releases_earlier_chunks(self, name, monkeypatch):
         """Shipping fails on the second chunk (say /dev/shm is full): the
         error propagates and the first chunk's segment is not left pinned in
-        the backend's pool until close().  On sharded the database is not
-        resident, so run_job ships every chunk inline."""
-        from repro.exec import fanout
+        the backend's pool until close().  The database is not resident, so
+        run_job ships every chunk inline."""
+        from repro.service.sharded import backend as driver
 
         queries = bsgf_query_set("A1")
         database = database_for(queries, guard_tuples=200, selectivity=0.5, seed=9)
@@ -387,7 +388,7 @@ class TestCrashRecovery:
             shipped.append(payload_segment(payload))
             return payload
 
-        monkeypatch.setattr(fanout, "encode_block", failing_encode)
+        monkeypatch.setattr(driver, "encode_block", failing_encode)
         before = set(_leaked_segments())
         backend = make_backend(name, workers=2, shards=2, data_plane="shm")
         try:

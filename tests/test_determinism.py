@@ -46,9 +46,15 @@ def test_digests_identical_across_hash_seeds():
     # Kernel-on and kernel-off lines of one combination share their digests
     # (parity), and every strategy appears for both cases.
     lines = first.strip().splitlines()
-    assert len(lines) % 2 == 0
-    for off_line, on_line in zip(lines[0::2], lines[1::2]):
+    serial = [line for line in lines if "[parallel]" not in line]
+    assert len(serial) % 2 == 0
+
+    def digests(line):
+        return line.split("kernel=")[1].split(" ", 1)[1]
+
+    for off_line, on_line in zip(serial[0::2], serial[1::2]):
         assert "kernel=off" in off_line and "kernel=on" in on_line
-        assert off_line.split("kernel=")[1].split(" ", 1)[1] == (
-            on_line.split("kernel=")[1].split(" ", 1)[1]
-        )
+        assert digests(off_line) == digests(on_line)
+    # The kernels inside the workers reproduce the serial digests line for line.
+    workers = [line for line in lines if "[parallel]" in line]
+    assert list(map(digests, workers)) == list(map(digests, serial[1::2]))

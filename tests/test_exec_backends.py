@@ -1,10 +1,11 @@
-"""Backend parity: the parallel runtime must be indistinguishable from the
-serial simulator in everything except measured wall-clock time.
+"""Backend parity: the multi-process runtime must be indistinguishable from
+the serial simulator in everything except measured wall-clock time.
 
 Every strategy (SEQ / PAR / GREEDY / 1-ROUND and the SGF variants), the
-dynamic re-planning executor and the skew-aware MSJ path are run on both
-backends over generated workloads, asserting identical output relations and
-identical simulated metrics.
+dynamic re-planning executor and the jobs without a batch kernel (skew-aware
+MSJ, ``kernel_mode="off"``, a closure-holding user job — all interpreted on
+the driver) are run on both backends over generated workloads, asserting
+identical output relations and identical simulated metrics.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.cost.estimates import StatisticsCatalog
 from repro.exec import (
     BACKEND_NAMES,
     ExecutionBackend,
-    ParallelBackend,
+    ShardedBackend,
     SimulatedBackend,
     make_backend,
     map_task_chunks,
@@ -29,18 +30,20 @@ from repro.exec import (
     stable_hash,
 )
 from repro.mapreduce.engine import MapReduceEngine, _stable_hash
+from repro.mapreduce.job import MapReduceJob
+from repro.obs import metrics as obs_metrics
 from repro.model.database import Database
 from repro.query.parser import parse_bsgf
 from repro.workloads.queries import bsgf_query_set, database_for, sgf_query
 
-#: Worker count used throughout; small so pools stay cheap on tiny CI boxes.
+#: Worker count used throughout; small so clusters stay cheap on tiny CI boxes.
 WORKERS = 2
 
 
 @pytest.fixture(scope="module")
 def parallel_backend():
-    """One shared pool for the whole module (startup amortised over tests)."""
-    backend = ParallelBackend(MapReduceEngine(), workers=WORKERS)
+    """One shared cluster for the whole module (spawn amortised over tests)."""
+    backend = make_backend("parallel", engine=MapReduceEngine(), workers=WORKERS)
     yield backend
     backend.close()
 
@@ -106,9 +109,12 @@ class TestMakeBackend:
         assert isinstance(make_backend("serial"), SimulatedBackend)
         assert isinstance(make_backend("simulated"), SimulatedBackend)
         assert isinstance(make_backend(None), SimulatedBackend)
-        parallel = make_backend("multiprocessing", workers=1)
-        assert isinstance(parallel, ParallelBackend)
-        parallel.close()
+        # "parallel" and "sharded" name one class; the name asked for sticks.
+        for alias, name in (("multiprocessing", "parallel"), ("shard", "sharded")):
+            backend = make_backend(alias, workers=1)
+            assert isinstance(backend, ShardedBackend)
+            assert (backend.name, backend.shards) == (name, 1)
+            backend.close()
 
     def test_instance_passthrough(self, parallel_backend):
         assert make_backend(parallel_backend) is parallel_backend
@@ -116,12 +122,21 @@ class TestMakeBackend:
     def test_instance_conflicts_rejected(self, parallel_backend):
         with pytest.raises(ValueError):
             make_backend(parallel_backend, engine=MapReduceEngine())
-        with pytest.raises(ValueError):
-            make_backend(parallel_backend, workers=WORKERS + 1)
+        # workers= and shards= are two spellings of the instance's one width.
+        for spelling in ("workers", "shards"):
+            with pytest.raises(ValueError, match="its own process count"):
+                make_backend(parallel_backend, **{spelling: WORKERS + 1})
+            # Matching values pass straight through.
+            assert (
+                make_backend(parallel_backend, **{spelling: WORKERS})
+                is parallel_backend
+            )
         with pytest.raises(ValueError):
             Gumbo(backend=parallel_backend, workers=WORKERS + 1)
-        # Matching values pass straight through.
-        assert make_backend(parallel_backend, workers=WORKERS) is parallel_backend
+        # By name too: disagreeing spellings are rejected, naming both.
+        for name in ("parallel", "sharded"):
+            with pytest.raises(ValueError, match="workers=2 and shards=3"):
+                make_backend(name, workers=2, shards=3)
         assert (
             make_backend(parallel_backend, engine=parallel_backend.engine)
             is parallel_backend
@@ -132,15 +147,16 @@ class TestMakeBackend:
             make_backend("hadoop")
 
     def test_context_manager_closes_pool(self):
-        with ParallelBackend(workers=1) as backend:
+        with make_backend("parallel", workers=1) as backend:
             assert isinstance(backend, ExecutionBackend)
-        assert backend._pool is None
+            assert backend.cluster.ping()
+        assert not backend.cluster.started
 
     def test_options_thread_backend_selection(self):
         options = GumboOptions(backend="parallel", workers=1)
         gumbo = Gumbo(options=options)
-        assert isinstance(gumbo.backend, ParallelBackend)
-        assert gumbo.backend.workers == 1
+        assert isinstance(gumbo.backend, ShardedBackend)
+        assert (gumbo.backend.name, gumbo.backend.shards) == ("parallel", 1)
         gumbo.backend.close()
 
     def test_gumbo_argument_overrides_options(self):
@@ -154,8 +170,8 @@ class TestMakeBackend:
                 "Z := SELECT (x, y) FROM R(x, y) WHERE S(x);", database
             )
             assert result.output().tuples() == {(1, 2)}
-            assert gumbo.backend._pool is not None
-        assert gumbo.backend._pool is None
+            assert gumbo.backend.cluster.started
+        assert not gumbo.backend.cluster.started
 
 
 class TestExecutionSkeleton:
@@ -242,7 +258,30 @@ class TestSGFStrategyParity:
         _assert_metrics_match(serial.metrics, parallel.metrics)
 
 
+class _TaggedCopyJob(MapReduceJob):
+    """A user job holding a closure: no batch kernel, and not picklable."""
+
+    def __init__(self, tag):
+        super().__init__("tagged-copy")
+        self.tag = lambda row: row + (tag,)
+
+    def input_relations(self):
+        return ["R"]
+
+    def map(self, relation, row):
+        return [((row[0],), row)]
+
+    def reduce(self, key, values):
+        for row in values:
+            yield ("Tagged", self.tag(row))
+
+    def output_schema(self):
+        return {"Tagged": 3}
+
+
 class TestSkewPathParity:
+    """Jobs ``use_kernel`` rejects run on the driver's reference interpreter."""
+
     def test_skew_aware_msj_job(self, serial_backend, parallel_backend):
         # A heavily skewed guard: most rows share join key 1.
         rows = [(1, i) for i in range(120)] + [(i, i) for i in range(2, 30)]
@@ -252,21 +291,27 @@ class TestSkewPathParity:
         catalog = StatisticsCatalog(database, sample_size=200)
         report = detect_heavy_hitters(catalog, specs)
         assert report.heavy_keys  # the workload really is skewed
-        job = SkewAwareMSJJob("skew-msj", specs, report.heavy_keys, salt_factor=4)
-        serial = serial_backend.run_job(job, database)
-        parallel = parallel_backend.run_job(job, database)
-        assert set(serial.outputs) == set(parallel.outputs)
-        for name in serial.outputs:
-            assert serial.outputs[name].tuples() == parallel.outputs[name].tuples()
-        assert serial.metrics.reducers == parallel.metrics.reducers
-        assert (
-            serial.metrics.reduce_task_durations
-            == parallel.metrics.reduce_task_durations
+        interpreted = obs_metrics.default_registry().counter(
+            "repro_jobs_total", path="interpreted"
         )
-        assert parallel.metrics.wall is not None
-        assert parallel.metrics.wall.backend == "parallel"
-        assert parallel.metrics.wall.workers == WORKERS
-        assert parallel.metrics.wall.wave_count >= 2  # map + reduce
+        off = GumboOptions(kernel_mode="off")
+        for job in (
+            SkewAwareMSJJob("skew-msj", specs, report.heavy_keys, salt_factor=4),
+            build_bsgf_program([query], "par", options=off).levels()[0][0],
+            _TaggedCopyJob("t"),
+        ):
+            serial = serial_backend.run_job(job, database)
+            before = interpreted.value
+            parallel = parallel_backend.run_job(job, database)
+            assert interpreted.value == before + 1, job.job_id
+            assert set(serial.outputs) == set(parallel.outputs)
+            for name in serial.outputs:
+                assert serial.outputs[name].tuples() == parallel.outputs[name].tuples()
+            wall, parallel.metrics.wall = parallel.metrics.wall, serial.metrics.wall
+            assert parallel.metrics == serial.metrics, job.job_id
+            # Stamped by the backend that was asked, though no worker ran.
+            assert (wall.backend, wall.workers) == ("parallel", WORKERS)
+            assert wall.elapsed_s > 0 and wall.wave_count == 0
 
 
 class TestWallClockMetrics:

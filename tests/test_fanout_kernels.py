@@ -1,26 +1,27 @@
-"""Kernels inside the workers: per-chunk ``map_batch`` on the fan-out backends.
+"""Kernels inside the workers: per-chunk ``map_batch`` on the multi-process backend.
 
-On the parallel and sharded backends a kernel job's map tasks run
-``job.map_batch`` over one map chunk each, inside the workers, and the
-driver sums the partial batches and runs ``reduce_batch`` (see
-:mod:`repro.exec.fanout`).  With the default 128 MB split every relation of
-every other test is a single chunk, so none of them sees a relation arrive
-as more than one partial batch.  Everything here runs on an engine whose
-split is a few hundred bytes at most — at least three chunks per base
-relation, spread over two pool workers and two shards:
+On the multi-process backend (``"parallel"`` / ``"sharded"``) a kernel job's
+map tasks run ``job.map_batch`` over one map chunk each, inside the workers,
+and the driver sums the partial batches and runs ``reduce_batch`` (see
+:mod:`repro.service.sharded.backend`).  With the default 128 MB split every
+relation of every other test is a single chunk, so none of them sees a
+relation arrive as more than one partial batch.  Everything here runs on an
+engine whose split is a few hundred bytes at most — at least three chunks
+per base relation, spread over two worker shards:
 
 * partial-batch composition, per kernel job type: ``reduce_batch`` over
   per-chunk partials equals ``reduce_batch`` over whole-relation batches,
   and the partials' accounting sums to the whole;
-* the parity matrix: serial vs parallel vs sharded × ``auto``/``off`` over
+* the parity matrix: serial ``auto``/``off`` vs the workers' kernels over
   every Section 5 workload (the benchmark's five batch shapes among them)
   under every strategy, bit-identical outputs and simulated metrics;
-* a differential-oracle campaign over all four backends on that engine;
+* a differential-oracle campaign over every backend on that engine;
 * a worker crash landing on a kernel map batch: respawn → resident reload →
   retry → bit-identical;
 * the dispatch bookkeeping: one ``path="kernel"`` job count and nothing
-  else, a ``map`` wave plus ``reduce`` time on the wall clock, and the
-  worker-side job memo evicting one job at a time.
+  else (``path="interpreted"`` with kernels off), a ``map`` wave plus
+  ``reduce`` time on the wall clock, and the worker-side job memo evicting
+  one job at a time.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ from repro.core.gumbo import Gumbo
 from repro.core.options import GumboOptions
 from repro.core.strategies import applicable_strategies
 from repro.cost.constants import HadoopSettings
-from repro.exec import fanout, make_backend
+from repro.exec import make_backend
 from repro.fuzz.generator import FuzzConfig, generate_case
 from repro.fuzz.oracle import DifferentialOracle
 from repro.mapreduce.engine import MapReduceEngine
 from repro.obs import metrics as obs_metrics
 from repro.query.parser import parse_sgf
 from repro.service.sharded.routing import shard_for_chunk
+from repro.service.sharded.worker import job_from_blob
 from repro.workloads.queries import database_for, section5_workloads, workload_query
 from repro.workloads.scaling import ScaledEnvironment
 
@@ -58,7 +60,7 @@ def tiny_split_engine(split_bytes: int = 420) -> MapReduceEngine:
     """An engine whose input split is *split_bytes* (the paper's is 128 MB).
 
     At the default a 150-row 4-ary guard is 15 map chunks and a unary
-    conditional four, so chunks land on both workers and both shards; the
+    conditional four, so chunks land on both worker shards; the
     per-reducer allowances shrink by the same factor, so jobs also spread
     over several reducers.
     """
@@ -68,11 +70,11 @@ def tiny_split_engine(split_bytes: int = 420) -> MapReduceEngine:
 
 @pytest.fixture(scope="module")
 def backends():
-    """serial, parallel(2) and sharded(2) over one tiny-split engine."""
+    """serial and parallel(2) over one tiny-split engine."""
     engine = tiny_split_engine()
     made = {
-        name: make_backend(name, engine=engine, workers=2, shards=2)
-        for name in ("serial", "parallel", "sharded")
+        name: make_backend(name, engine=engine, workers=2)
+        for name in ("serial", "parallel")
     }
     yield made
     for backend in made.values():
@@ -152,26 +154,28 @@ def test_tiny_split_parity_matrix(query_id, query, backends):
     )
     for strategy in applicable_strategies(query, include_optimal=False):
         reference = None
-        for name, backend in backends.items():
-            for mode in ("auto", "off"):
-                gumbo = Gumbo(backend=backend, options=GumboOptions(kernel_mode=mode))
-                result = gumbo.execute(query, database, strategy)
-                context = f"{query_id}:{strategy}:{name}:{mode}"
-                if reference is None:
-                    reference = result
-                    base_mappers = [
-                        partition.mappers
-                        for metrics in result.metrics.job_metrics.values()
-                        for partition in metrics.partitions
-                        if partition.relation in database
-                    ]
-                    assert min(base_mappers) >= 3, context
-                else:
-                    assert_results_equal(reference, result, context)
+        # The workers run kernels only; with kernels off a job is interpreted
+        # on the driver, i.e. the serial "off" run under another name.
+        for name, mode in (("serial", "auto"), ("serial", "off"), ("parallel", "auto")):
+            options = GumboOptions(kernel_mode=mode)
+            gumbo = Gumbo(backend=backends[name], options=options)
+            result = gumbo.execute(query, database, strategy)
+            context = f"{query_id}:{strategy}:{name}:{mode}"
+            if reference is None:
+                reference = result
+                base_mappers = [
+                    partition.mappers
+                    for metrics in result.metrics.job_metrics.values()
+                    for partition in metrics.partitions
+                    if partition.relation in database
+                ]
+                assert min(base_mappers) >= 3, context
+            else:
+                assert_results_equal(reference, result, context)
 
 
 def test_oracle_campaign_on_a_tiny_split_engine():
-    """Random programs over all four backends, every relation multi-chunk.
+    """Random programs over every backend, every relation multi-chunk.
 
     Fuzz databases hold a handful of rows, so the split is 16 bytes.
     """
@@ -199,7 +203,7 @@ def test_crash_on_a_kernel_map_batch_is_retried_bit_identically():
     serial = Gumbo(backend=make_backend("serial", engine=engine)).execute(
         query, database, "greedy"
     )
-    with make_backend("sharded", engine=engine, shards=2) as backend:
+    with make_backend("parallel", engine=engine, workers=2) as backend:
         gumbo = Gumbo(backend=backend)  # kernel_mode="auto": kernel map tasks
         assert_results_equal(serial, gumbo.execute(query, database, "greedy"))
         # Shard 0 owns some but not all chunks of the guard relation.
@@ -217,9 +221,11 @@ def test_crash_on_a_kernel_map_batch_is_retried_bit_identically():
 
 
 @pytest.mark.parametrize("name", ["parallel", "sharded"])
-def test_worker_kernel_job_bookkeeping(name, backends):
+def test_worker_kernel_job_bookkeeping(name):
     """One ``path="kernel"`` count per job and no other; the dispatch is a
-    ``map`` wave and the driver's ``reduce_batch`` is the ``reduce`` time."""
+    ``map`` wave and the driver's ``reduce_batch`` is the ``reduce`` time.
+    With kernels off the same jobs count as ``path="interpreted"`` and no
+    worker is asked.  Either name labels the metrics it was asked under."""
     query = workload_query("A1")
     database = database_for(query, guard_tuples=GUARD_TUPLES, selectivity=0.5, seed=2)
     registry = obs_metrics.default_registry()
@@ -231,35 +237,43 @@ def test_worker_kernel_job_bookkeeping(name, backends):
             for path in paths
         }
 
-    before = counts()
-    result = Gumbo(backend=backends[name]).execute(query, database, "greedy")
-    bumped = {path: value - before[path] for path, value in counts().items()}
-    jobs = len(result.metrics.job_metrics)
-    assert bumped == {**dict.fromkeys(paths, 0), "kernel": jobs}
-    for metrics in result.metrics.job_metrics.values():
-        wall = metrics.wall
-        assert wall.backend == name
-        assert {wave.phase for wave in wall.waves} == {"map"}
-        assert wall.map_elapsed_s > 0 and wall.reduce_elapsed_s > 0
-        assert wall.elapsed_s >= wall.map_elapsed_s + wall.reduce_elapsed_s - 1e-9
-    summary = result.metrics.wall_summary()
-    assert summary["wall_map_s"] > 0 and summary["wall_reduce_s"] > 0
+    with make_backend(name, engine=tiny_split_engine(), workers=2) as backend:
+        for mode, path in (("auto", "kernel"), ("off", "interpreted")):
+            before = counts()
+            gumbo = Gumbo(backend=backend, options=GumboOptions(kernel_mode=mode))
+            result = gumbo.execute(query, database, "greedy")
+            bumped = {key: value - before[key] for key, value in counts().items()}
+            jobs = len(result.metrics.job_metrics)
+            assert bumped == {**dict.fromkeys(paths, 0), path: jobs}
+            summary = result.metrics.wall_summary()
+            assert summary["backend"] == name
+            assert (summary["wall_map_s"] > 0) == (mode == "auto")
+            for metrics in result.metrics.job_metrics.values():
+                wall = metrics.wall
+                assert (wall.backend, wall.workers) == (name, 2)
+                if mode == "off":
+                    assert not wall.waves
+                    continue
+                assert {wave.phase for wave in wall.waves} == {"map"}
+                assert wall.map_elapsed_s > 0 and wall.reduce_elapsed_s > 0
+                phases = wall.map_elapsed_s + wall.reduce_elapsed_s
+                assert wall.elapsed_s >= phases - 1e-9
 
 
 def test_job_memo_evicts_one_job_at_a_time():
     """More distinct jobs than the memo holds must not flush the hot ones."""
-    fanout.job_from_blob.cache_clear()
-    capacity = fanout.job_from_blob.cache_info().maxsize
+    job_from_blob.cache_clear()
+    capacity = job_from_blob.cache_info().maxsize
     blobs = [pickle.dumps(("job", index)) for index in range(capacity + 1)]
-    hot = fanout.job_from_blob(blobs[0])
+    hot = job_from_blob(blobs[0])
     for blob in blobs[1:capacity]:
-        fanout.job_from_blob(blob)
-    assert fanout.job_from_blob(blobs[0]) is hot  # refreshed: most recent now
-    fanout.job_from_blob(blobs[capacity])  # one over: evicts blobs[1] only
-    assert fanout.job_from_blob(blobs[0]) is hot
-    misses = fanout.job_from_blob.cache_info().misses
-    fanout.job_from_blob(blobs[2])
-    assert fanout.job_from_blob.cache_info().misses == misses
-    fanout.job_from_blob(blobs[1])
-    assert fanout.job_from_blob.cache_info().misses == misses + 1
-    fanout.job_from_blob.cache_clear()
+        job_from_blob(blob)
+    assert job_from_blob(blobs[0]) is hot  # refreshed: most recent now
+    job_from_blob(blobs[capacity])  # one over: evicts blobs[1] only
+    assert job_from_blob(blobs[0]) is hot
+    misses = job_from_blob.cache_info().misses
+    job_from_blob(blobs[2])
+    assert job_from_blob.cache_info().misses == misses
+    job_from_blob(blobs[1])
+    assert job_from_blob.cache_info().misses == misses + 1
+    job_from_blob.cache_clear()

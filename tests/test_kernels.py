@@ -17,7 +17,7 @@ contract down:
 * dispatch honours ``kernel_mode`` and ``supports_kernel`` (baseline and
   skew-salted jobs always interpret; ``"auto"`` and ``"on"`` are synonyms on
   every backend — ``tests/test_fanout_kernels.py`` covers the kernels that
-  run inside the parallel and sharded workers);
+  run inside the multi-process backend's workers);
 * the differential oracle's kernel axes detect an (injected) kernel bug.
 """
 
@@ -33,7 +33,7 @@ from repro.core.msj import MSJJob
 from repro.core.options import GumboOptions
 from repro.core.skew import SkewAwareMSJJob
 from repro.core.strategies import applicable_strategies
-from repro.exec import ParallelBackend, SimulatedBackend
+from repro.exec import SimulatedBackend, make_backend
 from repro.fuzz.generator import FuzzConfig, generate_case
 from repro.fuzz.oracle import DifferentialOracle
 from repro.fuzz.runner import FuzzOptions, run_fuzz
@@ -113,7 +113,7 @@ def test_kernel_parity_parallel_backend(query_id):
         query,
         database,
         strategy,
-        lambda: ParallelBackend(MapReduceEngine(), workers=2),
+        lambda: make_backend("parallel", workers=2),
     )
 
 
@@ -166,14 +166,14 @@ def test_kernel_parity_mixed_type_columns_parallel():
         query,
         database,
         strategy,
-        lambda: ParallelBackend(MapReduceEngine(), workers=2),
+        lambda: make_backend("parallel", workers=2),
     )
 
 
 def test_kernel_parity_nan_values_serial():
     """NaN-bearing relations agree bit for bit between the two paths.
 
-    In-process only: the parallel backend pickles rows per map task, which
+    In-process only: the parallel backend ships rows to its workers, which
     clones a NaN into distinct objects that no longer compare equal anywhere
     (IEEE NaN inequality, a property of the data model rather than of either
     execution path), so NaN coverage lives on the serial backend.
@@ -212,7 +212,7 @@ def test_kernel_parity_empty_relations():
             query,
             database,
             next(iter(strategies)),
-            lambda: ParallelBackend(MapReduceEngine(), workers=2),
+            lambda: make_backend("parallel", workers=2),
         )
 
 
@@ -319,7 +319,7 @@ def test_invalid_kernel_mode_rejected():
 def test_parallel_wall_metrics_present_for_forced_kernel():
     query = parse_sgf("Z := SELECT (x) FROM R(x, y) WHERE S(x);")
     database = Database.from_dict({"R": [(1, 2), (3, 4)], "S": [(1,)]})
-    backend = ParallelBackend(MapReduceEngine(), workers=2)
+    backend = make_backend("parallel", workers=2)
     try:
         gumbo = Gumbo(backend=backend, options=GumboOptions(kernel_mode="on"))
         result = gumbo.execute(query, database, "par")
@@ -330,7 +330,7 @@ def test_parallel_wall_metrics_present_for_forced_kernel():
     for metrics in result.metrics.job_metrics.values():
         assert metrics.wall is not None
         assert metrics.wall.backend == "parallel"
-        # The kernel ran in the pool, not in-process: a real map wave.
+        # The kernel ran in the workers, not in-process: a real map wave.
         assert [wave.phase for wave in metrics.wall.waves] == ["map"]
 
 

@@ -5,7 +5,7 @@ path), the metrics registry, the three exporters (JSONL / Chrome trace
 events / Prometheus text), cross-process span parenting, and the
 acceptance criterion: one traced ``QueryService.execute`` of workload A3 on
 the parallel backend yields a single trace covering request → plan (or
-cache hit) → program → per-job → per-wave, including worker-side spans —
+cache hit) → program → per-job → per-dispatch, including worker-side spans —
 while leaving outputs and simulated metrics bit-identical to the untraced
 path.
 """
@@ -286,13 +286,15 @@ class TestEndToEnd:
     def test_traced_service_request_on_parallel_backend(self, workload):
         # Kernel map tasks in the workers, reduce_batch on the driver ...
         self._check_traced_parallel_request(workload, "auto")
-        # ... and the interpreted fan-out: map tasks, shuffle, reduce tasks.
+        # ... and with kernels off the driver's interpreter: no worker spans.
         self._check_traced_parallel_request(workload, "off")
 
     def _check_traced_parallel_request(self, workload, kernel_mode):
         kernel = kernel_mode != "off"
-        reduce_span, absent = (
-            ("reduce_batch", "reduce_task") if kernel else ("reduce_task", "reduce_batch")
+        present, absent = (
+            ({"shard_fanout", "map_task", "reduce_batch"}, {"map", "reduce"})
+            if kernel
+            else ({"map", "reduce"}, {"shard_fanout", "map_task", "reduce_batch"})
         )
         query, database = workload
         options = GumboOptions(trace=True, kernel_mode=kernel_mode)
@@ -306,7 +308,7 @@ class TestEndToEnd:
         miss_trace, hit_trace = traces
 
         # The cold request covers request → plan → choose → program →
-        # job → wave → worker-side tasks, all in ONE trace.
+        # job → shard_fanout → worker-side tasks, all in ONE trace.
         root = miss_trace.root()
         assert root.name == "service.request"
         assert root.attributes["plan_cached"] is False
@@ -319,30 +321,24 @@ class TestEndToEnd:
             "program",
             "level",
             "job",
-            "wave",
-            "map_task",
-            reduce_span,
-        } <= names
-        assert absent not in names
+        } | present <= names
+        assert not absent & names
         for span in miss_trace.spans:
             assert span.trace_id == miss_trace.trace_id
-            if span.name == "map_task":
-                assert span.attributes["kernel"] is kernel
+            if span.name == "program":
+                assert span.attributes["backend"] == "parallel"
 
-        # Worker-side spans were re-parented under wave spans and carry the
-        # worker pid; the driver's reduce_batch sits under its job.
-        waves = [s for s in miss_trace.spans if s.name == "wave"]
-        wave_ids = {s.span_id for s in waves}
-        worker_tasks = [
-            s for s in miss_trace.spans if s.name in ("map_task", "reduce_task")
-        ]
-        assert worker_tasks
+        # Worker-side spans were re-parented under the dispatch spans and
+        # carry the worker pid; the driver's reduce_batch sits under its job.
+        fanout_ids = {s.span_id for s in miss_trace.spans if s.name == "shard_fanout"}
+        worker_tasks = [s for s in miss_trace.spans if s.name == "map_task"]
+        assert bool(worker_tasks) is kernel
         for task in worker_tasks:
-            assert task.parent_id in wave_ids
+            assert task.parent_id in fanout_ids
             assert task.pid is not None
         job_ids = {s.span_id for s in miss_trace.spans if s.name == "job"}
         for span in miss_trace.spans:
-            if span.name in ("wave", "reduce_batch"):
+            if span.name in ("shard_fanout", "reduce_batch", "map", "reduce"):
                 assert span.parent_id in job_ids
 
         # The warm request hits the plan cache: no planning spans.

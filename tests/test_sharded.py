@@ -40,11 +40,7 @@ from repro.service.sharded import (
     ShardedService,
 )
 from repro.service.sharded.cluster import ShardedExecutionError
-from repro.service.sharded.routing import (
-    chunk_assignment,
-    shard_for_bucket,
-    shard_for_chunk,
-)
+from repro.service.sharded.routing import chunk_assignment, shard_for_chunk
 from repro.service.sharded.rpc import (
     FrameTooLargeError,
     MapTask,
@@ -206,15 +202,13 @@ class TestFraming:
 
 class TestRouting:
     def test_placement_is_the_shared_partition_function(self):
-        """Chunk and bucket placement are exactly ``partition_index`` calls —
-        the same CRC-32 hash that places shuffle keys on reducers."""
+        """Chunk placement is exactly a ``partition_index`` call — the same
+        CRC-32 hash that places shuffle keys on reducers."""
         for relation in ("R", "S", "Edge_2"):
             for chunk in range(20):
                 assert shard_for_chunk(relation, chunk, 5) == partition_index(
                     (relation, chunk), 5
                 )
-        for bucket in range(20):
-            assert shard_for_bucket(bucket, 3) == partition_index(bucket, 3)
 
     def test_placement_in_range_and_deterministic(self):
         for shards in (1, 2, 3, 7):

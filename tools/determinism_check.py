@@ -5,11 +5,10 @@ Runs a fixed workload mix — the Section 5 A3 query plus a handwritten
 mixed-type database that stresses the type-tagged sort order (ints, floats,
 strings, ``None`` sharing columns) — under both kernel modes and every
 applicable strategy, then prints a canonical digest per combination.  A
-final pass re-runs the mix through both transports of the shared fan-out
-driver — the parallel pool and the sharded persistent tier (every map/reduce
-task executed in worker processes with their own interpreters, shards routed
-by ``stable_hash`` placement) — whose digests must equal the serial ones
-line for line:
+final pass re-runs the mix on the multi-process backend (every ``map_batch``
+task executed in worker processes with their own interpreters, chunks routed
+by ``stable_hash`` placement), kernels on — the only mode its workers have —
+whose digests must equal the serial ones line for line:
 
 * ``outputs`` — SHA-256 over the sorted output relations, with floats
   rendered as their IEEE-754 bit patterns so the digest is bit-exact;
@@ -98,9 +97,9 @@ def _digest_result(label: str, strategy: str, mode: str, result) -> str:
     )
 
 
-def run_case(label: str, query, database, backend=None) -> None:
+def run_case(label: str, query, database, backend=None, modes=("off", "on")) -> None:
     for strategy in applicable_strategies(query, include_optimal=False):
-        for mode in ("off", "on"):
+        for mode in modes:
             gumbo = Gumbo(
                 backend=backend, options=GumboOptions(kernel_mode=mode)
             )
@@ -108,22 +107,24 @@ def run_case(label: str, query, database, backend=None) -> None:
             print(_digest_result(label, strategy, mode, result))
 
 
-#: The fan-out transports of the final pass (2 pool workers, 2 shards).
-FANOUT_TRANSPORTS = ("parallel", "sharded")
+#: The fan-out transports of the final pass (one: 2 worker shards).
+FANOUT_TRANSPORTS = ("parallel",)
 
 
 def run_fanout_case(label: str, query, database, transport: str) -> None:
-    """The same digests, computed through one fan-out transport.
+    """The same digests, computed by the kernels inside the workers.
 
-    One backend serves every strategy × kernel-mode combination, so the
-    check also covers pool and warm-shard reuse; worker processes inherit
-    the parent's ``PYTHONHASHSEED``, so hash-order dependence on either side
-    of the process boundary shows up as a digest change.
+    One backend serves every strategy, so the check also covers warm-shard
+    reuse; worker processes inherit the parent's ``PYTHONHASHSEED``, so
+    hash-order dependence on either side of the process boundary shows up
+    as a digest change.
     """
     from repro.exec import make_backend
 
-    with make_backend(transport, workers=2, shards=2) as backend:
-        run_case(f"{label}[{transport}]", query, database, backend=backend)
+    with make_backend(transport, workers=2) as backend:
+        run_case(
+            f"{label}[{transport}]", query, database, backend=backend, modes=("on",)
+        )
 
 
 def main() -> None:

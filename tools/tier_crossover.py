@@ -1,17 +1,18 @@
 #!/usr/bin/env python
-"""Where (if anywhere) the process tiers cross over the serial engine.
+"""Where (if anywhere) the process tier crosses over the serial engine.
 
-Times warm ``run_program`` on the serial engine, ``parallel(2)`` and
-``sharded(2)`` for the benchmark's five batch shapes (A1, A3, B2, C3, C4,
-planned once with ``auto``) at several guard sizes, and prints a markdown
-table: per shape and size the median and minimum of each backend, then per
-size the *cycle* (the five shapes back to back, as the ``batch-*`` workloads
-of ``benchmarks/e2e`` run them) with each tier's ratio to serial.  A ratio
-under 1.0 is a crossover; ROADMAP item 2's verdict rule reads this table
-(committed in ``docs/backends.md``).
+Times warm ``run_program`` on the serial engine and on ``parallel(2)`` (the
+one multi-process backend; ``sharded(2)`` is the same class) for the
+benchmark's five batch shapes (A1, A3, B2, C3, C4, planned once with
+``auto``) at several guard sizes, and prints a markdown table: per shape and
+size the median and minimum of each backend, then per size the *cycle* (the
+five shapes back to back, as the ``batch-*`` workloads of ``benchmarks/e2e``
+run them) with the tier's ratio to serial.  A ratio under 1.0 is a
+crossover; ROADMAP item 2's verdict rule reads this table (committed in
+``docs/backends.md``).
 
-Every backend is warmed by one untimed run per program (pool spawned, shards
-resident, kernels compiled), and every timed result must carry the serial
+Every backend is warmed by one untimed run per program (workers spawned,
+chunks resident, kernels compiled), and every timed result must carry the serial
 run's simulated metrics or the script exits 1.  Times are raw wall clock on
 the machine at hand — compare columns, not runs on different machines.
 
@@ -34,7 +35,7 @@ from repro.exec.base import make_backend
 from repro.workloads.queries import database_for, workload_query
 
 SHAPES = ("A1", "A3", "B2", "C3", "C4")
-TIERS = ("serial", "parallel", "sharded")
+TIERS = ("serial", "parallel")
 WIDTH = 2
 
 
@@ -52,9 +53,7 @@ def _time_runs(backend, program, database, repeats: int) -> Tuple[List[float], d
 def measure(size: int, repeats: int, seed: int) -> Dict[str, Dict[str, List[float]]]:
     """``{shape: {tier: [ms, ...]}}`` at *size* guard rows."""
     planner = Gumbo()
-    backends = {
-        name: make_backend(name, workers=WIDTH, shards=WIDTH) for name in TIERS
-    }
+    backends = {name: make_backend(name, workers=WIDTH) for name in TIERS}
     timings: Dict[str, Dict[str, List[float]]] = {}
     try:
         for shape in SHAPES:
@@ -87,10 +86,9 @@ def _cell(times: List[float]) -> str:
 def report(sizes: List[int], repeats: int, seed: int) -> None:
     print(
         "| guard rows | shape | serial ms (median / min) | "
-        f"parallel({WIDTH}) ms | sharded({WIDTH}) ms | parallel ÷ serial | "
-        "sharded ÷ serial |"
+        f"parallel({WIDTH}) ms | parallel ÷ serial |"
     )
-    print("|---:|---|---:|---:|---:|---:|---:|")
+    print("|---:|---|---:|---:|---:|")
     for size in sizes:
         timings = measure(size, repeats, seed)
         cycle = dict.fromkeys(TIERS, 0.0)
@@ -100,15 +98,13 @@ def report(sizes: List[int], repeats: int, seed: int) -> None:
                 cycle[name] += medians[name]
             print(
                 f"| {size} | {shape} | {_cell(by_tier['serial'])} | "
-                f"{_cell(by_tier['parallel'])} | {_cell(by_tier['sharded'])} | "
-                f"{medians['parallel'] / medians['serial']:.2f} | "
-                f"{medians['sharded'] / medians['serial']:.2f} |"
+                f"{_cell(by_tier['parallel'])} | "
+                f"{medians['parallel'] / medians['serial']:.2f} |"
             )
         print(
             f"| {size} | **cycle** | {cycle['serial']:.1f} | "
-            f"{cycle['parallel']:.1f} | {cycle['sharded']:.1f} | "
-            f"**{cycle['parallel'] / cycle['serial']:.2f}** | "
-            f"**{cycle['sharded'] / cycle['serial']:.2f}** |"
+            f"{cycle['parallel']:.1f} | "
+            f"**{cycle['parallel'] / cycle['serial']:.2f}** |"
         )
         sys.stdout.flush()
 
