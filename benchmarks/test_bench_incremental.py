@@ -9,10 +9,18 @@ construction + run) over the mutated database.  The refreshed output is
 verified tuple-for-tuple against the recomputed one before any timing is
 trusted.
 
-The acceptance bar is a ≥ 4× advantage for the incremental refresh; in
-practice the restricted delta program touches a few dozen tuples instead of
-the whole database and lands around 6-10× faster (the margin narrowed when
-columnar storage made the kernelized full recompute itself ~3× faster).
+The race against the full re-execution is *reported* (``incremental_speedup``)
+but it is not the regression gate: that ratio shrinks every time the engine
+it races gets faster (15× → 6-10× with columnar storage, → 2-4× with
+accounting by cardinalities) although the refresh itself never moved from
+~5 ms, so each such PR had to loosen the bar and with it the protection of the
+refresh path.  The gate is the refresh against a yardstick no engine PR moves:
+``repro.query.reference.evaluate_sgf`` — the query evaluated by definition over
+the mutated database, no planning, no MapReduce, no metrics, untouched since
+the seed commit.  The refresh has to be ≥ 7.5× faster than that; it measures
+11-19× (median ≈ 14×) at this commit and at PR 21 alike, so a 2× slowdown of
+the refresh path lands at 6-9× and fails most runs — the margin the 4× bar
+had over the 7.6-10.6× measured against PR 21's 37-51 ms full run.
 
 Results are written to ``BENCH_incremental.json`` (override the path with
 ``REPRO_BENCH_INCREMENTAL_JSON``) so CI can archive the perf trajectory and
@@ -29,6 +37,7 @@ from time import perf_counter
 from common import write_bench_artifact
 from repro.core.gumbo import Gumbo
 from repro.incremental import apply_inserts, dedupe_inserts
+from repro.query.reference import evaluate_sgf
 from repro.workloads.queries import database_for, workload_query
 
 #: Guard-relation cardinality of the benchmark workload.
@@ -90,6 +99,15 @@ def test_bench_incremental_refresh_vs_recompute(capsys):
         name: frozenset(rel.tuples()) for name, rel in full.all_outputs.items()
     }
 
+    # -- the yardstick: the same answer by definition, no engine involved.
+    reference_times = []
+    for _ in range(REPEATS):
+        start = perf_counter()
+        reference = evaluate_sgf(query, mutated)
+        reference_times.append(perf_counter() - start)
+    reference_s = _median(reference_times)
+    assert {n: frozenset(rel.tuples()) for n, rel in reference.items()} == expected
+
     # -- incremental: materialize once per repeat, time only the refresh.
     refresh_times = []
     last_delta = None
@@ -103,6 +121,7 @@ def test_bench_incremental_refresh_vs_recompute(capsys):
     refresh_s = _median(refresh_times)
 
     speedup = full_s / refresh_s if refresh_s > 0 else float("inf")
+    vs_reference = reference_s / refresh_s if refresh_s > 0 else float("inf")
     write_bench_artifact(
         ARTIFACT_PATH,
         "incremental",
@@ -110,6 +129,8 @@ def test_bench_incremental_refresh_vs_recompute(capsys):
             "full_recompute_s": full_s,
             "incremental_refresh_s": refresh_s,
             "incremental_speedup": speedup,
+            "reference_eval_s": reference_s,
+            "refresh_vs_reference": vs_reference,
         },
         workload="A3",
         guard_tuples=DEFAULT_TUPLES,
@@ -131,16 +152,22 @@ def test_bench_incremental_refresh_vs_recompute(capsys):
         print(f"  full re-execution (median):   {full_s * 1e3:9.3f} ms")
         print(f"  incremental refresh (median): {refresh_s * 1e3:9.3f} ms")
         print(f"  speedup:                      {speedup:9.1f}x")
+        print(f"  evaluation by definition:     {reference_s * 1e3:9.3f} ms")
+        print(f"  refresh vs by-definition:     {vs_reference:9.1f}x")
         print(f"  affected guard tuples:        {last_delta.affected_guard_tuples}")
         print(f"  artifact:                     {ARTIFACT_PATH}")
 
-    # The acceptance bar: a small-batch refresh beats full re-execution >= 4x
-    # (re-based from 5x when columnar storage made the kernelized full
-    # recompute — the ratio's denominator — ~3x faster; absolute refresh
-    # time was unaffected).
-    assert speedup >= 4.0, (
-        f"incremental refresh too slow: {refresh_s * 1e3:.3f} ms vs full "
-        f"recompute {full_s * 1e3:.3f} ms ({speedup:.1f}x)"
+    # The regression gate (see the module docstring): the refresh against the
+    # by-definition evaluation, a rival that does not get faster when the
+    # engine does.  Measured 11-19x; a 2x slowdown of the refresh is 6-9x.
+    assert vs_reference >= 7.5, (
+        f"incremental refresh too slow: {refresh_s * 1e3:.3f} ms vs "
+        f"{reference_s * 1e3:.3f} ms for evaluate_sgf ({vs_reference:.1f}x)"
+    )
+    # And it still has to be worth having next to the engine it races.
+    assert speedup > 1.0, (
+        f"incremental refresh {refresh_s * 1e3:.3f} ms does not beat the full "
+        f"recompute {full_s * 1e3:.3f} ms"
     )
     # The batch really was small and really did something.
     assert inserted <= DEFAULT_TUPLES // 100

@@ -31,13 +31,11 @@ from ..mapreduce.job import (
     REDUCERS_BY_INPUT,
     REDUCERS_BY_INTERMEDIATE,
 )
-from collections import Counter
-
 from ..mapreduce.kernels import (
+    ChunkLedger,
     MapBatch,
-    PackedChunkAccumulator,
-    PlainPairAccumulator,
     as_column_block,
+    conditional_keys,
 )
 from ..model.atoms import Atom
 from ..model.terms import Variable
@@ -250,53 +248,31 @@ class SemiJoinChainJob(MapReduceJob):
                 )
         requests: List[tuple] = []
         asserted: set = set()
-        packed = self.uses_combiner()
-        acc = (
-            PackedChunkAccumulator(self, TAG_BYTES)
-            if packed
-            else PlainPairAccumulator(self)
-        )
+        ledger = ChunkLedger(self)
+        packed = ledger.packed
         for block in blocks:
             if not block.length:
                 continue
             if guard is not None:
                 matcher, key_positions, key_of, request_size = guard
+                distinct = None
                 if matcher is None:
                     keys = block.key_tuples(key_positions)
+                    if packed:
+                        distinct = block.distinct_keys(key_positions)
                     rows = block.rows()
                 else:
                     rows = [r for r in block.rows() if matcher(r)]
                     keys = [key_of(r) for r in rows]
                 if keys:
                     requests.append((keys, rows))
-                    counts = Counter(keys)
-                    if packed:
-                        acc.add_request_counts(counts, request_size)
-                    else:
-                        acc.add_key_counts(counts, request_size)
+                    ledger.add(keys, request_size, distinct=distinct)
             if literal is not None:
-                matcher, key_positions, key_of = literal
-                if matcher is None:
-                    keys = block.key_tuples(key_positions)
-                else:
-                    keys = [key_of(r) for r in block.rows() if matcher(r)]
-                if keys:
-                    if packed:
-                        distinct = set(keys)
-                        asserted.update(distinct)
-                        acc.add_assert_keys(distinct, 0)
-                    else:
-                        counts = Counter(keys)
-                        asserted.update(counts)
-                        acc.add_key_counts(counts, TAG_BYTES)
-            acc.flush()
-        return MapBatch(
-            relation=relation,
-            intermediate_bytes=acc.intermediate_bytes,
-            output_records=acc.records,
-            key_bytes=acc.key_bytes,
-            data=(requests, asserted),
-        )
+                keys = conditional_keys(block, *literal, packed)
+                asserted.update(keys)
+                ledger.add(keys, TAG_BYTES)
+            ledger.close_chunk()
+        return ledger.batch(relation, (requests, asserted))
 
     def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
         """Kernelised reduce: one hash semi-join (anti-join when negative)."""
@@ -418,7 +394,7 @@ class UnionProjectJob(MapReduceJob):
         blocks = [as_column_block(chunk) for chunk in chunks]
         row_len = next((b.arity for b in blocks if b.length), None)
         keys: set = set()
-        acc = PlainPairAccumulator(self)
+        ledger = ChunkLedger(self)
         if compiled.arity == row_len:
             matcher = compiled.matcher
             positions = (
@@ -436,17 +412,9 @@ class UnionProjectJob(MapReduceJob):
                     block_keys = [
                         project(r) if projects else (r[0],) for r in rows
                     ]
-                if not block_keys:
-                    continue
                 keys.update(block_keys)
-                acc.add_key_counts(Counter(block_keys), 1)
-        return MapBatch(
-            relation=relation,
-            intermediate_bytes=acc.intermediate_bytes,
-            output_records=acc.records,
-            key_bytes=acc.key_bytes,
-            data=keys,
-        )
+                ledger.add(block_keys, 1)
+        return ledger.batch(relation, keys)
 
     def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
         """Kernelised reduce: the deduplicating union is a set union."""

@@ -27,8 +27,8 @@ from ..mapreduce.job import (
 from collections import Counter
 
 from ..mapreduce.kernels import (
+    ChunkLedger,
     MapBatch,
-    PlainPairAccumulator,
     as_column_block,
     union_key_set,
 )
@@ -195,34 +195,22 @@ class EvalJob(MapReduceJob):
         Intermediate relations contribute one membership message per row;
         guard relations one guard message per (target, conforming row).  Both
         message kinds serialise to ``TAG_BYTES``; keys are ``(target,) +
-        row``, so the pair accounting is a straight per-row accumulation (the
-        EVAL job uses no combiner).
+        row`` and the EVAL job uses no combiner, so the pair accounting is a
+        row count per target — no key is ever assembled here.
         """
-        acc = PlainPairAccumulator(self)
+        ledger = ChunkLedger(self)
         blocks = [as_column_block(chunk) for chunk in chunks]
         membership = self._membership.get(relation)
         if membership is not None:
-            t_index = membership[0]
+            prefix = (membership[0],)
             rows: set = set()
-            keys: List[tuple] = []
             for block in blocks:
                 if not block.length:
                     continue
                 block_rows = block.rows()
-                keys.extend([(t_index,) + row for row in block_rows])
                 rows.update(block_rows)
-            # Key size depends only on the key length, identical for the
-            # whole relation; rows are set-deduplicated, so the keys are
-            # distinct and one uniform charge per key is exact.
-            if keys:
-                acc.add_uniform_pairs(keys, self.key_bytes(keys[0]) + TAG_BYTES)
-            return MapBatch(
-                relation=relation,
-                intermediate_bytes=acc.intermediate_bytes,
-                output_records=acc.records,
-                key_bytes=acc.key_bytes,
-                data=("member", membership, rows),
-            )
+                ledger.add(block_rows, TAG_BYTES, prefix)
+            return ledger.batch(relation, ("member", membership, rows))
         guards = []
         row_len = next((b.arity for b in blocks if b.length), None)
         for t_index, target in enumerate(self.targets):
@@ -242,21 +230,9 @@ class EvalJob(MapReduceJob):
                     if matcher is None
                     else [r for r in block_rows if matcher(r)]
                 )
-                if rows_for_target:
-                    conforming[t_index].extend(rows_for_target)
-        for t_index, _ in guards:
-            rows_for_target = conforming[t_index]
-            if not rows_for_target:
-                continue
-            keys = [(t_index,) + row for row in rows_for_target]
-            acc.add_uniform_pairs(keys, self.key_bytes(keys[0]) + TAG_BYTES)
-        return MapBatch(
-            relation=relation,
-            intermediate_bytes=acc.intermediate_bytes,
-            output_records=acc.records,
-            key_bytes=acc.key_bytes,
-            data=("guard", conforming),
-        )
+                conforming[t_index].extend(rows_for_target)
+                ledger.add(rows_for_target, TAG_BYTES, (t_index,))
+        return ledger.batch(relation, ("guard", conforming))
 
     def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
         """Kernelised reduce: per guard row a membership bitmask, memoised

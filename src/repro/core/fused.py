@@ -26,10 +26,10 @@ from ..mapreduce.job import (
 from collections import Counter
 
 from ..mapreduce.kernels import (
+    ChunkLedger,
     MapBatch,
-    PackedChunkAccumulator,
-    PlainPairAccumulator,
     as_column_block,
+    conditional_keys,
     union_key_set,
 )
 from ..model.atoms import Atom
@@ -274,18 +274,17 @@ class _FusedKernel:
         tags = [t for t in self.tags.get(relation, ()) if t[2] == row_len]
         probe: Dict[int, List[tuple]] = {g[0]: [] for g in guards}
         build: Dict[int, set] = {t[0]: set() for t in tags}
-        packed = job.uses_combiner()
-        acc = (
-            PackedChunkAccumulator(job, TAG_BYTES)
-            if packed
-            else PlainPairAccumulator(job)
-        )
+        ledger = ChunkLedger(job)
+        packed = ledger.packed
         for block in blocks:
             if not block.length:
                 continue
             for q_index, _, matcher, key_positions, key_of, request_size in guards:
+                distinct = None
                 if matcher is None:
                     key_values = block.key_tuples(key_positions)
+                    if packed:
+                        distinct = block.distinct_keys(key_positions)
                     rows = block.rows()
                 else:
                     rows = [r for r in block.rows() if matcher(r)]
@@ -293,40 +292,15 @@ class _FusedKernel:
                         continue
                     key_values = [key_of(r) for r in rows]
                 probe[q_index].append((key_values, rows))
-                counts = Counter([(q_index,) + kv for kv in key_values])
-                if packed:
-                    acc.add_request_counts(counts, request_size)
-                else:
-                    acc.add_key_counts(counts, request_size)
+                ledger.add(key_values, request_size, (q_index,), distinct)
             for tag, q_index, _, matcher, key_positions, key_of in tags:
-                if matcher is None:
-                    key_values = block.key_tuples(key_positions)
-                else:
-                    key_values = [
-                        key_of(r) for r in block.rows() if matcher(r)
-                    ]
-                if not key_values:
-                    continue
-                if packed:
-                    distinct = set(key_values)
-                    build[tag].update(distinct)
-                    acc.add_assert_keys(
-                        [(q_index,) + kv for kv in distinct], tag
-                    )
-                else:
-                    build[tag].update(key_values)
-                    acc.add_key_counts(
-                        Counter([(q_index,) + kv for kv in key_values]),
-                        TAG_BYTES,
-                    )
-            acc.flush()
-        return MapBatch(
-            relation=relation,
-            intermediate_bytes=acc.intermediate_bytes,
-            output_records=acc.records,
-            key_bytes=acc.key_bytes,
-            data=(probe, build),
-        )
+                key_values = conditional_keys(
+                    block, matcher, key_positions, key_of, packed
+                )
+                build[tag].update(key_values)
+                ledger.add(key_values, TAG_BYTES, (q_index,))
+            ledger.close_chunk()
+        return ledger.batch(relation, (probe, build))
 
     def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
         job = self.job

@@ -35,13 +35,11 @@ from ..mapreduce.job import (
     REDUCERS_BY_INPUT,
     REDUCERS_BY_INTERMEDIATE,
 )
-from collections import Counter
-
 from ..mapreduce.kernels import (
+    ChunkLedger,
     MapBatch,
-    PackedChunkAccumulator,
-    PlainPairAccumulator,
     as_column_block,
+    conditional_keys,
     union_key_set,
 )
 from ..model.atoms import Atom
@@ -297,7 +295,8 @@ class _MSJKernel:
     case) are evaluated entirely columnar: keys and payloads are sliced out
     of the chunk's :class:`~repro.model.relation.ColumnBlock` with one
     C-level ``zip`` per batch, and the pair accounting of the interpreted
-    map+combiner is reproduced from per-key ``Counter`` counts.  Restricted
+    map+combiner is reproduced from list and set sizes (see
+    :class:`~repro.mapreduce.kernels.ChunkLedger`).  Restricted
     atoms fall back to per-row matching over the chunk's row view.  The
     reduce kernel is a hash semi-join: per conditional tag a set of asserted
     keys, probed segment-at-a-time by the guard-side key/payload slices.
@@ -357,18 +356,17 @@ class _MSJKernel:
         tags = [t for t in self.tags.get(relation, ()) if t.arity == row_len]
         probe: Dict[int, List[tuple]] = {g.index: [] for g in guards}
         build: Dict[int, set] = {t.index: set() for t in tags}
-        packed = job.uses_combiner()
-        acc = (
-            PackedChunkAccumulator(job, TAG_BYTES)
-            if packed
-            else PlainPairAccumulator(job)
-        )
+        ledger = ChunkLedger(job)
+        packed = ledger.packed
         for block in blocks:
             if not block.length:
                 continue
             for guard in guards:
+                distinct = None
                 if guard.matcher is None:
                     keys = block.key_tuples(guard.key_positions)
+                    if packed:
+                        distinct = block.distinct_keys(guard.key_positions)
                     if guard.payload_positions is None:
                         payloads = block.rows()
                     else:
@@ -385,40 +383,15 @@ class _MSJKernel:
                         payload_of = guard.payload_of
                         payloads = [payload_of(r) for r in rows]
                 probe[guard.index].append((keys, payloads))
-                counts = Counter(keys)
-                if packed:
-                    acc.add_request_counts(counts, guard.request_size)
-                else:
-                    acc.add_key_counts(counts, guard.request_size)
+                ledger.add(keys, guard.request_size, distinct=distinct)
             for tag in tags:
-                if tag.matcher is None:
-                    if packed:
-                        distinct = block.distinct_keys(tag.key_positions)
-                        build[tag.index].update(distinct)
-                        acc.add_assert_keys(distinct, tag.index)
-                        continue
-                    keys = block.key_tuples(tag.key_positions)
-                else:
-                    key_of = tag.key_of
-                    keys = [key_of(r) for r in block.rows() if tag.matcher(r)]
-                if not keys:
-                    continue
-                if packed:
-                    distinct = set(keys)
-                    build[tag.index].update(distinct)
-                    acc.add_assert_keys(distinct, tag.index)
-                else:
-                    counts = Counter(keys)
-                    build[tag.index].update(counts)
-                    acc.add_key_counts(counts, TAG_BYTES)
-            acc.flush()
-        return MapBatch(
-            relation=relation,
-            intermediate_bytes=acc.intermediate_bytes,
-            output_records=acc.records,
-            key_bytes=acc.key_bytes,
-            data=(probe, build),
-        )
+                keys = conditional_keys(
+                    block, tag.matcher, tag.key_positions, tag.key_of, packed
+                )
+                build[tag.index].update(keys)
+                ledger.add(keys, TAG_BYTES)
+            ledger.close_chunk()
+        return ledger.batch(relation, (probe, build))
 
     def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
         job = self.job

@@ -16,19 +16,18 @@ their outputs and metrics bit-identical.
 from __future__ import annotations
 
 import zlib
-from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 __all__ = ["stable_hash", "partition_index", "map_task_chunks"]
 
 
-@lru_cache(maxsize=65536)
 def stable_hash(key: object) -> int:
     """A deterministic, process-independent hash used to partition keys.
 
-    Keys are always hashable tuples, so the memo is safe; the cached value is
-    a pure function of the key's ``repr``, so caching cannot change any
-    placement decision.
+    A pure function of the key's ``repr`` — deliberately not memoised: equal
+    keys of different type (``(1,) == (1.0,) == (True,)``) share a memo slot
+    but not a ``repr``, so a memo would make placement depend on which of
+    them some earlier job happened to hash first.
     """
     return zlib.crc32(repr(key).encode("utf-8"))
 

@@ -11,7 +11,7 @@ translate faithfully.  The contract is the same as the kernel path's:
   with the jobs' own compiled extractors (see :mod:`repro.exec.sql.codec`
   for why values themselves never round-trip through SQLite);
 * **simulated metrics** are derived analytically from SQL-side ``GROUP BY``
-  counts fed through the very same accumulator classes the kernels use, then
+  counts fed through the very same ledger class the kernels use, then
   funnelled through the engine's unchanged
   :meth:`~repro.mapreduce.engine.MapReduceEngine.finalise_job_metrics` —
   so every :class:`~repro.mapreduce.counters.JobMetrics` field matches the
@@ -284,21 +284,21 @@ class SQLBackend(ExecutionBackend):
             ctx.load(relation_name, database.get(relation_name))
         _JOBS_SQL.inc()
         with obs.span("job", job_id=job.job_id, kind=type(job).__name__, path="sql"):
-            key_bytes_parts: List[Dict[object, int]] = []
+            ledgers = []
             partition_metrics: List[PartitionMetrics] = []
             for relation_name in job.input_relations():
                 with obs.span("map_batch", relation=relation_name) as map_span:
                     table = ctx.table(relation_name)
-                    acc = plan.partition(ctx, relation_name)
+                    ledger = plan.partition(ctx, relation_name)
                     map_span.set(mappers=table.mappers, rows=table.input_records)
-                key_bytes_parts.append(acc.key_bytes)
+                ledgers.append(ledger)
                 partition_metrics.append(
                     PartitionMetrics(
                         relation=relation_name,
                         input_mb=table.input_mb,
                         input_records=table.input_records,
-                        intermediate_mb=acc.intermediate_bytes / _MB,
-                        output_records=acc.records,
+                        intermediate_mb=ledger.intermediate_bytes / _MB,
+                        output_records=ledger.records,
                         mappers=table.mappers,
                     )
                 )
@@ -312,7 +312,10 @@ class SQLBackend(ExecutionBackend):
                         )
                     outputs[relation_name].update(rows)
             metrics = self.engine.finalise_job_metrics(
-                job, partition_metrics, key_bytes_parts, outputs
+                job,
+                partition_metrics,
+                lambda: [ledger.key_loads() for ledger in ledgers],
+                outputs,
             )
         return JobResult(job_id=job.job_id, outputs=outputs, metrics=metrics)
 

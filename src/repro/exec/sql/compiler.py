@@ -8,9 +8,8 @@ backend:
 * :meth:`partition` — the simulated map-phase accounting of one input
   partition (intermediate bytes, records, per-key byte loads), derived
   analytically from SQL-side ``GROUP BY`` counts and fed through the *same*
-  :class:`~repro.mapreduce.kernels.PackedChunkAccumulator` /
-  :class:`~repro.mapreduce.kernels.PlainPairAccumulator` the batch kernels
-  use, so every number is bit-identical to the interpreted engine;
+  :class:`~repro.mapreduce.kernels.ChunkLedger` the batch kernels use, so
+  every number is bit-identical to the interpreted engine;
 * :meth:`outputs` — the output relations, computed by one SQL query per
   semi-join/query: guard conformance compiles to a ``WHERE`` clause over the
   canonical value tokens (see :mod:`repro.exec.sql.codec`), semi-joins to
@@ -48,8 +47,9 @@ the chunk index, and ``MIN(pos)`` is the group's first occurrence within the
 chunk — exactly the representative object a kernel ``Counter`` would keep.
 Token groups coincide with Python key-equality classes (the codec's whole
 point), so feeding the reconstructed per-chunk count dicts through the shared
-accumulators — guards before tags, one flush per chunk, same as the kernels —
-yields identical ``intermediate_mb`` / ``output_records`` / key-load numbers.
+ledger — guards before tags, one ``close_chunk`` per chunk, same as the
+kernels — yields identical ``intermediate_mb`` / ``output_records`` /
+key-load numbers.
 
 Anything this compiler cannot translate faithfully raises
 :class:`~repro.exec.sql.codec.SQLUnsupportedValueError` at plan-build or
@@ -61,7 +61,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...core.messages import FIELD_BYTES, TAG_BYTES, TUPLE_REFERENCE_BYTES
-from ...mapreduce.kernels import PackedChunkAccumulator, PlainPairAccumulator
+from ...mapreduce.kernels import ChunkLedger
 from ...model.atoms import tuple_extractor
 from ...model.terms import Constant
 from ...query.conditions import And, AtomCondition, Condition, Not, Or, TrueCondition
@@ -176,15 +176,15 @@ def _chunk_counts(ctx, table, atomsql, positions, prefix):
     return per_chunk
 
 
-def _accounted_partition(ctx, job, table, guard_specs, tag_specs, packed):
+def _accounted_partition(ctx, job, table, guard_specs, tag_specs):
     """Replay one partition's map-phase accounting from SQL-side counts.
 
-    Feeds the per-chunk count dicts through the same accumulator classes the
-    batch kernels use — guards before tags, one flush per chunk — so the
-    resulting ``intermediate_bytes`` / ``records`` / ``key_bytes`` are
+    Feeds the per-chunk count dicts to the same ledger the batch kernels
+    use — guards before tags, one ``close_chunk`` per chunk — so the
+    resulting ``intermediate_bytes`` / ``records`` / key loads are
     bit-identical to the kernel (and hence the interpreted) path.
     """
-    acc = PackedChunkAccumulator(job, TAG_BYTES) if packed else PlainPairAccumulator(job)
+    ledger = ChunkLedger(job)
     row_len = table.row_len
     guard_data = [
         (spec, _chunk_counts(ctx, table, spec.atomsql, spec.positions, spec.prefix))
@@ -192,29 +192,19 @@ def _accounted_partition(ctx, job, table, guard_specs, tag_specs, packed):
         if spec.atomsql.arity == row_len
     ]
     tag_data = [
-        (spec, _chunk_counts(ctx, table, spec.atomsql, spec.positions, spec.prefix))
+        _chunk_counts(ctx, table, spec.atomsql, spec.positions, spec.prefix)
         for spec in tag_specs
         if spec.atomsql.arity == row_len
     ]
-    if not guard_data and not tag_data:
-        return acc
     for chunk in range(table.chunk_count):
         for spec, data in guard_data:
-            counts = data.get(chunk)
-            if counts:
-                if packed:
-                    acc.add_request_counts(counts, spec.request_size)
-                else:
-                    acc.add_key_counts(counts, spec.request_size)
-        for spec, data in tag_data:
-            counts = data.get(chunk)
-            if counts:
-                if packed:
-                    acc.add_assert_keys(list(counts), spec.tag)
-                else:
-                    acc.add_key_counts(counts, TAG_BYTES)
-        acc.flush()
-    return acc
+            ledger.add(data.get(chunk, ()), spec.request_size)
+        for data in tag_data:
+            counts = data.get(chunk, {})
+            # Packed asserts are one message per distinct key of the chunk.
+            ledger.add(counts.keys() if ledger.packed else counts, TAG_BYTES)
+        ledger.close_chunk()
+    return ledger
 
 
 def _exists_clause(ctx, cond_table, cond_where, cond_positions, guard_positions):
@@ -343,14 +333,13 @@ class MSJPlan:
         return compiled
 
     def partition(self, ctx, relation: str):
-        """Accounting accumulator for one input partition."""
+        """Accounting ledger for one input partition."""
         return _accounted_partition(
             ctx,
             self.job,
             ctx.table(relation),
             self.guard_specs.get(relation, ()),
             self.tag_specs.get(relation, ()),
-            self.job.uses_combiner(),
         )
 
     def outputs(self, ctx) -> Dict[str, set]:
@@ -428,13 +417,11 @@ class ChainPlan:
         )
 
     def partition(self, ctx, relation: str):
-        """Accounting accumulator for one input partition."""
+        """Accounting ledger for one input partition."""
         job = self.job
         guards = [self._guard_spec] if relation == job.input_name else []
         tags = [self._literal_spec] if relation == job.literal.atom.relation else []
-        return _accounted_partition(
-            ctx, job, ctx.table(relation), guards, tags, job.uses_combiner()
-        )
+        return _accounted_partition(ctx, job, ctx.table(relation), guards, tags)
 
     def outputs(self, ctx) -> Dict[str, set]:
         """Output rows, bit-identical to the kernel reduce."""
@@ -495,18 +482,16 @@ class UnionPlan:
         )
 
     def partition(self, ctx, relation: str):
-        """Accounting accumulator for one input partition (1-byte values)."""
+        """Accounting ledger for one input partition (1-byte values)."""
         job = self.job
         table = ctx.table(relation)
-        acc = PlainPairAccumulator(job)
-        if self.guard_sql.arity != table.row_len:
-            return acc
-        data = _chunk_counts(ctx, table, self.guard_sql, self.positions, ())
-        for chunk in range(table.chunk_count):
-            counts = data.get(chunk)
-            if counts:
-                acc.add_key_counts(counts, 1)
-        return acc
+        ledger = ChunkLedger(job)
+        if self.guard_sql.arity == table.row_len:
+            data = _chunk_counts(ctx, table, self.guard_sql, self.positions, ())
+            for chunk in range(table.chunk_count):
+                ledger.add(data.get(chunk, ()), 1)
+        ledger.close_chunk()
+        return ledger
 
     def outputs(self, ctx) -> Dict[str, set]:
         """The union of the projected conforming rows of every input."""
@@ -552,22 +537,20 @@ class EvalPlan:
             )
 
     def partition(self, ctx, relation: str):
-        """Accounting accumulator for one input partition.
+        """Accounting ledger for one input partition.
 
         Membership partitions charge one uniform pair per row (no SQL
         needed); guard partitions one pair per (target, conforming row).
         """
         job = self.job
         table = ctx.table(relation)
-        acc = PlainPairAccumulator(job)
+        ledger = ChunkLedger(job)
         membership = job._membership.get(relation)
         rows_py = table.rows
         if membership is not None:
-            t_index = membership[0]
-            if rows_py:
-                keys = [(t_index,) + row for row in rows_py]
-                acc.add_uniform_pairs(keys, job.key_bytes(keys[0]) + TAG_BYTES)
-            return acc
+            ledger.add(rows_py, TAG_BYTES, (membership[0],))
+            ledger.close_chunk()
+            return ledger
         row_len = table.row_len
         for t_index, atomsql in self.guard_targets.get(relation, ()):
             if atomsql.arity != row_len:
@@ -580,12 +563,10 @@ class EvalPlan:
                 f"SELECT t.pos FROM {table.sql_name} t WHERE {clause} "
                 f"ORDER BY t.pos % {table.chunk_count}, t.pos"
             )
-            keys = [
-                (t_index,) + rows_py[pos] for (pos,) in ctx.execute(sql, params)
-            ]
-            if keys:
-                acc.add_uniform_pairs(keys, job.key_bytes(keys[0]) + TAG_BYTES)
-        return acc
+            rows = [rows_py[pos] for (pos,) in ctx.execute(sql, params)]
+            ledger.add(rows, TAG_BYTES, (t_index,))
+        ledger.close_chunk()
+        return ledger
 
     def outputs(self, ctx) -> Dict[str, set]:
         """Output rows per target, bit-identical to the kernel reduce."""
@@ -685,14 +666,13 @@ class FusedPlan:
         return compiled
 
     def partition(self, ctx, relation: str):
-        """Accounting accumulator for one input partition."""
+        """Accounting ledger for one input partition."""
         return _accounted_partition(
             ctx,
             self.job,
             ctx.table(relation),
             self.guard_specs.get(relation, ()),
             self.tag_specs.get(relation, ()),
-            self.job.uses_combiner(),
         )
 
     def outputs(self, ctx) -> Dict[str, set]:

@@ -29,8 +29,19 @@ import math
 from collections import Counter, defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
-from typing import Callable, ContextManager, Dict, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from ..cost.constants import (
     CostConstants,
@@ -57,6 +68,9 @@ _MB = 1024.0 * 1024.0
 #: the relation, ``None`` when the database lacks it, and its partition
 #: metrics, whose ``relation`` field names the input either way.
 InputPart = Tuple[Optional[Relation], PartitionMetrics]
+
+#: Per-key byte loads on demand (see :meth:`MapReduceEngine.finalise_job_metrics`).
+KeyLoads = Callable[[], Iterable[Mapping[Key, int]]]
 
 #: Where a kernel job's ``map_batch`` runs (see
 #: :meth:`MapReduceEngine.run_job_kernel`): the job's input parts in, per
@@ -199,7 +213,7 @@ class MapReduceEngine:
             with obs.span("reduce", groups=len(groups)):
                 outputs = self._run_reduce(job, groups, database)
             metrics = self.finalise_job_metrics(
-                job, partition_metrics, key_bytes, outputs
+                job, partition_metrics, lambda: [key_bytes], outputs
             )
         return JobResult(job_id=job.job_id, outputs=outputs, metrics=metrics)
 
@@ -213,8 +227,9 @@ class MapReduceEngine:
         """Execute one kernel-capable job through its batch path.
 
         Per input part the job's ``map_batch`` computes the intermediate
-        bytes, records and per-key byte loads analytically (the numbers the
-        interpreted map + combiner would have produced) together with the
+        bytes and records analytically (the numbers the interpreted map +
+        combiner would have produced; per-key byte loads follow on demand,
+        see :meth:`_key_loads`) together with the
         build/probe data its reduce kernel needs; ``reduce_batch`` then
         materialises the outputs as set operations.  All metric derivation
         funnels through :meth:`finalise_job_metrics`, exactly as on the
@@ -262,39 +277,73 @@ class MapReduceEngine:
                     outputs[relation_name].update(rows)
             if wall is not None:
                 wall.reduce_elapsed_s += perf_counter() - begin
-            # The key loads stay separate dicts, one per batch: the reducer
-            # load accounting only ever *sums* them, so merging into one
-            # Counter here would be pure overhead.
             metrics = self.finalise_job_metrics(
                 job,
                 [partition for _, partition in parts],
-                [batch.key_bytes for batch in batches],
+                partial(self._key_loads, job, parts, partials, wall),
                 outputs,
             )
         return JobResult(job_id=job.job_id, outputs=outputs, metrics=metrics)
+
+    def _key_loads(
+        self,
+        job: MapReduceJob,
+        parts: List[InputPart],
+        partials: List[List[MapBatch]],
+        wall: Optional[WallClockMetrics] = None,
+    ) -> Iterator[Dict[Key, int]]:
+        """The batches' per-key byte loads, one mapping per batch.
+
+        A part whose batches were mapped in another process came back without
+        their ledgers (see :class:`~repro.mapreduce.kernels.MapBatch`); its
+        loads are re-derived here by mapping the driver's own copy of the
+        relation, which costs one in-process map of that part and only ever
+        happens for a job with more than one reducer.  That second map runs
+        under its own ``key_loads`` span and its time goes to *wall*'s map
+        subtotal, so a trace does not show two ``map_batch`` spans for one
+        part and the wall clock has no unaccounted gap.
+        """
+        for part, batches in zip(parts, partials):
+            if any(batch.ledger is None for batch in batches):
+                begin = perf_counter()
+                with obs.span("key_loads", relation=part[1].relation):
+                    batches = [self._map_part(job, part)]
+                if wall is not None:
+                    wall.map_elapsed_s += perf_counter() - begin
+            for batch in batches:
+                yield batch.key_loads()
 
     def _map_batches(
         self, job: MapReduceJob, parts: List[InputPart]
     ) -> List[List[MapBatch]]:
         """The in-process map phase: one whole-relation batch per input part."""
         partials: List[List[MapBatch]] = []
-        for relation, partition in parts:
+        for part in parts:
+            partition = part[1]
             with obs.span(
                 "map_batch",
                 relation=partition.relation,
                 mappers=partition.mappers,
                 rows=partition.input_records,
             ):
-                # Columnar map-task chunks with the identical strided
-                # boundaries map_task_chunks would produce; a missing input is
-                # one mapper over zero rows.
-                chunks = (
-                    relation.column_chunks(partition.mappers)
-                    if relation is not None
-                    else [ColumnBlock.from_rows([])]
-                )
-                partials.append([job.map_batch(partition.relation, chunks)])
+                partials.append([self._map_part(job, part)])
         return partials
+
+    @staticmethod
+    def _map_part(job: MapReduceJob, part: InputPart) -> MapBatch:
+        """One batch over all of *part*'s map-task chunks.
+
+        Columnar chunks with the identical strided boundaries
+        ``map_task_chunks`` would produce; a missing input is one mapper over
+        zero rows.
+        """
+        relation, partition = part
+        chunks = (
+            relation.column_chunks(partition.mappers)
+            if relation is not None
+            else [ColumnBlock.from_rows([])]
+        )
+        return job.map_batch(partition.relation, chunks)
 
     # -- accounting shared with the execution backends ----------------------------
 
@@ -345,17 +394,17 @@ class MapReduceEngine:
         self,
         job: MapReduceJob,
         partition_metrics: List[PartitionMetrics],
-        key_bytes: Union[Dict[Key, int], List[Dict[Key, int]]],
+        key_loads: KeyLoads,
         outputs: Dict[str, Relation],
     ) -> JobMetrics:
         """Assemble a job's simulated metrics from its observed phase data.
 
         Every execution backend funnels through this method, so the cost
         breakdown and task durations are identical however the map/reduce
-        functions were actually run.  *key_bytes* maps each intermediate key
-        to its total byte load — either one merged mapping or a list of
-        per-partition mappings (loads are additive, so a pre-merge would be
-        redundant work).
+        functions were actually run.  *key_loads* yields mappings from
+        intermediate key to byte load (loads are additive, so a key may
+        appear in several); it is called only when the job runs more than
+        one reducer.
         """
         input_mb = sum(p.input_mb for p in partition_metrics)
         intermediate_mb = sum(p.intermediate_mb for p in partition_metrics)
@@ -378,7 +427,7 @@ class MapReduceEngine:
         )
         metrics.breakdown = self.cost_model.job_breakdown(profile)
         metrics.map_task_durations = self._map_task_durations(metrics)
-        metrics.reduce_task_durations = self._reduce_task_durations(metrics, key_bytes)
+        metrics.reduce_task_durations = self._reduce_task_durations(metrics, key_loads)
         _SHUFFLE_BYTES.inc(intermediate_mb * _MB)
         _ROWS_IN.inc(metrics.input_records)
         _ROWS_OUT.inc(output_records)
@@ -474,34 +523,46 @@ class MapReduceEngine:
         return durations
 
     def _reduce_task_durations(
-        self,
-        metrics: JobMetrics,
-        key_bytes: Union[Dict[Key, int], List[Dict[Key, int]], None] = None,
+        self, metrics: JobMetrics, key_loads: KeyLoads
     ) -> List[float]:
         """Per-reducer durations, proportional to each reducer's actual key load.
 
         Keys are assigned to reducers by a stable hash (as Hadoop's default
         partitioner does), so data skew — a heavy-hitter join key — shows up as
         one long reduce task and therefore as increased net time, while the
-        total (aggregate) time is unaffected.  *key_bytes* may be one merged
-        mapping or a list of per-partition mappings; a key appearing in
-        several parts contributes each part's load (integer sums into floats
-        are exact, so the split is bit-identical to a pre-merged mapping).
+        total (aggregate) time is unaffected.  The *key_loads* mappings are
+        merged first, so a key is placed once, by the first representative
+        seen: ``(1,)`` and ``(1.0,)`` are one reduce group, whichever inputs
+        they came from, as in the interpreted shuffle.  (Which of the two
+        objects is first can still differ from the shuffle's inside one
+        chunk of a self-join, see :meth:`ChunkLedger.key_loads
+        <repro.mapreduce.kernels.ChunkLedger.key_loads>`.)
+        One reducer carries every key wherever it hashes, so its load is the
+        job's intermediate bytes and no key is looked at.
         """
         reducers = max(1, metrics.reducers)
         total = self.cost_model.reduce_cost(
             metrics.intermediate_mb, metrics.output_mb, reducers
         )
-        parts = key_bytes if isinstance(key_bytes, list) else [key_bytes or {}]
-        if sum(sum(part.values()) for part in parts) <= 0:
+        # Exactly float(total bytes): every partition's MB figure is an
+        # integer byte count over 2**20, and such sums do not round.
+        total_load = metrics.intermediate_mb * _MB
+        if total_load <= 0:
             return [total / reducers] * reducers
-        loads = [0.0] * reducers
-        hash_of = stable_hash  # partition_index, sans the per-key call frame
-        for part in parts:
+        if reducers == 1:
+            loads = [total_load]
+        else:
+            # Not redundant with the per-batch mappings: hashing each batch's
+            # keys separately would place equal keys of different type, from
+            # different inputs, on different reducers (crc32 of the repr).
+            merged: Counter = Counter()
+            for part in key_loads():
+                merged.update(part)
+            loads = [0.0] * reducers
             # map() drives the hash calls from C; the loop body only indexes.
-            for index, size in zip(map(hash_of, part), part.values()):
+            for index, size in zip(map(stable_hash, merged), merged.values()):
                 loads[index % reducers] += size
-        total_load = sum(loads)
+        # Not ``[total]`` for one reducer: (total * load) / load may round.
         return [total * load / total_load for load in loads]
 
     # -- programs ---------------------------------------------------------------------

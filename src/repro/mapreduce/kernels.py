@@ -6,7 +6,7 @@ row building a binding dict, a message object per emitted pair, a
 key.  For the semi-join shaped jobs of this package all of that is avoidable:
 a semi-join is a set operation — build a hash set of conditional join keys,
 probe the guard rows — and the simulated Hadoop metrics are pure functions of
-per-key pair *counts*, which the kernel computes analytically while probing.
+message and distinct-key *counts*, which the kernel reads off while probing.
 
 A kernel-capable job implements three methods (see
 :class:`~repro.mapreduce.job.MapReduceJob`):
@@ -31,9 +31,18 @@ with its chunk's partial :class:`MapBatch` and the driver runs
 number* of partial batches per relation, in relation-then-chunk order, and
 must union what they carry; the accounting needs no such care, because every
 counted quantity is an exact integer sum over chunks
-(:meth:`PackedChunkAccumulator.flush` already closes the books per chunk).
+(:meth:`ChunkLedger.close_chunk` closes the books per chunk).
 :meth:`~repro.mapreduce.engine.MapReduceEngine.run_job_kernel` is the one
 recipe behind both.
+
+The accounting is by *cardinalities*: a :class:`ChunkLedger` turns the sizes
+of the key lists and distinct-key sets a kernel holds anyway into the
+chunk's bytes and records without visiting a key.  Per-key byte loads — what
+spreads a job's reduce cost over its reducers — are a derivation on demand
+(:meth:`MapBatch.key_loads`): a job with one reducer, which is every job
+until the intermediate data outgrows one reducer's allowance, never asks,
+and a worker's reply never carries them (the driver re-derives the loads of
+such a job from its own copy of the relation).
 
 Metric fidelity contract: for every job the kernel path must produce the
 *identical* ``PartitionMetrics``, per-key byte loads and output relations the
@@ -57,8 +66,9 @@ jobs) are always interpreted, whatever the mode.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from collections.abc import Collection, Mapping, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..model.relation import ColumnBlock
 from .job import Key, MapReduceJob
@@ -97,8 +107,25 @@ def use_kernel(job: MapReduceJob) -> bool:
     return job_kernel_mode(job) != KERNEL_OFF and job.supports_kernel()
 
 
+def conditional_keys(
+    block: ColumnBlock, matcher, key_positions, key_of, packed: bool
+):
+    """Join keys of *block*'s rows conforming to a conditional atom.
+
+    One assert message per element: under message packing asserts
+    deduplicate per (chunk, key), so the distinct keys (a set, memoised on
+    the block for an unrestricted atom); otherwise one key per row.
+    """
+    if matcher is not None:
+        keys = [key_of(row) for row in block.rows() if matcher(row)]
+        return set(keys) if packed else keys
+    if packed:
+        return block.distinct_keys(key_positions)
+    return block.key_tuples(key_positions)
+
+
 def union_key_set(
-    merged: Dict[object, set], owned: Set[object], slot: object, keys: set
+    merged: Dict[object, set], owned: set, slot: object, keys: set
 ) -> None:
     """Union *keys* into ``merged[slot]`` for a ``reduce_batch`` merging partials.
 
@@ -122,244 +149,155 @@ class MapBatch:
     """Result of the kernelised map phase over one input partition, or over
     some of its map chunks (a *partial* batch, see the module docstring).
 
-    ``intermediate_bytes`` / ``output_records`` / ``key_bytes`` reproduce the
-    interpreted engine's accounting of those chunks exactly (combiner
-    semantics included).  ``data`` carries job-specific reduce-kernel inputs — key sets
+    ``intermediate_bytes`` / ``output_records`` reproduce the interpreted
+    engine's accounting of those chunks exactly (combiner semantics
+    included).  ``data`` carries job-specific reduce-kernel inputs — key sets
     built from conditional facts, guard rows to probe — opaque to the engine.
+    ``ledger`` is the :class:`ChunkLedger` that produced the sums; it backs
+    :meth:`key_loads` and stays in the process that mapped the chunks — a
+    pickled batch (a worker's reply) carries the integer sums and ``data``
+    only.
     """
 
     relation: str
     intermediate_bytes: int = 0
     output_records: int = 0
-    key_bytes: Dict[Key, int] = field(default_factory=dict)
     data: object = None
+    ledger: Optional["ChunkLedger"] = None
+
+    def key_loads(self) -> Dict[Key, int]:
+        """Per-key byte loads of these chunks, derived on demand.
+
+        Only a job spread over more than one reducer needs them; their values
+        sum to ``intermediate_bytes``.
+        """
+        return self.ledger.key_loads()
+
+    def __reduce__(self):
+        return (
+            MapBatch,
+            (self.relation, self.intermediate_bytes, self.output_records, self.data),
+        )
 
 
-class PackedChunkAccumulator:
-    """Per-chunk pair accounting under message packing (the map combiner).
+class ChunkLedger:
+    """Map-output accounting of one ``map_batch`` call, by cardinalities.
 
-    With Gumbo's message-packing optimisation the interpreted engine combines
-    all messages a map task emits under one key into a single packed value:
-    per (chunk, key) it charges one record of size ``key + Σ request sizes +
-    #distinct assert tags × TAG`` and adds that size to the key's byte load.
-    This accumulator reproduces those numbers from counts alone — feed it the
-    per-row emissions of one chunk, then :meth:`flush` after the chunk.  Keys
-    must be tuples (every kernel's keys are), whose serialised size depends
-    only on their field count.
+    A kernel reports each group of messages it emits from one map chunk with
+    :meth:`add` and ends the chunk with :meth:`close_chunk`.  Without a
+    combiner every message is its own pair of ``key + value`` bytes.  Under
+    message packing (the map combiner) the interpreted engine packs all
+    messages a map task emits under one key into one record of ``key + Σ
+    message sizes`` bytes, so a chunk costs ``Σ size × #messages`` plus one
+    key per *distinct* key — ``len()`` of collections the kernels already
+    hold.  Keys are tuples whose serialised size depends on their field count
+    only (the paper's byte model sizes keys by fields, never by values), so
+    one ``job.key_bytes`` probe per group stands in for a call per key.
+
+    No per-key work happens here.  The groups are kept by reference, and
+    :meth:`key_loads` replays them into the ``key -> bytes`` mapping only
+    when a job's reducer loads are actually needed.
     """
 
     __slots__ = (
         "job",
-        "tag_bytes",
-        "_stats",
-        "_chunk_requests",
-        "_chunk_assert_calls",
-        "_chunk_rowwise",
+        "packed",
         "intermediate_bytes",
         "records",
-        "key_bytes",
+        "_open",
+        "_chunks",
     )
-
-    def __init__(self, job: MapReduceJob, tag_bytes: int) -> None:
-        self.job = job
-        self.tag_bytes = tag_bytes
-        #: key -> [request bytes, distinct assert tags (count or set)].
-        self._stats: Dict[Key, list] = {}
-        # Chunk-composition flags driving flush()'s fast paths.
-        self._chunk_requests = False
-        self._chunk_assert_calls = 0
-        self._chunk_rowwise = False
-        self.intermediate_bytes = 0
-        self.records = 0
-        self.key_bytes: Dict[Key, int] = Counter()
-
-    def add_request(self, key: Key, size: int) -> None:
-        self._chunk_requests = True
-        self._chunk_rowwise = True
-        entry = self._stats.get(key)
-        if entry is None:
-            self._stats[key] = [size, None]
-        else:
-            entry[0] += size
-
-    def add_request_counts(self, counts: Dict[Key, int], size: int) -> None:
-        """Batch :meth:`add_request`: per key, *counts* requests of *size*."""
-        self._chunk_requests = True
-        stats = self._stats
-        if not stats:
-            self._stats = {
-                key: [size * count, None] for key, count in counts.items()
-            }
-            return
-        for key, count in counts.items():
-            entry = stats.get(key)
-            if entry is None:
-                stats[key] = [size * count, None]
-            else:
-                entry[0] += size * count
-
-    def add_assert(self, key: Key, tag: int) -> None:
-        self._chunk_rowwise = True
-        entry = self._stats.get(key)
-        if entry is None:
-            self._stats[key] = [0, {tag}]
-        elif entry[1] is None:
-            entry[1] = {tag}
-        else:
-            entry[1].add(tag)
-
-    def add_assert_keys(self, keys: Iterable[Key], tag: int) -> None:
-        """Batch :meth:`add_assert` over the distinct *keys* of one chunk.
-
-        Each call must present a *tag* not yet asserted for these keys this
-        chunk (the kernels assert each tag's key set exactly once per chunk),
-        so a plain distinct-tag count replaces the per-key tag set.  Do not
-        mix with :meth:`add_assert` within one chunk.
-        """
-        del tag  # distinct by contract; only the count matters for sizing
-        self._chunk_assert_calls += 1
-        stats = self._stats
-        if not stats:
-            self._stats = {key: [0, 1] for key in keys}
-            return
-        for key in keys:
-            entry = stats.get(key)
-            if entry is None:
-                stats[key] = [0, 1]
-            elif entry[1] is None:
-                entry[1] = 1
-            else:
-                entry[1] += 1
-
-    def flush(self) -> None:
-        """Close the current chunk: charge one packed pair per touched key.
-
-        Keys are tuples and every job's ``key_bytes`` is a pure function of
-        the key's field count (the paper's byte model sizes keys by fields,
-        never by values), so one probe per distinct key length stands in for
-        a ``key_bytes`` call per key.  Homogeneous chunks take all-C paths:
-        a pure single-tag assert chunk charges one uniform size
-        (``dict.fromkeys``), a pure request chunk skips the tag arithmetic.
-        """
-        stats = self._stats
-        if not stats:
-            return
-        tag_bytes = self.tag_bytes
-        job_key_bytes = self.job.key_bytes
-        lengths = set(map(len, stats))
-        size_by_len = {length: job_key_bytes((0,) * length) for length in lengths}
-        uniform_base = (
-            next(iter(size_by_len.values())) if len(lengths) == 1 else None
-        )
-        rowwise = self._chunk_rowwise
-        if (
-            uniform_base is not None
-            and not rowwise
-            and not self._chunk_requests
-            and self._chunk_assert_calls == 1
-        ):
-            # Single assert pass: every entry is [0, 1], one uniform charge.
-            sizes = dict.fromkeys(stats, uniform_base + tag_bytes)
-        elif (
-            uniform_base is not None
-            and not rowwise
-            and not self._chunk_assert_calls
-        ):
-            # Requests only: no tag component to evaluate.
-            sizes = {
-                key: uniform_base + entry[0] for key, entry in stats.items()
-            }
-        else:
-            sizes = {
-                key: size_by_len[len(key)]
-                + entry[0]
-                + (
-                    tag_bytes
-                    * (entry[1] if type(entry[1]) is int else len(entry[1]))
-                    if entry[1]
-                    else 0
-                )
-                for key, entry in stats.items()
-            }
-        self.intermediate_bytes += sum(sizes.values())
-        self.records += len(sizes)
-        self.key_bytes.update(sizes)
-        self._stats = {}
-        self._chunk_requests = False
-        self._chunk_assert_calls = 0
-        self._chunk_rowwise = False
-
-
-class PlainPairAccumulator:
-    """Pair accounting without a combiner: every message is its own pair.
-
-    Chunk boundaries are irrelevant here (sizes and records are additive), so
-    the accumulator can be fed whole partitions.
-    """
-
-    __slots__ = ("job", "intermediate_bytes", "records", "key_bytes")
 
     def __init__(self, job: MapReduceJob) -> None:
         self.job = job
+        self.packed = job.uses_combiner()
         self.intermediate_bytes = 0
         self.records = 0
-        self.key_bytes: Dict[Key, int] = Counter()
+        #: Groups of the chunk being fed / of every closed chunk:
+        #: ``(keys, size, prefix, key bytes, distinct keys)``.
+        self._open: List[tuple] = []
+        self._chunks: List[List[tuple]] = []
 
-    def add_pair(self, key: Key, value_size: int) -> None:
-        size = self.job.key_bytes(key) + value_size
-        self.intermediate_bytes += size
-        self.records += 1
-        key_bytes = self.key_bytes
-        key_bytes[key] = key_bytes.get(key, 0) + size
+    def add(
+        self,
+        keys: Union[Collection[Key], Mapping[Key, int]],
+        size: int,
+        prefix: Key = (),
+        distinct: Optional[Collection[Key]] = None,
+    ) -> None:
+        """Messages of *size* value bytes, one per element of *keys*.
 
-    def add_pairs(self, key: Key, value_size: int, count: int) -> None:
-        """*count* identical-size pairs under one key in one go."""
-        if count <= 0:
-            return
-        size = self.job.key_bytes(key) + value_size
-        self.intermediate_bytes += size * count
-        self.records += count
-        key_bytes = self.key_bytes
-        key_bytes[key] = key_bytes.get(key, 0) + size * count
-
-    def add_key_counts(self, counts: Dict[Key, int], value_size: int) -> None:
-        """Batch :meth:`add_pairs` over a ``key -> pair count`` mapping.
-
-        Key sizes are memoised per key length (see
-        :meth:`PackedChunkAccumulator.flush` for why that is exact).
-        """
-        job_key_bytes = self.job.key_bytes
-        key_bytes = self.key_bytes
-        size_by_len: Dict[int, int] = {}
-        total = 0
-        records = 0
-        for key, count in counts.items():
-            base = size_by_len.get(len(key))
-            if base is None:
-                base = size_by_len[len(key)] = job_key_bytes(key)
-            subtotal = (base + value_size) * count
-            total += subtotal
-            records += count
-            key_bytes[key] = key_bytes.get(key, 0) + subtotal
-        self.intermediate_bytes += total
-        self.records += records
-
-    def add_uniform_pairs(self, keys: Sequence[Key], pair_size: int) -> None:
-        """One pair per key, all of *pair_size* total bytes.
-
-        For jobs whose key size is a function of the key *length* only (the
-        EVAL job), a whole batch of distinct keys is charged without calling
-        ``job.key_bytes`` per key.  ``key_bytes`` is a :class:`Counter`, so
-        the merge adds (never overwrites) on repeated keys across chunks.
+        *keys* is a list (repeats are separate messages), a set, or a ``key ->
+        message count`` mapping; all of one field count.  The emitted key is
+        ``prefix + key`` (the fused job's query index, EVAL's target index).
+        A caller that holds the distinct keys of a list passes them as
+        *distinct*; under packing they are computed here otherwise.
         """
         if not keys:
             return
-        self.intermediate_bytes += pair_size * len(keys)
-        self.records += len(keys)
-        self.key_bytes.update(dict.fromkeys(keys, pair_size))
+        messages = sum(keys.values()) if isinstance(keys, Mapping) else len(keys)
+        base = self.job.key_bytes(prefix + next(iter(keys)))
+        if self.packed:
+            self.intermediate_bytes += size * messages
+            if distinct is None:
+                distinct = keys if isinstance(keys, (Set, Mapping)) else set(keys)
+        else:
+            self.intermediate_bytes += (base + size) * messages
+            self.records += messages
+        self._open.append((keys, size, prefix, base, distinct))
 
-    def flush(self) -> None:  # symmetric API with PackedChunkAccumulator
-        pass
+    def close_chunk(self) -> None:
+        """End the current map chunk: under packing, one record per distinct key.
+
+        Groups whose keys could coincide (same prefix and key size) are
+        unioned before counting; a chunk fed one group (requests only, or one
+        assert pass: the common case) needs no union at all.
+        """
+        chunk = self._open
+        if not chunk:
+            return
+        self._open = []
+        self._chunks.append(chunk)
+        if not self.packed:
+            return
+        together: Dict[tuple, List[Collection[Key]]] = {}
+        for _, _, prefix, base, distinct in chunk:
+            together.setdefault((prefix, base), []).append(distinct)
+        for (_, base), sets in together.items():
+            count = len(sets[0] if len(sets) == 1 else set().union(*sets))
+            self.records += count
+            self.intermediate_bytes += base * count
+
+    def batch(self, relation: str, data: object) -> MapBatch:
+        """The :class:`MapBatch` of everything fed so far."""
+        self.close_chunk()
+        return MapBatch(relation, self.intermediate_bytes, self.records, data, self)
+
+    def key_loads(self) -> Dict[Key, int]:
+        """``key -> bytes`` over the closed chunks (sums to ``intermediate_bytes``).
+
+        A key keeps the representative object of its first message, in feed
+        order (a chunk's guard groups before its conditional groups).  The
+        interpreted shuffle keeps the first in *row* order, which is the same
+        object except when one chunk of a self-join mixes request and assert
+        keys that are equal but of different numeric type — ``(1,)`` here,
+        ``(1.0,)`` there (ROADMAP item 5).
+        """
+        loads: Counter = Counter()
+        packed = self.packed
+        for chunk in self._chunks:
+            key_sizes: Dict[Key, int] = {}
+            for keys, size, prefix, base, _ in chunk:
+                counts = keys if isinstance(keys, Mapping) else Counter(keys)
+                if prefix:
+                    counts = {prefix + key: n for key, n in counts.items()}
+                pair = size if packed else base + size
+                for key, count in counts.items():
+                    loads[key] += pair * count
+                if packed:
+                    key_sizes.update(dict.fromkeys(counts, base))
+            loads.update(key_sizes)
+        return loads
 
 
 __all__: List[str] = [
@@ -367,11 +305,11 @@ __all__: List[str] = [
     "KERNEL_MODES",
     "KERNEL_OFF",
     "KERNEL_ON",
+    "ChunkLedger",
     "ColumnBlock",
     "MapBatch",
-    "PackedChunkAccumulator",
-    "PlainPairAccumulator",
     "as_column_block",
+    "conditional_keys",
     "job_kernel_mode",
     "union_key_set",
     "use_kernel",

@@ -128,7 +128,12 @@ class Shutdown:
 
 @dataclass(frozen=True)
 class TaskDone:
-    """A finished map task: its partial batch plus an optional span payload."""
+    """A finished map task: its partial batch plus an optional span payload.
+
+    The batch pickles as its integer sums and reduce-kernel data only — no
+    per-key mapping crosses the boundary (see
+    :class:`~repro.mapreduce.kernels.MapBatch`).
+    """
 
     task_id: int
     result: object

@@ -113,6 +113,8 @@ def run_map_task(state: _WorkerState, task: MapTask) -> TaskDone:
 
     The chunk is the worker's resident block, or the task's inline
     data-plane payload — attached, and released again once it is mapped.
+    The batch's ledger stays here: the reply carries sums and reduce data,
+    and a driver that needs per-key loads derives them from its own copy.
     When the parent asked for tracing the reply carries a
     :func:`~repro.obs.trace.worker_payload` span dict.
     """

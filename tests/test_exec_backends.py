@@ -10,6 +10,8 @@ identical output relations and identical simulated metrics.
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from repro import obs
@@ -83,6 +85,16 @@ class TestPartitionHelpers:
     def test_stable_hash_matches_engine_alias(self):
         for key in ((1, 2), ("a",), (None, "x", 3)):
             assert stable_hash(key) == _stable_hash(key)
+
+    def test_stable_hash_ignores_call_history(self):
+        """Equal keys of different type hash by their own ``repr``, whichever
+        of them was hashed first (a memo keyed by equality aliased them)."""
+        keys = [(1,), (1.0,), (True,)]
+        assert keys[0] == keys[1] == keys[2]
+        expected = {repr(key): zlib.crc32(repr(key).encode("utf-8")) for key in keys}
+        assert len(set(expected.values())) == 3
+        for order in (keys, keys[::-1]):
+            assert {repr(key): stable_hash(key) for key in order} == expected
 
     def test_partition_index_in_range_and_deterministic(self):
         keys = [(i, chr(65 + i % 26)) for i in range(50)]

@@ -9,9 +9,11 @@ relation arrive as more than one partial batch.  Everything here runs on an
 engine whose split is a few hundred bytes at most — at least three chunks
 per base relation, spread over two worker shards:
 
-* partial-batch composition, per kernel job type: ``reduce_batch`` over
-  per-chunk partials equals ``reduce_batch`` over whole-relation batches,
-  and the partials' accounting sums to the whole;
+* ledger and partial-batch composition, per kernel job type (and for a
+  self-semi-join, whose chunks mix request and assert keys), cut into 1 / 3 /
+  7 chunks: bytes, records and ``key_loads()`` equal the interpreted map +
+  combiner's, the partials' accounting sums to the whole, and ``reduce_batch``
+  over per-chunk partials equals ``reduce_batch`` over whole-relation batches;
 * the parity matrix: serial ``auto``/``off`` vs the workers' kernels over
   every Section 5 workload (the benchmark's five batch shapes among them)
   under every strategy, bit-identical outputs and simulated metrics;
@@ -27,6 +29,7 @@ per base relation, spread over two worker shards:
 from __future__ import annotations
 
 import pickle
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -38,7 +41,11 @@ from repro.exec import make_backend
 from repro.fuzz.generator import FuzzConfig, generate_case
 from repro.fuzz.oracle import DifferentialOracle
 from repro.mapreduce.engine import MapReduceEngine
+from repro.mapreduce.kernels import ChunkLedger
+from repro.model.database import Database
+from repro import obs
 from repro.obs import metrics as obs_metrics
+from repro.obs.trace import TraceCollector
 from repro.query.parser import parse_sgf
 from repro.service.sharded.routing import shard_for_chunk
 from repro.service.sharded.worker import job_from_blob
@@ -85,31 +92,61 @@ def backends():
 
 
 def _check_partials_compose(engine, job, database):
-    """reduce_batch(per-chunk partials) == reduce_batch(whole-relation batches)."""
+    """The ledger's books per input part, and reduce_batch over partials.
+
+    Against the interpreted map + combiner of the same part: equal bytes and
+    records from cardinalities alone, ``key_loads()`` equal to the interpreted
+    per-key ``Counter`` and summing to the bytes, per-chunk partials adding up
+    to the whole; and reduce_batch(per-chunk partials) ==
+    reduce_batch(whole-relation batches).
+    """
     whole, partials = [], []
     for relation, partition in engine.input_parts(job, database):
+        name = partition.relation
+        key_bytes = Counter()
+        interpreted = engine._run_map_partition(
+            job, name, database, defaultdict(list), key_bytes
+        )
         chunks = relation.column_chunks(partition.mappers)
-        batch = job.map_batch(partition.relation, chunks)
-        pieces = [job.map_batch(partition.relation, [chunk]) for chunk in chunks]
+        batch = job.map_batch(name, chunks)
+        pieces = [job.map_batch(name, [chunk]) for chunk in chunks]
+        assert batch.output_records == interpreted.output_records, (job.job_id, name)
+        assert batch.intermediate_bytes == sum(key_bytes.values()), (job.job_id, name)
+        loads = batch.key_loads()
+        assert loads == key_bytes, (job.job_id, name)
+        assert sum(loads.values()) == batch.intermediate_bytes
         assert sum(p.intermediate_bytes for p in pieces) == batch.intermediate_bytes
         assert sum(p.output_records for p in pieces) == batch.output_records
-        summed: dict = {}
+        summed = Counter()
         for piece in pieces:
-            for key, size in piece.key_bytes.items():
-                summed[key] = summed.get(key, 0) + size
-        assert summed == dict(batch.key_bytes)
+            summed.update(piece.key_loads())
+        assert summed == loads
         whole.append(batch)
         partials.extend(pieces)
     expected = {name: set(rows) for name, rows in job.reduce_batch(whole).items()}
-    # Pickled like a worker's reply, so nothing leans on shared objects.
+    # Pickled like a worker's reply, so nothing leans on shared objects —
+    # and like a worker's reply, without the per-key part.
     shipped = pickle.loads(pickle.dumps(partials))
+    assert all(piece.ledger is None for piece in shipped)
     got = {name: set(rows) for name, rows in job.reduce_batch(shipped).items()}
     assert got == expected, job.job_id
     return len(partials) - len(whole)
 
 
-def test_partial_batches_compose_for_every_kernel_job_type():
+def _engine_cutting(chunks: int) -> MapReduceEngine:
+    """The tiny-split engine, every input part cut into exactly *chunks*."""
     engine = tiny_split_engine()
+    engine.mappers_for = lambda input_mb: chunks
+    return engine
+
+
+def test_partial_batches_compose_for_every_kernel_job_type():
+    for chunks in (1, 3, 7):
+        _check_every_kernel_job_type_composes(chunks)
+
+
+def _check_every_kernel_job_type_composes(chunks):
+    engine = _engine_cutting(chunks)
     seen = {}
     for query, strategies in (
         (workload_query("A3"), ("seq", "par", "1-round")),
@@ -120,15 +157,18 @@ def test_partial_batches_compose_for_every_kernel_job_type():
             query, guard_tuples=GUARD_TUPLES, selectivity=0.5, seed=21
         )
         for strategy in strategies:
-            program = Gumbo().plan_with(query, database, strategy).program
+            for options in (GumboOptions(), GumboOptions(message_packing=False)):
+                program = Gumbo(options=options).plan_with(
+                    query, database, strategy
+                ).program
 
-            def run_job(job, working):
-                extra = _check_partials_compose(engine, job, working)
-                kind = type(job).__name__
-                seen[kind] = seen.get(kind, 0) + extra
-                return engine.run_job(job, working)
+                def run_job(job, working):
+                    extra = _check_partials_compose(engine, job, working)
+                    kind = type(job).__name__
+                    seen[kind] = seen.get(kind, 0) + extra
+                    return engine.run_job(job, working)
 
-            engine.run_program(program, database, run_job=run_job)
+                engine.run_program(program, database, run_job=run_job)
     assert set(seen) == {
         "MSJJob",
         "EvalJob",
@@ -137,7 +177,31 @@ def test_partial_batches_compose_for_every_kernel_job_type():
         "UnionProjectJob",
     }
     # Every type really saw relations arrive in more than one piece.
-    assert all(extra > 0 for extra in seen.values()), seen
+    assert all(extra > 0 for extra in seen.values()) == (chunks > 1), seen
+
+
+@pytest.mark.parametrize("chunks", [1, 3, 7])
+def test_self_semi_join_chunk_counts_the_union_of_its_keys(chunks):
+    """``R`` is guard *and* conditional of one MSJ job, so a chunk holds
+    request keys and assert keys that partly coincide: under packing its
+    records are the distinct keys of the *union*, not of either side."""
+    query = parse_sgf("Z := SELECT (x, y) FROM R(x, y) WHERE R(y, z);")
+    database = Database.from_dict(
+        {"R": [(8 + i % 11, (3 * i) % 17) for i in range(187)]}
+    )
+    engine = _engine_cutting(chunks)
+    program = Gumbo().plan_with(query, database, "par").program
+    (msj,) = [job for job in program.jobs if type(job).__name__ == "MSJJob"]
+    assert msj.guard_relations == msj.conditional_relations == ["R"]
+    assert _check_partials_compose(engine, msj, database) == chunks - 1
+    records = 0
+    for chunk in database["R"].column_chunks(chunks):
+        requested = {(y,) for _, y in chunk.rows()}
+        asserted = {(x,) for x, _ in chunk.rows()}
+        assert requested & asserted and requested - asserted and asserted - requested
+        records += len(requested | asserted)
+    batch = msj.map_batch("R", database["R"].column_chunks(chunks))
+    assert batch.output_records == records
 
 
 # -- the parity matrix ---------------------------------------------------------------
@@ -191,6 +255,99 @@ def test_oracle_campaign_on_a_tiny_split_engine():
             case = generate_case(29, index, config)
             divergences = oracle.check(case.program, case.database)
             assert not divergences, "\n".join(str(d) for d in divergences)
+
+
+# -- no per-key work unless a job spreads over reducers ----------------------------
+
+#: The end-to-end benchmark's five batch shapes.
+BATCH_SHAPES = ("A1", "A3", "B2", "C3", "C4")
+
+
+def _forbid_per_key_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-key work for a job with one reducer")
+
+    monkeypatch.setattr("repro.mapreduce.engine.stable_hash", forbidden)
+    monkeypatch.setattr(ChunkLedger, "key_loads", forbidden)
+
+
+def test_one_reducer_jobs_never_touch_a_key(monkeypatch):
+    """A structural stand-in for a timing assert: with the paper's engine every
+    job of the five batch shapes has one reducer, so neither the reducer hash
+    nor the ledger's per-key derivation may run — in-process or on the tier —
+    and no worker reply carries a per-key mapping."""
+    runs = {}
+    for name in ("serial", "parallel"):
+        with make_backend(name, workers=2) as backend:
+            replies = []
+            if name == "parallel":
+                run_tasks = backend.cluster.run_tasks
+
+                def spy(routed):
+                    responses = run_tasks(routed)
+                    replies.extend(responses)
+                    return responses
+
+                monkeypatch.setattr(backend.cluster, "run_tasks", spy)
+            with monkeypatch.context() as patch:
+                _forbid_per_key_work(patch)
+                for query_id in BATCH_SHAPES:
+                    query = workload_query(query_id)
+                    database = database_for(
+                        query, guard_tuples=GUARD_TUPLES, selectivity=0.5, seed=9
+                    )
+                    result = Gumbo(backend=backend).execute(query, database, "greedy")
+                    assert all(
+                        metrics.reducers == 1
+                        for metrics in result.metrics.job_metrics.values()
+                    )
+                    runs.setdefault(query_id, []).append(result)
+    for query_id, (serial, parallel) in runs.items():
+        assert_results_equal(serial, parallel, query_id)
+    assert replies
+    for reply in replies:
+        batch = reply.result  # unpickled from the worker's frame
+        assert batch.ledger is None
+        assert type(batch.intermediate_bytes) is type(batch.output_records) is int
+
+
+def test_driver_rederives_key_loads_for_multi_reducer_jobs():
+    """One chunk per relation (the paper's split) but a reducer allowance small
+    enough to spread every job over several reducers: the workers' replies
+    carry no loads, so the driver derives them from its own relations — and
+    lands on serial's reduce task durations bit for bit.  The second map that
+    costs is a ``key_loads`` span (never a second ``map_batch``) and counts
+    towards the wall clock's map time."""
+    engine = MapReduceEngine(mb_per_reducer_intermediate=1e-3)
+    collector = TraceCollector()
+    for query_id in BATCH_SHAPES:
+        query = workload_query(query_id)
+        database = database_for(
+            query, guard_tuples=GUARD_TUPLES, selectivity=0.5, seed=9
+        )
+        results = []
+        for name in ("serial", "parallel"):
+            with make_backend(name, engine=engine, workers=2) as backend:
+                gumbo = Gumbo(backend=backend)
+                with obs.trace("run", collector=collector, backend=name):
+                    results.append(gumbo.execute(query, database, "greedy"))
+        serial, parallel = results
+        assert_results_equal(serial, parallel, query_id)
+        assert any(m.reducers > 1 for m in serial.metrics.job_metrics.values())
+        for job_id, metrics in serial.metrics.job_metrics.items():
+            tier = parallel.metrics.job_metrics[job_id]
+            assert [d.hex() for d in metrics.reduce_task_durations] == [
+                d.hex() for d in tier.reduce_task_durations
+            ], (query_id, job_id)
+            if metrics.reducers > 1:
+                waves = sum(wave.elapsed_s for wave in tier.wall.waves)
+                assert tier.wall.map_elapsed_s > waves
+    for tracer in collector.drain():
+        names = Counter(span.name for span in tracer.spans)
+        if tracer.root().attributes["backend"] == "serial":
+            assert names["map_batch"] and not names["key_loads"]
+        else:
+            assert names["key_loads"] and not names["map_batch"]
 
 
 # -- failure and bookkeeping -----------------------------------------------------------

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cost.constants import CostConstants
+from repro.exec.partition import stable_hash
 from repro.mapreduce.cluster import ClusterConfig
+from repro.mapreduce.counters import JobMetrics, PartitionMetrics
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import MapReduceJob, REDUCERS_BY_INPUT
 from repro.mapreduce.program import MRProgram
@@ -125,6 +127,76 @@ class TestRunJob:
         job.fixed_reducers = 7
         result = engine.run_job(job, words_db)
         assert result.metrics.reducers == 7
+
+
+class TestReduceTaskDurations:
+    """The one-reducer shortcut looks at no key, yet must land on the very
+    float the key-by-key spread produces: ``(total * load) / load`` is not
+    always ``total``, so ``[total]`` would not do."""
+
+    @staticmethod
+    def _job_metrics(parts, reducers=1):
+        return JobMetrics(
+            job_id="job",
+            partitions=[
+                PartitionMetrics(
+                    relation=f"R{index}",
+                    input_mb=1.0,
+                    input_records=1,
+                    intermediate_mb=sum(part.values()) / (1024.0 * 1024.0),
+                    output_records=len(part),
+                    mappers=1,
+                )
+                for index, part in enumerate(parts)
+            ],
+            reducers=reducers,
+            output_mb=0.37,
+        )
+
+    @staticmethod
+    def _key_by_key(engine, metrics, parts):
+        """The spread as every job computed it before the shortcut."""
+        reducers = metrics.reducers
+        total = engine.cost_model.reduce_cost(
+            metrics.intermediate_mb, metrics.output_mb, reducers
+        )
+        loads = [0.0] * reducers
+        for part in parts:
+            for key, size in part.items():
+                loads[stable_hash(key) % reducers] += size
+        total_load = sum(loads)
+        return total, [total * load / total_load for load in loads]
+
+    def test_one_reducer_shortcut_is_bit_exact(self, engine):
+        def no_keys():
+            raise AssertionError("one reducer: no key may be looked at")
+
+        inexact = 0
+        for load in [*range(1, 10_001), 2**40 - 1, 2**40, 2**40 + 12_345]:
+            third = load // 3
+            parts = [{("a",): load - third}, {("b", 1): third, ("a",): 0}]
+            metrics = self._job_metrics(parts)
+            total, expected = self._key_by_key(engine, metrics, parts)
+            got = engine._reduce_task_durations(metrics, no_keys)
+            assert [d.hex() for d in got] == [d.hex() for d in expected], load
+            inexact += got != [total]
+        assert inexact  # the sweep does cover totals the division perturbs
+
+    def test_several_reducers_split_by_stable_hash(self, engine):
+        parts = [
+            {(i,): 10 + i % 7 for i in range(200)},
+            {(i, "x"): 3 for i in range(50)},
+        ]
+        metrics = self._job_metrics(parts, reducers=4)
+        _, expected = self._key_by_key(engine, metrics, parts)
+        got = engine._reduce_task_durations(metrics, lambda: parts)
+        assert [d.hex() for d in got] == [d.hex() for d in expected]
+        assert len(set(got)) > 1
+
+    def test_no_intermediate_data_splits_evenly(self, engine):
+        metrics = self._job_metrics([{}], reducers=3)
+        got = engine._reduce_task_durations(metrics, lambda: [{}])
+        assert len(got) == 3 and len(set(got)) == 1
 
 
 class TestRunProgram:

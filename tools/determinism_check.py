@@ -16,13 +16,23 @@ whose digests must equal the serial ones line for line:
   which expose the simulated shuffle's key-to-reducer placement (the part
   of the metrics most sensitive to set/dict iteration order).
 
-Every line must be identical under every ``PYTHONHASHSEED``: CI runs the
-script twice with different seeds and diffs the stdout; any divergence
-pinpoints the combination that went hash-order dependent.
+A last case guards against *history* dependence: join keys that are equal but
+not identical (``1``, ``1.0`` and ``True``) on an engine that spreads every
+job over several reducers, where each key must be placed by its own job's
+data and by nothing an earlier job left behind (a memo keyed by equality once
+made ``stable_hash((1.0,))`` return whatever ``(1,)`` had hashed to).  Its two
+databases — one meeting the ints first, one the floats — are run in one
+order and then, in the same process, in the opposite one; ``--reverse-jobs``
+swaps which order the cold process sees.
+
+Every line must be identical under every ``PYTHONHASHSEED`` and either job
+order: CI runs the script twice, with different seeds and opposite orders,
+and diffs the stdout; any divergence pinpoints the combination that went
+hash-order or history dependent.
 
 Usage::
 
-    PYTHONPATH=src python tools/determinism_check.py [--tuples N]
+    PYTHONPATH=src python tools/determinism_check.py [--tuples N] [--reverse-jobs]
 """
 
 from __future__ import annotations
@@ -55,6 +65,27 @@ MIXED_DB = {
     "S": [(1,), ("s3",), (None,), (9,), (2.5,)],
     "T": [("a",), (3,), (None,), (7.5,)],
 }
+
+
+#: Equal-but-not-identical join keys: every class {1, 1.0, True}, {2, 2.0},
+#: {0, 0.0, False} meets all its members, in a different order per database.
+NUMERIC_QUERY = "Z := SELECT (x, y) FROM R(x, y) WHERE S(x) OR T(x);"
+NUMERIC_DBS = {
+    "ints-first": {
+        "R": [(1, "a"), (1.0, "b"), (True, "c"), (2, "d"), (2.0, "e"), (0, "f"),
+              (False, "g"), (0.0, "h"), (3, "i")],
+        "S": [(1.0,), (2,), (False,), (5,)],
+        "T": [(True,), (2.0,), (0,), (3.0,)],
+    },
+    "floats-first": {
+        "R": [(1.0, "a"), (True, "b"), (1, "c"), (2.0, "d"), (2, "e"), (0.0, "f"),
+              (0, "g"), (False, "h"), (3.0, "i")],
+        "S": [(True,), (2.0,), (0,), (5.0,)],
+        "T": [(1,), (2,), (0.0,), (3,)],
+    },
+}
+#: Small enough that these few hundred bytes spread over ~10-20 reducers.
+NUMERIC_MB_PER_REDUCER = 2e-5
 
 
 def canonical(value: object) -> str:
@@ -97,14 +128,16 @@ def _digest_result(label: str, strategy: str, mode: str, result) -> str:
     )
 
 
-def run_case(label: str, query, database, backend=None, modes=("off", "on")) -> None:
+def run_case(
+    label: str, query, database, backend=None, modes=("off", "on"), emit=print
+) -> None:
     for strategy in applicable_strategies(query, include_optimal=False):
         for mode in modes:
             gumbo = Gumbo(
                 backend=backend, options=GumboOptions(kernel_mode=mode)
             )
             result = gumbo.execute(query, database, strategy)
-            print(_digest_result(label, strategy, mode, result))
+            emit(_digest_result(label, strategy, mode, result))
 
 
 #: The fan-out transports of the final pass (one: 2 worker shards).
@@ -127,6 +160,35 @@ def run_fanout_case(label: str, query, database, transport: str) -> None:
         )
 
 
+def run_numeric_case(reverse: bool) -> None:
+    """Both numeric databases, in one job order and then in the opposite one.
+
+    ``pass=cold`` lines come from the order this process ran first and the
+    ``pass=warm`` lines must repeat them digest for digest; they are printed
+    sorted, so the output does not show which order that was.
+    """
+    from repro.exec import make_backend
+    from repro.mapreduce.engine import MapReduceEngine
+
+    query = parse_sgf(NUMERIC_QUERY)
+    engine = MapReduceEngine(mb_per_reducer_intermediate=NUMERIC_MB_PER_REDUCER)
+    order = sorted(NUMERIC_DBS, reverse=reverse)
+    lines: list = []
+    for run, labels in (("cold", order), ("warm", order[::-1])):
+        for transport, modes in (("serial", ("off", "on")), ("parallel", ("on",))):
+            with make_backend(transport, engine=engine, workers=2) as backend:
+                for label in labels:
+                    run_case(
+                        f"numeric-keys pass={run} {label}[{transport}]",
+                        query,
+                        Database.from_dict(NUMERIC_DBS[label]),
+                        backend=backend,
+                        modes=modes,
+                        emit=lines.append,
+                    )
+    print("\n".join(sorted(lines)))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -134,6 +196,11 @@ def main() -> None:
         type=int,
         default=400,
         help="guard cardinality of the A3 workload (default 400)",
+    )
+    parser.add_argument(
+        "--reverse-jobs",
+        action="store_true",
+        help="run the numeric-keys databases in the opposite order first",
     )
     args = parser.parse_args()
 
@@ -146,6 +213,7 @@ def main() -> None:
     for transport in FANOUT_TRANSPORTS:
         run_fanout_case("A3", a3, a3_db, transport)
         run_fanout_case("mixed-types", mixed, mixed_db, transport)
+    run_numeric_case(args.reverse_jobs)
 
 
 if __name__ == "__main__":
