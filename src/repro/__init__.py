@@ -29,12 +29,12 @@ remain fully supported underneath it.
 Execution backends
 ------------------
 Plans run on a pluggable execution backend (:mod:`repro.exec`): ``"serial"``
-executes every task in-process on the simulator (the default), ``"parallel"``
+executes every task in-process on the simulator (the default); ``"parallel"``
 and ``"sharded"`` name the one multi-process runtime (batch kernels on
 long-lived worker processes each holding a hash-placed share of the
-database warm, see :mod:`repro.service.sharded` and ``docs/service.md``),
-and ``"sql"`` compiles jobs to sqlite3 — same outputs, same simulated
-metrics on every backend, plus measured wall-clock times.  Select one with ``repro.connect(db, backend="sharded",
+database warm, see :mod:`repro.service.sharded` and ``docs/service.md``) —
+same outputs, same simulated metrics on every backend, plus measured
+wall-clock times.  Select one with ``repro.connect(db, backend="sharded",
 shards=4)``, per :class:`Gumbo` instance (``Gumbo(backend="parallel",
 workers=4)``), through :class:`GumboOptions(backend=...) <GumboOptions>`, or
 on the command line with ``repro query --backend parallel --workers 4``;

@@ -5,10 +5,10 @@ The subcommands (``python -m repro <command> --help``):
 ``query``
     Evaluate an SGF query (from a string or a file) over CSV data (a directory
     with one file per relation) under a chosen strategy and execution backend
-    (``--backend serial|parallel|sql|sharded --workers N --shards N
-    --sql-db PATH``), print the metrics and optionally write the output
-    relations back to CSV.  ``--strategy auto`` picks the cheapest applicable
-    strategy by estimated cost.
+    (``--backend serial|parallel|sharded --workers N --shards N``), print
+    the metrics and optionally write the output relations back to CSV.
+    ``--strategy auto`` picks the cheapest applicable strategy by estimated
+    cost.
 
 ``plan``
     Show the MapReduce plan (jobs, rounds, partition of the semi-joins) that a
@@ -41,15 +41,15 @@ The subcommands (``python -m repro <command> --help``):
     Run a generated workload on both execution backends (serial simulation vs
     the multi-process runtime) and print a comparison table: simulated total
     and net times, measured wall-clock times, and the parallel speedup.
-    ``--kernels`` instead races the interpreted vs the batch-kernel path;
-    ``--sql`` races the serial interpreter vs the sqlite3 SQL backend — both
-    verify identical outputs and simulated metrics across paths.
+    ``--kernels`` instead races the interpreted vs the batch-kernel path,
+    verifying identical outputs and simulated metrics across paths.
 
 ``fuzz``
     Run a seeded differential-fuzzing campaign: random (B)SGF programs and
-    databases, each evaluated with the reference evaluator and with every
-    applicable strategy on every selected backend (serial, parallel and the
-    sqlite3 SQL compiler by default, plus the dynamic executor).
+    databases, each evaluated with the reference evaluator (cross-checked
+    by a query-level sqlite3 translation) and with every applicable strategy
+    on every selected backend (serial and parallel by default, plus the
+    dynamic executor).
     Divergences are shrunk to minimal counterexamples and
     printed as standalone repro scripts; the exit code is non-zero when any
     divergence was found.  ``--incremental`` switches to the incremental
@@ -205,20 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         "batch-kernel execution path (wall-clock, serial backend) on every "
         "Section 5 workload, verifying identical outputs and metrics",
     )
-    bench.add_argument(
-        "--sql",
-        action="store_true",
-        help="instead of comparing backends, compare the serial interpreter "
-        "vs the sqlite3 SQL backend (wall-clock) on every Section 5 "
-        "workload, verifying identical outputs and metrics",
-    )
-    bench.add_argument(
-        "--sql-db",
-        default=None,
-        metavar="PATH",
-        help="sqlite database file for --sql "
-        "(default: a private in-memory database)",
-    )
     _add_obs_arguments(bench)
 
     auto = subparsers.add_parser(
@@ -371,13 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharded-backend persistent worker shards (default 2)",
     )
     delta.add_argument(
-        "--sql-db",
-        default=None,
-        metavar="PATH",
-        help="sqlite database file for --backend sql "
-        "(default: a private in-memory database)",
-    )
-    delta.add_argument(
         "--data-plane",
         default=None,
         choices=list(DATA_PLANES),
@@ -432,13 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="sharded-backend persistent worker shards (default 2)",
-    )
-    trace.add_argument(
-        "--sql-db",
-        default=None,
-        metavar="PATH",
-        help="sqlite database file for --backend sql "
-        "(default: a private in-memory database)",
     )
     trace.add_argument(
         "--data-plane",
@@ -498,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=list(BACKEND_NAMES) + ["both", "all"],
         help="backend(s) to differential-test: one backend, 'both' "
-        "(serial+parallel), or 'all' (every backend: "
-        "serial+parallel+sql+sharded, the default)",
+        "(serial+parallel), or 'all' (every backend name: "
+        "serial+parallel+sharded, the default)",
     )
     fuzz.add_argument(
         "--workers",
@@ -512,13 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="sharded-backend persistent worker shards (default 2)",
-    )
-    fuzz.add_argument(
-        "--sql-db",
-        default=None,
-        metavar="PATH",
-        help="sqlite database file for the sql backend axis "
-        "(default: a private in-memory database)",
     )
     fuzz.add_argument(
         "--data-plane",
@@ -545,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--no-kernel-axis",
         action="store_true",
-        help="skip the batch-kernel execution axes (<backend>+kernel)",
+        help="skip the serial backend's batch-kernel axis (serial+kernel)",
     )
     fuzz.add_argument(
         "--keep-going",
@@ -653,8 +618,8 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend",
         default="serial",
         choices=list(BACKEND_NAMES),
-        help="execution backend: serial simulation, the multiprocessing "
-        "runtime, or the sqlite3 SQL compiler (default serial)",
+        help="execution backend: serial simulation or the multiprocessing "
+        "runtime under either of its names (default serial)",
     )
     parser.add_argument(
         "--workers",
@@ -667,13 +632,6 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="persistent worker shards for --backend sharded (default 2)",
-    )
-    parser.add_argument(
-        "--sql-db",
-        default=None,
-        metavar="PATH",
-        help="sqlite database file for --backend sql "
-        "(default: a private in-memory database)",
     )
     parser.add_argument(
         "--data-plane",
@@ -853,77 +811,10 @@ def _command_bench_kernels(args: argparse.Namespace) -> int:
     return 0 if identical else 1
 
 
-def _command_bench_sql(args: argparse.Namespace) -> int:
-    """Serial interpreter vs sqlite3 SQL backend, per Section 5 workload."""
-    environment = ScaledEnvironment(scale=1.0, nodes=args.nodes)
-    where = args.sql_db or "in-memory"
-    print(
-        f"sql-backend benchmark ({args.guard_tuples} guard tuples, "
-        f"strategy {args.strategy}, sqlite {where})"
-    )
-    header = f"{'workload':<10} {'serial_s':>12} {'sql_s':>10} {'speedup':>8}"
-    print(header)
-    print("-" * len(header))
-    identical = True
-    for query_id, query in section5_workloads():
-        database = database_for(
-            query,
-            guard_tuples=args.guard_tuples,
-            selectivity=args.selectivity,
-            seed=args.seed,
-        )
-        results = {}
-        timings = {}
-        for backend_name in ("serial", "sql"):
-            backend = make_backend(
-                backend_name,
-                engine=environment.engine(),
-                sql_db=args.sql_db if backend_name == "sql" else None,
-            )
-            gumbo = Gumbo(
-                backend=backend,
-                options=GumboOptions(trace=_obs_options(args).tracing),
-            )
-            try:
-                start = perf_counter()
-                results[backend_name] = gumbo.execute(
-                    query, database, args.strategy
-                )
-                timings[backend_name] = perf_counter() - start
-            finally:
-                backend.close()
-        same = results["serial"].summary() == results["sql"].summary() and {
-            name: rel.tuples()
-            for name, rel in results["serial"].all_outputs.items()
-        } == {
-            name: rel.tuples()
-            for name, rel in results["sql"].all_outputs.items()
-        }
-        identical = identical and same
-        speedup = (
-            timings["serial"] / timings["sql"]
-            if timings["sql"] > 0
-            else float("inf")
-        )
-        flag = "" if same else "  DIVERGED"
-        print(
-            f"{query_id:<10} {timings['serial']:>12.3f} {timings['sql']:>10.3f} "
-            f"{speedup:>7.2f}x{flag}"
-        )
-    print(
-        f"outputs and simulated metrics identical across backends: "
-        f"{'yes' if identical else 'NO'}"
-    )
-    _export_obs(_obs_options(args))
-    return 0 if identical else 1
-
-
 def _command_bench(args: argparse.Namespace) -> int:
     """Run one workload on both backends and print a comparison table."""
     if args.kernels:
         return _command_bench_kernels(args)
-    if args.sql:
-        return _command_bench_sql(args)
     query_id = args.query_id.upper()
     if query_id.startswith("C"):
         queries = sgf_query(query_id)
@@ -1431,7 +1322,6 @@ def _command_fuzz(args: argparse.Namespace) -> int:
         backends=backends,
         workers=args.workers,
         shards=args.shards,
-        sql_db=args.sql_db,
         data_plane=args.data_plane,
         shrink=not args.no_shrink,
         stop_on_failure=not args.keep_going,
@@ -1458,7 +1348,10 @@ def _command_fuzz(args: argparse.Namespace) -> int:
             if args.incremental
             else "combinations agree with the reference evaluator"
         )
-        print(f"all {report.combinations_checked} strategy x backend {oracle_kind}")
+        print(
+            f"all {report.combinations_checked} strategy x backend {oracle_kind}, "
+            f"and the SQL oracle on {report.cases_run - report.sql_skipped} cases"
+        )
     return 0 if report.ok else 1
 
 

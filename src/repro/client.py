@@ -6,7 +6,7 @@ returned ``ServiceResult``, incremental refreshes returned ``DeltaResult``.
 :func:`connect` is the one front door now — it accepts anything that can
 describe a database (a :class:`~repro.model.database.Database`, a plain
 name→rows mapping, or a CSV directory path), selects any execution backend
-(``serial``/``parallel``/``sql``/``sharded``) by name, and returns a
+(``serial``/``parallel``/``sharded``) by name, and returns a
 :class:`Connection` whose every query comes back as the single
 :class:`Result` type::
 
@@ -229,7 +229,6 @@ def connect(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
     shards: Optional[int] = None,
-    sql_db: Optional[str] = None,
     data_plane: Optional[str] = None,
     strategy: str = AUTO,
     plan_cache_size: int = 256,
@@ -246,11 +245,11 @@ def connect(
         (built with ``Database.from_dict``), or a directory path of CSV/TSV
         files (loaded with :func:`repro.io.load_database`).
     backend:
-        ``"serial"`` (default), ``"parallel"``, ``"sql"`` or ``"sharded"``
-        — or any accepted alias.
-    workers / shards / sql_db / data_plane:
+        ``"serial"`` (default), ``"parallel"`` or ``"sharded"`` — or any
+        accepted alias.
+    workers / shards / data_plane:
         The backend knobs (worker-process count under either spelling,
-        sqlite scratch path, shared-memory vs pickle chunk shipping), as in
+        shared-memory vs pickle chunk shipping), as in
         :class:`~repro.core.config.ExecutionConfig`.
     strategy:
         Default plan strategy for queries that do not name one
@@ -284,24 +283,22 @@ def connect(
             or backend is not None
             or workers
             or shards
-            or sql_db
             or data_plane
         ):
             raise ValueError(
                 "pass either config= or the individual "
-                "backend/workers/shards/sql_db/data_plane/options knobs, not both"
+                "backend/workers/shards/data_plane/options knobs, not both"
             )
     elif options is not None:
-        if workers or shards or sql_db or data_plane:
+        if workers or shards or data_plane:
             raise ValueError(
                 "pass either options= or the individual "
-                "workers/shards/sql_db/data_plane knobs, not both"
+                "workers/shards/data_plane knobs, not both"
             )
         config = ExecutionConfig(
             backend=backend or options.backend,
             workers=options.workers,
             shards=options.shards,
-            sql_db=options.sql_db,
             data_plane=options.data_plane,
             kernel_mode=options.kernel_mode,
             strategy=strategy,
@@ -316,7 +313,6 @@ def connect(
             backend=backend or "serial",
             workers=workers,
             shards=shards,
-            sql_db=sql_db,
             data_plane=data_plane or "auto",
             strategy=strategy,
         )

@@ -205,17 +205,6 @@ class SemiJoinChainJob(MapReduceJob):
     def supports_kernel(self) -> bool:
         return True
 
-    def supports_sql(self) -> bool:
-        return True
-
-    def to_sql(self):
-        plan = self.__dict__.get("_sql_cache")
-        if plan is None:
-            from ..exec.sql.compiler import ChainPlan
-
-            plan = self.__dict__["_sql_cache"] = ChainPlan(self)
-        return plan
-
     def map_batch(self, relation: str, chunks) -> MapBatch:
         """Kernelised map: collect request rows / assert keys with exact pair
         accounting (the chain job packs messages like the MSJ job does).
@@ -375,17 +364,6 @@ class UnionProjectJob(MapReduceJob):
 
     def supports_kernel(self) -> bool:
         return True
-
-    def supports_sql(self) -> bool:
-        return True
-
-    def to_sql(self):
-        plan = self.__dict__.get("_sql_cache")
-        if plan is None:
-            from ..exec.sql.compiler import UnionPlan
-
-            plan = self.__dict__["_sql_cache"] = UnionPlan(self)
-        return plan
 
     def map_batch(self, relation: str, chunks) -> MapBatch:
         """Kernelised map: project every conforming row (1-byte values, no

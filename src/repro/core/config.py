@@ -1,8 +1,8 @@
 """One validated execution configuration, shared by every entry point.
 
-Backend choice and its knobs (worker counts, shard counts, the sqlite
-scratch path, the kernel mode, tracing, the optimisation switches) used to
-be assembled ad hoc by each consumer — the CLI built a
+Backend choice and its knobs (worker counts, shard counts, the kernel
+mode, tracing, the optimisation switches) used to be assembled ad hoc by
+each consumer — the CLI built a
 :class:`~repro.core.options.GumboOptions` from argparse attributes, the
 query service took loose keyword arguments, the fuzzer oracle took another
 subset.  :class:`ExecutionConfig` is the single validated bundle they all
@@ -45,14 +45,12 @@ class ExecutionConfig:
     Attributes
     ----------
     backend:
-        Canonical backend name (aliases like ``"mp"`` or ``"sqlite3"`` are
+        Canonical backend name (aliases like ``"mp"`` or ``"shards"`` are
         normalised at construction).
     workers / shards:
         Two spellings of the multi-process backend's worker-process count
         (``"parallel"`` / ``"sharded"``); give one, or the same value for
         both.  Neither → CPU count for ``"parallel"``, 2 for ``"sharded"``.
-    sql_db:
-        On-disk scratch-database path for the SQL backend (None → memory).
     data_plane:
         How chunk payloads cross process boundaries on the parallel and
         sharded backends (``"auto"``/``"shm"``/``"pickle"``, see
@@ -74,7 +72,6 @@ class ExecutionConfig:
     backend: str = SERIAL
     workers: Optional[int] = None
     shards: Optional[int] = None
-    sql_db: Optional[str] = None
     data_plane: str = "auto"
     kernel_mode: str = KERNEL_AUTO
     strategy: str = "auto"
@@ -117,7 +114,6 @@ class ExecutionConfig:
             backend=getattr(args, "backend", None) or SERIAL,
             workers=getattr(args, "workers", None),
             shards=getattr(args, "shards", None),
-            sql_db=getattr(args, "sql_db", None),
             data_plane=getattr(args, "data_plane", None) or "auto",
             kernel_mode=getattr(args, "kernel_mode", None) or KERNEL_AUTO,
             strategy=getattr(args, "strategy", None) or "auto",
@@ -137,7 +133,6 @@ class ExecutionConfig:
             backend=self.backend,
             workers=self.workers,
             shards=self.shards,
-            sql_db=self.sql_db,
             data_plane=self.data_plane,
             default_strategy=self.strategy,
             kernel_mode=self.kernel_mode,
@@ -153,7 +148,6 @@ class ExecutionConfig:
             self.backend,
             engine=engine,
             workers=self.workers,
-            sql_db=self.sql_db,
             shards=self.shards,
             data_plane=self.data_plane,
         )

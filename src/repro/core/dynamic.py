@@ -95,7 +95,6 @@ class DynamicSGFExecutor:
                 backend if backend is not None else self.options.backend,
                 engine=self.engine,
                 workers=workers if workers is not None else self.options.workers,
-                sql_db=self.options.sql_db,
             )
         if isinstance(cost_model, CostModel):
             self.cost_model = cost_model

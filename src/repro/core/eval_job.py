@@ -178,17 +178,6 @@ class EvalJob(MapReduceJob):
     def supports_kernel(self) -> bool:
         return True
 
-    def supports_sql(self) -> bool:
-        return True
-
-    def to_sql(self):
-        plan = self.__dict__.get("_sql_cache")
-        if plan is None:
-            from ..exec.sql.compiler import EvalPlan
-
-            plan = self.__dict__["_sql_cache"] = EvalPlan(self)
-        return plan
-
     def map_batch(self, relation: str, chunks) -> MapBatch:
         """Kernelised map: count the pairs, collect rows for the set-probe.
 

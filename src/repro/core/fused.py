@@ -191,19 +191,6 @@ class FusedOneRoundJob(MapReduceJob):
             kernel = self.__dict__["_kernel_cache"] = _FusedKernel(self)
         return kernel
 
-    # -- SQL compilation -------------------------------------------------------------
-
-    def supports_sql(self) -> bool:
-        return True
-
-    def to_sql(self):
-        plan = self.__dict__.get("_sql_cache")
-        if plan is None:
-            from ..exec.sql.compiler import FusedPlan
-
-            plan = self.__dict__["_sql_cache"] = FusedPlan(self)
-        return plan
-
     def map_batch(self, relation: str, chunks) -> MapBatch:
         return self._kernel().map_batch(relation, chunks)
 

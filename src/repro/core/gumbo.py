@@ -148,7 +148,6 @@ class Gumbo:
                 backend if backend is not None else self.options.backend,
                 engine=self.engine,
                 workers=workers if workers is not None else self.options.workers,
-                sql_db=self.options.sql_db,
                 shards=self.options.shards,
                 data_plane=self.options.data_plane,
             )

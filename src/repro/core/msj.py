@@ -211,19 +211,6 @@ class MSJJob(MapReduceJob):
             kernel = self.__dict__["_kernel_cache"] = _MSJKernel(self)
         return kernel
 
-    # -- SQL compilation -------------------------------------------------------------
-
-    def supports_sql(self) -> bool:
-        return True
-
-    def to_sql(self):
-        plan = self.__dict__.get("_sql_cache")
-        if plan is None:
-            from ..exec.sql.compiler import MSJPlan
-
-            plan = self.__dict__["_sql_cache"] = MSJPlan(self)
-        return plan
-
     def map_batch(self, relation: str, chunks) -> MapBatch:
         return self._kernel().map_batch(relation, chunks)
 

@@ -41,28 +41,24 @@ class GumboOptions:
         it off even there.
     backend:
         The execution backend plans run on: ``"serial"`` (the in-process
-        simulator, the default), ``"parallel"`` / ``"sharded"`` (two names
-        for the multi-process runtime) or ``"sql"`` (sqlite3 compilation with
-        interpreted fallback).  Not an optimisation — output relations and simulated
-        metrics are identical on every backend — but carried here so backend
-        choice flows through the same plumbing.
+        simulator, the default) or ``"parallel"`` / ``"sharded"`` (two names
+        for the multi-process runtime).  Not an optimisation — output
+        relations and simulated metrics are identical on every backend — but
+        carried here so backend choice flows through the same plumbing.
     workers / shards:
         Two spellings of the multi-process backend's worker-process count;
         give one, or the same value for both (neither → CPU count under the
         name ``"parallel"``, 2 under ``"sharded"``).  Each worker owns a
         hash-placed share of the database's map chunks, held warm across
         requests.  Ignored by other backends.
-    sql_db:
-        On-disk scratch-database path for the SQL backend (None → in-memory).
-        Lets guard relations spill out of core; ignored by other backends.
     data_plane:
         How chunk payloads cross process boundaries on the parallel and
         sharded backends (see :mod:`repro.exec.shm`): ``"auto"`` (the
         default) ships large typed chunks through shared-memory segments
         and small ones by pickle, ``"shm"`` forces shared memory, and
         ``"pickle"`` forces the historical pickle path.  Ignored by the
-        serial and SQL backends.  Not an optimisation — outputs and
-        simulated metrics are bit-identical on every plane.
+        serial backend.  Not an optimisation — outputs and simulated
+        metrics are bit-identical on every plane.
     default_strategy:
         The strategy :class:`~repro.core.gumbo.Gumbo` and the query service
         use when a call does not name one: any canonical strategy name, or
@@ -92,7 +88,6 @@ class GumboOptions:
     backend: str = SERIAL
     workers: Optional[int] = None
     shards: Optional[int] = None
-    sql_db: Optional[str] = None
     data_plane: str = "auto"
     default_strategy: str = "greedy"
     kernel_mode: str = KERNEL_AUTO

@@ -122,10 +122,6 @@ class SkewAwareMSJJob(MSJJob):
         kernel does not model them, so this job always interprets."""
         return False
 
-    def supports_sql(self) -> bool:
-        """Salted keys are not modelled by the MSJ SQL plan either."""
-        return False
-
     def map(self, relation: str, row: Tuple[object, ...]):
         for key, message in super().map(relation, row):
             if tuple(key) not in self.heavy_keys or self.salt_factor == 1:

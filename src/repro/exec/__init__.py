@@ -11,10 +11,7 @@ DAGs) and *running*:
   long-lived worker processes each holding a hash-placed share of the
   database's map chunks warm across requests, spoken to over
   length-prefixed RPC, running a kernel job's ``map_batch`` per chunk;
-  jobs without a batch kernel run through the serial engine on the driver;
-* ``"sql"`` — :class:`SQLBackend`, which compiles SQL-expressible jobs to
-  queries over an in-memory or on-disk sqlite3 database and falls back to
-  the interpreted engine per job where it cannot.
+  jobs without a batch kernel run through the serial engine on the driver.
 
 All backends produce bit-identical output relations and simulated Hadoop
 metrics; the multi-process backend additionally uses real hardware
@@ -35,7 +32,6 @@ from .base import (
     PARALLEL,
     SERIAL,
     SHARDED,
-    SQL,
     ExecutionBackend,
     make_backend,
     normalise_backend,
@@ -49,12 +45,10 @@ __all__ = [
     "PARALLEL",
     "SERIAL",
     "SHARDED",
-    "SQL",
     "ExecutionBackend",
     "SegmentPool",
     "ShardedBackend",
     "SimulatedBackend",
-    "SQLBackend",
     "make_backend",
     "map_task_chunks",
     "normalise_backend",
@@ -69,10 +63,6 @@ def __getattr__(name: str):
         from .simulated import SimulatedBackend
 
         return SimulatedBackend
-    if name == "SQLBackend":
-        from .sql import SQLBackend
-
-        return SQLBackend
     if name == "ShardedBackend":
         from ..service.sharded.backend import ShardedBackend
 

@@ -11,10 +11,7 @@ executed is an independent choice captured by :class:`ExecutionBackend`:
   ``"sharded"`` — two names, one class) runs a kernel job's ``map_batch``
   tasks on long-lived worker processes that each hold a hash-placed share
   of the database's map chunks warm across requests; jobs without a batch
-  kernel run through the serial engine on the driver;
-* :class:`~repro.exec.sql.SQLBackend` (``"sql"``) compiles SQL-expressible
-  jobs to queries over an in-memory or on-disk sqlite3 database, falling
-  back to the interpreted engine per job where it cannot.
+  kernel run through the serial engine on the driver.
 
 Every backend returns the engine's :class:`~repro.mapreduce.engine.JobResult`
 / :class:`~repro.mapreduce.engine.ProgramResult` types with identical output
@@ -28,9 +25,8 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from contextlib import nullcontext
 from time import perf_counter
-from typing import TYPE_CHECKING, ContextManager, Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..mapreduce.engine import JobResult, MapReduceEngine, ProgramResult
@@ -41,9 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: Canonical backend names accepted by :func:`make_backend` and the CLI.
 SERIAL = "serial"
 PARALLEL = "parallel"
-SQL = "sql"
 SHARDED = "sharded"
-BACKEND_NAMES = (SERIAL, PARALLEL, SQL, SHARDED)
+BACKEND_NAMES = (SERIAL, PARALLEL, SHARDED)
 
 #: Accepted aliases for backend names.
 _ALIASES = {
@@ -52,8 +47,6 @@ _ALIASES = {
     "single": SERIAL,
     "multiprocessing": PARALLEL,
     "mp": PARALLEL,
-    "sqlite": SQL,
-    "sqlite3": SQL,
     "shard": SHARDED,
     "shards": SHARDED,
 }
@@ -63,8 +56,8 @@ def normalise_backend(name: str) -> str:
     """Canonical form of a backend name.
 
     Args:
-        name: A canonical name (``"serial"``, ``"parallel"``, ``"sql"``) or
-            an accepted alias (``"sim"``, ``"mp"``, ``"sqlite3"``, ...),
+        name: A canonical name (``"serial"``, ``"parallel"``, ``"sharded"``)
+            or an accepted alias (``"sim"``, ``"mp"``, ``"shards"``, ...),
             case-insensitive.
 
     Returns:
@@ -120,7 +113,6 @@ class ExecutionBackend(ABC):
             program,
             database,
             run_job=self.run_job,
-            level_context=self.level_context,
             backend=self.name,
             **self.prepare(database),
         )
@@ -131,14 +123,6 @@ class ExecutionBackend(ABC):
     def prepare(self, database: "Database") -> Dict[str, object]:
         """Hook: per-program set-up; returns extra ``program``-span attributes."""
         return {}
-
-    def level_context(self) -> ContextManager[object]:
-        """Hook: a context shared by one level's jobs.
-
-        A value other than ``None`` is handed to :meth:`run_job` as a third
-        positional argument for every job of the level.
-        """
-        return nullcontext()
 
     def close(self) -> None:
         """Release any resources (worker processes); safe to call repeatedly."""
@@ -168,14 +152,13 @@ def make_backend(
     backend: Union[str, ExecutionBackend, None] = None,
     engine: Optional["MapReduceEngine"] = None,
     workers: Optional[int] = None,
-    sql_db: Optional[str] = None,
     shards: Optional[int] = None,
     data_plane: Optional[str] = None,
 ) -> ExecutionBackend:
     """Build an execution backend from a name (or pass an instance through).
 
     Args:
-        backend: ``"serial"``/``"parallel"``/``"sql"``/``"sharded"`` (or an
+        backend: ``"serial"``/``"parallel"``/``"sharded"`` (or an
             alias), an existing :class:`ExecutionBackend` instance (returned
             unchanged), or ``None`` for the serial default.  ``"parallel"``
             and ``"sharded"`` build the same class; the name asked for is
@@ -185,14 +168,12 @@ def make_backend(
         workers: Worker-process count of the multi-process backend (ignored
             by the others).  ``None`` with ``shards`` also ``None`` gives
             ``"parallel"`` the machine's CPU count and ``"sharded"`` 2.
-        sql_db: On-disk scratch-database path for the SQL backend (ignored by
-            the others; ``None`` keeps it in ``:memory:``).
         shards: Another spelling of *workers*; giving both with different
             values is an error.
         data_plane: How chunk payloads reach the multi-process backend's
             workers (``"shm"``/``"pickle"``/``"auto"``, see
-            :mod:`repro.exec.shm`; ignored by serial and SQL; ``None`` keeps
-            the ``"auto"`` default).
+            :mod:`repro.exec.shm`; ignored by serial; ``None`` keeps the
+            ``"auto"`` default).
 
     Returns:
         A ready-to-use :class:`ExecutionBackend`.
@@ -200,8 +181,7 @@ def make_backend(
     Raises:
         ValueError: If *backend* is an unknown name, ``workers`` and
             ``shards`` disagree, or an instance was passed together with a
-            conflicting ``engine``, ``workers``/``shards``, ``sql_db`` or
-            ``data_plane``.
+            conflicting ``engine``, ``workers``/``shards`` or ``data_plane``.
     """
     width = _one_width(workers, shards)
     if isinstance(backend, ExecutionBackend):
@@ -214,11 +194,6 @@ def make_backend(
             raise ValueError(
                 "an ExecutionBackend instance carries its own process count; "
                 "pass workers=/shards= only when selecting a backend by name"
-            )
-        if sql_db is not None and sql_db != getattr(backend, "sql_db", sql_db):
-            raise ValueError(
-                "an ExecutionBackend instance carries its own database path; "
-                "pass sql_db= only when selecting a backend by name"
             )
         if data_plane is not None:
             from .shm import normalise_data_plane
@@ -235,10 +210,6 @@ def make_backend(
         from .simulated import SimulatedBackend
 
         return SimulatedBackend(engine)
-    if name == SQL:
-        from .sql import SQLBackend
-
-        return SQLBackend(engine, sql_db=sql_db)
     from ..service.sharded.backend import ShardedBackend
 
     if width is None and name == PARALLEL:

@@ -3,7 +3,8 @@
 The paper's experiments exercise 13 hand-picked queries; this package earns
 breadth by generating random guardedness-respecting SGF programs and random
 databases, evaluating every case with the reference evaluator (the semantics
-by definition of Section 3.1) and with every applicable evaluation strategy
+by definition of Section 3.1, cross-checked by a whole-query sqlite3
+translation) and with every applicable evaluation strategy
 on every execution backend — including the dynamic re-planning executor —
 and reporting any disagreement, greedily shrunk to a minimal counterexample.
 
@@ -14,6 +15,7 @@ The moving parts:
 * :mod:`repro.fuzz.profiles`  — pluggable data-value profiles
   (uniform / zipf / correlated / degenerate / mixed);
 * :mod:`repro.fuzz.oracle`    — the :class:`DifferentialOracle`;
+* :mod:`repro.fuzz.sql_oracle` — the SGF → SQL translation it consults;
 * :mod:`repro.fuzz.shrink`    — greedy counterexample minimisation;
 * :mod:`repro.fuzz.runner`    — the campaign driver (:func:`run_fuzz`),
   reporting and standalone repro-script emission.

@@ -2,11 +2,14 @@
 
 For a given (program, database) pair the oracle computes the expected answer
 with the reference evaluator of Section 3.1 (:func:`repro.query.reference.
-evaluate_sgf` — the semantics *by definition*) and then executes the program
-under every applicable evaluation strategy on every configured execution
-backend, plus the dynamic re-planning executor.  Three kinds of divergence
-are reported:
+evaluate_sgf` — the semantics *by definition*), has sqlite3 compute it again
+from a whole-query translation (:mod:`repro.fuzz.sql_oracle`), and then
+executes the program under every applicable evaluation strategy on every
+configured execution backend, plus the dynamic re-planning executor.  Four
+kinds of divergence are reported:
 
+* ``reference`` — the two reference answers differ: one of them is wrong,
+  and no execution can be judged until that is settled;
 * ``mismatch`` — an output relation differs from the reference answer
   (missing and/or extra tuples);
 * ``error``    — a strategy/backend raised instead of producing an answer;
@@ -32,9 +35,10 @@ from ..core.strategies import AUTO, applicable_strategies
 from ..mapreduce.engine import MapReduceEngine
 from ..mapreduce.kernels import KERNEL_OFF, KERNEL_ON
 from ..model.database import Database
-from ..query.reference import evaluate_sgf
+from ..query.reference import evaluate_sgf, result_sets
 from ..query.sgf import SGFQuery
 from ..exec.base import PARALLEL, SHARDED, normalise_backend
+from .sql_oracle import SQLOracleUnsupported, sql_answers
 
 #: Pseudo-strategy name under which the dynamic executor is reported.
 DYNAMIC = "dynamic"
@@ -45,6 +49,10 @@ KERNEL_SUFFIX = "+kernel"
 #: Pseudo-backend name under which the index-based ("direct") refresh mode of
 #: the incremental oracle is reported.
 DIRECT = "direct"
+
+#: The (strategy, backend) pair under which a disagreement between the
+#: reference evaluator and the SQL translation is reported.
+REFERENCE = ("reference", "sqlite")
 
 #: Tuples of one output relation.
 Answer = FrozenSet[Tuple[object, ...]]
@@ -57,7 +65,7 @@ Mismatch = Tuple[str, Tuple[Tuple[object, ...], ...], Tuple[Tuple[object, ...], 
 class Divergence:
     """One disagreement between an execution and the reference answer."""
 
-    kind: str  # "mismatch" | "error" | "metrics" | "incremental"
+    kind: str  # "reference" | "mismatch" | "error" | "metrics" | "incremental"
     strategy: str
     backend: str
     detail: str
@@ -77,15 +85,13 @@ class DifferentialOracle:
     Parameters
     ----------
     backends:
-        Backend names to execute on (default: serial, parallel and sql, so
-        every campaign cross-checks all three executors).  ``"parallel"``
-        and ``"sharded"`` name one transport: asking for both sweeps it
-        once, under the label ``parallel``.
+        Backend names to execute on (default: serial and parallel, so
+        every campaign cross-checks both runtimes).  ``"parallel"`` and
+        ``"sharded"`` name one transport: asking for both sweeps it once,
+        under the label ``parallel``.
     workers / shards:
         Two spellings of the multi-process backend's worker-process count
         (see :func:`repro.exec.base.make_backend`).
-    sql_db:
-        On-disk scratch-database path for the sql backend (None → in-memory).
     data_plane:
         How chunk payloads reach parallel/sharded workers
         (``"shm"``/``"pickle"``/``"auto"``, see :mod:`repro.exec.shm`) —
@@ -103,9 +109,9 @@ class DifferentialOracle:
     check_metrics:
         Also require bit-identical simulated metrics across backends.
     kernel_axis:
-        Also run the in-process backends (serial, sql) with the batch-kernel
-        execution path forced on (``kernel_mode="on"``), reported as
-        ``"<backend>+kernel"`` axes.  Their plain axes pin
+        Also run the in-process (serial) backend with the batch-kernel
+        execution path forced on (``kernel_mode="on"``), reported as the
+        ``"serial+kernel"`` axis.  Its plain axis pins
         ``kernel_mode="off"``, so kernel-vs-interpreted output *and*
         simulated-metric parity is checked alongside the cross-backend
         parity (both funnel through the same metric comparison).  The
@@ -116,7 +122,7 @@ class DifferentialOracle:
 
     def __init__(
         self,
-        backends: Sequence[str] = ("serial", "parallel", "sql"),
+        backends: Sequence[str] = ("serial", "parallel"),
         workers: Optional[int] = None,
         engine: Optional[MapReduceEngine] = None,
         include_dynamic: bool = True,
@@ -124,7 +130,6 @@ class DifferentialOracle:
         include_auto: bool = True,
         check_metrics: bool = True,
         kernel_axis: bool = True,
-        sql_db: Optional[str] = None,
         shards: Optional[int] = None,
         data_plane: Optional[str] = None,
     ) -> None:
@@ -136,9 +141,19 @@ class DifferentialOracle:
         self.include_auto = include_auto
         self.check_metrics = check_metrics
         self.kernel_axis = kernel_axis
+        #: The arguments deciding what runs where: a repro script must
+        #: rebuild its oracle from these to replay what the campaign ran.
+        self.arguments: Dict[str, object] = {
+            "backends": tuple(backends),
+            "workers": workers,
+            "shards": shards,
+            "data_plane": data_plane,
+        }
+        #: Reference computations that went without the SQL second opinion
+        #: (a value had no token); shrink probes count too.
+        self.sql_skipped = 0
         config = ExecutionConfig(
             workers=workers,
-            sql_db=sql_db,
             shards=shards,
             data_plane=data_plane or "auto",
         )
@@ -229,11 +244,7 @@ class DifferentialOracle:
         restricting the backends also restricts the cross-backend metric
         parity check to the backends still swept.
         """
-        expected = {
-            name: frozenset(relation.tuples())
-            for name, relation in evaluate_sgf(program, database).items()
-        }
-        divergences: List[Divergence] = []
+        expected, divergences = self._expected(program, database, only)
         for strategy in self.strategies(program):
             if stop_at_first and divergences:
                 break
@@ -339,11 +350,7 @@ class DifferentialOracle:
 
         mutated = database.copy()
         apply_inserts(mutated, dedupe_inserts(mutated, inserts))
-        expected = {
-            name: frozenset(relation.tuples())
-            for name, relation in evaluate_sgf(program, mutated).items()
-        }
-        divergences: List[Divergence] = []
+        expected, divergences = self._expected(program, mutated, only)
         for strategy in self.incremental_strategies(program):
             if stop_at_first and divergences:
                 break
@@ -387,6 +394,40 @@ class DifferentialOracle:
                         )
                     )
         return divergences
+
+    def _expected(
+        self,
+        program: SGFQuery,
+        database: Database,
+        only: Optional[FrozenSet[Tuple[str, str]]],
+    ) -> Tuple[Dict[str, Answer], List[Divergence]]:
+        """The reference answers, and whether sqlite3 disputes them.
+
+        The SQL translation is consulted on every check unless *only* leaves
+        :data:`REFERENCE` out (a shrink probe anchored to another bug), or a
+        value has no SQL token (counted in :attr:`sql_skipped`).
+        """
+        expected = result_sets(evaluate_sgf(program, database))
+        if only is not None and REFERENCE not in only:
+            return expected, []
+        try:
+            second = sql_answers(program, database)
+        except SQLOracleUnsupported:
+            self.sql_skipped += 1
+            return expected, []
+        mismatch = _diff_answers(expected, second)
+        if not mismatch:
+            return expected, []
+        strategy, backend = REFERENCE
+        return expected, [
+            Divergence(
+                kind="reference",
+                strategy=strategy,
+                backend=backend,
+                detail="evaluate_sgf vs sqlite3: " + _describe_mismatch(mismatch),
+                outputs=mismatch,
+            )
+        ]
 
     def _run(
         self,

@@ -33,12 +33,10 @@ class FuzzOptions:
     seed: int = 0
     iterations: int = 100
     config: FuzzConfig = field(default_factory=FuzzConfig)
-    backends: Sequence[str] = ("serial", "parallel", "sql")
+    backends: Sequence[str] = ("serial", "parallel")
     workers: Optional[int] = None
     #: Persistent worker count for a ``sharded`` axis (None = its default).
     shards: Optional[int] = None
-    #: sqlite database file backing the ``sql`` axis (None = in-memory).
-    sql_db: Optional[str] = None
     #: Data plane for the parallel/sharded axes (``"shm"``/``"pickle"``/
     #: ``"auto"``; None keeps the ``"auto"`` default) — the dedicated shm
     #: fuzz axis pins ``"shm"`` and requires zero divergence and zero
@@ -71,6 +69,8 @@ class Counterexample:
     shrunk_divergences: List[Divergence]
     #: The insert batch of an incremental-mode divergence (None otherwise).
     inserts: Optional[InsertBatch] = None
+    #: :attr:`DifferentialOracle.arguments` of the oracle that found it.
+    oracle_arguments: Dict[str, object] = field(default_factory=dict)
 
     def script(self) -> str:
         """A standalone Python script reproducing the divergence."""
@@ -110,6 +110,9 @@ class FuzzReport:
     statements_generated: int = 0
     combinations_checked: int = 0
     counterexamples: List[Counterexample] = field(default_factory=list)
+    #: Reference answers sqlite3 could not cross-check (a value without an
+    #: SQL token); no committed profile generates one, so this must be 0.
+    sql_skipped: int = 0
     elapsed_s: float = 0.0
 
     @property
@@ -126,6 +129,7 @@ class FuzzReport:
             f"  statements generated:   {self.statements_generated}",
             f"  combinations checked:   {self.combinations_checked}",
             f"  divergences:            {len(self.counterexamples)}",
+            f"  sql_skipped:            {self.sql_skipped}",
             f"  elapsed:                {self.elapsed_s:.2f}s "
             f"({self.programs_per_second:.1f} programs/s)",
         ]
@@ -150,7 +154,6 @@ def run_fuzz(
             backends=options.backends,
             workers=options.workers,
             shards=options.shards,
-            sql_db=options.sql_db,
             data_plane=options.data_plane,
             include_dynamic=options.include_dynamic,
             include_optimal=options.include_optimal,
@@ -159,6 +162,7 @@ def run_fuzz(
             kernel_axis=options.kernel_axis,
         )
     report = FuzzReport(seed=options.seed, iterations=options.iterations)
+    skipped_before = oracle.sql_skipped
     start = perf_counter()
     try:
         for index in range(options.iterations):
@@ -191,6 +195,7 @@ def run_fuzz(
     finally:
         if own_oracle:
             oracle.close()
+        report.sql_skipped = oracle.sql_skipped - skipped_before
         report.elapsed_s = perf_counter() - start
     return report
 
@@ -247,6 +252,7 @@ def _build_counterexample(
         database=database,
         shrunk_divergences=shrunk_divergences,
         inserts=inserts,
+        oracle_arguments=oracle.arguments,
     )
 
 
@@ -271,17 +277,21 @@ def repro_script(counterexample: Counterexample) -> str:
         for relation in counterexample.database
     )
     config = case.config
+    # The campaign's own backends, width and data plane: the defaults may
+    # not run the path that diverged (tiny cases ship by pickle under "auto").
+    arguments = ", ".join(
+        f"{name}={value!r}"
+        for name, value in counterexample.oracle_arguments.items()
+        if value is not None
+    )
+    check_block = f"with DifferentialOracle({arguments}) as oracle:\n"
     if counterexample.inserts is not None:
         check_block = (
-            f"inserts = {counterexample.inserts!r}\n\n"
-            "with DifferentialOracle() as oracle:\n"
+            f"inserts = {counterexample.inserts!r}\n\n{check_block}"
             "    divergences = oracle.check_incremental(program, database, inserts)"
         )
     else:
-        check_block = (
-            "with DifferentialOracle() as oracle:\n"
-            "    divergences = oracle.check(program, database)"
-        )
+        check_block += "    divergences = oracle.check(program, database)"
     return f'''"""Fuzzer counterexample: {case.case_id}.
 
 Regenerate the unshrunk case with:

@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
 from typing import (
     Callable,
-    ContextManager,
     Dict,
     Iterable,
     Iterator,
@@ -85,8 +83,7 @@ _stable_hash = stable_hash
 #: Process-global execution counters (see :mod:`repro.obs.metrics`), created
 #: once at import so per-job recording is a single locked add.  The dispatch
 #: counters are bumped at the dispatch sites (interpreted here, kernel in
-#: :meth:`MapReduceEngine.run_job_kernel`, sql in its backend); the byte/row
-#: counters in
+#: :meth:`MapReduceEngine.run_job_kernel`); the byte/row counters in
 #: :meth:`finalise_job_metrics`, which every backend funnels through.
 _JOBS_INTERPRETED = obs_metrics.default_registry().counter(
     "repro_jobs_total", path="interpreted"
@@ -571,8 +568,7 @@ class MapReduceEngine:
         self,
         program: MRProgram,
         database: Database,
-        run_job: Optional[Callable[..., JobResult]] = None,
-        level_context: Callable[[], ContextManager[object]] = nullcontext,
+        run_job: Optional[Callable[[MapReduceJob, Database], JobResult]] = None,
         **span_attrs: object,
     ) -> ProgramResult:
         """Execute an MR program level by level — the one level loop.
@@ -584,9 +580,7 @@ class MapReduceEngine:
 
         Execution backends drive this same loop through
         :meth:`repro.exec.base.ExecutionBackend.run_program`: *run_job* is the
-        per-job callable (default: this engine's :meth:`run_job`),
-        *level_context* opens one context per level whose value, unless
-        ``None``, is passed to *run_job* as a third argument, and
+        per-job callable (default: this engine's :meth:`run_job`) and
         *span_attrs* are extra attributes of the ``program`` span.
         """
         program.validate()
@@ -608,12 +602,9 @@ class MapReduceEngine:
                 level_map_tasks: List[float] = []
                 level_reduce_tasks: List[float] = []
                 level_results: List[JobResult] = []
-                with obs.span(
-                    "level", index=level_index, jobs=len(level_jobs)
-                ), level_context() as context:
-                    extra = () if context is None else (context,)
+                with obs.span("level", index=level_index, jobs=len(level_jobs)):
                     for job in level_jobs:
-                        result = run_job(job, working, *extra)
+                        result = run_job(job, working)
                         level_results.append(result)
                         metrics.add_job(result.metrics)
                         level_map_tasks.extend(result.metrics.map_task_durations)

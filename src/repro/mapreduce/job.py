@@ -113,35 +113,10 @@ class MapReduceJob:
         """
         raise NotImplementedError(f"{type(self).__name__} has no batch kernel")
 
-    # -- SQL execution path -----------------------------------------------------
-
-    def supports_sql(self) -> bool:
-        """Whether this job can compile itself to SQL faithfully.
-
-        SQL-capable jobs implement :meth:`to_sql` and return True; the SQL
-        backend then runs the job as sqlite3 queries (see
-        :mod:`repro.exec.sql`) while reproducing the interpreted path's
-        outputs and simulated metrics bit for bit.  Subclasses that change
-        ``map``/``reduce`` semantics (e.g. the skew-salted MSJ job) must
-        override this back to False unless they also override the plan.
-        """
-        return False
-
-    def to_sql(self):
-        """The job's SQL plan (see :mod:`repro.exec.sql.compiler`).
-
-        Only called when :meth:`supports_sql` is True.  May raise
-        :class:`~repro.exec.sql.codec.SQLUnsupportedValueError` for job
-        instances whose shape the compiler cannot translate; the SQL backend
-        then falls back to the interpreted engine.
-        """
-        raise NotImplementedError(f"{type(self).__name__} has no SQL plan")
-
     def __getstate__(self) -> Dict[str, object]:
-        """Drop per-process kernel/SQL caches when shipping jobs to workers."""
+        """Drop the per-process kernel cache when shipping jobs to workers."""
         state = self.__dict__.copy()
         state.pop("_kernel_cache", None)
-        state.pop("_sql_cache", None)
         return state
 
     # -- optional hooks -----------------------------------------------------------

@@ -307,8 +307,7 @@ class QueryService:
         self._state_lock = Lock()
         # The serial backend is pure (every run works on a copy of the
         # database), so it is safe to run concurrently; other backends are
-        # serialised — the worker shards are one shared channel, and two concurrent
-        # SQL runs against the same --sql-db file would race on its tables.
+        # serialised — the worker shards are one shared channel.
         self._exec_lock: Optional[Lock] = (
             None if gumbo.backend.name == SERIAL else Lock()
         )

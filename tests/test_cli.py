@@ -40,6 +40,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "figure99"])
 
+    def test_the_sql_backend_is_not_a_choice(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["query", "--query", QUERY, "--data", ".", "--backend", "sql"]
+            )
+        assert "invalid choice: 'sql'" in capsys.readouterr().err
+
 
 class TestQueryCommand:
     def test_query_inline(self, data_dir, capsys):

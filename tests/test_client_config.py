@@ -52,7 +52,6 @@ class TestExecutionConfig:
         config = ExecutionConfig()
         assert config.backend == "serial"
         assert ExecutionConfig(backend="mp").backend == "parallel"
-        assert ExecutionConfig(backend="sqlite3").backend == "sql"
         assert ExecutionConfig(backend="shards").backend == "sharded"
 
     @pytest.mark.parametrize(
@@ -76,7 +75,6 @@ class TestExecutionConfig:
             backend="sharded",
             workers=None,
             shards=4,
-            sql_db=None,
             kernel_mode="on",
             strategy="greedy",
             nodes=5,
@@ -163,7 +161,7 @@ class TestConnect:
         with connect(str(tmp_path)) as conn:
             assert conn.execute(QUERY).tuples() == EXPECTED
 
-    @pytest.mark.parametrize("backend", ["serial", "parallel", "sql", "sharded"])
+    @pytest.mark.parametrize("backend", ["serial", "parallel", "sharded"])
     def test_every_backend_by_name(self, backend):
         kwargs = {"workers": 1} if backend == "parallel" else {}
         if backend == "sharded":

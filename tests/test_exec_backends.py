@@ -157,6 +157,11 @@ class TestMakeBackend:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_backend("hadoop")
+        # The job-level SQL backend is gone; its spellings are ordinary errors.
+        with pytest.raises(ValueError, match="unknown execution backend 'sql'"):
+            make_backend("sql")
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            make_backend("serial", **{"sql" "_db": "/tmp/scratch.db"})
 
     def test_context_manager_closes_pool(self):
         with make_backend("parallel", workers=1) as backend:

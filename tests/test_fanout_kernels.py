@@ -245,7 +245,7 @@ def test_oracle_campaign_on_a_tiny_split_engine():
     """
     config = FuzzConfig(max_statements=3, max_tuples=14)
     with DifferentialOracle(
-        backends=("serial", "parallel", "sql", "sharded"),
+        backends=("serial", "parallel", "sharded"),
         workers=2,
         shards=2,
         engine=tiny_split_engine(split_bytes=16),
@@ -386,7 +386,7 @@ def test_worker_kernel_job_bookkeeping(name):
     query = workload_query("A1")
     database = database_for(query, guard_tuples=GUARD_TUPLES, selectivity=0.5, seed=2)
     registry = obs_metrics.default_registry()
-    paths = ("kernel", "interpreted", "fanout", "sharded", "sql")
+    paths = ("kernel", "interpreted", "fanout", "sharded")
 
     def counts():
         return {

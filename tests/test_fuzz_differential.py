@@ -270,6 +270,36 @@ def test_repro_script_is_executable_python(monkeypatch, tmp_path):
     assert "generate_case(3," in script
 
 
+def test_repro_script_replays_the_campaigns_own_oracle(monkeypatch, capsys):
+    """A counterexample found on ``parallel(2)`` over shm is replayed there:
+    under the default ``auto`` plane a case this small ships by pickle."""
+    import repro.core.strategies as strategies
+
+    real = strategies.singleton_partition
+    monkeypatch.setattr(strategies, "singleton_partition", lambda s: real(s)[:-1])
+    report = run_fuzz(
+        FuzzOptions(
+            seed=3,
+            iterations=10,
+            config=FuzzConfig(max_statements=1),
+            backends=("parallel",),
+            workers=2,
+            data_plane="shm",
+        )
+    )
+    assert not report.ok
+    script = report.counterexamples[0].script()
+    assert (
+        "DifferentialOracle(backends=('parallel',), workers=2, data_plane='shm')"
+        in script
+    )
+    capsys.readouterr()
+    exec(compile(script, "counterexample.py", "exec"), {})
+    replayed = capsys.readouterr().out
+    assert "backend=parallel" in replayed
+    assert "no divergence reproduced" not in replayed
+
+
 def test_repro_script_survives_backslash_and_quote_constants():
     """The program is embedded via repr(), immune to escape-sequence mangling."""
     from repro.fuzz.runner import Counterexample

@@ -13,8 +13,9 @@ tools/check_docs.py``).  Three families of checks, all blocking:
    ``#fragment``, at an existing heading in that file).
 3. **CLI help** — the ``--help`` output of ``python -m repro`` and the
    subcommands the docs lean on must still mention the flags the docs
-   describe (backends, ``--sql-db``, ``bench --sql``/``--kernels``, fuzz
-   backend axis).
+   describe (backends, ``bench --kernels``, fuzz backend axis) — and none
+   of them may offer the removed job-level SQL backend again (``sql`` as a
+   ``--backend`` choice, ``--sql-db``, ``bench --sql``).
 
 Exit code 0 when everything passes, 1 otherwise, with one line per failure.
 """
@@ -40,14 +41,14 @@ HELP_CHECKS = [
         ["query", "plan", "auto", "serve", "generate", "experiment",
          "bench", "fuzz", "delta", "trace"],
     ),
-    (["query"], ["--backend", "{serial,parallel,sql,sharded}", "--sql-db",
+    (["query"], ["--backend", "{serial,parallel,sharded}",
                  "--kernel-mode", "--workers", "--shards", "--data-plane",
                  "{auto,shm,pickle}"]),
-    (["bench"], ["--kernels", "--sql", "--sql-db", "--guard-tuples"]),
-    (["fuzz"], ["--backend", "sql", "sharded", "--profile", "--incremental",
-                "--sql-db", "--shards", "--data-plane"]),
-    (["delta"], ["--backend", "--sql-db", "--insert-fraction"]),
-    (["trace"], ["--backend", "--sql-db", "--trace-out"]),
+    (["bench"], ["--kernels", "--guard-tuples"]),
+    (["fuzz"], ["--backend", "{serial,parallel,sharded,both,all}", "--profile",
+                "--incremental", "--shards", "--data-plane"]),
+    (["delta"], ["--backend", "--insert-fraction"]),
+    (["trace"], ["--backend", "--trace-out"]),
     (["serve"], ["--sharded", "--shards", "--max-queue", "--request-timeout"]),
 ]
 
@@ -147,6 +148,9 @@ def check_cli_help() -> list:
         for needle in expected:
             if needle not in help_text:
                 failures.append(f"{label} --help no longer mentions {needle!r}")
+        # Lower case: the backend choice and both flags, not "SQL oracle" prose.
+        if "sql" in help_text:
+            failures.append(f"{label} --help offers the removed sql backend again")
     return failures
 
 
