@@ -25,8 +25,12 @@ is the more faithful model of the underlying system; which cost model the
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import threading
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
@@ -147,6 +151,48 @@ class ProgramResult:
 
     def relation(self, name: str) -> Relation:
         return self.outputs[name]
+
+
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_pause_restores = False
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the span of engine work.
+
+    Engine work makes no reference cycles, so pausing frees nothing later
+    than the collector would have; cycles made elsewhere are collected as
+    before once the last pause ends.  Re-entrant and thread-safe: the last
+    exit, on exceptions too, re-enables the collector only if the first
+    entry found it enabled (a caller's ``gc.disable()`` holds).
+    """
+    global _pause_depth, _pause_restores
+    with _pause_lock:
+        if _pause_depth == 0:
+            _pause_restores = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_depth -= 1
+            if _pause_depth == 0 and _pause_restores:
+                gc.enable()
+
+
+def _unpause_after_fork() -> None:
+    """A child forked while paused (a respawned worker) starts unpaused."""
+    global _pause_depth, _pause_lock
+    _pause_lock = threading.Lock()
+    if _pause_depth and _pause_restores:
+        gc.enable()
+    _pause_depth = 0
+
+
+os.register_at_fork(after_in_child=_unpause_after_fork)
 
 
 class MapReduceEngine:
@@ -564,6 +610,7 @@ class MapReduceEngine:
 
     # -- programs ---------------------------------------------------------------------
 
+    @collector_paused()
     def run_program(
         self,
         program: MRProgram,

@@ -66,9 +66,9 @@ jobs) are always interpreted, whatever the mode.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Collection, Mapping, Set
+from collections.abc import Collection, Set
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..model.relation import ColumnBlock
 from .job import Key, MapReduceJob
@@ -220,27 +220,27 @@ class ChunkLedger:
 
     def add(
         self,
-        keys: Union[Collection[Key], Mapping[Key, int]],
+        keys: Collection[Key],
         size: int,
         prefix: Key = (),
         distinct: Optional[Collection[Key]] = None,
     ) -> None:
         """Messages of *size* value bytes, one per element of *keys*.
 
-        *keys* is a list (repeats are separate messages), a set, or a ``key ->
-        message count`` mapping; all of one field count.  The emitted key is
-        ``prefix + key`` (the fused job's query index, EVAL's target index).
+        *keys* is a list (repeats are separate messages) or a set, all of one
+        field count.  The emitted key is ``prefix + key`` (the fused job's
+        query index, EVAL's target index).
         A caller that holds the distinct keys of a list passes them as
         *distinct*; under packing they are computed here otherwise.
         """
         if not keys:
             return
-        messages = sum(keys.values()) if isinstance(keys, Mapping) else len(keys)
+        messages = len(keys)
         base = self.job.key_bytes(prefix + next(iter(keys)))
         if self.packed:
             self.intermediate_bytes += size * messages
             if distinct is None:
-                distinct = keys if isinstance(keys, (Set, Mapping)) else set(keys)
+                distinct = keys if isinstance(keys, Set) else set(keys)
         else:
             self.intermediate_bytes += (base + size) * messages
             self.records += messages
@@ -288,7 +288,7 @@ class ChunkLedger:
         for chunk in self._chunks:
             key_sizes: Dict[Key, int] = {}
             for keys, size, prefix, base, _ in chunk:
-                counts = keys if isinstance(keys, Mapping) else Counter(keys)
+                counts = Counter(keys)
                 if prefix:
                     counts = {prefix + key: n for key, n in counts.items()}
                 pair = size if packed else base + size

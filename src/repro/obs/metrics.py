@@ -157,7 +157,7 @@ class Histogram:
         self.sum = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # a gc callback may re-enter observe()
 
     def observe(self, value: float) -> None:
         value = float(value)

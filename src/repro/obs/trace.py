@@ -25,12 +25,15 @@ spans (shipped back as plain dicts, see :func:`worker_payload` /
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 from collections import deque
 from contextvars import ContextVar
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional
+
+from .metrics import default_registry
 
 __all__ = [
     "Span",
@@ -244,12 +247,13 @@ class _SpanHandle:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.span.end_s = perf_counter()
-        if exc_type is not None:
-            self.span.set(error=f"{exc_type.__name__}: {exc}")
+        # Leave the context before the end stamp, so no ``gc`` span outlasts it.
         if self._token is not None:
             _current_span.reset(self._token)
             self._token = None
+        self.span.end_s = perf_counter()
+        if exc_type is not None:
+            self.span.set(error=f"{exc_type.__name__}: {exc}")
         self._tracer.add(self.span)
         return False
 
@@ -280,15 +284,15 @@ class _TraceHandle:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.span.end_s = perf_counter()
-        if exc_type is not None:
-            self.span.set(error=f"{exc_type.__name__}: {exc}")
         if self._span_token is not None:
             _current_span.reset(self._span_token)
             self._span_token = None
         if self._tracer_token is not None:
             _current_tracer.reset(self._tracer_token)
             self._tracer_token = None
+        self.span.end_s = perf_counter()
+        if exc_type is not None:
+            self.span.set(error=f"{exc_type.__name__}: {exc}")
         self.tracer.add(self.span)
         self._collector.publish(self.tracer)
         return False
@@ -380,6 +384,33 @@ def worker_payload(
         "pid": os.getpid(),
         "attributes": dict(attrs),
     }
+
+
+# -- the garbage collector ---------------------------------------------------------
+
+_GC_SECONDS = [
+    default_registry().histogram("repro_gc_seconds", generation=g) for g in range(3)
+]
+_gc_start_s = 0.0
+
+
+def _observe_gc(phase: str, info: Dict[str, int]) -> None:
+    """``gc.callbacks`` hook: each collection into ``repro_gc_seconds``, and a
+    ``gc`` span under the current span when its thread has a trace active."""
+    global _gc_start_s
+    if phase == "start":
+        _gc_start_s = perf_counter()
+        return
+    end_s, generation = perf_counter(), info["generation"]
+    _GC_SECONDS[generation].observe(end_s - _gc_start_s)
+    tracer, parent = _current_tracer.get(), _current_span.get()
+    if tracer is not None and parent is not None:
+        span = Span("gc", tracer.trace_id, _new_id(), parent.span_id, _gc_start_s)
+        span.end_s = end_s
+        tracer.add(span.set(generation=generation, collected=info["collected"]))
+
+
+gc.callbacks.append(_observe_gc)
 
 
 # -- completed-trace collection ----------------------------------------------------

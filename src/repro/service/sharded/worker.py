@@ -32,6 +32,7 @@ from time import perf_counter
 from typing import Dict, Optional, Tuple
 
 from ...exec.shm import decode_payload
+from ...mapreduce.engine import collector_paused
 from ...mapreduce.job import MapReduceJob
 from ...model.relation import ColumnBlock
 from ... import obs
@@ -124,7 +125,8 @@ def run_map_task(state: _WorkerState, task: MapTask) -> TaskDone:
     block = state.chunk_for(task) if resident else decode_payload(task.payload)
     rows = len(block)
     try:
-        batch = job.map_batch(task.relation, [block])
+        with collector_paused():
+            batch = job.map_batch(task.relation, [block])
     finally:
         if not resident:
             block.release()  # transient chunk: unpin its shm segment (if any)

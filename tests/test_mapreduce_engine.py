@@ -1,15 +1,32 @@
 """Unit tests for the MapReduce execution engine."""
 
+import gc
+import os
+import pickle
+import threading
+from contextlib import nullcontext
+
 import pytest
 
+from repro import obs
+from repro.client import connect
+from repro.core.chain import SemiJoinChainJob
+from repro.core.gumbo import Gumbo
+from repro.core.options import GumboOptions
 from repro.cost.constants import CostConstants
+from repro.exec import make_backend
 from repro.exec.partition import stable_hash
 from repro.mapreduce.cluster import ClusterConfig
 from repro.mapreduce.counters import JobMetrics, PartitionMetrics
-from repro.mapreduce.engine import MapReduceEngine
+from repro.mapreduce.engine import MapReduceEngine, collector_paused
 from repro.mapreduce.job import MapReduceJob, REDUCERS_BY_INPUT
+from repro.mapreduce.kernels import MapBatch
 from repro.mapreduce.program import MRProgram
 from repro.model.database import Database
+from repro.model.relation import ColumnBlock
+from repro.service.sharded import worker
+from repro.service.sharded.rpc import MapTask
+from repro.workloads.queries import database_for, workload_query
 
 
 class WordCountJob(MapReduceJob):
@@ -255,3 +272,198 @@ class TestRunProgram:
         net_big = big.run_program(program_big, words_db).metrics.net_time
         net_small = small.run_program(program_small, words_db).metrics.net_time
         assert net_small >= net_big - 1e-9
+
+
+# -- the collector pause ---------------------------------------------------------------
+
+
+class CollectorProbeJob(WordCountJob):
+    """Word count whose ``map`` records whether the collector is enabled."""
+
+    def __init__(self, seen, fail=False):
+        super().__init__()
+        self.seen = seen
+        self.fail = fail
+
+    def map(self, relation, row):
+        self.seen.append(gc.isenabled())
+        if self.fail:
+            raise RuntimeError("map failed")
+        return super().map(relation, row)
+
+
+class CollectorProbeKernelJob(WordCountJob):
+    """A kernel job whose batch reports whether the collector is enabled."""
+
+    def supports_kernel(self):
+        return True
+
+    def map_batch(self, relation, chunks):
+        return MapBatch(relation, data=gc.isenabled())
+
+
+def _probe_program(seen, fail=False):
+    program = MRProgram("probe")
+    program.add_job(CollectorProbeJob(seen, fail))
+    return program
+
+
+@pytest.fixture
+def collector_on():
+    """The collector is enabled going in and restored coming out."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.usefixtures("collector_on")
+class TestCollectorPause:
+    @pytest.mark.parametrize("backend_name", ["serial", "parallel"])
+    def test_program_runs_paused_and_restores(self, backend_name, words_db):
+        # parallel(2) interprets a job without a kernel on the driver.
+        seen = []
+        with make_backend(backend_name, workers=2) as backend:
+            result = backend.run_program(_probe_program(seen), words_db)
+        assert dict(result.outputs["Counts"].tuples())["a"] == 3
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    def test_collector_restored_when_a_job_raises(self, engine, words_db):
+        seen = []
+        with pytest.raises(RuntimeError, match="map failed"):
+            engine.run_program(_probe_program(seen, fail=True), words_db)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_callers_disabled_collector_stays_off(self, engine, words_db):
+        gc.disable()
+        engine.run_program(_probe_program([]), words_db)
+        assert not gc.isenabled()
+
+    def test_nested_and_overlapping_pauses(self):
+        with collector_paused():
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+        # Two threads: the first to leave must not re-enable under the other.
+        entered, left = threading.Barrier(2), threading.Event()
+        states = []
+
+        def first():
+            with collector_paused():
+                entered.wait(timeout=10)
+            left.set()
+
+        thread = threading.Thread(target=first)
+        thread.start()
+        with collector_paused():
+            entered.wait(timeout=10)
+            left.wait(timeout=10)
+            states.append(gc.isenabled())
+        thread.join()
+        assert states == [False]
+        assert gc.isenabled()
+
+    def test_overlapping_programs_on_execute_many_threads(self, monkeypatch):
+        barrier = threading.Barrier(2, timeout=30)
+        waited = threading.local()
+        seen = []
+        original_map = SemiJoinChainJob.map
+
+        def probed_map(self, relation, row):
+            if not getattr(waited, "done", False):
+                waited.done = True
+                barrier.wait()  # both programs are inside run_program now
+            seen.append(gc.isenabled())
+            return original_map(self, relation, row)
+
+        monkeypatch.setattr(SemiJoinChainJob, "map", probed_map)
+        database = Database.from_dict(
+            {
+                "R": [(i, i + 1) for i in range(60)],
+                "S": [(i,) for i in range(0, 60, 2)],
+                "T": [(i,) for i in range(0, 60, 3)],
+            }
+        )
+        queries = [
+            "Z1 := SELECT (x, y) FROM R(x, y) WHERE S(x);",
+            "Z2 := SELECT (x, y) FROM R(x, y) WHERE T(y);",
+        ]
+        options = GumboOptions(kernel_mode="off")
+        with connect(database, options=options, max_workers=2) as connection:
+            results = connection.execute_many(queries, strategy="seq")
+        assert [len(result.tuples()) for result in results] == [30, 19]
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    def test_worker_map_task_runs_paused(self):
+        state = worker._WorkerState(0)
+        state.relations["Words"] = (1, {0: ColumnBlock.from_rows([("a",), ("b",)])})
+        task = MapTask(
+            task_id=1,
+            job_blob=pickle.dumps(CollectorProbeKernelJob()),
+            relation="Words",
+            chunk_index=0,
+            version=1,
+        )
+        done = worker.run_map_task(state, task)
+        assert done.result.data is False
+        assert gc.isenabled()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_child_forked_while_paused_starts_unpaused(self):
+        read_end, write_end = os.pipe()
+        with collector_paused():
+            pid = os.fork()
+            if pid == 0:  # the child: report, then leave without cleanup
+                try:
+                    report = [gc.isenabled()]
+                    with collector_paused():
+                        report.append(gc.isenabled())
+                    report.append(gc.isenabled())
+                    os.write(write_end, bytes(report))
+                finally:
+                    os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as reader:
+            report = list(reader.read())
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        assert report == [True, False, True]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("kernel_mode", ["auto", "off"])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_engine_work_makes_no_reference_cycles(self, kernel_mode, traced):
+        # The premise of the pause: a warm program leaves nothing for the
+        # collector, so pausing it frees nothing later.
+        planner = Gumbo(options=GumboOptions(kernel_mode=kernel_mode))
+        runs = []
+        for shape in ("A1", "A3", "B2", "C3", "C4"):
+            query = workload_query(shape)
+            database = database_for(query, guard_tuples=200, selectivity=0.5, seed=5)
+            program = planner.plan_with(query, database, "auto").program
+            engine = MapReduceEngine()
+            engine.run_program(program, database)
+            runs.append((engine, program, database))
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for engine, program, database in runs:
+                for _ in range(3):
+                    scope = obs.trace("request") if traced else nullcontext()
+                    with scope:
+                        engine.run_program(program, database)
+            gc.collect()
+            garbage = [type(item).__name__ for item in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            obs.drain_traces()
+        assert garbage == []

@@ -10,8 +10,10 @@ while leaving outputs and simulated metrics bit-identical to the untraced
 path.
 """
 
+import gc
 import json
 import os
+import threading
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro import obs
 from repro.core.gumbo import Gumbo
 from repro.core.options import GumboOptions
 from repro.exec import make_backend
+from repro.mapreduce.engine import collector_paused
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.options import ObsOptions
 from repro.obs.trace import NOOP, Span, Tracer
@@ -57,7 +60,8 @@ class TestNoopFastPath:
 
 class TestTracePropagation:
     def test_trace_collects_nested_spans(self):
-        with obs.trace("root", kind="test") as root:
+        # Paused, so no ``gc`` span can join the exact tree asserted below.
+        with collector_paused(), obs.trace("root", kind="test") as root:
             root.set(extra=True)
             with obs.span("child") as child:
                 with obs.span("grandchild", depth=2):
@@ -78,7 +82,7 @@ class TestTracePropagation:
     def test_nested_trace_joins_as_child_span(self):
         # A service-level trace wrapping Gumbo's own entry trace must yield
         # ONE trace, with the inner trace demoted to a plain child span.
-        with obs.trace("outer"):
+        with collector_paused(), obs.trace("outer"):
             with obs.trace("inner"):
                 with obs.span("leaf"):
                     pass
@@ -198,6 +202,57 @@ def _sample_trace():
                 pass
     (tracer,) = obs.drain_traces()
     return tracer
+
+
+class TestCollectorObserver:
+    def test_every_collection_lands_in_the_histogram(self):
+        histogram = obs.default_registry().histogram(
+            "repro_gc_seconds", generation=2
+        )
+        before = histogram.count
+        gc.collect()
+        assert histogram.count == before + 1
+        assert "repro_gc_seconds_bucket" in obs.render_prometheus(
+            obs.default_registry()
+        )
+
+    def test_a_collection_while_the_histogram_is_locked_does_not_deadlock(self):
+        # The hook observes from inside whatever allocation triggered the
+        # collection, which may be a read of this very histogram.
+        histogram = obs.default_registry().histogram(
+            "repro_gc_seconds", generation=2
+        )
+
+        def collect_under_the_lock():
+            with histogram._lock:
+                gc.collect()
+
+        thread = threading.Thread(target=collect_under_the_lock, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_gc_spans_name_collections_and_none_lies_in_the_program(self):
+        query = workload_query("A3")
+        database = database_for(query, guard_tuples=1000, seed=3)
+        gumbo = Gumbo(options=GumboOptions(trace=True))
+        with QueryService(database, gumbo) as service:
+            with obs.trace("client"):
+                burst = [[] for _ in range(10_000)]  # young collections, traced
+                service.execute(query)
+        del burst
+        (tracer,) = obs.drain_traces()
+        by_id = {span.span_id: span for span in tracer.spans}
+        (program,) = [span for span in tracer.spans if span.name == "program"]
+        collections = [span for span in tracer.spans if span.name == "gc"]
+        assert collections
+        for span in collections:
+            assert set(span.attributes) == {"generation", "collected"}
+            assert span.end_s <= program.start_s or span.start_s >= program.end_s
+            parent_id = span.parent_id
+            while parent_id is not None:
+                assert parent_id != program.span_id
+                parent_id = by_id[parent_id].parent_id
 
 
 class TestExporters:
