@@ -54,8 +54,8 @@ The subcommands (``python -m repro <command> --help``):
     printed as standalone repro scripts; the exit code is non-zero when any
     divergence was found.  ``--incremental`` switches to the incremental
     oracle: every case additionally gets a random insert batch, and the
-    incremental refresh of every strategy × backend must equal a full
-    recompute.
+    incremental refresh of a materialization built by every strategy must
+    equal a full recompute.
 
 ``delta``
     Incremental delta evaluation, head to head: materialize a paper workload
@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="serial",
         choices=list(BACKEND_NAMES),
-        help="execution backend for both paths (default serial)",
+        help="execution backend that materializes and recomputes; the "
+        "refresh reads the maintained indexes (default serial)",
     )
     delta.add_argument(
         "--workers",
@@ -369,13 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.01,
         help="insert batch size as a fraction of the guard relation "
         "(default 0.01 = 1%%)",
-    )
-    delta.add_argument(
-        "--mode",
-        default="engine",
-        choices=["engine", "direct"],
-        help="refresh mode: restricted MR programs on the backend (engine) "
-        "or the maintained indexes (direct)",
     )
     _add_obs_arguments(delta)
 
@@ -521,8 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--incremental",
         action="store_true",
         help="incremental oracle mode: apply a random insert batch per case "
-        "and require incremental refresh == full recompute for every "
-        "strategy x backend (plus the direct index mode)",
+        "and require incremental refresh == full recompute for a "
+        "materialization built by every strategy on the first backend",
     )
     fuzz.add_argument(
         "--artifact",
@@ -1221,7 +1215,7 @@ def _command_delta(args: argparse.Namespace) -> int:
 
         # Incremental path: materialize once, refresh with the delta.
         materialization = gumbo.materialize(query, database, args.strategy)
-        delta = gumbo.execute_delta(materialization, batch, mode=args.mode)
+        delta = gumbo.execute_delta(materialization, batch)
     finally:
         gumbo.close()
 
@@ -1233,7 +1227,7 @@ def _command_delta(args: argparse.Namespace) -> int:
     print(
         f"workload {args.query_id.upper()} "
         f"({args.guard_tuples} guard tuples, strategy {full.strategy}, "
-        f"backend {args.backend}, mode {args.mode})"
+        f"backend {args.backend})"
     )
     print(f"  insert batch:          {inserted} tuples over "
           f"{', '.join(sorted(batch))}")
@@ -1241,8 +1235,7 @@ def _command_delta(args: argparse.Namespace) -> int:
     print(f"  output delta:          +{delta.added_count()} / "
           f"-{delta.removed_count()} tuples")
     print(f"  full re-execution:     {full_s * 1e3:9.3f} ms")
-    print(f"  incremental refresh:   {delta.wall_s * 1e3:9.3f} ms "
-          f"({delta.engine_runs} restricted MR runs)")
+    print(f"  incremental refresh:   {delta.wall_s * 1e3:9.3f} ms")
     print(f"  speedup:               {speedup:9.1f}x")
     print(f"  outputs identical:     {'yes' if matches else 'NO'}")
     _export_obs(_obs_options(args))

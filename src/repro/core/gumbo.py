@@ -374,34 +374,19 @@ class Gumbo:
 
         return materialize_query(self, query, database, strategy)
 
-    def execute_delta(
-        self,
-        materialization,
-        inserts,
-        mode: str = "engine",
-    ):
+    def execute_delta(self, materialization, inserts):
         """Apply a batch of inserted tuples to a materialized result.
 
         *inserts* maps relation names to tuples; the batch is applied to the
         materialization's database and the output delta — only the
-        consequences of the batch, not the whole program — is computed and
-        merged.  In the default ``"engine"`` mode the affected guard tuples
-        are re-evaluated by restricted MR programs on this Gumbo's execution
-        backend; ``"direct"`` evaluates against the maintained indexes.
-        Returns a :class:`~repro.incremental.engine.DeltaResult`.
+        consequences of the batch, not the whole program — is computed from
+        the maintained indexes and merged.  Returns a
+        :class:`~repro.incremental.engine.DeltaResult`.
         """
         from ..incremental.engine import refresh
 
-        with obs.trace(
-            "gumbo.execute_delta", enabled=self.options.trace, mode=mode
-        ):
-            return refresh(
-                materialization,
-                inserts,
-                backend=self.backend,
-                mode=mode,
-                options=self.options,
-            )
+        with obs.trace("gumbo.execute_delta", enabled=self.options.trace):
+            return refresh(materialization, inserts)
 
     def compare_strategies(
         self,

@@ -36,7 +36,7 @@ from .generator import (
     generate_insert_batch,
     generate_program,
 )
-from .oracle import DIRECT, DYNAMIC, DifferentialOracle, Divergence
+from .oracle import DYNAMIC, DifferentialOracle, Divergence
 from .profiles import (
     PROFILE_NAMES,
     PROFILES,
@@ -52,7 +52,6 @@ from .runner import Counterexample, FuzzOptions, FuzzReport, repro_script, run_f
 from .shrink import case_size, shrink_case
 
 __all__ = [
-    "DIRECT",
     "DYNAMIC",
     "PROFILES",
     "PROFILE_NAMES",

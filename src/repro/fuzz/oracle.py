@@ -46,10 +46,6 @@ DYNAMIC = "dynamic"
 #: Suffix of the axes that run the batch-kernel execution path.
 KERNEL_SUFFIX = "+kernel"
 
-#: Pseudo-backend name under which the index-based ("direct") refresh mode of
-#: the incremental oracle is reported.
-DIRECT = "direct"
-
 #: The (strategy, backend) pair under which a disagreement between the
 #: reference evaluator and the SQL translation is reported.
 REFERENCE = ("reference", "sqlite")
@@ -320,11 +316,17 @@ class DifferentialOracle:
     def incremental_combinations(
         self, program: SGFQuery
     ) -> List[Tuple[str, str]]:
-        """Every (strategy, backend-or-direct) pair the incremental check runs."""
+        """Every (strategy, backend) pair the incremental check runs.
+
+        One per strategy, on the first backend: the refresh reads the
+        maintained indexes and runs nothing on a backend, so the backend
+        only decides where the materialization is built — and strategy ×
+        backend parity of that build is :meth:`check`'s job.
+        """
+        backend = self.backend_names[0]
         return [
-            (strategy, mode)
+            (strategy, backend)
             for strategy in self.incremental_strategies(program)
-            for mode in (*self._backends, DIRECT)
         ]
 
     def check_incremental(
@@ -337,62 +339,51 @@ class DifferentialOracle:
     ) -> List[Divergence]:
         """Divergences of incremental refresh vs full recompute (empty = agreement).
 
-        For every applicable strategy the program is materialized over
-        *database*, the insert batch is applied through
+        For every combination of :meth:`incremental_combinations` the program
+        is materialized over *database*, the insert batch is applied through
         :meth:`Gumbo.execute_delta <repro.core.gumbo.Gumbo.execute_delta>`,
         and the refreshed outputs are compared against the reference
-        evaluator over the fully rebuilt database.  Engine-mode refreshes run
-        on every configured backend; one extra sweep uses the index-based
-        ``"direct"`` mode (reported under backend :data:`DIRECT`).  *only* /
-        *stop_at_first* mirror :meth:`check` for the shrinker.
+        evaluator over the fully rebuilt database.  *only* / *stop_at_first*
+        mirror :meth:`check` for the shrinker.
         """
         from ..incremental import apply_inserts, dedupe_inserts
 
         mutated = database.copy()
         apply_inserts(mutated, dedupe_inserts(mutated, inserts))
         expected, divergences = self._expected(program, mutated, only)
-        for strategy in self.incremental_strategies(program):
+        for strategy, backend_name in self.incremental_combinations(program):
             if stop_at_first and divergences:
                 break
-            if only is not None and all(s != strategy for s, _ in only):
+            if only is not None and (strategy, backend_name) not in only:
                 continue
-            for mode in (*self._backends, DIRECT):
-                if stop_at_first and divergences:
-                    break
-                if only is not None and (strategy, mode) not in only:
-                    continue
-                gumbo = self._gumbos[self.backend_names[0] if mode == DIRECT else mode]
-                try:
-                    materialization = gumbo.materialize(
-                        program, database.copy(), strategy
+            gumbo = self._gumbos[backend_name]
+            try:
+                materialization = gumbo.materialize(
+                    program, database.copy(), strategy
+                )
+                gumbo.execute_delta(materialization, inserts)
+                answers = materialization.answers()
+            except Exception as exc:  # a crashing refresh is a finding
+                divergences.append(
+                    Divergence(
+                        kind="error",
+                        strategy=strategy,
+                        backend=backend_name,
+                        detail=f"{type(exc).__name__}: {exc}",
                     )
-                    gumbo.execute_delta(
-                        materialization,
-                        inserts,
-                        mode="direct" if mode == DIRECT else "engine",
+                )
+                continue
+            mismatch = _diff_answers(expected, answers)
+            if mismatch:
+                divergences.append(
+                    Divergence(
+                        kind="incremental",
+                        strategy=strategy,
+                        backend=backend_name,
+                        detail=_describe_mismatch(mismatch),
+                        outputs=mismatch,
                     )
-                    answers = materialization.answers()
-                except Exception as exc:  # a crashing refresh is a finding
-                    divergences.append(
-                        Divergence(
-                            kind="error",
-                            strategy=strategy,
-                            backend=mode,
-                            detail=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    continue
-                mismatch = _diff_answers(expected, answers)
-                if mismatch:
-                    divergences.append(
-                        Divergence(
-                            kind="incremental",
-                            strategy=strategy,
-                            backend=mode,
-                            detail=_describe_mismatch(mismatch),
-                            outputs=mismatch,
-                        )
-                    )
+                )
         return divergences
 
     def _expected(

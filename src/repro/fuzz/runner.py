@@ -53,8 +53,8 @@ class FuzzOptions:
     #: the interpreted axes exactly.
     kernel_axis: bool = True
     #: Incremental oracle mode: every case additionally gets a random insert
-    #: batch, and the incremental refresh of every strategy × backend (plus
-    #: the index-based direct mode) must equal a full recompute.
+    #: batch, and the incremental refresh of a materialization built by every
+    #: strategy (on the first backend) must equal a full recompute.
     incremental: bool = False
 
 

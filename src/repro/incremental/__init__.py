@@ -11,9 +11,10 @@ execution machinery of the rest of the library:
 * :mod:`repro.incremental.materialize` — per-statement maintenance state
   (conditional join-key indexes, guard indexes, output support counters);
 * :mod:`repro.incremental.engine`      — building materializations and
-  refreshing them, with the affected tuples re-evaluated by restricted MR
-  programs on an :class:`~repro.exec.base.ExecutionBackend` (``"engine"``
-  mode) or directly against the maintained indexes (``"direct"`` mode).
+  refreshing them, with the affected tuples re-evaluated against the
+  maintained indexes.  The indexes are the only refresh path: they hold the
+  truth of every semi-join of the condition, and ``materialize_query``
+  cross-checks every materialization against its planned MSJ program.
 
 Entry points: :meth:`Gumbo.materialize <repro.core.gumbo.Gumbo.materialize>`
 / :meth:`Gumbo.execute_delta <repro.core.gumbo.Gumbo.execute_delta>`, and
@@ -24,22 +25,13 @@ makes the removals exact.
 """
 
 from .delta import Delta, apply_inserts, dedupe_inserts
-from .engine import (
-    DELTA_PREFIX,
-    MODES,
-    DeltaResult,
-    materialize_query,
-    refresh,
-    refresh_all,
-)
+from .engine import DeltaResult, materialize_query, refresh, refresh_all
 from .materialize import IncrementalError, Materialization
 
 __all__ = [
-    "DELTA_PREFIX",
     "Delta",
     "DeltaResult",
     "IncrementalError",
-    "MODES",
     "Materialization",
     "apply_inserts",
     "dedupe_inserts",

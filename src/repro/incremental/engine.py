@@ -11,15 +11,10 @@ that produced it.
 statement (bottom-up), the affected guard tuples — newly inserted ones plus
 existing ones whose join key flipped for some conditional atom — are
 re-evaluated and the output delta is merged into the materialized relations
-via support counting.  In the default ``"engine"`` mode the re-evaluation is
-itself a MapReduce run: the statement is re-planned over a *restricted*
-database (the affected guard tuples under a fresh relation name, plus only
-the conditional rows whose join keys the affected tuples can probe) and
-executed on the same :class:`~repro.exec.base.ExecutionBackend` as the
-original query, so the delta path exercises the identical job machinery on a
-fraction of the data.  ``mode="direct"`` evaluates the condition against the
-maintained indexes instead (the reference semantics, restricted to the
-affected tuples) — the differential fuzzer sweeps both.
+via support counting.  The re-evaluation reads the maintained indexes and
+runs no MapReduce program: the indexes already hold the truth of every
+semi-join of the condition, and the cross-check above ties them to the
+planned program once, when the materialization is built.
 """
 
 from __future__ import annotations
@@ -28,17 +23,10 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
 
-from ..core.fused import one_round_applicable
-from ..core.options import GumboOptions
-from ..core.strategies import ONE_ROUND, PAR, build_bsgf_program
-from ..exec.base import ExecutionBackend
-from ..model.atoms import Atom
 from ..model.database import Database
 from ..model.relation import Relation
-from ..model.terms import Variable
 from ..obs import metrics as obs_metrics
 from .. import obs
-from ..query.bsgf import BSGFQuery
 from .delta import Delta, InsertBatch, Row, apply_inserts, dedupe_inserts
 from .materialize import (
     IncrementalError,
@@ -48,12 +36,6 @@ from .materialize import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.gumbo import Gumbo, GumboResult
-
-#: Relation-name prefix of the restricted guard fed to a delta program.
-DELTA_PREFIX = "__delta__"
-
-#: Accepted refresh modes.
-MODES = ("engine", "direct")
 
 #: Refresh latencies (per materialization), fed to the default registry.
 _REFRESH_SECONDS = obs_metrics.default_registry().histogram(
@@ -71,10 +53,7 @@ class DeltaResult:
     removed: Dict[str, FrozenSet[Row]]
     inserted_tuples: int
     affected_guard_tuples: int
-    engine_runs: int
     wall_s: float
-    #: Simulated Hadoop time of the restricted delta programs (engine mode).
-    simulated_delta_s: float
 
     @property
     def result(self) -> "GumboResult":
@@ -93,9 +72,7 @@ class DeltaResult:
             "affected_guard_tuples": self.affected_guard_tuples,
             "added_tuples": self.added_count(),
             "removed_tuples": self.removed_count(),
-            "engine_runs": self.engine_runs,
             "wall_s": self.wall_s,
-            "simulated_delta_s": self.simulated_delta_s,
         }
 
 
@@ -168,153 +145,27 @@ def materialize_query(
 # -- refreshing -------------------------------------------------------------------
 
 
-class _EngineEvaluator:
-    """Computes post-delta condition values by running restricted MR programs."""
-
-    def __init__(
-        self,
-        materialization: Materialization,
-        backend: ExecutionBackend,
-        options: Optional[GumboOptions] = None,
-    ) -> None:
-        self.materialization = materialization
-        self.backend = backend
-        self.options = options or GumboOptions()
-        self.engine_runs = 0
-        self.simulated_s = 0.0
-
-    def __call__(
-        self,
-        state: _StatementState,
-        affected: List[Row],
-        bindings: Dict[Row, Dict[Variable, object]],
-    ) -> Dict[Row, bool]:
-        if not state.guard_vars:
-            # A constant-only guard has no variables to project; every
-            # conforming row shares one condition value — evaluate directly.
-            return _direct_satisfies(state, affected, bindings)
-        restricted = self._restricted_database(state, affected, bindings)
-        program = self._program_for(state)
-        run = self.backend.run_program(program, restricted)
-        self.engine_runs += 1
-        self.simulated_s += run.metrics.total_time
-        satisfied = run.outputs[state.delta_query.output].tuples()
-        result: Dict[Row, bool] = {}
-        for row in affected:
-            binding = bindings[row]
-            witness = tuple(binding[v] for v in state.guard_vars)
-            result[row] = witness in satisfied
-        return result
-
-    def _program_for(self, state: _StatementState):
-        """The (cached) restricted MR program of one statement.
-
-        The delta query selects the *full guard binding* — one output tuple
-        per satisfying guard row, so projection never collapses two affected
-        rows — from the renamed restricted guard, under the statement's
-        original condition.  It is planned through the ordinary strategy
-        machinery: the fused 1-ROUND job when the shared-join-key condition
-        holds, the MSJ+EVAL two-round plan otherwise.
-        """
-        if state.delta_program is not None:
-            return state.delta_program
-        guard = state.guard
-        delta_guard = Atom(DELTA_PREFIX + guard.relation, guard.terms)
-        delta_query = BSGFQuery(
-            output=DELTA_PREFIX + state.query.output,
-            projection=state.guard_vars,
-            guard=delta_guard,
-            condition=state.query.condition,
-        )
-        strategy = ONE_ROUND if one_round_applicable(delta_query) else PAR
-        state.delta_query = delta_query
-        state.delta_program = build_bsgf_program(
-            [delta_query], strategy, estimator=None, options=self.options
-        )
-        return state.delta_program
-
-    def _restricted_database(
-        self,
-        state: _StatementState,
-        affected: List[Row],
-        bindings: Dict[Row, Dict[Variable, object]],
-    ) -> Database:
-        """Affected guard rows + only the conditional rows they can probe."""
-        mat = self.materialization
-        restricted = Database()
-        guard_name = state.guard.relation
-        delta_guard = Relation(
-            DELTA_PREFIX + guard_name,
-            state.guard.arity,
-            mat.bytes_per_field(guard_name),
-        )
-        for row in affected:
-            delta_guard.add(row)
-        restricted.add_relation(delta_guard)
-
-        needed: Dict[str, set] = {}
-        arities: Dict[str, int] = {}
-        for atom, index in state.indexes.items():
-            keys = {index.key_of(bindings[row]) for row in affected}
-            rows = needed.setdefault(atom.relation, set())
-            for key in keys:
-                rows.update(index.rows_by_key.get(key, ()))
-            arities.setdefault(
-                atom.relation, mat.relation_arity(atom.relation) or atom.arity
-            )
-        for name, rows in needed.items():
-            relation = Relation(name, arities[name], mat.bytes_per_field(name))
-            for row in rows:
-                relation.add(row)
-            restricted.add_relation(relation)
-        return restricted
-
-
-def _direct_satisfies(
-    state: _StatementState,
-    affected: List[Row],
-    bindings: Dict[Row, Dict[Variable, object]],
-) -> Dict[Row, bool]:
-    """Post-delta condition values straight from the maintained indexes."""
-    return {row: state._holds_now(bindings[row]) for row in affected}
-
-
-def refresh(
-    materialization: Materialization,
-    inserts: InsertBatch,
-    backend: Optional[ExecutionBackend] = None,
-    mode: str = "engine",
-    options: Optional[GumboOptions] = None,
-) -> DeltaResult:
+def refresh(materialization: Materialization, inserts: InsertBatch) -> DeltaResult:
     """Apply *inserts* to the materialization's database and its outputs.
 
     The batch is deduplicated against the stored relations (an insert of an
     existing tuple is a no-op), applied to the database, and propagated
-    through every statement.  ``mode="engine"`` (with a *backend*) runs the
-    restricted delta programs on the backend; ``mode="direct"`` — or a
-    missing backend — evaluates against the maintained indexes.
+    through every statement.
     """
     start = perf_counter()
-    result = refresh_all(
-        [materialization],
-        materialization.database,
-        inserts,
-        backend=backend,
-        mode=mode,
-        options=options,
-    )[0]
+    result = refresh_all([materialization], materialization.database, inserts)[0]
     # Report the whole refresh (dedupe + apply + propagate) as this call's
     # wall time, not just the per-materialization propagation slice.
     return replace(result, wall_s=perf_counter() - start)
 
 
-def _refresh_prepared(materialization, delta, new_satisfies):
+def _refresh_prepared(materialization: Materialization, delta: Delta):
     """Propagate an already-applied delta through every statement, in order."""
     added_by: Dict[str, FrozenSet[Row]] = {}
     removed_by: Dict[str, FrozenSet[Row]] = {}
     affected_total = 0
     for state in materialization.states:
-        added, removed, affected = state.apply_delta(delta, new_satisfies)
+        added, removed, affected = state.apply_delta(delta)
         affected_total += affected
         if added or removed:
             delta.record(state.query.output, added, removed)
@@ -330,9 +181,6 @@ def refresh_all(
     materializations: List[Materialization],
     database: Database,
     inserts: InsertBatch,
-    backend: Optional[ExecutionBackend] = None,
-    mode: str = "engine",
-    options: Optional[GumboOptions] = None,
 ) -> List[DeltaResult]:
     """Refresh several materializations of one shared *database* from one batch.
 
@@ -341,8 +189,6 @@ def refresh_all(
     intermediate deltas one query records never leak into another).  Every
     materialization must serve the given database.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown refresh mode {mode!r}; expected one of {MODES}")
     for materialization in materializations:
         if materialization.database is not database:
             raise IncrementalError(
@@ -365,17 +211,10 @@ def refresh_all(
         with obs.span(
             "incremental.refresh",
             output=materialization.query.output,
-            mode=mode,
             inserted_tuples=inserted_count,
         ) as refresh_span:
-            evaluator: Optional[_EngineEvaluator] = None
-            if mode == "engine" and backend is not None:
-                evaluator = _EngineEvaluator(materialization, backend, options)
-                new_satisfies = evaluator
-            else:
-                new_satisfies = _direct_satisfies
             added_by, removed_by, affected = _refresh_prepared(
-                materialization, base.scoped(), new_satisfies
+                materialization, base.scoped()
             )
             result = DeltaResult(
                 materialization=materialization,
@@ -383,17 +222,12 @@ def refresh_all(
                 removed=removed_by,
                 inserted_tuples=inserted_count,
                 affected_guard_tuples=affected,
-                engine_runs=evaluator.engine_runs if evaluator is not None else 0,
                 wall_s=perf_counter() - mat_start,
-                simulated_delta_s=(
-                    evaluator.simulated_s if evaluator is not None else 0.0
-                ),
             )
             refresh_span.set(
                 affected=affected,
                 added=result.added_count(),
                 removed=result.removed_count(),
-                engine_runs=result.engine_runs,
             )
         _REFRESH_SECONDS.observe(result.wall_s)
         results.append(result)

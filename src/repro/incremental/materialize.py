@@ -2,13 +2,13 @@
 
 A :class:`Materialization` stores, per BSGF statement of an SGF query:
 
-* a **conditional-atom index** per conditional atom κ_i — the conforming
-  κ-rows grouped by their join-key value (the variables shared with the
+* a **conditional-atom index** per conditional atom κ_i — the number of
+  conforming κ-rows per join-key value (the variables shared with the
   guard).  Presence of a key is exactly the truth of κ_i for a guard tuple
   binding that key (the semantics of the reference evaluator's
   ``_ConditionalIndex``), and counting rows per key makes truth *flips*
-  detectable in O(|delta|);
-* a **guard index** per distinct join key — conforming guard rows grouped by
+  detectable in O(|delta|) without keeping the rows themselves;
+* a **guard index** per distinct join key — conforming guard rows listed by
   key value, so the old guard tuples affected by a conditional flip are
   found without scanning the guard;
 * a **support counter** — for every output tuple, how many guard tuples
@@ -19,21 +19,17 @@ A :class:`Materialization` stores, per BSGF statement of an SGF query:
 The statement-level delta rule (:meth:`_StatementState.apply_delta`) is
 semi-naive: only inserted guard tuples, guard tuples whose condition may
 have changed (their join key flipped for some conditional atom), and deleted
-guard tuples are re-evaluated; everything else is untouched.  How the *new*
-condition value of those affected tuples is computed is injected by the
-caller — :mod:`repro.incremental.engine` runs the statement's planned MR
-program restricted to the affected tuples on an execution backend, or
-evaluates directly against the maintained indexes (``mode="direct"``).
+guard tuples are re-evaluated, by reading the condition off the indexes;
+everything else is untouched.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..mapreduce.program import MRProgram
 from ..model.atoms import Atom
 from ..model.database import Database
-from ..model.relation import DEFAULT_BYTES_PER_FIELD, Relation
+from ..model.relation import Relation
 from ..model.terms import Variable
 from ..query.bsgf import BSGFQuery
 from ..query.sgf import SGFQuery
@@ -44,16 +40,8 @@ class IncrementalError(RuntimeError):
     """Raised when a materialization cannot be built or refreshed safely."""
 
 
-#: Computes the post-delta condition value of the affected guard rows:
-#: ``(state, affected rows, row -> binding) -> row -> satisfies``.
-NewSatisfies = Callable[
-    ["_StatementState", List[Row], Dict[Row, Dict[Variable, object]]],
-    Dict[Row, bool],
-]
-
-
 class _AtomIndex:
-    """Conforming rows of one conditional atom, grouped by join-key value."""
+    """Number of conforming rows of one conditional atom per join-key value."""
 
     def __init__(self, atom: Atom, guard: Atom) -> None:
         shared = guard.shared_variables(atom)
@@ -61,7 +49,7 @@ class _AtomIndex:
         self.join_key: Tuple[Variable, ...] = tuple(
             v for v in guard.variables if v in shared
         )
-        self.rows_by_key: Dict[Row, Set[Row]] = {}
+        self.count_by_key: Dict[Row, int] = {}
 
     def build(self, relation: Optional[Relation]) -> None:
         if relation is None:
@@ -73,41 +61,52 @@ class _AtomIndex:
         return tuple(guard_binding[v] for v in self.join_key)
 
     def truth(self, key: Row) -> bool:
-        return key in self.rows_by_key
+        return key in self.count_by_key
 
     def add(self, row: Row) -> Optional[Row]:
-        """Index *row* if it conforms; returns its key (None otherwise)."""
+        """Count *row* if it conforms; returns its key (None otherwise).
+
+        Every row is added once: base inserts are deduplicated against the
+        database and an upstream statement only reports output tuples that
+        newly appeared.
+        """
         binding = self.atom.match(row)
         if binding is None:
             return None
         key = tuple(binding[v] for v in self.join_key)
-        self.rows_by_key.setdefault(key, set()).add(row)
+        self.count_by_key[key] = self.count_by_key.get(key, 0) + 1
         return key
 
     def discard(self, row: Row) -> Optional[Row]:
-        """Un-index *row* if present; returns its key (None otherwise)."""
+        """Uncount *row* if it conforms; returns its key (None otherwise).
+
+        Deletions only come from an upstream statement's removed outputs,
+        which were counted, so a conforming row under a missing key is a
+        delta-rule bug.
+        """
         binding = self.atom.match(row)
         if binding is None:
             return None
         key = tuple(binding[v] for v in self.join_key)
-        rows = self.rows_by_key.get(key)
-        if rows is None or row not in rows:
-            return None
-        rows.discard(row)
-        if not rows:
-            del self.rows_by_key[key]
+        count = self.count_by_key.get(key)
+        if count is None:
+            raise IncrementalError(
+                f"{self.atom.relation!r} row {row!r} deleted under the "
+                f"unindexed key {key!r}"
+            )
+        if count == 1:
+            del self.count_by_key[key]
+        else:
+            self.count_by_key[key] = count - 1
         return key
 
     def apply(self, inserted: Iterable[Row], deleted: Iterable[Row]) -> Set[Row]:
         """Apply a relation delta; returns the keys whose *truth* flipped."""
         truth_before: Dict[Row, bool] = {}
         for row in inserted:
-            binding = self.atom.match(row)
-            if binding is None:
-                continue
-            key = tuple(binding[v] for v in self.join_key)
-            truth_before.setdefault(key, self.truth(key))
-            self.rows_by_key.setdefault(key, set()).add(row)
+            key = self.add(row)
+            if key is not None:
+                truth_before.setdefault(key, self.count_by_key[key] > 1)
         for row in deleted:
             key = self.discard(row)
             if key is not None:
@@ -123,23 +122,21 @@ class _StatementState:
     def __init__(self, query: BSGFQuery, bytes_per_field: int) -> None:
         self.query = query
         self.guard = query.guard
-        self.guard_vars: Tuple[Variable, ...] = query.guard.variables
         self.projection = query.projection
         self.indexes: Dict[Atom, _AtomIndex] = {
             atom: _AtomIndex(atom, self.guard) for atom in query.conditional_atoms
         }
         self.guard_rows: Set[Row] = set()
-        #: One guard index per *distinct* join key used by the atoms.
-        self.guard_by_key: Dict[Tuple[Variable, ...], Dict[Row, Set[Row]]] = {
+        #: One guard index per *distinct* join key used by the atoms.  A row
+        #: is listed once: inserts are deduplicated and ``guard_rows``
+        #: filters the rows already indexed.
+        self.guard_by_key: Dict[Tuple[Variable, ...], Dict[Row, List[Row]]] = {
             key: {} for key in {i.join_key for i in self.indexes.values()} if key
         }
         self.support: Dict[Row, int] = {}
         self.output = Relation(
             query.output, max(1, len(query.projection)), bytes_per_field
         )
-        #: Planned restricted MR program, built lazily by the delta engine.
-        self.delta_program: Optional[MRProgram] = None
-        self.delta_query: Optional[BSGFQuery] = None
 
     # -- construction ---------------------------------------------------------
 
@@ -198,17 +195,16 @@ class _StatementState:
         self.guard_rows.add(row)
         for key_vars, by_key in self.guard_by_key.items():
             key = tuple(binding[v] for v in key_vars)
-            by_key.setdefault(key, set()).add(row)
+            by_key.setdefault(key, []).append(row)
 
     def _unindex_guard_row(self, row: Row, binding: Dict[Variable, object]) -> None:
         self.guard_rows.discard(row)
         for key_vars, by_key in self.guard_by_key.items():
             key = tuple(binding[v] for v in key_vars)
-            rows = by_key.get(key)
-            if rows is not None:
-                rows.discard(row)
-                if not rows:
-                    del by_key[key]
+            rows = by_key[key]
+            rows.remove(row)
+            if not rows:
+                del by_key[key]
 
     # -- support counting -----------------------------------------------------
 
@@ -239,9 +235,7 @@ class _StatementState:
 
     # -- the statement-level delta rule ------------------------------------------------
 
-    def apply_delta(
-        self, delta: Delta, new_satisfies: NewSatisfies
-    ) -> Tuple[Set[Row], Set[Row], int]:
+    def apply_delta(self, delta: Delta) -> Tuple[Set[Row], Set[Row], int]:
         """Propagate *delta* through this statement.
 
         Returns ``(added, removed, affected)``: the output tuples that
@@ -285,31 +279,21 @@ class _StatementState:
                 break
             by_key = self.guard_by_key[key_vars]
             for key in keys:
-                touched |= by_key.get(key, set())
+                touched.update(by_key.get(key, ()))
         touched -= set(del_guard)
 
-        bindings: Dict[Row, Dict[Variable, object]] = dict(ins_guard)
-        for row in touched:
-            binding = self.guard.match(row)
-            assert binding is not None  # guard_rows only holds conforming rows
-            bindings[row] = binding
-
-        # 3. New condition values for the affected rows (engine or direct).
-        affected = list(ins_guard) + sorted(touched - set(ins_guard), key=repr)
-        new_sat = new_satisfies(self, affected, bindings) if affected else {}
-
-        # 4. Support updates: inserted, flipped and deleted guard rows.
+        # 3. Support updates: inserted, flipped and deleted guard rows, with
+        #    the new condition values read off the updated indexes.
         added: Set[Row] = set()
         removed: Set[Row] = set()
         for row, binding in ins_guard.items():
-            if new_sat[row]:
+            if self._holds_now(binding):
                 self._bump(self._project(binding, row), +1, added, removed)
-        for row in touched:
-            if row in ins_guard:
-                continue
-            binding = bindings[row]
+        for row in touched:  # indexed rows only, so disjoint from ins_guard
+            binding = self.guard.match(row)
+            assert binding is not None  # guard_rows only holds conforming rows
             before = self._holds_before(binding, flipped)
-            after = new_sat[row]
+            after = self._holds_now(binding)
             if before != after:
                 self._bump(
                     self._project(binding, row),
@@ -321,13 +305,13 @@ class _StatementState:
             if self._holds_before(binding, flipped):
                 self._bump(self._project(binding, row), -1, added, removed)
 
-        # 5. Guard index maintenance (after step 2 read the old index).
+        # 4. Guard index maintenance (after step 2 read the old index).
         for row, binding in ins_guard.items():
             self._index_guard_row(row, binding)
         for row, binding in del_guard.items():
             self._unindex_guard_row(row, binding)
 
-        return added, removed, len(affected)
+        return added, removed, len(ins_guard) + len(touched)
 
 
 class Materialization:
@@ -375,25 +359,6 @@ class Materialization:
             name: frozenset(relation.tuples())
             for name, relation in self.outputs.items()
         }
-
-    def relation_arity(self, name: str) -> Optional[int]:
-        """Arity of *name* as the delta engine should see it."""
-        for state in self.states:
-            if state.query.output == name:
-                return state.output.arity
-        relation = self.database.get(name)
-        return relation.arity if relation is not None else None
-
-    def bytes_per_field(self, name: str) -> int:
-        for state in self.states:
-            if state.query.output == name:
-                return state.output.bytes_per_field
-        relation = self.database.get(name)
-        return (
-            relation.bytes_per_field
-            if relation is not None
-            else DEFAULT_BYTES_PER_FIELD
-        )
 
     def __repr__(self) -> str:
         outputs = ", ".join(

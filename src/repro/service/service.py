@@ -28,6 +28,7 @@ strategy — because a serving layer should not require callers to name one.
 from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from threading import Lock, RLock
 from time import perf_counter
@@ -743,7 +744,7 @@ class QueryService:
         By default the mutation invalidates every cache, exactly as before.
         With ``incremental=True`` the service instead *refreshes in place*:
         the batch is propagated through every registered materialization by
-        delta evaluation (on the service's execution backend), the cached
+        delta evaluation against its maintained indexes, the cached
         statistics catalog is updated for the mutated relation, and cached
         plans are kept — they remain correct; only their cost-optimality may
         drift, which the refreshed statistics correct at the next planning
@@ -804,22 +805,11 @@ class QueryService:
                     rows=len(rows),
                     materializations=len(materializations),
                 ):
-                    if self._exec_lock is not None:
-                        with self._exec_lock:
-                            results = refresh_all(
-                                materializations,
-                                self.database,
-                                {relation: rows},
-                                backend=self.gumbo.backend,
-                                options=self.gumbo.options,
-                            )
-                    else:
+                    # A concurrent non-serial run must not see the database
+                    # mutate mid-request.
+                    with self._exec_lock or nullcontext():
                         results = refresh_all(
-                            materializations,
-                            self.database,
-                            {relation: rows},
-                            backend=self.gumbo.backend,
-                            options=self.gumbo.options,
+                            materializations, self.database, {relation: rows}
                         )
                 self._m_refresh_seconds.observe(perf_counter() - refresh_start)
                 if self._estimator is not None:

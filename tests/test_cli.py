@@ -260,11 +260,15 @@ class TestDeltaCommand:
         assert "outputs identical:     yes" in out
         assert "incremental refresh" in out
 
-    def test_delta_direct_mode(self, capsys):
-        code = main(["delta", "--guard-tuples", "300", "--mode", "direct"])
+    def test_delta_materializes_on_the_chosen_backend(self, capsys):
+        code = main(
+            ["delta", "--guard-tuples", "300", "--backend", "parallel",
+             "--workers", "2"]
+        )
         out = capsys.readouterr().out
         assert code == 0
-        assert "0 restricted MR runs" in out
+        assert "backend parallel" in out
+        assert "outputs identical:     yes" in out
 
 
 class TestServeIncremental:

@@ -450,4 +450,4 @@ class TestEndToEnd:
             s for s in refresh_trace.spans if s.name == "incremental.refresh"
         )
         assert "added" in refresh.attributes
-        assert "engine_runs" in refresh.attributes
+        assert "affected" in refresh.attributes
