@@ -91,7 +91,7 @@ from .core.config import ExecutionConfig
 from .core.gumbo import Gumbo
 from .core.options import GumboOptions
 from .obs.options import TRACE_FORMATS, ObsOptions
-from .exec import BACKEND_NAMES, DATA_PLANES, make_backend
+from .exec import BACKEND_NAMES, make_backend
 from .mapreduce.kernels import KERNEL_MODES
 from .fuzz import FuzzConfig, FuzzOptions, run_fuzz
 from .fuzz.profiles import PROFILE_NAMES
@@ -269,13 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent worker shards for --sharded (default 2)",
     )
     serve.add_argument(
-        "--data-plane",
-        default=None,
-        choices=list(DATA_PLANES),
-        help="chunk shipping to the shard workers: shm, pickle or auto "
-        "(default auto)",
-    )
-    serve.add_argument(
         "--max-queue",
         type=int,
         default=64,
@@ -358,13 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharded-backend persistent worker shards (default 2)",
     )
     delta.add_argument(
-        "--data-plane",
-        default=None,
-        choices=list(DATA_PLANES),
-        help="chunk shipping to parallel/sharded workers: shm, pickle or "
-        "auto (default auto)",
-    )
-    delta.add_argument(
         "--insert-fraction",
         type=float,
         default=0.01,
@@ -405,13 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="sharded-backend persistent worker shards (default 2)",
-    )
-    trace.add_argument(
-        "--data-plane",
-        default=None,
-        choices=list(DATA_PLANES),
-        help="chunk shipping to parallel/sharded workers: shm, pickle or "
-        "auto (default auto)",
     )
     trace.add_argument(
         "--trace-out",
@@ -478,13 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="sharded-backend persistent worker shards (default 2)",
-    )
-    fuzz.add_argument(
-        "--data-plane",
-        default=None,
-        choices=list(DATA_PLANES),
-        help="chunk shipping on the parallel/sharded axes: shm, pickle or "
-        "auto (default auto); a dedicated fuzz axis for the shm data plane",
     )
     fuzz.add_argument(
         "--no-shrink",
@@ -626,15 +598,6 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="persistent worker shards for --backend sharded (default 2)",
-    )
-    parser.add_argument(
-        "--data-plane",
-        default=None,
-        choices=list(DATA_PLANES),
-        help="how chunk payloads reach parallel/sharded workers: shm "
-        "(shared-memory segments, zero-copy), pickle (the classic pipes), "
-        "or auto (shm for large typed chunks; the default); outputs and "
-        "simulated metrics are identical on every plane",
     )
     parser.add_argument(
         "--no-packing", action="store_true", help="disable message packing"
@@ -1315,7 +1278,6 @@ def _command_fuzz(args: argparse.Namespace) -> int:
         backends=backends,
         workers=args.workers,
         shards=args.shards,
-        data_plane=args.data_plane,
         shrink=not args.no_shrink,
         stop_on_failure=not args.keep_going,
         include_dynamic=not args.no_dynamic,

@@ -229,7 +229,6 @@ def connect(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
     shards: Optional[int] = None,
-    data_plane: Optional[str] = None,
     strategy: str = AUTO,
     plan_cache_size: int = 256,
     max_workers: int = 4,
@@ -247,9 +246,8 @@ def connect(
     backend:
         ``"serial"`` (default), ``"parallel"`` or ``"sharded"`` — or any
         accepted alias.
-    workers / shards / data_plane:
-        The backend knobs (worker-process count under either spelling,
-        shared-memory vs pickle chunk shipping), as in
+    workers / shards:
+        The worker-process count under either spelling, as in
         :class:`~repro.core.config.ExecutionConfig`.
     strategy:
         Default plan strategy for queries that do not name one
@@ -281,25 +279,23 @@ def connect(
         if (
             options is not None
             or backend is not None
-            or workers
-            or shards
-            or data_plane
+            or workers is not None
+            or shards is not None
         ):
             raise ValueError(
                 "pass either config= or the individual "
-                "backend/workers/shards/data_plane/options knobs, not both"
+                "backend/workers/shards/options knobs, not both"
             )
     elif options is not None:
-        if workers or shards or data_plane:
+        if workers is not None or shards is not None:
             raise ValueError(
                 "pass either options= or the individual "
-                "workers/shards/data_plane knobs, not both"
+                "workers/shards knobs, not both"
             )
         config = ExecutionConfig(
             backend=backend or options.backend,
             workers=options.workers,
             shards=options.shards,
-            data_plane=options.data_plane,
             kernel_mode=options.kernel_mode,
             strategy=strategy,
             message_packing=options.message_packing,
@@ -313,7 +309,6 @@ def connect(
             backend=backend or "serial",
             workers=workers,
             shards=shards,
-            data_plane=data_plane or "auto",
             strategy=strategy,
         )
     service = QueryService(

@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 from ..exec.base import SERIAL, make_backend, normalise_backend
-from ..exec.shm import normalise_data_plane
 from ..mapreduce.kernels import KERNEL_AUTO, KERNEL_MODES
 from .options import GumboOptions
 
@@ -51,10 +50,6 @@ class ExecutionConfig:
         Two spellings of the multi-process backend's worker-process count
         (``"parallel"`` / ``"sharded"``); give one, or the same value for
         both.  Neither → CPU count for ``"parallel"``, 2 for ``"sharded"``.
-    data_plane:
-        How chunk payloads cross process boundaries on the parallel and
-        sharded backends (``"auto"``/``"shm"``/``"pickle"``, see
-        :mod:`repro.exec.shm`).
     kernel_mode:
         Batch-kernel path selector (``"auto"``/``"on"``/``"off"``).
     strategy:
@@ -72,7 +67,6 @@ class ExecutionConfig:
     backend: str = SERIAL
     workers: Optional[int] = None
     shards: Optional[int] = None
-    data_plane: str = "auto"
     kernel_mode: str = KERNEL_AUTO
     strategy: str = "auto"
     nodes: int = 10
@@ -84,9 +78,6 @@ class ExecutionConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "backend", normalise_backend(self.backend))
-        object.__setattr__(
-            self, "data_plane", normalise_data_plane(self.data_plane)
-        )
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.shards is not None and self.shards < 1:
@@ -114,7 +105,6 @@ class ExecutionConfig:
             backend=getattr(args, "backend", None) or SERIAL,
             workers=getattr(args, "workers", None),
             shards=getattr(args, "shards", None),
-            data_plane=getattr(args, "data_plane", None) or "auto",
             kernel_mode=getattr(args, "kernel_mode", None) or KERNEL_AUTO,
             strategy=getattr(args, "strategy", None) or "auto",
             nodes=getattr(args, "nodes", 10),
@@ -133,7 +123,6 @@ class ExecutionConfig:
             backend=self.backend,
             workers=self.workers,
             shards=self.shards,
-            data_plane=self.data_plane,
             default_strategy=self.strategy,
             kernel_mode=self.kernel_mode,
             trace=self.trace,
@@ -149,7 +138,6 @@ class ExecutionConfig:
             engine=engine,
             workers=self.workers,
             shards=self.shards,
-            data_plane=self.data_plane,
         )
 
     def with_backend(self, backend: str) -> "ExecutionConfig":

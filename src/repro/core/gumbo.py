@@ -149,7 +149,6 @@ class Gumbo:
                 engine=self.engine,
                 workers=workers if workers is not None else self.options.workers,
                 shards=self.options.shards,
-                data_plane=self.options.data_plane,
             )
         if isinstance(cost_model, CostModel):
             self.cost_model = cost_model

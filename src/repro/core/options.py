@@ -51,14 +51,6 @@ class GumboOptions:
         name ``"parallel"``, 2 under ``"sharded"``).  Each worker owns a
         hash-placed share of the database's map chunks, held warm across
         requests.  Ignored by other backends.
-    data_plane:
-        How chunk payloads cross process boundaries on the parallel and
-        sharded backends (see :mod:`repro.exec.shm`): ``"auto"`` (the
-        default) ships large typed chunks through shared-memory segments
-        and small ones by pickle, ``"shm"`` forces shared memory, and
-        ``"pickle"`` forces the historical pickle path.  Ignored by the
-        serial backend.  Not an optimisation — outputs and simulated
-        metrics are bit-identical on every plane.
     default_strategy:
         The strategy :class:`~repro.core.gumbo.Gumbo` and the query service
         use when a call does not name one: any canonical strategy name, or
@@ -88,7 +80,6 @@ class GumboOptions:
     backend: str = SERIAL
     workers: Optional[int] = None
     shards: Optional[int] = None
-    data_plane: str = "auto"
     default_strategy: str = "greedy"
     kernel_mode: str = KERNEL_AUTO
     trace: bool = False
@@ -99,11 +90,6 @@ class GumboOptions:
                 f"unknown kernel_mode {self.kernel_mode!r}; "
                 f"expected one of {KERNEL_MODES}"
             )
-        from ..exec.shm import normalise_data_plane
-
-        object.__setattr__(
-            self, "data_plane", normalise_data_plane(self.data_plane)
-        )
 
     def without(self, **flags: bool) -> "GumboOptions":
         """A copy with the given flags overridden, e.g. ``without(message_packing=False)``."""

@@ -37,22 +37,18 @@ from .base import (
     normalise_backend,
 )
 from .partition import map_task_chunks, partition_index, stable_hash
-from .shm import DATA_PLANES, SegmentPool, normalise_data_plane
 
 __all__ = [
     "BACKEND_NAMES",
-    "DATA_PLANES",
     "PARALLEL",
     "SERIAL",
     "SHARDED",
     "ExecutionBackend",
-    "SegmentPool",
     "ShardedBackend",
     "SimulatedBackend",
     "make_backend",
     "map_task_chunks",
     "normalise_backend",
-    "normalise_data_plane",
     "partition_index",
     "stable_hash",
 ]

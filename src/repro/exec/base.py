@@ -153,7 +153,6 @@ def make_backend(
     engine: Optional["MapReduceEngine"] = None,
     workers: Optional[int] = None,
     shards: Optional[int] = None,
-    data_plane: Optional[str] = None,
 ) -> ExecutionBackend:
     """Build an execution backend from a name (or pass an instance through).
 
@@ -170,10 +169,6 @@ def make_backend(
             ``"parallel"`` the machine's CPU count and ``"sharded"`` 2.
         shards: Another spelling of *workers*; giving both with different
             values is an error.
-        data_plane: How chunk payloads reach the multi-process backend's
-            workers (``"shm"``/``"pickle"``/``"auto"``, see
-            :mod:`repro.exec.shm`; ignored by serial; ``None`` keeps the
-            ``"auto"`` default).
 
     Returns:
         A ready-to-use :class:`ExecutionBackend`.
@@ -181,7 +176,7 @@ def make_backend(
     Raises:
         ValueError: If *backend* is an unknown name, ``workers`` and
             ``shards`` disagree, or an instance was passed together with a
-            conflicting ``engine``, ``workers``/``shards`` or ``data_plane``.
+            conflicting ``engine`` or ``workers``/``shards``.
     """
     width = _one_width(workers, shards)
     if isinstance(backend, ExecutionBackend):
@@ -195,15 +190,6 @@ def make_backend(
                 "an ExecutionBackend instance carries its own process count; "
                 "pass workers=/shards= only when selecting a backend by name"
             )
-        if data_plane is not None:
-            from .shm import normalise_data_plane
-
-            plane = normalise_data_plane(data_plane)
-            if plane != getattr(backend, "data_plane", plane):
-                raise ValueError(
-                    "an ExecutionBackend instance carries its own data plane; "
-                    "pass data_plane= only when selecting a backend by name"
-                )
         return backend
     name = normalise_backend(backend or SERIAL)
     if name == SERIAL:
@@ -214,6 +200,6 @@ def make_backend(
 
     if width is None and name == PARALLEL:
         width = os.cpu_count() or 1
-    process_backend = ShardedBackend(engine, shards=width, data_plane=data_plane)
+    process_backend = ShardedBackend(engine, shards=width)
     process_backend.name = name
     return process_backend

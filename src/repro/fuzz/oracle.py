@@ -88,10 +88,6 @@ class DifferentialOracle:
     workers / shards:
         Two spellings of the multi-process backend's worker-process count
         (see :func:`repro.exec.base.make_backend`).
-    data_plane:
-        How chunk payloads reach parallel/sharded workers
-        (``"shm"``/``"pickle"``/``"auto"``, see :mod:`repro.exec.shm`) —
-        the shm fuzz axis pins ``"shm"`` here and must diverge nowhere.
     engine:
         The shared MapReduce engine (paper-cluster default when omitted).
     include_dynamic:
@@ -127,7 +123,6 @@ class DifferentialOracle:
         check_metrics: bool = True,
         kernel_axis: bool = True,
         shards: Optional[int] = None,
-        data_plane: Optional[str] = None,
     ) -> None:
         if not backends:
             raise ValueError("the oracle needs at least one backend")
@@ -143,16 +138,11 @@ class DifferentialOracle:
             "backends": tuple(backends),
             "workers": workers,
             "shards": shards,
-            "data_plane": data_plane,
         }
         #: Reference computations that went without the SQL second opinion
         #: (a value had no token); shrink probes count too.
         self.sql_skipped = 0
-        config = ExecutionConfig(
-            workers=workers,
-            shards=shards,
-            data_plane=data_plane or "auto",
-        )
+        config = ExecutionConfig(workers=workers, shards=shards)
         names = dict.fromkeys(normalise_backend(name) for name in backends)
         if PARALLEL in names:
             names.pop(SHARDED, None)  # one transport, one axis

@@ -37,11 +37,6 @@ class FuzzOptions:
     workers: Optional[int] = None
     #: Persistent worker count for a ``sharded`` axis (None = its default).
     shards: Optional[int] = None
-    #: Data plane for the parallel/sharded axes (``"shm"``/``"pickle"``/
-    #: ``"auto"``; None keeps the ``"auto"`` default) — the dedicated shm
-    #: fuzz axis pins ``"shm"`` and requires zero divergence and zero
-    #: leaked ``/dev/shm/repro_*`` segments.
-    data_plane: Optional[str] = None
     shrink: bool = True
     stop_on_failure: bool = True
     include_dynamic: bool = True
@@ -154,7 +149,6 @@ def run_fuzz(
             backends=options.backends,
             workers=options.workers,
             shards=options.shards,
-            data_plane=options.data_plane,
             include_dynamic=options.include_dynamic,
             include_optimal=options.include_optimal,
             include_auto=options.include_auto,
@@ -277,8 +271,8 @@ def repro_script(counterexample: Counterexample) -> str:
         for relation in counterexample.database
     )
     config = case.config
-    # The campaign's own backends, width and data plane: the defaults may
-    # not run the path that diverged (tiny cases ship by pickle under "auto").
+    # The campaign's own backends and width: the defaults may not run the
+    # path that diverged.
     arguments = ", ".join(
         f"{name}={value!r}"
         for name, value in counterexample.oracle_arguments.items()

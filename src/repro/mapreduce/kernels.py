@@ -25,7 +25,7 @@ serial engine both run in-process, ``map_batch`` once per input relation
 over all of its chunks.  On the multi-process backend (``"parallel"`` /
 ``"sharded"`` — see :mod:`repro.service.sharded.backend`) ``map_batch`` runs
 *inside the workers*, once per map chunk, straight over the chunk's resident
-or attached (``docs/dataplane.md``) :class:`ColumnBlock`; each worker replies
+or inline :class:`ColumnBlock`; each worker replies
 with its chunk's partial :class:`MapBatch` and the driver runs
 ``reduce_batch`` over all of them.  ``reduce_batch`` therefore receives *any
 number* of partial batches per relation, in relation-then-chunk order, and

@@ -141,7 +141,6 @@ class ColumnBlock:
         "_rows",
         "_keys",
         "_distinct",
-        "_release",
         "_packed",
     )
 
@@ -158,7 +157,6 @@ class ColumnBlock:
         self._rows = rows
         self._keys: Optional[Dict[Tuple[int, ...], List[tuple]]] = None
         self._distinct: Optional[Dict[Tuple[int, ...], set]] = None
-        self._release = None
         self._packed = None
 
     @classmethod
@@ -174,43 +172,6 @@ class ColumnBlock:
             return cls((), 0, arity, rows)
         columns = tuple(zip(*rows))
         return cls(columns, len(rows), len(columns), rows)
-
-    @classmethod
-    def attached(
-        cls,
-        columns: Tuple[object, ...],
-        length: int,
-        arity: Optional[int],
-        release=None,
-    ) -> "ColumnBlock":
-        """A block over externally owned column buffers (the shm data plane).
-
-        *columns* may be cast ``memoryview``s into a shared-memory segment:
-        the zip-based row/key materialisation treats them exactly like
-        tuples, and values read from ``'q'``/``'d'`` views are bit-identical
-        to the :meth:`unpack` round trip (both create fresh Python scalars
-        per row).  The optional *release* callback detaches the underlying
-        segment; it runs once, from :meth:`release`.
-        """
-        block = cls(columns, length, arity)
-        block._release = release
-        return block
-
-    def release(self) -> None:
-        """Detach from externally owned buffers (no-op for ordinary blocks).
-
-        Drops the buffer-backed columns so the backing shared-memory segment
-        can be closed (a ``memoryview`` column would otherwise keep the
-        mapping pinned), then runs the :meth:`attached` release callback.
-        Any already-materialised row/key caches stay valid — they hold plain
-        Python values — but no *new* materialisation is possible afterwards,
-        so callers release only when done with the block.  Idempotent.
-        """
-        callback, self._release = self._release, None
-        if callback is not None:
-            self.columns = ()
-            self._packed = None
-            callback()
 
     def rows(self) -> List[Tuple[object, ...]]:
         """The row-tuple view of the block (cached after first use)."""

@@ -19,7 +19,7 @@ What runs where follows the one rule every backend uses
   :meth:`~repro.mapreduce.engine.MapReduceEngine.run_job_kernel` with the
   workers as its map phase: one task per map chunk — the same strided
   chunks the serial engine iterates — runs ``job.map_batch`` over the
-  resident (or attached) block and replies with the chunk's partial
+  resident (or inline) block and replies with the chunk's partial
   :class:`~repro.mapreduce.kernels.MapBatch`; the partials' accounting is
   summed and ``reduce_batch`` run on the driver.  This module supplies only
   *where ``map_batch`` runs*: the resident-reference vs inline-payload
@@ -42,7 +42,8 @@ repeated requests over one database ship nothing, while any mutation
 changes the block and forces a re-ship.  Relations that exist only *inside*
 one program run (intermediates of later levels) are shipped inline with
 their tasks and never become resident.  Both resident loads and inline
-payloads travel over the configured *data plane* (:mod:`repro.exec.shm`).
+payloads travel as pickled :meth:`~repro.model.relation.ColumnBlock.packed`
+tuples (:func:`~repro.service.sharded.rpc.pack_chunk`).
 
 Kernel jobs are shipped by pickling, so they must be picklable (all jobs in
 this package are: they hold only query dataclasses and options, never
@@ -59,12 +60,6 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from ...exec.base import SHARDED, ExecutionBackend
-from ...exec.shm import (
-    SegmentPool,
-    encode_block,
-    normalise_data_plane,
-    payload_segment,
-)
 from ...mapreduce.counters import WallClockMetrics
 from ...mapreduce.engine import InputPart, JobResult, MapReduceEngine
 from ...mapreduce.job import MapReduceJob
@@ -73,7 +68,7 @@ from ...model.database import Database
 from ... import obs
 from .cluster import ShardCluster
 from .routing import shard_for_chunk
-from .rpc import MapTask
+from .rpc import MapTask, pack_chunk
 
 
 class ShardedBackend(ExecutionBackend):
@@ -95,10 +90,6 @@ class ShardedBackend(ExecutionBackend):
         An existing :class:`ShardCluster` to drive (it is then *not* owned:
         :meth:`close` leaves it running).  Mutually exclusive sizing with
         *shards*.
-    data_plane:
-        How chunk payloads cross the RPC boundary (``"shm"``/``"pickle"``/
-        ``"auto"``, see :mod:`repro.exec.shm`).  With an external *cluster*
-        the cluster's plane governs; passing a conflicting value raises.
     """
 
     #: ``make_backend`` overwrites this with the name it was asked for.
@@ -110,37 +101,21 @@ class ShardedBackend(ExecutionBackend):
         shards: Optional[int] = None,
         start_method: Optional[str] = None,
         cluster: Optional[ShardCluster] = None,
-        data_plane: Optional[str] = None,
     ) -> None:
         if cluster is not None:
             if shards is not None and shards != cluster.shards:
                 raise ValueError(
                     f"cluster has {cluster.shards} shards, shards={shards} given"
                 )
-            if (
-                data_plane is not None
-                and normalise_data_plane(data_plane) != cluster.data_plane
-            ):
-                raise ValueError(
-                    f"cluster uses the {cluster.data_plane!r} data plane, "
-                    f"data_plane={data_plane!r} given"
-                )
             self._cluster = cluster
             self._owns_cluster = False
         else:
             self._cluster = ShardCluster(
-                shards if shards is not None else 2,
-                start_method=start_method,
-                data_plane=normalise_data_plane(data_plane),
+                shards if shards is not None else 2, start_method=start_method
             )
             self._owns_cluster = True
         self.engine = engine or MapReduceEngine()
-        self.data_plane = self._cluster.data_plane
         self.shards = self._cluster.shards
-        #: Driver-owned segments of *inline* task payloads (program
-        #: intermediates), each released when its map phase's tasks are back;
-        #: resident chunks live in the cluster's own pool.
-        self._segments = SegmentPool()
 
     @property
     def cluster(self) -> ShardCluster:
@@ -151,7 +126,6 @@ class ShardedBackend(ExecutionBackend):
         """Shut the owned cluster down (idempotent; a later run restarts it)."""
         if self._owns_cluster:
             self._cluster.close()
-        self._segments.close_all()
 
     # -- shard loading ------------------------------------------------------------
 
@@ -217,13 +191,12 @@ class ShardedBackend(ExecutionBackend):
         """One ``map_batch`` task per chunk of every input part, on the shards.
 
         A part whose relation is resident is named by the ship version its
-        shards hold; any other part's chunks are encoded for the data plane
-        and travel inline, their segments released once the tasks are back
-        — or shipping or a task failed: ``run_tasks`` handles the death →
-        respawn → retry-once contract internally, so the workers have
-        materialised what they need by the time it returns.  A missing or
-        empty relation yields no task at all: the serial engine still
-        accounts one mapper over zero rows, but zero rows emit zero pairs.
+        shards hold; any other part's chunks are packed and travel inline.
+        ``run_tasks`` handles the death → respawn → retry-once contract
+        internally, so the workers have materialised what they need by the
+        time it returns.  A missing or empty relation yields no task at all:
+        the serial engine still accounts one mapper over zero rows, but zero
+        rows emit zero pairs.
 
         Returns, per part, its tasks' partial batches in chunk order (so
         flattening the parts gives the order the serial engine processes
@@ -232,54 +205,47 @@ class ShardedBackend(ExecutionBackend):
         traced = obs.tracing_enabled()
         routed: List[Tuple[int, MapTask]] = []
         task_parts: List[int] = []
-        shipped_segments: List[str] = []
         per_part: List[List[MapBatch]] = [[] for _ in parts]
-        try:
-            for part_index, (relation, partition) in enumerate(parts):
-                if relation is None or not len(relation):
-                    continue
-                name = partition.relation
-                resident = self._cluster.resident_info(name, relation.columns())
-                if resident is not None:
-                    version, chunk_count = resident
-                    payloads: List[object] = [None] * chunk_count
-                else:
-                    version, payloads = 0, []
-                    for block in relation.column_chunks(partition.mappers):
-                        payload = encode_block(block, self._segments, self.data_plane)
-                        payloads.append(payload)
-                        segment = payload_segment(payload)
-                        if segment is not None:
-                            shipped_segments.append(segment)
-                for index, payload in enumerate(payloads):
-                    task = MapTask(
-                        task_id=len(routed),
-                        job_blob=job_blob,
-                        relation=name,
-                        chunk_index=index,
-                        version=version,
-                        payload=payload,
-                        traced=traced,
-                    )
-                    routed.append((shard_for_chunk(name, index, self.shards), task))
-                    task_parts.append(part_index)
-            if not routed:
-                return per_part
-            tracer = obs.current_tracer()
-            begin = perf_counter()
-            with obs.span(
-                "shard_fanout", tasks=len(routed), shards=self.shards
-            ) as fanout_span:
-                # Replies come back sorted by task id — the order built above.
-                responses = self._cluster.run_tasks(routed)
-                if tracer is not None:
-                    for response in responses:
-                        if response.span is not None:
-                            tracer.adopt_payload(response.span, fanout_span.span_id)
-            wall.record_wave("map", len(routed), perf_counter() - begin)
-        finally:
-            for segment in shipped_segments:
-                self._segments.release(segment)
+        for part_index, (relation, partition) in enumerate(parts):
+            if relation is None or not len(relation):
+                continue
+            name = partition.relation
+            resident = self._cluster.resident_info(name, relation.columns())
+            if resident is not None:
+                version, chunk_count = resident
+                payloads: List[object] = [None] * chunk_count
+            else:
+                version = 0
+                payloads = [
+                    pack_chunk(block)
+                    for block in relation.column_chunks(partition.mappers)
+                ]
+            for index, payload in enumerate(payloads):
+                task = MapTask(
+                    task_id=len(routed),
+                    job_blob=job_blob,
+                    relation=name,
+                    chunk_index=index,
+                    version=version,
+                    payload=payload,
+                    traced=traced,
+                )
+                routed.append((shard_for_chunk(name, index, self.shards), task))
+                task_parts.append(part_index)
+        if not routed:
+            return per_part
+        tracer = obs.current_tracer()
+        begin = perf_counter()
+        with obs.span(
+            "shard_fanout", tasks=len(routed), shards=self.shards
+        ) as fanout_span:
+            # Replies come back sorted by task id — the order built above.
+            responses = self._cluster.run_tasks(routed)
+            if tracer is not None:
+                for response in responses:
+                    if response.span is not None:
+                        tracer.adopt_payload(response.span, fanout_span.span_id)
+        wall.record_wave("map", len(routed), perf_counter() - begin)
         for part_index, response in zip(task_parts, responses):
             per_part[part_index].append(response.result)
         return per_part

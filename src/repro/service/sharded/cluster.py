@@ -37,12 +37,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ...exec.shm import (
-    SegmentPool,
-    encode_block,
-    normalise_data_plane,
-    payload_segment,
-)
 from ...model.relation import ColumnBlock
 from .routing import shard_for_chunk
 from .rpc import (
@@ -56,6 +50,7 @@ from .rpc import (
     WorkerDied,
     WorkerStats,
     encode_frame,
+    pack_chunk,
     read_frame_async,
 )
 from .worker import worker_main
@@ -93,13 +88,6 @@ class _Resident:
     #: copy shares the block, so identity means "rows unchanged".
     token: object
     chunks: List[ColumnBlock]
-    #: Per-chunk data-plane payloads, encoded once at load time.  On the shm
-    #: plane these are tiny segment descriptors, so a respawned worker's
-    #: resident reload *re-attaches* instead of re-shipping the rows.
-    payloads: List[object] = field(default_factory=list)
-    #: Names of the shm segments backing ``payloads`` (owned by the cluster
-    #: until this version is replaced or the cluster closes).
-    segments: List[str] = field(default_factory=list)
 
 
 class ShardCluster:
@@ -111,23 +99,10 @@ class ShardCluster:
         Number of worker processes (each owns one shard).
     start_method:
         ``multiprocessing`` start method (platform default when omitted).
-    data_plane:
-        How chunk payloads cross the RPC boundary (``"shm"``/``"pickle"``/
-        ``"auto"``, see :mod:`repro.exec.shm`).  On the shm plane resident
-        chunks are placed into shared memory once at load time; workers
-        attach, and a respawned worker's resident reload re-attaches
-        instead of re-shipping the rows.
     """
 
-    def __init__(
-        self,
-        shards: int,
-        start_method: Optional[str] = None,
-        data_plane: str = "auto",
-    ) -> None:
+    def __init__(self, shards: int, start_method: Optional[str] = None) -> None:
         self.shards = max(1, int(shards))
-        self.data_plane = normalise_data_plane(data_plane)
-        self._segments = SegmentPool()
         self._context = (
             multiprocessing.get_context(start_method)
             if start_method
@@ -193,10 +168,7 @@ class ShardCluster:
                 thread.join(timeout=5)
             loop.close()
             self._loop = self._thread = None
-            for resident in self._resident.values():
-                self._free_segments(resident)
             self._resident.clear()
-            self._segments.close_all()
             self._crash_armed = [False] * self.shards
 
     def __enter__(self) -> "ShardCluster":
@@ -266,9 +238,11 @@ class ShardCluster:
     def _load_message(
         self, name: str, resident: _Resident, shard: int
     ) -> Optional[LoadRelation]:
+        # packed() is memoised on the immutable block, so a respawn's reload
+        # re-sends the tuples the first load built.
         chunks = {
-            index: resident.payloads[index]
-            for index in range(len(resident.chunks))
+            index: pack_chunk(block)
+            for index, block in enumerate(resident.chunks)
             if shard_for_chunk(name, index, self.shards) == shard
         }
         if not chunks:
@@ -351,15 +325,7 @@ class ShardCluster:
             token=token,
             chunks=list(chunks),
         )
-        for block in resident.chunks:
-            payload = encode_block(block, self._segments, self.data_plane)
-            resident.payloads.append(payload)
-            segment = payload_segment(payload)
-            if segment is not None:
-                resident.segments.append(segment)
         self._resident[name] = resident
-        if previous is not None:
-            self._free_segments(previous)
         batches = []
         for shard in range(self.shards):
             message = self._load_message(name, resident, shard)
@@ -368,16 +334,8 @@ class ShardCluster:
         if batches:
             self._call(self._gather(batches))
 
-    def _free_segments(self, resident: _Resident) -> None:
-        """Release the shm segments backing one resident version."""
-        segments, resident.segments = resident.segments, []
-        for segment in segments:
-            self._segments.release(segment)
-
     def drop_relations(self) -> None:
         """Forget all resident relations (the next run re-ships them)."""
-        for resident in self._resident.values():
-            self._free_segments(resident)
         self._resident.clear()
 
     # -- task fan-out ------------------------------------------------------------

@@ -122,18 +122,13 @@ class ShardedService:
         max_concurrency: int = 8,
         max_queue: int = 64,
         request_timeout_s: Optional[float] = None,
-        data_plane: Optional[str] = None,
     ) -> "ShardedService":
         """Build the whole tier: sharded backend → query service → front-end.
 
         The returned front-end owns the stack; :meth:`close` shuts down the
-        service, its Gumbo, and the shard cluster.  ``data_plane`` selects
-        how chunks reach the shard workers (``None`` follows
-        ``options.data_plane``, default ``"auto"``).
+        service, its Gumbo, and the shard cluster.
         """
-        if data_plane is None and options is not None:
-            data_plane = options.data_plane
-        backend = ShardedBackend(engine=engine, shards=shards, data_plane=data_plane)
+        backend = ShardedBackend(engine=engine, shards=shards)
         service = QueryService(
             database,
             backend=backend,

@@ -35,6 +35,9 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ...model.relation import ColumnBlock
+from ...obs import metrics as obs_metrics
+
 #: Frame header: payload length, 4-byte big-endian unsigned.
 _HEADER = struct.Struct(">I")
 
@@ -43,6 +46,25 @@ _HEADER = struct.Struct(">I")
 #: exactly ``MAX_FRAME_BYTES`` is legal on both the encode and decode side;
 #: one byte more raises :class:`FrameTooLargeError` (never a struct error).
 MAX_FRAME_BYTES = 1 << 30
+
+
+#: Typed (``'q'``/``'d'``) column bytes pickled into chunk payloads.
+_BYTES_SHIPPED = obs_metrics.default_registry().counter(
+    "repro_bytes_shipped", plane="pickle"
+)
+
+
+def pack_chunk(block: ColumnBlock) -> tuple:
+    """*block* as a chunk payload: its :meth:`~ColumnBlock.packed` tuple.
+
+    The worker rebuilds it with :meth:`~ColumnBlock.unpack`.  The typed
+    column bytes are counted in ``repro_bytes_shipped{plane="pickle"}``.
+    """
+    packed = block.packed()
+    _BYTES_SHIPPED.inc(
+        sum(column.itemsize * len(column) for kind, column in packed[2] if kind != "o")
+    )
+    return packed
 
 
 class RPCError(RuntimeError):
@@ -68,10 +90,8 @@ class WorkerDied(RPCError):
 class LoadRelation:
     """Install (or replace) one relation's resident chunks on a worker.
 
-    ``chunks`` maps *global* chunk index → data-plane payload (a packed
-    :class:`~repro.model.relation.ColumnBlock` tuple on the pickle plane, a
-    tiny :class:`~repro.exec.shm.ShmPayload` segment descriptor on the shm
-    plane); only the chunks the receiving shard owns are included.
+    ``chunks`` maps *global* chunk index → :func:`pack_chunk` payload;
+    only the chunks the receiving shard owns are included.
     ``version`` is the cluster's ship counter for the relation — map tasks
     name the version they expect, so a stale worker answers with a
     :class:`Failure` instead of stale data.
@@ -88,10 +108,8 @@ class MapTask:
     (see :func:`repro.service.sharded.worker.run_map_task`).
 
     ``payload`` is ``None`` for resident chunks (the worker reads its warm
-    block) and a data-plane payload (packed column block or shm segment
-    descriptor, see :func:`repro.exec.shm.decode_payload`) for inline
-    shipment (intermediate relations that only exist inside one program
-    run).
+    block) and a :func:`pack_chunk` payload for inline shipment
+    (intermediate relations that only exist inside one program run).
     """
 
     task_id: int

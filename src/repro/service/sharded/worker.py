@@ -5,14 +5,13 @@ socket its parent handed it at spawn time.  A shard worker keeps the
 :class:`~repro.model.relation.ColumnBlock` chunks it owns resident across
 requests: a :class:`~repro.service.sharded.rpc.LoadRelation` installs them
 once, and subsequent map tasks name ``(relation, chunk_index, version)``
-instead of shipping rows.  Chunks arrive as data-plane payloads
-(:func:`repro.exec.shm.decode_payload`): on the shm plane a worker *attaches*
-the cluster's shared-memory segments instead of unpickling row bytes, and a
-respawned worker's resident reload is therefore a re-attach, not a re-ship.
-The blocks' memoised row and key tuples — what a kernel job's ``map_batch``
-reads — and the per-blob job memo (:func:`job_from_blob`) with its compiled
-kernels stay warm with them, which is the entire point of the tier —
-repeated queries pay neither serialisation nor cache-warmup cost.
+instead of shipping rows.  Chunks arrive as pickled
+:meth:`~repro.model.relation.ColumnBlock.packed` tuples and are rebuilt with
+:meth:`~repro.model.relation.ColumnBlock.unpack`.  The blocks' memoised row
+and key tuples — what a kernel job's ``map_batch`` reads — and the
+per-blob job memo (:func:`job_from_blob`) with its compiled kernels stay
+warm with them, which is the entire point of the tier — repeated queries
+pay neither serialisation nor cache-warmup cost.
 
 A worker runs exactly one kind of task: ``job.map_batch`` over one chunk
 (:func:`run_map_task`).  Jobs without a batch kernel never reach it — the
@@ -31,7 +30,6 @@ from functools import lru_cache
 from time import perf_counter
 from typing import Dict, Optional, Tuple
 
-from ...exec.shm import decode_payload
 from ...mapreduce.engine import collector_paused
 from ...mapreduce.job import MapReduceJob
 from ...model.relation import ColumnBlock
@@ -112,8 +110,8 @@ class _WorkerState:
 def run_map_task(state: _WorkerState, task: MapTask) -> TaskDone:
     """``job.map_batch`` over the task's chunk → its partial ``MapBatch``.
 
-    The chunk is the worker's resident block, or the task's inline
-    data-plane payload — attached, and released again once it is mapped.
+    The chunk is the worker's resident block, or the task's inline packed
+    payload, unpacked.
     The batch's ledger stays here: the reply carries sums and reduce data,
     and a driver that needs per-key loads derives them from its own copy.
     When the parent asked for tracing the reply carries a
@@ -122,14 +120,10 @@ def run_map_task(state: _WorkerState, task: MapTask) -> TaskDone:
     start_s = perf_counter() if task.traced else 0.0
     job = job_from_blob(task.job_blob)
     resident = task.payload is None
-    block = state.chunk_for(task) if resident else decode_payload(task.payload)
+    block = state.chunk_for(task) if resident else ColumnBlock.unpack(task.payload)
     rows = len(block)
-    try:
-        with collector_paused():
-            batch = job.map_batch(task.relation, [block])
-    finally:
-        if not resident:
-            block.release()  # transient chunk: unpin its shm segment (if any)
+    with collector_paused():
+        batch = job.map_batch(task.relation, [block])
     state.map_tasks += 1
     span = None
     if task.traced:
@@ -152,17 +146,13 @@ def _handle(state: _WorkerState, message: object) -> Optional[object]:
     if isinstance(message, MapTask):
         return run_map_task(state, message)
     if isinstance(message, LoadRelation):
-        previous = state.relations.get(message.name)
         state.relations[message.name] = (
             message.version,
             {
-                index: decode_payload(payload)
+                index: ColumnBlock.unpack(payload)
                 for index, payload in message.chunks.items()
             },
         )
-        if previous is not None:
-            for block in previous[1].values():
-                block.release()  # evicted version: drop its shm attachments
         return Ok(info=len(message.chunks))
     if isinstance(message, Ping):
         return Ok(info={"shard": state.shard, "pid": os.getpid()})
@@ -206,11 +196,4 @@ def worker_main(shard: int, conn: socket.socket) -> None:
             except (ConnectionError, OSError):
                 break
     finally:
-        for _, chunks in state.relations.values():
-            for block in chunks.values():
-                try:
-                    block.release()
-                except Exception:  # pragma: no cover - best-effort detach
-                    pass
-        state.relations.clear()
         conn.close()

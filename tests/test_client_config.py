@@ -224,6 +224,18 @@ class TestConnect:
         with connect(DB, options=options) as conn:
             assert conn.backend == "parallel"
 
+    @pytest.mark.parametrize("knob", ["workers", "shards"])
+    @pytest.mark.parametrize(
+        "override",
+        [{"options": GumboOptions()}, {"config": ExecutionConfig()}],
+        ids=["options", "config"],
+    )
+    def test_zero_knob_conflicts_with_an_override(self, knob, override):
+        """A 0 is a value, not an absent knob: it clashes with options= or
+        config= exactly as a 3 would, instead of being silently dropped."""
+        with pytest.raises(ValueError, match="not both"):
+            connect(DB, **override, **{knob: 0})
+
     def test_close_is_idempotent_and_context_managed(self):
         conn = connect(DB)
         assert not conn.closed
@@ -241,8 +253,7 @@ class TestConnect:
 
         script = (
             "import multiprocessing, repro\n"
-            f"conn = repro.connect({DB!r}, backend='parallel', workers=2,"
-            " data_plane='shm')\n"
+            f"conn = repro.connect({DB!r}, backend='parallel', workers=2)\n"
             f"assert conn.execute({QUERY!r}).tuples() == {EXPECTED!r}\n"
             "assert len(multiprocessing.active_children()) == 2\n"
             "conn.close()\n"

@@ -271,8 +271,8 @@ def test_repro_script_is_executable_python(monkeypatch, tmp_path):
 
 
 def test_repro_script_replays_the_campaigns_own_oracle(monkeypatch, capsys):
-    """A counterexample found on ``parallel(2)`` over shm is replayed there:
-    under the default ``auto`` plane a case this small ships by pickle."""
+    """A counterexample found on ``parallel(2)`` is replayed there, not on
+    the oracle's default backends and width."""
     import repro.core.strategies as strategies
 
     real = strategies.singleton_partition
@@ -284,14 +284,12 @@ def test_repro_script_replays_the_campaigns_own_oracle(monkeypatch, capsys):
             config=FuzzConfig(max_statements=1),
             backends=("parallel",),
             workers=2,
-            data_plane="shm",
         )
     )
     assert not report.ok
     script = report.counterexamples[0].script()
     assert (
-        "DifferentialOracle(backends=('parallel',), workers=2, data_plane='shm')"
-        in script
+        "DifferentialOracle(backends=('parallel',), workers=2)" in script
     )
     capsys.readouterr()
     exec(compile(script, "counterexample.py", "exec"), {})

@@ -42,11 +42,10 @@ HELP_CHECKS = [
          "bench", "fuzz", "delta", "trace"],
     ),
     (["query"], ["--backend", "{serial,parallel,sharded}",
-                 "--kernel-mode", "--workers", "--shards", "--data-plane",
-                 "{auto,shm,pickle}"]),
+                 "--kernel-mode", "--workers", "--shards"]),
     (["bench"], ["--kernels", "--guard-tuples"]),
     (["fuzz"], ["--backend", "{serial,parallel,sharded,both,all}", "--profile",
-                "--incremental", "--shards", "--data-plane"]),
+                "--incremental", "--shards"]),
     (["delta"], ["--backend", "--insert-fraction"]),
     (["trace"], ["--backend", "--trace-out"]),
     (["serve"], ["--sharded", "--shards", "--max-queue", "--request-timeout"]),
