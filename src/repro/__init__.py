@@ -22,9 +22,10 @@ Quick start
 
 :func:`connect` is the unified client API (see :mod:`repro.client`): one
 ``Connection`` with ``execute``/``materialize``/``refresh``/``close``, one
-``Result`` type, every backend selectable by name.  The layer-specific entry
-points (:class:`Gumbo`, :class:`QueryService <repro.service.QueryService>`)
-remain fully supported underneath it.
+``Result`` type, every backend selectable by name.  The layers it wraps
+(:class:`Gumbo`, the planner/executor, and :class:`QueryService
+<repro.service.QueryService>`, the serving layer) can be built directly;
+all three take one :class:`GumboOptions`.
 
 Execution backends
 ------------------
@@ -42,7 +43,6 @@ on the command line with ``repro query --backend parallel --workers 4``;
 """
 
 from .client import Connection, Result, connect
-from .core.config import ExecutionConfig
 from .core.dynamic import DynamicSGFExecutor
 from .core.gumbo import Gumbo, GumboResult, PlannedQuery
 from .core.msj import MSJJob, multi_semi_join
@@ -79,7 +79,6 @@ __all__ = [
     "Constant",
     "CostConstants",
     "Database",
-    "ExecutionConfig",
     "DeltaResult",
     "DifferentialOracle",
     "DynamicSGFExecutor",

@@ -80,14 +80,13 @@ Prometheus text exposition of the metrics registries).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from dataclasses import replace
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import obs
-from .core.config import ExecutionConfig
 from .core.gumbo import Gumbo
 from .core.options import GumboOptions
 from .obs.options import TRACE_FORMATS, ObsOptions
@@ -331,25 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="strategy for the materialized run and the recompute (default auto)",
     )
-    delta.add_argument(
-        "--backend",
-        default="serial",
-        choices=list(BACKEND_NAMES),
-        help="execution backend that materializes and recomputes; the "
-        "refresh reads the maintained indexes (default serial)",
-    )
-    delta.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel-backend worker processes (default: CPU count)",
-    )
-    delta.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="sharded-backend persistent worker shards (default 2)",
-    )
+    _add_backend_arguments(delta, default="serial")
     delta.add_argument(
         "--insert-fraction",
         type=float,
@@ -362,6 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace = subparsers.add_parser(
         "trace",
         help="trace one workload end to end and export the span tree",
+        description="Trace one workload end to end and export the span tree. "
+        "Runs on the parallel backend by default, so worker-side spans "
+        "appear in the trace, with 2 workers unless --workers/--shards "
+        "says otherwise.",
     )
     trace.add_argument("query_id", help="A1-A5, B1-B2 or C1-C4")
     trace.add_argument("--guard-tuples", type=int, default=500)
@@ -373,25 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="strategy served for both requests (default auto)",
     )
-    trace.add_argument(
-        "--backend",
-        default="parallel",
-        choices=list(BACKEND_NAMES),
-        help="execution backend (default parallel, so worker-side spans "
-        "appear in the trace)",
-    )
-    trace.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel-backend worker processes (default 2)",
-    )
-    trace.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="sharded-backend persistent worker shards (default 2)",
-    )
+    _add_backend_arguments(trace, default="parallel")
     trace.add_argument(
         "--trace-out",
         default=None,
@@ -414,7 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fuzz = subparsers.add_parser(
-        "fuzz", help="differential-fuzz the strategies and backends"
+        "fuzz",
+        help="differential-fuzz the strategies and backends",
+        description="Differential-fuzz the strategies and backends. "
+        "--backend takes one backend, 'both' (serial+parallel) or 'all' "
+        "(every backend name: serial+parallel+sharded, the default).",
     )
     fuzz.add_argument("--seed", type=int, default=0, help="campaign seed")
     fuzz.add_argument(
@@ -438,26 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(PROFILE_NAMES),
         help="data-value profile for generated databases (default mixed)",
     )
-    fuzz.add_argument(
-        "--backend",
-        default="all",
-        choices=list(BACKEND_NAMES) + ["both", "all"],
-        help="backend(s) to differential-test: one backend, 'both' "
-        "(serial+parallel), or 'all' (every backend name: "
-        "serial+parallel+sharded, the default)",
-    )
-    fuzz.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel-backend worker processes (default: CPU count)",
-    )
-    fuzz.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="sharded-backend persistent worker shards (default 2)",
-    )
+    _add_backend_arguments(fuzz, default="all", choices=[*BACKEND_NAMES, "both", "all"])
     fuzz.add_argument(
         "--no-shrink",
         action="store_true",
@@ -558,6 +510,36 @@ def _export_obs(obs_options: ObsOptions, registries: Sequence[object] = ()) -> N
         print(f"wrote metrics to {obs_options.metrics_out}")
 
 
+def _add_backend_arguments(
+    parser: argparse.ArgumentParser,
+    default: str,
+    choices: Sequence[str] = BACKEND_NAMES,
+) -> None:
+    """``--backend`` / ``--workers`` / ``--shards`` for a subcommand that
+    runs plans (the width is checked where the backend is built)."""
+    parser.add_argument(
+        "--backend",
+        default=default,
+        choices=list(choices),
+        help="execution backend: serial simulation or the multi-process "
+        f"runtime under either of its names (default {default})",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes of the multi-process backend (default: CPU "
+        "count under the name parallel, 2 under sharded)",
+    )
+    parser.add_argument(
+        "--shards",
+        type=int,
+        default=None,
+        help="another spelling of --workers (give one, or the same value "
+        "for both)",
+    )
+
+
 def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--query", help="the SGF query text")
@@ -580,25 +562,7 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         help="cost model driving plan choice (default gumbo)",
     )
     parser.add_argument("--nodes", type=int, default=10, help="simulated cluster size")
-    parser.add_argument(
-        "--backend",
-        default="serial",
-        choices=list(BACKEND_NAMES),
-        help="execution backend: serial simulation or the multiprocessing "
-        "runtime under either of its names (default serial)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for --backend parallel (default: CPU count)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="persistent worker shards for --backend sharded (default 2)",
-    )
+    _add_backend_arguments(parser, default="serial")
     parser.add_argument(
         "--no-packing", action="store_true", help="disable message packing"
     )
@@ -623,13 +587,32 @@ def _read_query_text(args: argparse.Namespace) -> str:
         return handle.read()
 
 
+def _options_from_args(args: argparse.Namespace) -> GumboOptions:
+    """The :class:`GumboOptions` a subcommand's flags select.
+
+    Works with any subcommand's namespace: flags a subcommand does not
+    define keep the defaults.  ``--trace-out`` implies tracing.
+    """
+    given = vars(args)
+    defaults = GumboOptions()
+    return GumboOptions(
+        message_packing=not given.get("no_packing", False),
+        tuple_reference=not given.get("no_tuple_reference", False),
+        backend=given.get("backend") or defaults.backend,
+        workers=given.get("workers"),
+        shards=given.get("shards"),
+        default_strategy=given.get("strategy") or defaults.default_strategy,
+        kernel_mode=given.get("kernel_mode") or defaults.kernel_mode,
+        trace=bool(given.get("trace") or given.get("trace_out")),
+    )
+
+
 def _gumbo_for(args: argparse.Namespace) -> Gumbo:
-    config = ExecutionConfig.from_cli_args(args)
-    environment = ScaledEnvironment(scale=1.0, nodes=config.nodes)
+    environment = ScaledEnvironment(scale=1.0, nodes=args.nodes)
     return Gumbo(
         engine=environment.engine(),
         cost_model=args.cost_model,
-        options=config.to_options(),
+        options=_options_from_args(args),
     )
 
 
@@ -894,10 +877,10 @@ def _command_serve_sharded(args: argparse.Namespace) -> int:
         raise SystemExit("no workload ids given")
     queries, database = _serve_workload(ids, args)
     requests = [queries[i % len(queries)] for i in range(args.requests)]
-    config = ExecutionConfig.from_cli_args(args).with_backend("sharded")
-    environment = ScaledEnvironment(scale=1.0, nodes=config.nodes)
+    options = replace(_options_from_args(args), backend="sharded")
+    environment = ScaledEnvironment(scale=1.0, nodes=args.nodes)
     obs_options = _obs_options(args)
-    shards = config.shards or 2
+    shards = args.shards if args.shards is not None else 2
     latencies: List[float] = []
     shed = timeouts = 0
 
@@ -927,7 +910,7 @@ def _command_serve_sharded(args: argparse.Namespace) -> int:
         engine=environment.engine(),
         strategy=args.strategy,
         plan_cache_size=args.plan_cache,
-        options=config.to_options(),
+        options=options,
         max_concurrency=args.clients,
         max_queue=args.max_queue,
         request_timeout_s=args.request_timeout,
@@ -1159,12 +1142,8 @@ def _command_delta(args: argparse.Namespace) -> int:
     )
     batch = _insert_batch_for(database, query, args.insert_fraction, args.seed)
     inserted = sum(len(rows) for rows in batch.values())
-    config = ExecutionConfig.from_cli_args(args)
-    environment = ScaledEnvironment(scale=1.0, nodes=config.nodes)
-    backend = config.make_backend(engine=environment.engine())
-    gumbo = Gumbo(
-        backend=backend, options=GumboOptions(trace=config.trace)
-    )
+    environment = ScaledEnvironment(scale=1.0, nodes=args.nodes)
+    gumbo = Gumbo(engine=environment.engine(), options=_options_from_args(args))
     try:
         # Full re-execution path: statistics + planning + run on the
         # post-batch database (what an invalidating service would do).
@@ -1214,12 +1193,11 @@ def _command_trace(args: argparse.Namespace) -> int:
         selectivity=args.selectivity,
         seed=args.seed,
     )
-    config = ExecutionConfig.from_cli_args(args)
-    if config.workers is None and config.shards is None:
-        config = dataclasses.replace(config, workers=2)
-    environment = ScaledEnvironment(scale=1.0, nodes=config.nodes)
-    backend = config.make_backend(engine=environment.engine())
-    gumbo = Gumbo(backend=backend, options=GumboOptions(trace=True))
+    options = replace(_options_from_args(args), trace=True)
+    if options.workers is None and options.shards is None:
+        options = replace(options, workers=2)
+    environment = ScaledEnvironment(scale=1.0, nodes=args.nodes)
+    gumbo = Gumbo(engine=environment.engine(), options=options)
     obs.drain_traces()  # start from a clean collector
     with QueryService(database, gumbo, strategy=args.strategy) as service:
         miss = service.execute(query)

@@ -25,15 +25,13 @@ Under the hood a :class:`Connection` is a thin veneer over the plan-caching
 :class:`~repro.service.service.QueryService`, so repeated queries hit the
 plan cache, materializations are maintained incrementally by
 :meth:`Connection.refresh`, and failures are counted in the service stats.
-The older entry points (``Gumbo``, ``QueryService``) keep working unchanged
-— see their docstrings — but new code should start here.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .core.config import ExecutionConfig
 from .core.options import GumboOptions
 from .core.strategies import AUTO
 from .mapreduce.counters import ProgramMetrics
@@ -140,9 +138,8 @@ class Connection:
     :attr:`service` for anything the facade does not surface).
     """
 
-    def __init__(self, service: QueryService, config: ExecutionConfig) -> None:
+    def __init__(self, service: QueryService) -> None:
         self.service = service
-        self.config = config
         self._closed = False
 
     # -- serving -----------------------------------------------------------------
@@ -188,6 +185,11 @@ class Connection:
         return self.service.database
 
     @property
+    def options(self) -> GumboOptions:
+        """The options this connection's planner runs with."""
+        return self.service.gumbo.options
+
+    @property
     def backend(self) -> str:
         """Canonical name of the execution backend."""
         return self.service.gumbo.backend.name
@@ -229,11 +231,10 @@ def connect(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
     shards: Optional[int] = None,
-    strategy: str = AUTO,
+    strategy: Optional[str] = None,
     plan_cache_size: int = 256,
     max_workers: int = 4,
     options: Optional[GumboOptions] = None,
-    config: Optional[ExecutionConfig] = None,
 ) -> Connection:
     """Open a :class:`Connection` to *database* on the chosen backend.
 
@@ -245,23 +246,21 @@ def connect(
         files (loaded with :func:`repro.io.load_database`).
     backend:
         ``"serial"`` (default), ``"parallel"`` or ``"sharded"`` — or any
-        accepted alias.
+        accepted alias.  Overrides ``options.backend``.
     workers / shards:
         The worker-process count under either spelling, as in
-        :class:`~repro.core.config.ExecutionConfig`.
+        :class:`~repro.core.options.GumboOptions` (mutually exclusive with
+        *options*, which carries its own).
     strategy:
-        Default plan strategy for queries that do not name one
-        (default ``"auto"``: cost-based selection).
+        Default plan strategy for queries that do not name one; when
+        omitted, ``options.default_strategy`` if *options* is given, else
+        ``"auto"`` (cost-based selection).
     plan_cache_size:
         Plans cached by the underlying service (0 disables caching).
     max_workers:
         Thread-pool size for concurrent :meth:`Connection.execute_many`.
     options:
-        Full :class:`~repro.core.options.GumboOptions` override (mutually
-        exclusive with the individual backend knobs above).
-    config:
-        Full :class:`~repro.core.config.ExecutionConfig` override (mutually
-        exclusive with both *options* and the individual knobs).
+        Full :class:`~repro.core.options.GumboOptions` override.
 
     Returns
     -------
@@ -275,47 +274,21 @@ def connect(
         database = load_database(database)
     elif not isinstance(database, Database):
         database = Database.from_dict(database)
-    if config is not None:
-        if (
-            options is not None
-            or backend is not None
-            or workers is not None
-            or shards is not None
-        ):
-            raise ValueError(
-                "pass either config= or the individual "
-                "backend/workers/shards/options knobs, not both"
-            )
-    elif options is not None:
-        if workers is not None or shards is not None:
-            raise ValueError(
-                "pass either options= or the individual "
-                "workers/shards knobs, not both"
-            )
-        config = ExecutionConfig(
+    if options is None:
+        options = GumboOptions(workers=workers, shards=shards, default_strategy=AUTO)
+    elif workers is not None or shards is not None:
+        raise ValueError("pass either options= or workers=/shards=, not both")
+    if backend is not None or strategy is not None:
+        options = replace(
+            options,
             backend=backend or options.backend,
-            workers=options.workers,
-            shards=options.shards,
-            kernel_mode=options.kernel_mode,
-            strategy=strategy,
-            message_packing=options.message_packing,
-            tuple_reference=options.tuple_reference,
-            reducers_by_intermediate=options.reducers_by_intermediate,
-            fuse_one_round=options.fuse_one_round,
-            trace=options.trace,
-        )
-    else:
-        config = ExecutionConfig(
-            backend=backend or "serial",
-            workers=workers,
-            shards=shards,
-            strategy=strategy,
+            default_strategy=strategy or options.default_strategy,
         )
     service = QueryService(
         database,
-        strategy=strategy,
+        strategy=options.default_strategy,
         plan_cache_size=plan_cache_size,
         max_workers=max_workers,
-        config=config,
+        options=options,
     )
-    return Connection(service, config)
+    return Connection(service)

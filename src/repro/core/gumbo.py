@@ -93,11 +93,9 @@ class GumboResult:
 class Gumbo:
     """Planner + executor for (B)SGF queries on the simulated MapReduce engine.
 
-    .. note:: *Deprecated as a client entry point.*  New code should open a
-       connection with :func:`repro.connect` — one unified ``Connection`` /
-       ``Result`` API over every backend, with plan caching and incremental
-       refresh built in.  ``Gumbo`` remains fully supported as the planning/
-       execution layer underneath (and for ablation-style direct use).
+    The planning/execution layer underneath :func:`repro.connect` (which
+    adds plan caching, incremental refresh and one ``Result`` type on top)
+    and the layer the paper's experiments and ablations drive directly.
 
     Parameters
     ----------
@@ -134,9 +132,6 @@ class Gumbo:
         backend: Union[str, ExecutionBackend, None] = None,
         workers: Optional[int] = None,
     ) -> None:
-        from ..deprecation import warn_legacy_entry_point
-
-        warn_legacy_entry_point("Gumbo")
         self.options = options or GumboOptions()
         if isinstance(backend, ExecutionBackend):
             # Validates that engine=/workers= do not conflict with the instance.

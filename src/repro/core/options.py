@@ -5,7 +5,9 @@ individual optimisations can be switched off for the ablation benchmarks.
 It also carries the *execution backend* selection (serial in-process
 simulation vs the multi-process runtime), so backend choice threads
 through :class:`~repro.core.gumbo.Gumbo` and the dynamic executor the same
-way the optimisation switches do.
+way the optimisation switches do.  It is the one options type of every
+entry point: :func:`repro.connect`, the query service, ``Gumbo`` and the
+CLI (whose flags lift into it) all take a ``GumboOptions``.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ class GumboOptions:
         hash-placed share of the database's map chunks, held warm across
         requests.  Ignored by other backends.
     default_strategy:
-        The strategy :class:`~repro.core.gumbo.Gumbo` and the query service
-        use when a call does not name one: any canonical strategy name, or
-        ``"auto"`` for cost-based selection over every applicable strategy.
+        The strategy :class:`~repro.core.gumbo.Gumbo` uses when a call does
+        not name one (and :func:`repro.connect` serves, unless given
+        ``strategy=``): any canonical strategy name, or ``"auto"`` for
+        cost-based selection over every applicable strategy.
     kernel_mode:
         The batch ("kernel") execution path selector (see
         :mod:`repro.mapreduce.kernels`): ``"auto"`` (the default) evaluates
@@ -94,10 +97,6 @@ class GumboOptions:
     def without(self, **flags: bool) -> "GumboOptions":
         """A copy with the given flags overridden, e.g. ``without(message_packing=False)``."""
         return replace(self, **flags)
-
-    @classmethod
-    def all_enabled(cls) -> "GumboOptions":
-        return cls()
 
     @classmethod
     def all_disabled(cls) -> "GumboOptions":

@@ -138,8 +138,19 @@ class ExecutionBackend(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def check_width(name: str, value: int) -> int:
+    """*value* as a worker-process count: ``ValueError`` below 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def _one_width(workers: Optional[int], shards: Optional[int]) -> Optional[int]:
     """The process count ``workers=`` / ``shards=`` spell (``None``: neither)."""
+    if workers is not None:
+        check_width("workers", workers)
+    if shards is not None:
+        check_width("shards", shards)
     if workers is not None and shards is not None and workers != shards:
         raise ValueError(
             f"workers={workers} and shards={shards} are two spellings of one "
@@ -174,9 +185,10 @@ def make_backend(
         A ready-to-use :class:`ExecutionBackend`.
 
     Raises:
-        ValueError: If *backend* is an unknown name, ``workers`` and
-            ``shards`` disagree, or an instance was passed together with a
-            conflicting ``engine`` or ``workers``/``shards``.
+        ValueError: If *backend* is an unknown name, ``workers`` or
+            ``shards`` is below 1 (whatever the backend), the two disagree,
+            or an instance was passed together with a conflicting
+            ``engine`` or ``workers``/``shards``.
     """
     width = _one_width(workers, shards)
     if isinstance(backend, ExecutionBackend):

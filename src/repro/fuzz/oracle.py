@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..core.config import ExecutionConfig
 from ..core.dynamic import DynamicSGFExecutor
 from ..core.gumbo import Gumbo
 from ..core.options import GumboOptions
@@ -37,7 +36,7 @@ from ..mapreduce.kernels import KERNEL_OFF, KERNEL_ON
 from ..model.database import Database
 from ..query.reference import evaluate_sgf, result_sets
 from ..query.sgf import SGFQuery
-from ..exec.base import PARALLEL, SHARDED, normalise_backend
+from ..exec.base import PARALLEL, SHARDED, make_backend, normalise_backend
 from .sql_oracle import SQLOracleUnsupported, sql_answers
 
 #: Pseudo-strategy name under which the dynamic executor is reported.
@@ -142,12 +141,11 @@ class DifferentialOracle:
         #: Reference computations that went without the SQL second opinion
         #: (a value had no token); shrink probes count too.
         self.sql_skipped = 0
-        config = ExecutionConfig(workers=workers, shards=shards)
         names = dict.fromkeys(normalise_backend(name) for name in backends)
         if PARALLEL in names:
             names.pop(SHARDED, None)  # one transport, one axis
         self._physical = {
-            name: config.with_backend(name).make_backend(engine=self.engine)
+            name: make_backend(name, engine=self.engine, workers=workers, shards=shards)
             for name in names
         }
         # One axis per (backend, kernel mode), sharing the physical backend:

@@ -34,7 +34,6 @@ from threading import Lock, RLock
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.config import ExecutionConfig
 from ..core.costing import PlanCostEstimator
 from ..core.gumbo import Gumbo, GumboResult, PlannedQuery, QueryLike
 from ..core.options import GumboOptions
@@ -243,10 +242,9 @@ class ServiceStats:
 class QueryService:
     """Serve (B)SGF queries over one database with plan and statistics caching.
 
-    .. note:: *Deprecated as a client entry point.*  New code should use
-       :func:`repro.connect`, which returns a ``Connection`` facade over
-       this service with one unified ``Result`` type; direct ``QueryService``
-       construction remains fully supported (the facade delegates here).
+    :func:`repro.connect` wraps this service in a ``Connection`` with one
+    unified ``Result`` type; build a ``QueryService`` directly to share one
+    :class:`~repro.core.gumbo.Gumbo` or to reach the serving layer itself.
 
     Parameters
     ----------
@@ -256,18 +254,20 @@ class QueryService:
         called after any out-of-band change).
     gumbo:
         The planner/executor to serve with; a fresh one (with *backend* /
-        *workers* / *options*) is created — and owned, i.e. closed with the
-        service — when omitted.
+        *options*) is created — and owned, i.e. closed with the service —
+        when omitted.
     strategy:
         Default strategy for calls that do not name one (default ``AUTO``).
     plan_cache_size:
         Maximum cached plans (0 disables plan caching).
     max_workers:
         Thread-pool size for concurrent submissions.
-    config:
-        A validated :class:`~repro.core.config.ExecutionConfig` supplying
-        the backend selection and options in one bundle; mutually exclusive
-        with *gumbo*/*backend*/*workers*/*options*.
+    backend:
+        A backend name or :class:`~repro.exec.base.ExecutionBackend`
+        instance for the fresh Gumbo (overrides ``options.backend``).
+    options:
+        The fresh Gumbo's :class:`~repro.core.options.GumboOptions`
+        (backend, worker count, optimisation switches, tracing).
     """
 
     def __init__(
@@ -279,24 +279,11 @@ class QueryService:
         plan_cache_size: int = 256,
         max_workers: int = 4,
         backend: Union[str, ExecutionBackend, None] = None,
-        workers: Optional[int] = None,
         options: Optional[GumboOptions] = None,
-        config: Optional["ExecutionConfig"] = None,
     ) -> None:
-        from ..deprecation import warn_legacy_entry_point
-
-        warn_legacy_entry_point("QueryService")
-        if config is not None:
-            if gumbo is not None or backend is not None or workers is not None \
-                    or options is not None:
-                raise ValueError(
-                    "pass either config= or the loose "
-                    "gumbo/backend/workers/options arguments, not both"
-                )
-            options = config.to_options()
         self._owns_gumbo = gumbo is None
         if gumbo is None:
-            gumbo = Gumbo(options=options, backend=backend, workers=workers)
+            gumbo = Gumbo(options=options, backend=backend)
         self.gumbo = gumbo
         self.database = database
         self.default_strategy = strategy

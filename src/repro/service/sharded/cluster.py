@@ -37,6 +37,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ...exec.base import check_width
 from ...model.relation import ColumnBlock
 from .routing import shard_for_chunk
 from .rpc import (
@@ -96,13 +97,14 @@ class ShardCluster:
     Parameters
     ----------
     shards:
-        Number of worker processes (each owns one shard).
+        Number of worker processes (each owns one shard); below 1 is a
+        ``ValueError``.
     start_method:
         ``multiprocessing`` start method (platform default when omitted).
     """
 
     def __init__(self, shards: int, start_method: Optional[str] = None) -> None:
-        self.shards = max(1, int(shards))
+        self.shards = check_width("shards", shards)
         self._context = (
             multiprocessing.get_context(start_method)
             if start_method

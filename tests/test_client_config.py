@@ -1,17 +1,18 @@
-"""The unified client API (``repro.connect``) and the shared
-:class:`ExecutionConfig` bundle.
+"""The unified client API (``repro.connect``) and its one options type,
+:class:`GumboOptions`.
 
 Covers the two API-surface satellites of the service-tier redesign:
 
 * ``connect()`` accepts every database shape (built ``Database``, plain
   mapping, CSV directory path), every backend by name, and returns one
   ``Connection`` whose queries all come back as the single ``Result`` type
-  — while the historical entry points (``Gumbo``, ``QueryService``) keep
-  working underneath;
-* ``ExecutionConfig`` is the one validated configuration consumed by the
-  CLI, the query service and the fuzzer oracle: construction-time
-  validation, argparse lifting, lowering to ``GumboOptions``, backend
-  construction;
+  — while the layers it wraps (``Gumbo``, ``QueryService``) stay buildable
+  directly;
+* ``GumboOptions`` is the one options type of every entry point: the CLI
+  lifts its flags into one (``_options_from_args``), ``connect`` passes it
+  down unchanged, and each value is checked where it is used — backend
+  names and worker counts by ``make_backend`` (and the shard cluster),
+  kernel modes by ``GumboOptions`` itself, node counts by ``ClusterConfig``;
 * batched submissions propagate per-query failures as results
   (``BatchResult.failures``) instead of aborting the batch, and the
   failures land in ``ServiceStats.queries_failed``.
@@ -20,19 +21,23 @@ Covers the two API-surface satellites of the service-tier redesign:
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import sys
 
 import pytest
 
 import repro
-from repro import Connection, ExecutionConfig, Gumbo, Result, connect
+from repro import Connection, Gumbo, Result, connect, make_backend
+from repro.cli import _options_from_args
 from repro.core.options import GumboOptions
 from repro.exec import SimulatedBackend
+from repro.exec.base import normalise_backend
 from repro.io import save_database
+from repro.mapreduce.cluster import ClusterConfig
 from repro.model.database import Database
 from repro.service import BatchFailure, QueryService
-from repro.service.sharded import ShardedBackend
+from repro.service.sharded import ShardedBackend, ShardedService
 
 QUERY = "Z := SELECT (x, y) FROM R(x, y) WHERE S(x) AND NOT T(y);"
 DB = {
@@ -44,100 +49,84 @@ EXPECTED = {(1, 2), (5, 6)}
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-# -- ExecutionConfig -----------------------------------------------------------------
+# -- GumboOptions and where its values are checked ----------------------------------
 
 
-class TestExecutionConfig:
+class TestOptions:
     def test_defaults_and_normalisation(self):
-        config = ExecutionConfig()
-        assert config.backend == "serial"
-        assert ExecutionConfig(backend="mp").backend == "parallel"
-        assert ExecutionConfig(backend="shards").backend == "sharded"
+        assert GumboOptions().backend == "serial"
+        assert normalise_backend("mp") == "parallel"
+        assert normalise_backend("shards") == "sharded"
+        with make_backend("mp", workers=1) as backend:
+            assert backend.name == "parallel"
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "build",
         [
-            {"backend": "hadoop"},
-            {"workers": 0},
-            {"shards": 0},
-            {"shards": -3},
-            {"nodes": 0},
-            {"kernel_mode": "maybe"},
+            lambda: make_backend("hadoop"),
+            lambda: make_backend("parallel", workers=0),
+            lambda: make_backend("sharded", shards=0),
+            lambda: make_backend("sharded", shards=-3),
+            lambda: ClusterConfig(nodes=0),
+            lambda: GumboOptions(kernel_mode="maybe"),
         ],
+        ids=["backend", "workers", "shards", "negative-shards", "nodes", "kernel-mode"],
     )
-    def test_invalid_values_rejected_at_construction(self, kwargs):
+    def test_invalid_values_rejected_at_construction(self, build):
         with pytest.raises(ValueError):
-            ExecutionConfig(**kwargs)
+            build()
 
-    def test_from_cli_args_lifts_any_namespace(self):
-        """Attributes a subcommand doesn't define fall back to defaults."""
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_backend("parallel", workers=0),
+            lambda: Gumbo(options=GumboOptions(backend="parallel", workers=-1)),
+            lambda: ShardedService.create(Database.from_dict(DB), shards=0),
+            lambda: connect(DB, workers=0),
+        ],
+        ids=["make_backend", "Gumbo", "ShardedService.create", "connect"],
+    )
+    def test_width_below_one_is_rejected_at_every_entry_point(self, build):
+        """Each entry point raises the same error, and starts no worker."""
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="must be >= 1"):
+            build()
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_options_from_args_lifts_any_namespace(self):
+        """Flags a subcommand doesn't define fall back to the defaults."""
         full = argparse.Namespace(
             backend="sharded",
             workers=None,
             shards=4,
             kernel_mode="on",
-            strategy="greedy",
+            strategy="seq",
             nodes=5,
             no_packing=True,
             no_tuple_reference=False,
             trace=False,
             trace_out="spans.jsonl",
         )
-        config = ExecutionConfig.from_cli_args(full)
-        assert config.backend == "sharded"
-        assert config.shards == 4
-        assert config.kernel_mode == "on"
-        assert config.strategy == "greedy"
-        assert config.nodes == 5
-        assert config.message_packing is False
-        assert config.tuple_reference is True
-        assert config.trace is True  # --trace-out implies tracing
-
-        sparse = ExecutionConfig.from_cli_args(argparse.Namespace())
-        assert sparse == ExecutionConfig()
-
-    def test_to_options_round_trip(self):
-        config = ExecutionConfig(
-            backend="parallel", workers=3, strategy="seq", kernel_mode="off"
-        )
-        options = config.to_options()
-        assert isinstance(options, GumboOptions)
-        assert options.backend == "parallel"
-        assert options.workers == 3
+        options = _options_from_args(full)
+        assert options.backend == "sharded"
+        assert options.shards == 4
+        assert options.kernel_mode == "on"
         assert options.default_strategy == "seq"
-        assert options.kernel_mode == "off"
+        assert options.message_packing is False
+        assert options.tuple_reference is True
+        assert options.trace is True  # --trace-out implies tracing
+
+        assert _options_from_args(argparse.Namespace()) == GumboOptions()
 
     def test_make_backend_builds_the_configured_backend(self):
-        assert isinstance(ExecutionConfig().make_backend(), SimulatedBackend)
+        assert isinstance(make_backend(), SimulatedBackend)
         # Two names and two spellings of the width, one class.
-        with ExecutionConfig(backend="parallel", workers=1).make_backend() as b:
-            assert isinstance(b, ShardedBackend)
-            assert (b.name, b.shards) == ("parallel", 1)
-        with ExecutionConfig(backend="sharded", shards=2).make_backend() as b:
-            assert isinstance(b, ShardedBackend)
-            assert (b.name, b.shards) == ("sharded", 2)
-
-    def test_with_backend_keeps_the_other_knobs(self):
-        config = ExecutionConfig(workers=3, shards=5, kernel_mode="off")
-        swapped = config.with_backend("sharded")
-        assert swapped.backend == "sharded"
-        assert swapped.shards == 5
-        assert swapped.workers == 3
-        assert swapped.kernel_mode == "off"
-        assert config.backend == "serial"  # original untouched (frozen)
-
-    def test_query_service_accepts_config_exclusively(self):
-        database = Database.from_dict(DB)
-        with QueryService(database, config=ExecutionConfig(strategy="seq")) as svc:
-            assert svc.execute(QUERY).outputs["Z"].tuples() == EXPECTED
-        with pytest.raises(ValueError):
-            QueryService(database, config=ExecutionConfig(), backend="serial")
-        with pytest.raises(ValueError):
-            QueryService(database, config=ExecutionConfig(), workers=2)
-        with pytest.raises(ValueError):
-            QueryService(
-                database, config=ExecutionConfig(), options=GumboOptions()
-            )
+        with make_backend("parallel", workers=1) as backend:
+            assert isinstance(backend, ShardedBackend)
+            assert (backend.name, backend.shards) == ("parallel", 1)
+        with make_backend("sharded", shards=2) as backend:
+            assert isinstance(backend, ShardedBackend)
+            assert (backend.name, backend.shards) == ("sharded", 2)
 
 
 # -- connect() / Connection / Result -------------------------------------------------
@@ -210,29 +199,36 @@ class TestConnect:
             assert conn.execute(QUERY).tuples() == EXPECTED | {(9, 10)}
 
     def test_knob_exclusivity_rules(self):
-        config = ExecutionConfig(backend="parallel", workers=1)
         options = GumboOptions(backend="parallel", workers=1)
         with pytest.raises(ValueError):
-            connect(DB, config=config, backend="serial")
-        with pytest.raises(ValueError):
-            connect(DB, config=config, options=options)
-        with pytest.raises(ValueError):
             connect(DB, options=options, workers=2)
-        # config= and options= alone are honoured.
-        with connect(DB, config=config) as conn:
-            assert conn.backend == "parallel"
+        # options= alone is passed down unchanged; backend= overrides it.
         with connect(DB, options=options) as conn:
+            assert conn.options is options
             assert conn.backend == "parallel"
+        with connect(DB, options=options, backend="serial") as conn:
+            assert conn.backend == "serial"
+            assert conn.options.backend == "serial"
+
+    def test_served_strategy_precedence(self):
+        """strategy= wins, then options.default_strategy, then AUTO."""
+        seq = GumboOptions(default_strategy="seq")
+        with connect(DB, options=seq) as conn:
+            assert conn.service.default_strategy == "seq"
+            assert conn.service.gumbo.options.default_strategy == "seq"
+            assert conn.execute(QUERY).strategy == "seq"
+        with connect(DB, options=seq, strategy="par") as conn:
+            assert conn.service.default_strategy == "par"
+            assert conn.service.gumbo.options.default_strategy == "par"
+        with connect(DB) as conn:
+            assert conn.service.default_strategy == "auto"
+            assert conn.options.default_strategy == "auto"
 
     @pytest.mark.parametrize("knob", ["workers", "shards"])
-    @pytest.mark.parametrize(
-        "override",
-        [{"options": GumboOptions()}, {"config": ExecutionConfig()}],
-        ids=["options", "config"],
-    )
+    @pytest.mark.parametrize("override", [{"options": GumboOptions()}], ids=["options"])
     def test_zero_knob_conflicts_with_an_override(self, knob, override):
-        """A 0 is a value, not an absent knob: it clashes with options= or
-        config= exactly as a 3 would, instead of being silently dropped."""
+        """A 0 is a value, not an absent knob: it clashes with options=
+        exactly as a 3 would, instead of being silently dropped."""
         with pytest.raises(ValueError, match="not both"):
             connect(DB, **override, **{knob: 0})
 
@@ -266,11 +262,12 @@ class TestConnect:
 
     def test_facade_is_exported_at_top_level(self):
         assert repro.connect is connect
-        for name in ("Connection", "Result", "ExecutionConfig", "connect"):
+        for name in ("Connection", "Result", "GumboOptions", "connect"):
             assert name in repro.__all__
 
     def test_old_entry_points_still_work(self):
-        """The deprecation is soft: Gumbo and QueryService stay supported."""
+        """The layers under connect() stay buildable directly, and their
+        docstrings point at the front door."""
         database = Database.from_dict(DB)
         assert Gumbo().execute(QUERY, database).output().tuples() == EXPECTED
         with QueryService(database) as service:
