@@ -10,9 +10,7 @@ environment preserves the paper-scale simulated times.
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 
 from repro.workloads.scaling import ScaledEnvironment
 
@@ -35,45 +33,3 @@ def bench_environment(
     """The scaled environment used by a benchmark."""
     return ScaledEnvironment(scale=bench_scale(default_scale), nodes=nodes)
 
-
-#: Version of the unified ``BENCH_*.json`` artifact schema.  Bump when the
-#: envelope (not the per-benchmark metrics) changes shape.
-BENCH_SCHEMA_VERSION = 1
-
-
-def write_bench_artifact(path: str, bench: str, metrics: dict, **extra) -> dict:
-    """Write a ``BENCH_*.json`` artifact in the unified schema.
-
-    Every benchmark artifact shares the same envelope so downstream tooling
-    (``compare_baselines.py``, CI archiving, ad-hoc notebooks) can parse any
-    of them uniformly::
-
-        {
-          "schema_version": 1,
-          "bench": "kernels",
-          "python": "3.11.9",
-          "platform": "Linux-...",
-          "metrics": {...},          # the gated / reported numbers
-          ...extra                   # benchmark-specific context (workload,
-        }                            # tuple counts, strategy, ...)
-
-    ``metrics`` holds every number a baseline gate may reference;
-    ``compare_baselines.py`` looks metrics up inside the nested ``metrics``
-    dict (falling back to top-level keys for pre-schema artifacts).  Returns
-    the payload that was written.
-    """
-    payload = {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "bench": bench,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "metrics": dict(metrics),
-    }
-    overlap = set(extra) & set(payload)
-    if overlap:
-        raise ValueError(f"extra keys collide with the envelope: {sorted(overlap)}")
-    payload.update(extra)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return payload

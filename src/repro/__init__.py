@@ -38,8 +38,7 @@ same outputs, same simulated metrics on every backend, plus measured
 wall-clock times.  Select one with ``repro.connect(db, backend="sharded",
 shards=4)``, per :class:`Gumbo` instance (``Gumbo(backend="parallel",
 workers=4)``), through :class:`GumboOptions(backend=...) <GumboOptions>`, or
-on the command line with ``repro query --backend parallel --workers 4``;
-``repro bench`` compares the backends head to head.
+on the command line with ``repro query --backend parallel --workers 4``.
 """
 
 from .client import Connection, Result, connect

@@ -37,13 +37,6 @@ The subcommands (``python -m repro <command> --help``):
     figure7b, figure7c, figure8, table3, costmodel, ablation, or ``all``) and
     print the same tables the benchmark harness prints.
 
-``bench``
-    Run a generated workload on both execution backends (serial simulation vs
-    the multi-process runtime) and print a comparison table: simulated total
-    and net times, measured wall-clock times, and the parallel speedup.
-    ``--kernels`` instead races the interpreted vs the batch-kernel path,
-    verifying identical outputs and simulated metrics across paths.
-
 ``fuzz``
     Run a seeded differential-fuzzing campaign: random (B)SGF programs and
     databases, each evaluated with the reference evaluator (cross-checked
@@ -70,7 +63,7 @@ The subcommands (``python -m repro <command> --help``):
     shard_fanout → worker-side tasks — and write a validated Chrome
     trace-event file.
 
-``query``/``bench``/``serve``/``delta`` additionally accept ``--trace``,
+``query``/``serve``/``delta`` additionally accept ``--trace``,
 ``--trace-out PATH``, ``--trace-format chrome|jsonl`` and
 ``--metrics-out PATH`` to record spans and export them (Chrome trace-event
 JSON loads in Perfetto / ``chrome://tracing``; ``--metrics-out`` writes the
@@ -90,7 +83,7 @@ from . import obs
 from .core.gumbo import Gumbo
 from .core.options import GumboOptions
 from .obs.options import TRACE_FORMATS, ObsOptions
-from .exec import BACKEND_NAMES, make_backend
+from .exec import BACKEND_NAMES
 from .mapreduce.kernels import KERNEL_MODES
 from .fuzz import FuzzConfig, FuzzOptions, run_fuzz
 from .fuzz.profiles import PROFILE_NAMES
@@ -113,7 +106,6 @@ from .service import QueryService
 from .workloads.queries import (
     bsgf_query_set,
     database_for,
-    section5_workloads,
     sgf_query,
     workload_query,
 )
@@ -177,34 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload scale relative to the paper's 100M tuples (default 5e-6)",
     )
     experiment.add_argument("--nodes", type=int, default=10, help="cluster size")
-
-    bench = subparsers.add_parser(
-        "bench", help="compare the serial and parallel backends on a workload"
-    )
-    bench.add_argument(
-        "--query-id", default="A1", help="paper workload to run (A1-A5, B1-B2, C1-C4)"
-    )
-    bench.add_argument("--guard-tuples", type=int, default=5_000)
-    bench.add_argument("--selectivity", type=float, default=0.5)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--strategy", default="greedy", help="plan strategy to benchmark"
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel worker processes (default: CPU count)",
-    )
-    bench.add_argument("--nodes", type=int, default=10, help="simulated cluster size")
-    bench.add_argument(
-        "--kernels",
-        action="store_true",
-        help="instead of comparing backends, compare the interpreted vs the "
-        "batch-kernel execution path (wall-clock, serial backend) on every "
-        "Section 5 workload, verifying identical outputs and metrics",
-    )
-    _add_obs_arguments(bench)
 
     auto = subparsers.add_parser(
         "auto", help="show the cost-based strategy choice for a paper workload"
@@ -574,9 +538,8 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         default="auto",
         choices=list(KERNEL_MODES),
         help="batch-kernel execution path: auto (kernel wherever the job "
-        "has one, on every backend), on (same as auto), off (always "
-        "interpret); outputs and simulated metrics are identical in every "
-        "mode (default auto)",
+        "has one, on every backend) or off (always interpret); outputs and "
+        "simulated metrics are identical in both modes (default auto)",
     )
 
 
@@ -699,120 +662,6 @@ def _command_generate(args: argparse.Namespace) -> int:
     for path in paths:
         print("   ", path)
     return 0
-
-
-def _command_bench_kernels(args: argparse.Namespace) -> int:
-    """Interpreted vs batch-kernel wall-clock, per Section 5 workload."""
-    environment = ScaledEnvironment(scale=1.0, nodes=args.nodes)
-    print(
-        f"kernel benchmark ({args.guard_tuples} guard tuples, "
-        f"strategy {args.strategy}, serial backend)"
-    )
-    header = (
-        f"{'workload':<10} {'interpreted_s':>14} {'kernel_s':>12} {'speedup':>8}"
-    )
-    print(header)
-    print("-" * len(header))
-    identical = True
-    for query_id, query in section5_workloads():
-        database = database_for(
-            query,
-            guard_tuples=args.guard_tuples,
-            selectivity=args.selectivity,
-            seed=args.seed,
-        )
-        results = {}
-        timings = {}
-        for mode in ("off", "on"):
-            gumbo = Gumbo(
-                engine=environment.engine(),
-                options=GumboOptions(
-                    kernel_mode=mode, trace=_obs_options(args).tracing
-                ),
-            )
-            start = perf_counter()
-            results[mode] = gumbo.execute(query, database, args.strategy)
-            timings[mode] = perf_counter() - start
-        same = results["off"].summary() == results["on"].summary() and {
-            name: rel.tuples() for name, rel in results["off"].all_outputs.items()
-        } == {name: rel.tuples() for name, rel in results["on"].all_outputs.items()}
-        identical = identical and same
-        speedup = timings["off"] / timings["on"] if timings["on"] > 0 else float("inf")
-        flag = "" if same else "  DIVERGED"
-        print(
-            f"{query_id:<10} {timings['off']:>14.3f} {timings['on']:>12.3f} "
-            f"{speedup:>7.2f}x{flag}"
-        )
-    print(
-        f"outputs and simulated metrics identical across paths: "
-        f"{'yes' if identical else 'NO'}"
-    )
-    _export_obs(_obs_options(args))
-    return 0 if identical else 1
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    """Run one workload on both backends and print a comparison table."""
-    if args.kernels:
-        return _command_bench_kernels(args)
-    query_id = args.query_id.upper()
-    if query_id.startswith("C"):
-        queries = sgf_query(query_id)
-    else:
-        queries = bsgf_query_set(query_id)
-    database = database_for(
-        queries,
-        guard_tuples=args.guard_tuples,
-        selectivity=args.selectivity,
-        seed=args.seed,
-    )
-    environment = ScaledEnvironment(scale=1.0, nodes=args.nodes)
-
-    runs = []
-    for backend_name in ("serial", "parallel"):
-        backend = make_backend(
-            backend_name, engine=environment.engine(), workers=args.workers
-        )
-        try:
-            result = Gumbo(
-                backend=backend,
-                options=GumboOptions(trace=_obs_options(args).tracing),
-            ).execute(queries, database, args.strategy)
-        finally:
-            backend.close()
-        workers = getattr(backend, "shards", 1)
-        label = backend_name if backend_name == "serial" else f"parallel[{workers}]"
-        runs.append((label, result))
-
-    serial_wall = runs[0][1].metrics.wall_elapsed_s
-    print(
-        f"workload {query_id} ({args.guard_tuples} guard tuples), "
-        f"strategy {runs[0][1].strategy}, {args.nodes} nodes"
-    )
-    header = f"{'backend':<14} {'total_s':>10} {'net_s':>10} {'wall_s':>10} {'speedup':>8}"
-    print(header)
-    print("-" * len(header))
-    for label, result in runs:
-        metrics = result.metrics
-        wall = metrics.wall_elapsed_s
-        speedup = serial_wall / wall if wall > 0 else float("inf")
-        print(
-            f"{label:<14} {metrics.total_time:>10.1f} {metrics.net_time:>10.1f} "
-            f"{wall:>10.3f} {speedup:>7.2f}x"
-        )
-    reference = runs[0][1]
-    identical = all(
-        {n: r.tuples() for n, r in result.all_outputs.items()}
-        == {n: r.tuples() for n, r in reference.all_outputs.items()}
-        and result.summary() == reference.summary()
-        for _, result in runs[1:]
-    )
-    print(
-        f"outputs and simulated metrics identical across backends: "
-        f"{'yes' if identical else 'NO'}"
-    )
-    _export_obs(_obs_options(args))
-    return 0 if identical else 1
 
 
 def _command_auto(args: argparse.Namespace) -> int:
@@ -1319,7 +1168,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "serve": _command_serve,
         "generate": _command_generate,
         "experiment": _command_experiment,
-        "bench": _command_bench,
         "fuzz": _command_fuzz,
         "delta": _command_delta,
         "trace": _command_trace,

@@ -63,17 +63,17 @@ class GumboOptions:
         :mod:`repro.mapreduce.kernels`): ``"auto"`` (the default) evaluates
         kernel-capable jobs set-at-a-time on every backend — in-process on
         the serial engine, inside the workers on the multi-process backend;
-        ``"on"`` is a synonym; ``"off"`` always interprets tuple-at-a-time
-        (on the driver, whatever the backend).  Outputs and simulated metrics are identical in
-        every mode — only wall-clock speed changes.
+        ``"off"`` always interprets tuple-at-a-time (on the driver, whatever
+        the backend).  Outputs and simulated metrics are identical in both
+        modes — only wall-clock speed changes.
     trace:
         Runtime tracing (see :mod:`repro.obs`): entry points —
         ``Gumbo.execute`` / ``execute_program`` / ``execute_delta`` and the
         query service's request paths — start one trace per request, and the
         engine/backend layers fill it with per-job, per-dispatch and
-        worker-side spans.  Off by default; the disabled path is a no-op check whose
-        overhead is gated by ``BENCH_obs.json``.  Like ``backend``, not an
-        optimisation: outputs and simulated metrics are identical either way.
+        worker-side spans.  Off by default; the disabled path is a no-op
+        check.  Like ``backend``, not an optimisation: outputs and simulated
+        metrics are identical either way.
     """
 
     message_packing: bool = True

@@ -32,7 +32,7 @@ from ..core.gumbo import Gumbo
 from ..core.options import GumboOptions
 from ..core.strategies import AUTO, applicable_strategies
 from ..mapreduce.engine import MapReduceEngine
-from ..mapreduce.kernels import KERNEL_OFF, KERNEL_ON
+from ..mapreduce.kernels import KERNEL_AUTO, KERNEL_OFF
 from ..model.database import Database
 from ..query.reference import evaluate_sgf, result_sets
 from ..query.sgf import SGFQuery
@@ -101,7 +101,7 @@ class DifferentialOracle:
         Also require bit-identical simulated metrics across backends.
     kernel_axis:
         Also run the in-process (serial) backend with the batch-kernel
-        execution path forced on (``kernel_mode="on"``), reported as the
+        execution path on (``kernel_mode="auto"``), reported as the
         ``"serial+kernel"`` axis.  Its plain axis pins
         ``kernel_mode="off"``, so kernel-vs-interpreted output *and*
         simulated-metric parity is checked alongside the cross-backend
@@ -152,7 +152,8 @@ class DifferentialOracle:
         # an in-process backend's plain axis pins the interpreted path and
         # its +kernel axis forces the batch path; the multi-process backend's
         # one axis runs kernels, the only mode its workers have.
-        off, on = (GumboOptions(kernel_mode=mode) for mode in (KERNEL_OFF, KERNEL_ON))
+        off = GumboOptions(kernel_mode=KERNEL_OFF)
+        on = GumboOptions(kernel_mode=KERNEL_AUTO)
         in_process = [name for name in names if name not in (PARALLEL, SHARDED)]
         axes = [
             (name, backend, off if name in in_process else on)

@@ -14,7 +14,6 @@ from .kernels import (
     KERNEL_AUTO,
     KERNEL_MODES,
     KERNEL_OFF,
-    KERNEL_ON,
     MapBatch,
     use_kernel,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "KERNEL_AUTO",
     "KERNEL_MODES",
     "KERNEL_OFF",
-    "KERNEL_ON",
     "Key",
     "MRProgram",
     "MapBatch",

@@ -56,8 +56,8 @@ Mode selection (``GumboOptions.kernel_mode``, carried by the job's options):
 
 * ``"off"``  — always interpret (on every backend: the serial engine's
   tuple-at-a-time map, shuffle and reduce, on the driver);
-* ``"auto"`` (default) and ``"on"`` — synonyms: use the kernel wherever the
-  job supports it, on every backend.
+* ``"auto"`` (default) — use the kernel wherever the job supports it, on
+  every backend.
 
 Jobs that implement no kernel (the Hive/Pig baseline jobs, user-defined
 jobs) are always interpreted, whatever the mode.
@@ -76,8 +76,7 @@ from .job import Key, MapReduceJob
 #: Canonical kernel modes accepted by ``GumboOptions.kernel_mode``.
 KERNEL_OFF = "off"
 KERNEL_AUTO = "auto"
-KERNEL_ON = "on"
-KERNEL_MODES = (KERNEL_AUTO, KERNEL_ON, KERNEL_OFF)
+KERNEL_MODES = (KERNEL_AUTO, KERNEL_OFF)
 
 #: Rows of one map-task chunk.
 _ROWS = Sequence[Tuple[object, ...]]
@@ -304,7 +303,6 @@ __all__: List[str] = [
     "KERNEL_AUTO",
     "KERNEL_MODES",
     "KERNEL_OFF",
-    "KERNEL_ON",
     "ChunkLedger",
     "ColumnBlock",
     "MapBatch",

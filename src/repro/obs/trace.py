@@ -13,8 +13,7 @@ Instrumentation sites call :func:`span` (child span of whatever is current)
 or :func:`trace` (start a new trace when none is active).  When tracing is
 disabled — no active tracer and ``enabled=False`` — both return a shared
 no-op handle, so the disabled-mode cost of an instrumented site is one
-``ContextVar.get`` plus a function call; the ``BENCH_obs.json`` benchmark
-gates that this stays negligible.
+``ContextVar.get`` plus a function call.
 
 Timestamps come from :func:`time.perf_counter`, which on the platforms we
 run on is ``CLOCK_MONOTONIC``: values are comparable across processes of the

@@ -38,7 +38,7 @@ from ..core.costing import PlanCostEstimator
 from ..core.gumbo import Gumbo, GumboResult, PlannedQuery, QueryLike
 from ..core.options import GumboOptions
 from ..core.strategies import AUTO, normalise_strategy
-from ..exec.base import ExecutionBackend, SERIAL
+from ..exec.base import ExecutionBackend, SERIAL, check_width
 from ..incremental.engine import DeltaResult, materialize_query, refresh_all
 from ..incremental.materialize import IncrementalError, Materialization
 from ..model.relation import SchemaError
@@ -261,7 +261,8 @@ class QueryService:
     plan_cache_size:
         Maximum cached plans (0 disables plan caching).
     max_workers:
-        Thread-pool size for concurrent submissions.
+        Thread-pool size for concurrent submissions (``ValueError`` below
+        1).
     backend:
         A backend name or :class:`~repro.exec.base.ExecutionBackend`
         instance for the fresh Gumbo (overrides ``options.backend``).
@@ -281,6 +282,7 @@ class QueryService:
         backend: Union[str, ExecutionBackend, None] = None,
         options: Optional[GumboOptions] = None,
     ) -> None:
+        check_width("max_workers", max_workers)
         self._owns_gumbo = gumbo is None
         if gumbo is None:
             gumbo = Gumbo(options=options, backend=backend)
@@ -289,7 +291,7 @@ class QueryService:
         self.default_strategy = strategy
         self.plan_cache: LRUCache[PlanKey, PlannedQuery] = LRUCache(plan_cache_size)
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, max_workers), thread_name_prefix="repro-service"
+            max_workers=max_workers, thread_name_prefix="repro-service"
         )
         self._plan_lock = RLock()
         self._state_lock = Lock()

@@ -32,6 +32,7 @@ from typing import Dict, Optional
 
 from ...core.options import GumboOptions
 from ...core.strategies import AUTO
+from ...exec.base import check_width
 from ...mapreduce.engine import MapReduceEngine
 from ...model.database import Database
 from ..service import QueryService, ServiceResult
@@ -62,6 +63,13 @@ class RequestTimeoutError(ShardedServiceError):
         self.timeout_s = timeout_s
 
 
+def _check_limits(max_concurrency: int, max_queue: int) -> None:
+    """``ValueError`` unless one request can execute and the queue is >= 0."""
+    check_width("max_concurrency", max_concurrency)
+    if max_queue < 0:
+        raise ValueError(f"max_queue must be >= 0, got {max_queue}")
+
+
 class ShardedService:
     """Admission-controlled async serving over a sharded query service.
 
@@ -73,10 +81,12 @@ class ShardedService:
         works — admission control is backend-agnostic).  Owned (closed with
         the front-end) only when built by :meth:`create`.
     max_concurrency:
-        Requests executing at once (each occupies one offload thread).
+        Requests executing at once (each occupies one offload thread);
+        ``ValueError`` below 1.
     max_queue:
         Admitted requests allowed to *wait* beyond the executing ones;
         arrivals past ``max_concurrency + max_queue`` are shed.
+        ``ValueError`` below 0.
     request_timeout_s:
         Optional per-request wall-time bound for admitted requests.
     """
@@ -89,9 +99,10 @@ class ShardedService:
         max_queue: int = 64,
         request_timeout_s: Optional[float] = None,
     ) -> None:
+        _check_limits(max_concurrency, max_queue)
         self.service = service
-        self.max_concurrency = max(1, int(max_concurrency))
-        self.max_queue = max(0, int(max_queue))
+        self.max_concurrency = max_concurrency
+        self.max_queue = max_queue
         self.request_timeout_s = request_timeout_s
         self._owns_service = False
         self._in_flight = 0
@@ -128,6 +139,7 @@ class ShardedService:
         The returned front-end owns the stack; :meth:`close` shuts down the
         service, its Gumbo, and the shard cluster.
         """
+        _check_limits(max_concurrency, max_queue)
         backend = ShardedBackend(engine=engine, shards=shards)
         service = QueryService(
             database,

@@ -259,6 +259,8 @@ class TestDeltaCommand:
         assert code == 0
         assert "outputs identical:     yes" in out
         assert "incremental refresh" in out
+        # The batch flipped guard tuples: the refresh had work to do.
+        assert "output delta:          +0 / -0 tuples" not in out
 
     def test_delta_materializes_on_the_chosen_backend(self, capsys):
         code = main(
@@ -313,19 +315,9 @@ class TestFuzzIncrementalCommand:
 
 
 class TestKernelCommands:
-    def test_bench_kernels_compares_paths_per_workload(self, capsys):
-        code = main(["bench", "--kernels", "--guard-tuples", "60"])
-        out = capsys.readouterr().out
-        assert code == 0
-        # One comparison row per Section 5 workload, plus the verified footer.
-        for query_id in ("A1", "A3", "B2", "C1", "C4"):
-            assert f"\n{query_id} " in out or out.startswith(f"{query_id} "), query_id
-        assert "interpreted_s" in out
-        assert "outputs and simulated metrics identical across paths: yes" in out
-
     def test_query_kernel_mode_off_matches_default(self, data_dir, capsys):
         runs = {}
-        for mode in ("off", "auto", "on"):
+        for mode in ("off", "auto"):
             code = main(
                 [
                     "query",
@@ -348,21 +340,23 @@ class TestKernelCommands:
                 if not line.startswith("wall_clock_s")
             ]
 
-        assert stable(runs["off"]) == stable(runs["auto"]) == stable(runs["on"])
+        assert stable(runs["off"]) == stable(runs["auto"])
 
     def test_query_rejects_unknown_kernel_mode(self, data_dir):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "query",
-                    "--query",
-                    QUERY,
-                    "--data",
-                    data_dir,
-                    "--kernel-mode",
-                    "sometimes",
-                ]
-            )
+        # Only auto and off are modes; "on" is rejected like any other word.
+        for mode in ("sometimes", "on"):
+            with pytest.raises(SystemExit):
+                main(
+                    [
+                        "query",
+                        "--query",
+                        QUERY,
+                        "--data",
+                        data_dir,
+                        "--kernel-mode",
+                        mode,
+                    ]
+                )
 
     def test_fuzz_no_kernel_axis_smoke(self, capsys):
         code = main(

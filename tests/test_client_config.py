@@ -24,6 +24,7 @@ import argparse
 import multiprocessing
 import os
 import sys
+import threading
 
 import pytest
 
@@ -69,29 +70,62 @@ class TestOptions:
             lambda: make_backend("sharded", shards=-3),
             lambda: ClusterConfig(nodes=0),
             lambda: GumboOptions(kernel_mode="maybe"),
+            lambda: GumboOptions(kernel_mode="on"),
         ],
-        ids=["backend", "workers", "shards", "negative-shards", "nodes", "kernel-mode"],
+        ids=[
+            "backend",
+            "workers",
+            "shards",
+            "negative-shards",
+            "nodes",
+            "kernel-mode",
+            "kernel-mode-on",
+        ],
     )
     def test_invalid_values_rejected_at_construction(self, build):
         with pytest.raises(ValueError):
             build()
 
     @pytest.mark.parametrize(
-        "build",
+        "build, floor",
         [
-            lambda: make_backend("parallel", workers=0),
-            lambda: Gumbo(options=GumboOptions(backend="parallel", workers=-1)),
-            lambda: ShardedService.create(Database.from_dict(DB), shards=0),
-            lambda: connect(DB, workers=0),
+            (lambda: make_backend("parallel", workers=0), 1),
+            (lambda: Gumbo(options=GumboOptions(backend="parallel", workers=-1)), 1),
+            (lambda: ShardedService.create(Database.from_dict(DB), shards=0), 1),
+            (lambda: connect(DB, workers=0), 1),
+            (lambda: QueryService(Database.from_dict(DB), max_workers=0), 1),
+            (lambda: connect(DB, max_workers=-2), 1),
+            (
+                lambda: ShardedService.create(
+                    Database.from_dict(DB), max_concurrency=0
+                ),
+                1,
+            ),
+            (lambda: ShardedService.create(Database.from_dict(DB), max_queue=-1), 0),
         ],
-        ids=["make_backend", "Gumbo", "ShardedService.create", "connect"],
+        ids=[
+            "make_backend",
+            "Gumbo",
+            "ShardedService.create",
+            "connect",
+            "QueryService-max_workers",
+            "connect-max_workers",
+            "ShardedService.create-max_concurrency",
+            "ShardedService.create-max_queue",
+        ],
     )
-    def test_width_below_one_is_rejected_at_every_entry_point(self, build):
-        """Each entry point raises the same error, and starts no worker."""
-        before = set(multiprocessing.active_children())
-        with pytest.raises(ValueError, match="must be >= 1"):
+    def test_width_below_one_is_rejected_at_every_entry_point(self, build, floor):
+        """Each entry point raises the same error, and starts no worker.
+
+        Pool widths (processes and threads) must be >= 1; the front-end's
+        wait queue may be empty but not negative.
+        """
+        processes = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
+        with pytest.raises(ValueError, match=f"must be >= {floor}, got"):
             build()
-        assert set(multiprocessing.active_children()) <= before
+        assert set(multiprocessing.active_children()) <= processes
+        assert set(threading.enumerate()) <= threads
 
     def test_options_from_args_lifts_any_namespace(self):
         """Flags a subcommand doesn't define fall back to the defaults."""
@@ -99,7 +133,7 @@ class TestOptions:
             backend="sharded",
             workers=None,
             shards=4,
-            kernel_mode="on",
+            kernel_mode="off",
             strategy="seq",
             nodes=5,
             no_packing=True,
@@ -110,7 +144,7 @@ class TestOptions:
         options = _options_from_args(full)
         assert options.backend == "sharded"
         assert options.shards == 4
-        assert options.kernel_mode == "on"
+        assert options.kernel_mode == "off"
         assert options.default_strategy == "seq"
         assert options.message_packing is False
         assert options.tuple_reference is True

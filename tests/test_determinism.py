@@ -44,7 +44,7 @@ def test_digests_identical_across_hash_seeds():
         "engine output varied with PYTHONHASHSEED or job order:\n"
         f"--- seed 0 ---\n{first}\n--- seed 1, reversed ---\n{second}"
     )
-    # Kernel-on and kernel-off lines of one combination share their digests
+    # Kernel-auto and kernel-off lines of one combination share their digests
     # (parity), and every strategy appears for both cases.
     lines = first.strip().splitlines()
     serial = [line for line in lines if "[parallel]" not in line]
@@ -53,9 +53,9 @@ def test_digests_identical_across_hash_seeds():
     def digests(line):
         return line.split("kernel=")[1].split(" ", 1)[1]
 
-    for off_line, on_line in zip(serial[0::2], serial[1::2]):
-        assert "kernel=off" in off_line and "kernel=on" in on_line
-        assert digests(off_line) == digests(on_line)
+    for auto_line, off_line in zip(serial[0::2], serial[1::2]):
+        assert "kernel=auto" in auto_line and "kernel=off" in off_line
+        assert digests(auto_line) == digests(off_line)
     # Equal keys of different type are placed the same whatever ran before:
     # the numeric-keys case's second pass repeats its first, and both match
     # the other process, which met the jobs in the opposite order (above).
@@ -64,4 +64,4 @@ def test_digests_identical_across_hash_seeds():
     assert cold and [line.replace("cold", "warm") for line in cold] == warm
     # The kernels inside the workers reproduce the serial digests line for line.
     workers = [line for line in lines if "[parallel]" in line]
-    assert list(map(digests, workers)) == list(map(digests, serial[1::2]))
+    assert list(map(digests, workers)) == list(map(digests, serial[0::2]))

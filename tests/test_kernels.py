@@ -7,7 +7,7 @@ simulated Hadoop metrics analytically from pair counts.  These tests pin the
 contract down:
 
 * on every Section 5 workload, under every applicable strategy and on both
-  execution backends, ``kernel_mode="on"`` and ``kernel_mode="off"`` produce
+  execution backends, ``kernel_mode="auto"`` and ``kernel_mode="off"`` produce
   bit-identical output relations **and** bit-identical :class:`JobMetrics`
   (partition metrics, reducer counts, cost breakdowns, per-task durations —
   i.e. including the skew-sensitive per-reducer loads);
@@ -15,8 +15,8 @@ contract down:
   over the fuzzer's generator), including with the paper optimisations
   ablated;
 * dispatch honours ``kernel_mode`` and ``supports_kernel`` (baseline and
-  skew-salted jobs always interpret; ``"auto"`` and ``"on"`` are synonyms on
-  every backend — ``tests/test_fanout_kernels.py`` covers the kernels that
+  skew-salted jobs always interpret; ``"auto"`` means the same on every
+  backend — ``tests/test_fanout_kernels.py`` covers the kernels that
   run inside the multi-process backend's workers);
 * the differential oracle's kernel axes detect an (injected) kernel bug.
 """
@@ -78,14 +78,14 @@ def assert_parity(query, database, strategy, backend_factory, options=None):
     """Outputs and metrics of kernel-on vs kernel-off runs must be identical."""
     options = options or GumboOptions()
     results = {}
-    for mode in ("off", "on"):
+    for mode in ("off", "auto"):
         backend = backend_factory()
         try:
             gumbo = Gumbo(backend=backend, options=options.without(kernel_mode=mode))
             results[mode] = gumbo.execute(query, database, strategy)
         finally:
             backend.close()
-    assert_results_equal(results["off"], results["on"], f"{strategy}")
+    assert_results_equal(results["off"], results["auto"], f"{strategy}")
 
 
 # -- Section 5 workloads: the full strategy matrix ---------------------------------
@@ -257,7 +257,7 @@ class _PlainJob(MapReduceJob):
 
     def __init__(self):
         super().__init__("plain")
-        self.options = GumboOptions(kernel_mode="on")
+        self.options = GumboOptions(kernel_mode="auto")
 
     def input_relations(self):
         return ["R"]
@@ -296,11 +296,10 @@ def test_kernel_mode_off_never_calls_map_batch(monkeypatch):
     assert result.outputs[specs[0].output].tuples() == {(1,)}
 
 
-def test_kernel_modes_auto_and_on_are_synonyms():
+def test_kernel_mode_auto_uses_the_kernel():
     """One rule for every backend: no mode-dependent fan-out exception."""
     specs = parse_bsgf("Z := SELECT (x) FROM R(x, y) WHERE S(x);").semijoin_specs()
     assert use_kernel(MSJJob("msj", specs, GumboOptions(kernel_mode="auto")))
-    assert use_kernel(MSJJob("msj", specs, GumboOptions(kernel_mode="on")))
     assert not use_kernel(MSJJob("msj", specs, GumboOptions(kernel_mode="off")))
 
 
@@ -321,7 +320,7 @@ def test_parallel_wall_metrics_present_for_forced_kernel():
     database = Database.from_dict({"R": [(1, 2), (3, 4)], "S": [(1,)]})
     backend = make_backend("parallel", workers=2)
     try:
-        gumbo = Gumbo(backend=backend, options=GumboOptions(kernel_mode="on"))
+        gumbo = Gumbo(backend=backend, options=GumboOptions(kernel_mode="auto"))
         result = gumbo.execute(query, database, "par")
     finally:
         backend.close()

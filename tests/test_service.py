@@ -99,6 +99,8 @@ class TestPlanCache:
             assert stats.plan_cache.hits == 1
             assert stats.plan_cache.misses == 1
             assert stats.queries_served == 2
+            # Planning without executing reads the same cache.
+            assert service.plan(SIMPLE_QUERY)[1] is True
 
     def test_equivalent_text_shares_plan(self):
         with QueryService(small_database()) as service:

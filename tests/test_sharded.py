@@ -296,7 +296,7 @@ class TestShardedParity:
     def test_kernel_path_parity(self, serial_backend, sharded_backend):
         queries = bsgf_query_set("A1")
         database = database_for(queries, guard_tuples=150, selectivity=0.5, seed=9)
-        options = GumboOptions(kernel_mode="on")
+        options = GumboOptions(kernel_mode="auto")
         serial = Gumbo(backend=serial_backend, options=options).execute(
             queries, database, "greedy"
         )

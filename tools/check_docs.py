@@ -13,9 +13,9 @@ tools/check_docs.py``).  Three families of checks, all blocking:
    ``#fragment``, at an existing heading in that file).
 3. **CLI help** — the ``--help`` output of ``python -m repro`` and the
    subcommands the docs lean on must still mention the flags the docs
-   describe (backends, ``bench --kernels``, fuzz backend axis) — and none
-   of them may offer the removed job-level SQL backend again (``sql`` as a
-   ``--backend`` choice, ``--sql-db``, ``bench --sql``).
+   describe (backends, kernel mode, fuzz backend axis) — and none of them
+   may offer the removed job-level SQL backend again (``sql`` as a
+   ``--backend`` choice, ``--sql-db``).
 
 Exit code 0 when everything passes, 1 otherwise, with one line per failure.
 """
@@ -39,11 +39,10 @@ HELP_CHECKS = [
     (
         [],
         ["query", "plan", "auto", "serve", "generate", "experiment",
-         "bench", "fuzz", "delta", "trace"],
+         "fuzz", "delta", "trace"],
     ),
     (["query"], ["--backend", "{serial,parallel,sharded}",
                  "--kernel-mode", "--workers", "--shards"]),
-    (["bench"], ["--kernels", "--guard-tuples"]),
     (["fuzz"], ["--backend", "{serial,parallel,sharded,both,all}", "--profile",
                 "--incremental", "--shards"]),
     (["delta"], ["--backend", "--insert-fraction"]),
@@ -147,8 +146,11 @@ def check_cli_help() -> list:
         for needle in expected:
             if needle not in help_text:
                 failures.append(f"{label} --help no longer mentions {needle!r}")
-        # Lower case: the backend choice and both flags, not "SQL oracle" prose.
-        if "sql" in help_text:
+    # Every subcommand, not only the ones above.  Lower case: the backend
+    # choice and both flags, not "SQL oracle" prose.
+    for name, target in [("", parser), *subparsers.choices.items()]:
+        if "sql" in target.format_help():
+            label = f"repro {name}".rstrip()
             failures.append(f"{label} --help offers the removed sql backend again")
     return failures
 

@@ -129,7 +129,7 @@ def _digest_result(label: str, strategy: str, mode: str, result) -> str:
 
 
 def run_case(
-    label: str, query, database, backend=None, modes=("off", "on"), emit=print
+    label: str, query, database, backend=None, modes=("auto", "off"), emit=print
 ) -> None:
     for strategy in applicable_strategies(query, include_optimal=False):
         for mode in modes:
@@ -156,7 +156,7 @@ def run_fanout_case(label: str, query, database, transport: str) -> None:
 
     with make_backend(transport, workers=2) as backend:
         run_case(
-            f"{label}[{transport}]", query, database, backend=backend, modes=("on",)
+            f"{label}[{transport}]", query, database, backend=backend, modes=("auto",)
         )
 
 
@@ -175,7 +175,7 @@ def run_numeric_case(reverse: bool) -> None:
     order = sorted(NUMERIC_DBS, reverse=reverse)
     lines: list = []
     for run, labels in (("cold", order), ("warm", order[::-1])):
-        for transport, modes in (("serial", ("off", "on")), ("parallel", ("on",))):
+        for transport, modes in (("serial", ("auto", "off")), ("parallel", ("auto",))):
             with make_backend(transport, engine=engine, workers=2) as backend:
                 for label in labels:
                     run_case(
