@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark reproduces one table or figure of the paper's evaluation
-(see DESIGN.md for the experiment index).  The workload scale can be adjusted
+(the drivers live in ``repro.experiments``).  The workload scale can be adjusted
 through the ``REPRO_BENCH_SCALE`` environment variable; the default of
 ``5e-6`` (500-tuple guard relations standing in for the paper's 100M-tuple
 relations) keeps the full suite in the minutes range while the scaled cost

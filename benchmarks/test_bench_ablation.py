@@ -1,10 +1,9 @@
 """Ablation benchmarks: the individual Gumbo optimisations of Section 5.1.
 
-Not a figure of the paper, but DESIGN.md calls these design choices out for
-ablation: message packing, tuple references, intermediate-size-based reducer
-allocation and the cost model driving GREEDY.  The benchmark toggles each
-optimisation on the sharing-heavy queries A2 and A3 and verifies the expected
-direction of the effect.
+Not a figure of the paper: the benchmark toggles each design choice — message
+packing, tuple references, intermediate-size-based reducer allocation and the
+cost model driving GREEDY — on the sharing-heavy queries A2 and A3 and
+verifies the expected direction of the effect.
 """
 
 from repro.experiments import run_ablation

@@ -36,6 +36,6 @@ def test_bench_cost_model(benchmark, capsys):
 
     # Whatever plans the two models induce, the gumbo-driven plan is never worse.
     reductions = result.reductions()
-    if reductions:
-        assert reductions.get("total_time_reduction_pct", 0.0) >= -1.0
-        assert reductions.get("net_time_reduction_pct", 0.0) >= -1.0
+    assert set(reductions) == {"total_time_reduction_pct", "net_time_reduction_pct"}
+    assert reductions["total_time_reduction_pct"] >= -1.0
+    assert reductions["net_time_reduction_pct"] >= -1.0

@@ -31,22 +31,17 @@ from ..mapreduce.job import (
     REDUCERS_BY_INPUT,
     REDUCERS_BY_INTERMEDIATE,
 )
-from ..mapreduce.kernels import (
-    ChunkLedger,
-    MapBatch,
-    as_column_block,
-    conditional_keys,
-)
+from ..mapreduce.kernels import ChunkLedger, MapBatch, as_column_block
 from ..model.atoms import Atom
 from ..model.terms import Variable
 from ..query.conditions import And, AtomCondition, Condition, Not, Or, TrueCondition
+from .exchange import RequestAssertJob
 from .messages import (
     AssertMessage,
-    FIELD_BYTES,
+    AssertSide,
+    MessageLayout,
     RequestMessage,
-    TAG_BYTES,
-    TUPLE_REFERENCE_BYTES,
-    pack_messages,
+    RequestSide,
     unpack_messages,
 )
 from .options import GumboOptions
@@ -94,7 +89,26 @@ def _dnf(condition: Condition, negated: bool) -> List[List[Literal]]:
     raise TypeError(f"unknown condition node {type(condition).__name__}")
 
 
-class SemiJoinChainJob(MapReduceJob):
+def chain_layout(
+    input_name: str,
+    guard_atom: Atom,
+    literal: Literal,
+    join_key: Tuple[Variable, ...],
+    by_reference: bool,
+) -> MessageLayout:
+    """The messages of one chain step: the rows of *input_name* (full guard
+    rows, bound through *guard_atom*) request, the literal's atom asserts.
+    Sizes and packing: ``docs/operators.md`` § Message layout.
+    """
+    atom = literal.atom
+    request = RequestSide.build(
+        input_name, guard_atom, join_key, (), 0, None, by_reference
+    )
+    asserted = AssertSide(atom.relation, atom, join_key, (), 0)
+    return MessageLayout((request,), (asserted,), by_reference)
+
+
+class SemiJoinChainJob(RequestAssertJob):
     """One step of a sequential plan: filter the current guard relation.
 
     Parameters
@@ -124,28 +138,19 @@ class SemiJoinChainJob(MapReduceJob):
         projection: Optional[Tuple[Variable, ...]] = None,
         options: Optional[GumboOptions] = None,
     ) -> None:
-        super().__init__(job_id)
+        super().__init__(job_id, options)
         self.input_name = input_name
         self.guard_atom = guard_atom
         self.literal = literal
         self.output_name = output_name
         self.projection = tuple(projection) if projection is not None else None
-        self.options = options or GumboOptions()
-        self.reducer_allocation = (
-            REDUCERS_BY_INTERMEDIATE
-            if self.options.reducers_by_intermediate
-            else REDUCERS_BY_INPUT
-        )
         shared = guard_atom.shared_variables(literal.atom)
         self.join_key: Tuple[Variable, ...] = tuple(
             v for v in guard_atom.variables if v in shared
         )
-
-    def input_relations(self) -> Sequence[str]:
-        names = [self.input_name]
-        if self.literal.atom.relation not in names:
-            names.append(self.literal.atom.relation)
-        return names
+        self.layout = chain_layout(
+            input_name, guard_atom, literal, self.join_key, self.options.tuple_reference
+        )
 
     def output_schema(self) -> Dict[str, int]:
         arity = (
@@ -154,32 +159,6 @@ class SemiJoinChainJob(MapReduceJob):
             else self.guard_atom.arity
         )
         return {self.output_name: arity}
-
-    def map(self, relation: str, row: Tuple[object, ...]) -> Iterable[
-        Tuple[Key, object]
-    ]:
-        pairs: List[Tuple[Key, object]] = []
-        if relation == self.input_name:
-            binding = self.guard_atom.match(row)
-            if binding is not None:
-                key = tuple(binding[v] for v in self.join_key)
-                pairs.append(
-                    (key, RequestMessage(0, tuple(row), self.options.tuple_reference))
-                )
-        # Note: when the conditional relation coincides with the input relation
-        # (self-joins), the same row is also probed as a conditional fact.
-        if relation == self.literal.atom.relation:
-            binding = self.literal.atom.match(row)
-            if binding is not None:
-                key = tuple(binding[v] for v in self.join_key)
-                pairs.append((key, AssertMessage(0)))
-        return pairs
-
-    def uses_combiner(self) -> bool:
-        return self.options.message_packing
-
-    def combine(self, key: Key, values: List[object]) -> List[object]:
-        return pack_messages(values)
 
     def reduce(self, key: Key, values: List[object]) -> Iterable[OutputFact]:
         messages = list(unpack_messages(values))
@@ -200,74 +179,11 @@ class SemiJoinChainJob(MapReduceJob):
                 projected = tuple(binding[v] for v in self.projection)
                 yield (self.output_name, projected if projected else (row[0],))
 
-    # -- batch kernel ----------------------------------------------------------------
-
-    def supports_kernel(self) -> bool:
-        return True
-
-    def map_batch(self, relation: str, chunks) -> MapBatch:
-        """Kernelised map: collect request rows / assert keys with exact pair
-        accounting (the chain job packs messages like the MSJ job does).
-        Unrestricted atoms read their join keys as column slices."""
-        blocks = [as_column_block(chunk) for chunk in chunks]
-        row_len = next((b.arity for b in blocks if b.length), None)
-        guard = None
-        if relation == self.input_name:
-            compiled = self.guard_atom.compile()
-            if compiled.arity == row_len:
-                guard = (
-                    compiled.matcher,
-                    compiled.positions(self.join_key),
-                    compiled.extractor(self.join_key),
-                    TAG_BYTES
-                    + (
-                        TUPLE_REFERENCE_BYTES
-                        if self.options.tuple_reference
-                        else max(1, self.guard_atom.arity) * FIELD_BYTES
-                    ),
-                )
-        literal = None
-        if relation == self.literal.atom.relation:
-            compiled = self.literal.atom.compile()
-            if compiled.arity == row_len:
-                literal = (
-                    compiled.matcher,
-                    compiled.positions(self.join_key),
-                    compiled.extractor(self.join_key),
-                )
-        requests: List[tuple] = []
-        asserted: set = set()
-        ledger = ChunkLedger(self)
-        packed = ledger.packed
-        for block in blocks:
-            if not block.length:
-                continue
-            if guard is not None:
-                matcher, key_positions, key_of, request_size = guard
-                distinct = None
-                if matcher is None:
-                    keys = block.key_tuples(key_positions)
-                    if packed:
-                        distinct = block.distinct_keys(key_positions)
-                    rows = block.rows()
-                else:
-                    rows = [r for r in block.rows() if matcher(r)]
-                    keys = [key_of(r) for r in rows]
-                if keys:
-                    requests.append((keys, rows))
-                    ledger.add(keys, request_size, distinct=distinct)
-            if literal is not None:
-                keys = conditional_keys(block, *literal, packed)
-                asserted.update(keys)
-                ledger.add(keys, TAG_BYTES)
-            ledger.close_chunk()
-        return ledger.batch(relation, (requests, asserted))
-
     def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
         """Kernelised reduce: one hash semi-join (anti-join when negative)."""
         asserted: set = set()
         for batch in batches:
-            asserted.update(batch.data[1])
+            asserted.update(batch.data[1].get(0, ()))
         positive = self.literal.positive
         rows: set = set()
         if self.projection is not None:
@@ -277,7 +193,7 @@ class SemiJoinChainJob(MapReduceJob):
             project = None
             projects = False
         for batch in batches:
-            for keys, request_rows in batch.data[0]:
+            for keys, request_rows in batch.data[0].get(0, ()):
                 if positive:
                     kept = [
                         row

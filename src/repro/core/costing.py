@@ -12,7 +12,8 @@ The estimates mirror what the execution engine will actually measure:
 
 * every input relation of a job is one uniform map partition, whose
   intermediate size is derived from the number of conforming facts and the
-  per-message sizes of :mod:`repro.core.messages`;
+  job's :class:`~repro.core.messages.MessageLayout` — the same description
+  of its messages the engine's map phase reads;
 * message packing is modelled by grouping messages that provably share a key
   (same relation and same join-key column signature) so that the key is
   charged once per group;
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cost.constants import GUMBO_MB_PER_REDUCER, PIG_INPUT_MB_PER_REDUCER
 from ..cost.estimates import RelationStats, StatisticsCatalog
@@ -35,8 +36,18 @@ from ..mapreduce.job import MapReduceJob
 from ..mapreduce.program import MRProgram
 from ..model.atoms import Atom
 from ..query.bsgf import BSGFQuery, SemiJoinSpec
-from .eval_job import EvalTarget
-from .messages import FIELD_BYTES, TAG_BYTES, TUPLE_REFERENCE_BYTES
+from .chain import SemiJoinChainJob, UnionProjectJob
+from .eval_job import EvalJob, EvalTarget
+from .fused import FusedOneRoundJob
+from .messages import (
+    FIELD_BYTES,
+    MARKER_BYTES,
+    AssertSide,
+    MessageLayout,
+    RequestSide,
+    payload_bytes,
+)
+from .msj import MSJJob, msj_layout
 from .options import GumboOptions
 
 _MB = 1024.0 * 1024.0
@@ -148,19 +159,31 @@ class PlanCostEstimator:
             basis, per = input_mb, self.mb_per_reducer_input
         return max(1, math.ceil(basis / per)) if per > 0 else 1
 
-    def _request_payload_bytes(self, spec: SemiJoinSpec) -> int:
-        if self.options.tuple_reference:
-            return TUPLE_REFERENCE_BYTES
-        return max(1, spec.guard.arity) * FIELD_BYTES
+    def _partition(
+        self, label: str, input_mb: float, intermediate_mb: float, records: int
+    ) -> MapPartition:
+        return MapPartition(
+            input_mb=input_mb,
+            intermediate_mb=intermediate_mb,
+            records=records,
+            mappers=self._mappers_for(input_mb),
+            label=label,
+        )
+
+    def _estimate(
+        self, partitions: List[MapPartition], output_mb: float, label: str
+    ) -> JobEstimate:
+        """Profile and cost of a job with these map partitions and output."""
+        input_mb = sum(p.input_mb for p in partitions)
+        intermediate_mb = sum(p.intermediate_mb for p in partitions)
+        reducers = self._reducers_for(input_mb, intermediate_mb)
+        profile = JobProfile(partitions, output_mb, reducers, label=label)
+        return JobEstimate(profile, self.cost_model.job_cost(profile))
 
     def semijoin_output_mb(self, spec: SemiJoinSpec) -> float:
         """Estimate of |X_i| (upper bound, or selectivity-scaled when enabled)."""
         count = self.catalog.atom_count(spec.guard)
-        per_tuple = (
-            TUPLE_REFERENCE_BYTES
-            if self.options.tuple_reference
-            else max(1, len(spec.projection)) * FIELD_BYTES
-        )
+        per_tuple = payload_bytes(len(spec.projection), self.options.tuple_reference)
         size = count * per_tuple / _MB
         if self.use_selectivity_for_outputs:
             size *= self.catalog.semijoin_selectivity(spec.guard, spec.conditional)
@@ -184,98 +207,101 @@ class PlanCostEstimator:
     # -- MSJ jobs (Equation (5)) ---------------------------------------------------
 
     def msj_partitions(self, specs: Sequence[SemiJoinSpec]) -> List[MapPartition]:
-        """Estimated map partitions of the MSJ job evaluating *specs* together."""
-        packing = self.options.message_packing
+        """Estimated map partitions of the MSJ job evaluating *specs* together.
 
-        # Guard-role contributions, grouped per relation.
-        guard_bytes: Dict[str, float] = defaultdict(float)
-        guard_records: Dict[str, float] = defaultdict(float)
-        by_guard_atom: Dict[Atom, List[SemiJoinSpec]] = defaultdict(list)
-        for spec in specs:
-            by_guard_atom[spec.guard].append(spec)
-        for guard, guard_specs in by_guard_atom.items():
-            count = self.catalog.atom_count(guard)
-            groups: Dict[Tuple[int, ...], List[SemiJoinSpec]] = defaultdict(list)
-            for spec in guard_specs:
-                groups[_key_signature(guard, spec.join_key)].append(spec)
-            per_tuple_bytes = 0.0
-            per_tuple_records = 0
-            for signature, members in groups.items():
-                request_bytes = sum(
-                    TAG_BYTES + self._request_payload_bytes(spec) for spec in members
-                )
-                if packing:
-                    per_tuple_bytes += _key_bytes(len(signature)) + request_bytes
-                    per_tuple_records += 1
-                else:
-                    per_tuple_bytes += sum(
-                        _key_bytes(len(signature))
-                        + TAG_BYTES
-                        + self._request_payload_bytes(spec)
-                        for spec in members
-                    )
-                    per_tuple_records += len(members)
-            guard_bytes[guard.relation] += count * per_tuple_bytes
-            guard_records[guard.relation] += count * per_tuple_records
-
-        # Conditional-role contributions: one assert per distinct (atom, key) tag.
-        cond_bytes: Dict[str, float] = defaultdict(float)
-        cond_records: Dict[str, float] = defaultdict(float)
-        tags: Dict[Tuple[Atom, Tuple[int, ...]], None] = {}
-        for spec in specs:
-            signature = _key_signature(spec.conditional, spec.join_key)
-            tags[(spec.conditional, signature)] = None
-        by_relation_signature: Dict[Tuple[str, Tuple[int, ...]], List[Atom]] = (
-            defaultdict(list)
-        )
-        for (atom, signature) in tags:
-            by_relation_signature[(atom.relation, signature)].append(atom)
-        for (relation, signature), atoms in by_relation_signature.items():
-            # Atoms over the same relation with the same key signature share key
-            # values fact-by-fact, so packing merges their asserts.
-            counts = [self.catalog.atom_count(atom) for atom in atoms]
-            representative = max(counts) if counts else 0.0
-            if packing:
-                per_tuple_bytes = _key_bytes(len(signature)) + TAG_BYTES * len(atoms)
-                per_tuple_records = 1
-            else:
-                per_tuple_bytes = (_key_bytes(len(signature)) + TAG_BYTES) * len(atoms)
-                per_tuple_records = len(atoms)
-            cond_bytes[relation] += representative * per_tuple_bytes
-            cond_records[relation] += representative * per_tuple_records
-
-        # One partition per distinct input relation (read once).
+        Priced in pipeline mode (requests carry the full guard row), as the
+        plans run it; one partition per distinct relation, in the order the
+        specs name them.
+        """
         relations: List[str] = []
         for spec in specs:
             for name in (spec.guard.relation, spec.conditional.relation):
                 if name not in relations:
                     relations.append(name)
-        partitions: List[MapPartition] = []
-        for name in relations:
-            stats = self.catalog.relation_stats(name)
-            input_mb = stats.size_mb if stats else 0.0
-            intermediate_mb = (guard_bytes[name] + cond_bytes[name]) / _MB
-            records = int(round(guard_records[name] + cond_records[name]))
-            partitions.append(
-                MapPartition(
-                    input_mb=input_mb,
-                    intermediate_mb=intermediate_mb,
-                    records=records,
-                    mappers=self._mappers_for(input_mb),
-                    label=name,
-                )
+        layout = msj_layout(specs, self.options.tuple_reference)
+        return self._layout_partitions(
+            layout,
+            relations,
+            lambda side: self.catalog.atom_count(side.atom),
+            self.options.message_packing,
+        )
+
+    def _layout_partitions(
+        self,
+        layout: MessageLayout,
+        relations: Sequence[str],
+        request_count: Callable[[RequestSide], float],
+        packing: bool,
+    ) -> List[MapPartition]:
+        """One map partition per relation of *relations*, sized from *layout*.
+
+        A request side is charged for ``request_count(side)`` facts, an
+        assert side for the facts conforming to its atom.  Message packing is
+        modelled by grouping messages that provably share a key, so the key
+        is charged once per group and fact: the requests of one atom with the
+        same join-key column signature, and the asserts of the atoms over one
+        relation with the same signature (charged at the largest atom count).
+        """
+        # Request-side contributions, grouped per relation.
+        request_bytes: Dict[str, float] = defaultdict(float)
+        request_records: Dict[str, float] = defaultdict(float)
+        by_atom: Dict[Tuple[str, Atom], List[RequestSide]] = defaultdict(list)
+        for side in layout.requests:
+            by_atom[side.relation, side.atom].append(side)
+        for (relation, atom), sides in by_atom.items():
+            count = request_count(sides[0])
+            groups: Dict[tuple, List[RequestSide]] = defaultdict(list)
+            for side in sides:
+                groups[side.prefix, _key_signature(atom, side.join_key)].append(side)
+            per_tuple_bytes = 0.0
+            per_tuple_records = 0
+            for (prefix, signature), members in groups.items():
+                key_bytes = _key_bytes(len(prefix) + len(signature))
+                if packing:
+                    per_tuple_bytes += key_bytes + sum(m.size for m in members)
+                    per_tuple_records += 1
+                else:
+                    per_tuple_bytes += sum(key_bytes + m.size for m in members)
+                    per_tuple_records += len(members)
+            request_bytes[relation] += count * per_tuple_bytes
+            request_records[relation] += count * per_tuple_records
+
+        # Assert-side contributions: atoms over the same relation with the
+        # same key signature share key values fact-by-fact, so packing merges
+        # their asserts.
+        assert_bytes: Dict[str, float] = defaultdict(float)
+        assert_records: Dict[str, float] = defaultdict(float)
+        by_signature: Dict[tuple, List[AssertSide]] = defaultdict(list)
+        for side in layout.asserts:
+            signature = _key_signature(side.atom, side.join_key)
+            by_signature[side.relation, side.prefix, signature].append(side)
+        for (relation, prefix, signature), sides in by_signature.items():
+            representative = max(self.catalog.atom_count(s.atom) for s in sides)
+            key_bytes = _key_bytes(len(prefix) + len(signature))
+            if packing:
+                per_tuple_bytes = key_bytes + sum(s.size for s in sides)
+                per_tuple_records = 1
+            else:
+                per_tuple_bytes = sum(key_bytes + s.size for s in sides)
+                per_tuple_records = len(sides)
+            assert_bytes[relation] += representative * per_tuple_bytes
+            assert_records[relation] += representative * per_tuple_records
+
+        return [
+            self._partition(
+                name,
+                self._relation_mb(name),
+                (request_bytes[name] + assert_bytes[name]) / _MB,
+                int(round(request_records[name] + assert_records[name])),
             )
-        return partitions
+            for name in relations
+        ]
 
     def msj_estimate(self, specs: Sequence[SemiJoinSpec]) -> JobEstimate:
         """Equation (5): estimated cost of evaluating *specs* in one MSJ job."""
         partitions = self.msj_partitions(specs)
         output_mb = sum(self.semijoin_output_mb(spec) for spec in specs)
-        input_mb = sum(p.input_mb for p in partitions)
-        intermediate_mb = sum(p.intermediate_mb for p in partitions)
-        reducers = self._reducers_for(input_mb, intermediate_mb)
-        profile = JobProfile(partitions, output_mb, reducers, label="MSJ")
-        return JobEstimate(profile, self.cost_model.job_cost(profile))
+        return self._estimate(partitions, output_mb, "MSJ")
 
     def msj_cost(self, specs: Sequence[SemiJoinSpec]) -> float:
         return self.msj_estimate(specs).cost
@@ -296,6 +322,14 @@ class PlanCostEstimator:
 
     # -- EVAL jobs (Equation (7)) -------------------------------------------------------
 
+    def _eval_pair_bytes(self, guard: Atom) -> int:
+        """One EVAL message: a (target, guard row) key and a marker value."""
+        return (
+            MARKER_BYTES
+            + payload_bytes(guard.arity, self.options.tuple_reference)
+            + MARKER_BYTES
+        )
+
     def eval_estimate(self, targets: Sequence[EvalTarget]) -> JobEstimate:
         """Estimated cost of the EVAL job combining the given targets."""
         partitions: List[MapPartition] = []
@@ -303,56 +337,30 @@ class PlanCostEstimator:
         output_mb = 0.0
         for target in targets:
             query = target.query
-            guard_stats = self.catalog.relation_stats(query.guard.relation)
-            guard_mb = guard_stats.size_mb if guard_stats else 0.0
+            guard_mb = self._relation_mb(query.guard.relation)
             guard_count = self.catalog.atom_count(query.guard)
             if query.guard.relation not in seen_guards:
-                key_value_bytes = (
-                    TAG_BYTES
-                    + (
-                        TUPLE_REFERENCE_BYTES
-                        if self.options.tuple_reference
-                        else query.guard.arity * FIELD_BYTES
-                    )
-                    + TAG_BYTES
-                )
+                key_value_bytes = self._eval_pair_bytes(query.guard)
                 partitions.append(
-                    MapPartition(
-                        input_mb=guard_mb,
-                        intermediate_mb=guard_count * key_value_bytes / _MB,
-                        records=int(guard_count),
-                        mappers=self._mappers_for(guard_mb),
-                        label=query.guard.relation,
+                    self._partition(
+                        query.guard.relation,
+                        guard_mb,
+                        guard_count * key_value_bytes / _MB,
+                        int(guard_count),
                     )
                 )
                 seen_guards[query.guard.relation] = guard_mb
             for spec, name in zip(query.semijoin_specs(), target.intermediates):
                 size_mb = self.semijoin_output_mb(spec)
                 count = self.catalog.atom_count(spec.guard)
-                key_value_bytes = (
-                    TAG_BYTES
-                    + (
-                        TUPLE_REFERENCE_BYTES
-                        if self.options.tuple_reference
-                        else spec.guard.arity * FIELD_BYTES
-                    )
-                    + TAG_BYTES
-                )
+                key_value_bytes = self._eval_pair_bytes(spec.guard)
                 partitions.append(
-                    MapPartition(
-                        input_mb=size_mb,
-                        intermediate_mb=count * key_value_bytes / _MB,
-                        records=int(count),
-                        mappers=self._mappers_for(size_mb),
-                        label=name,
+                    self._partition(
+                        name, size_mb, count * key_value_bytes / _MB, int(count)
                     )
                 )
             output_mb += self.bsgf_output_mb(query)
-        input_mb = sum(p.input_mb for p in partitions)
-        intermediate_mb = sum(p.intermediate_mb for p in partitions)
-        reducers = self._reducers_for(input_mb, intermediate_mb)
-        profile = JobProfile(partitions, output_mb, reducers, label="EVAL")
-        return JobEstimate(profile, self.cost_model.job_cost(profile))
+        return self._estimate(partitions, output_mb, "EVAL")
 
     def eval_cost(self, targets: Sequence[EvalTarget]) -> float:
         return self.eval_estimate(targets).cost
@@ -378,23 +386,13 @@ class PlanCostEstimator:
         partitions = self.msj_partitions(all_specs) if all_specs else []
         if not all_specs:
             for query in queries:
-                stats = self.catalog.relation_stats(query.guard.relation)
-                input_mb = stats.size_mb if stats else 0.0
+                input_mb = self._relation_mb(query.guard.relation)
+                records = int(self.catalog.atom_count(query.guard))
                 partitions.append(
-                    MapPartition(
-                        input_mb=input_mb,
-                        intermediate_mb=input_mb,
-                        records=int(self.catalog.atom_count(query.guard)),
-                        mappers=self._mappers_for(input_mb),
-                        label=query.guard.relation,
-                    )
+                    self._partition(query.guard.relation, input_mb, input_mb, records)
                 )
         output_mb = sum(self.bsgf_output_mb(query) for query in queries)
-        input_mb = sum(p.input_mb for p in partitions)
-        intermediate_mb = sum(p.intermediate_mb for p in partitions)
-        reducers = self._reducers_for(input_mb, intermediate_mb)
-        profile = JobProfile(partitions, output_mb, reducers, label="1-ROUND")
-        return JobEstimate(profile, self.cost_model.job_cost(profile))
+        return self._estimate(partitions, output_mb, "1-ROUND")
 
     # -- whole basic MR programs (Equation (9)) -----------------------------------------------
 
@@ -419,11 +417,6 @@ class PlanCostEstimator:
         get profiles assembled from the catalog here.  This is what lets the
         AUTO strategy compare *any* candidate program on one scale.
         """
-        from .chain import SemiJoinChainJob, UnionProjectJob
-        from .eval_job import EvalJob
-        from .fused import FusedOneRoundJob
-        from .msj import MSJJob
-
         if isinstance(job, MSJJob):
             return self.msj_estimate(job.specs)
         if isinstance(job, EvalJob):
@@ -448,35 +441,17 @@ class PlanCostEstimator:
         return stats.size_mb if stats else 0.0
 
     def _chain_estimate(self, job) -> JobEstimate:
-        """One SEQ chain step: filter the current guard rows by one literal."""
-        key_bytes = _key_bytes(len(job.join_key))
-        request_bytes = TAG_BYTES + (
-            TUPLE_REFERENCE_BYTES
-            if self.options.tuple_reference
-            else max(1, job.guard_atom.arity) * FIELD_BYTES
+        """One SEQ chain step: filter the current guard rows by one literal.
+
+        Every row of the step's input relation requests; messages are priced
+        unpacked.
+        """
+        partitions = self._layout_partitions(
+            job.layout,
+            job.input_relations(),
+            lambda side: self._relation_tuples(side.relation),
+            packing=False,
         )
-        assert_count = self.catalog.atom_count(job.literal.atom)
-        partitions: List[MapPartition] = []
-        for name in job.input_relations():
-            count = self._relation_tuples(name)
-            intermediate = 0.0
-            records = 0.0
-            if name == job.input_name:
-                intermediate += count * (key_bytes + request_bytes)
-                records += count
-            if name == job.literal.atom.relation:
-                intermediate += assert_count * (key_bytes + TAG_BYTES)
-                records += assert_count
-            input_mb = self._relation_mb(name)
-            partitions.append(
-                MapPartition(
-                    input_mb=input_mb,
-                    intermediate_mb=intermediate / _MB,
-                    records=int(round(records)),
-                    mappers=self._mappers_for(input_mb),
-                    label=name,
-                )
-            )
         arity = (
             max(1, len(job.projection))
             if job.projection is not None
@@ -485,11 +460,7 @@ class PlanCostEstimator:
         # Upper bound: every input guard row survives the filter step.
         survivors = self._relation_tuples(job.input_name)
         output_mb = survivors * arity * FIELD_BYTES / _MB
-        input_mb = sum(p.input_mb for p in partitions)
-        intermediate_mb = sum(p.intermediate_mb for p in partitions)
-        reducers = self._reducers_for(input_mb, intermediate_mb)
-        profile = JobProfile(partitions, output_mb, reducers, label="CHAIN")
-        return JobEstimate(profile, self.cost_model.job_cost(profile))
+        return self._estimate(partitions, output_mb, "CHAIN")
 
     def _union_estimate(self, job) -> JobEstimate:
         """The union/projection job combining the branch outputs of a SEQ plan."""
@@ -499,23 +470,17 @@ class PlanCostEstimator:
         for name in job.input_names:
             count = self._relation_tuples(name)
             total_tuples += count
-            per_tuple_bytes = _key_bytes(arity) + TAG_BYTES
-            input_mb = self._relation_mb(name)
+            per_tuple_bytes = _key_bytes(arity) + MARKER_BYTES
             partitions.append(
-                MapPartition(
-                    input_mb=input_mb,
-                    intermediate_mb=count * per_tuple_bytes / _MB,
-                    records=int(round(count)),
-                    mappers=self._mappers_for(input_mb),
-                    label=name,
+                self._partition(
+                    name,
+                    self._relation_mb(name),
+                    count * per_tuple_bytes / _MB,
+                    int(round(count)),
                 )
             )
         output_mb = total_tuples * arity * FIELD_BYTES / _MB
-        input_mb = sum(p.input_mb for p in partitions)
-        intermediate_mb = sum(p.intermediate_mb for p in partitions)
-        reducers = self._reducers_for(input_mb, intermediate_mb)
-        profile = JobProfile(partitions, output_mb, reducers, label="UNION")
-        return JobEstimate(profile, self.cost_model.job_cost(profile))
+        return self._estimate(partitions, output_mb, "UNION")
 
     def _register_output_estimates(self, job: MapReduceJob) -> None:
         """Seed catalog stats for *job*'s outputs so later jobs can be costed.
@@ -524,11 +489,6 @@ class PlanCostEstimator:
         keep every tuple of the relation they filter (Section 4.1), so chained
         estimates never underestimate downstream input sizes.
         """
-        from .chain import SemiJoinChainJob, UnionProjectJob
-        from .eval_job import EvalJob
-        from .fused import FusedOneRoundJob
-        from .msj import MSJJob
-
         estimates: List[Tuple[str, float, int]] = []
         if isinstance(job, MSJJob):
             for spec in job.specs:

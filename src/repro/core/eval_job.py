@@ -35,11 +35,10 @@ from ..mapreduce.kernels import (
 from ..model.atoms import Atom
 from ..query.bsgf import BSGFQuery
 from .messages import (
-    FIELD_BYTES,
+    MARKER_BYTES,
     GuardMessage,
     MembershipMessage,
-    TAG_BYTES,
-    TUPLE_REFERENCE_BYTES,
+    payload_bytes,
 )
 from .options import GumboOptions
 
@@ -168,10 +167,7 @@ class EvalJob(MapReduceJob):
 
     def key_bytes(self, key: Key) -> int:
         """Keys are (target index, guard tuple); guard tuples may be shipped by id."""
-        fields = max(0, len(key) - 1)
-        if self.options.tuple_reference:
-            return TAG_BYTES + TUPLE_REFERENCE_BYTES
-        return TAG_BYTES + fields * FIELD_BYTES
+        return MARKER_BYTES + payload_bytes(len(key) - 1, self.options.tuple_reference)
 
     # -- batch kernel ----------------------------------------------------------------
 
@@ -183,7 +179,7 @@ class EvalJob(MapReduceJob):
 
         Intermediate relations contribute one membership message per row;
         guard relations one guard message per (target, conforming row).  Both
-        message kinds serialise to ``TAG_BYTES``; keys are ``(target,) +
+        message kinds serialise to ``MARKER_BYTES``; keys are ``(target,) +
         row`` and the EVAL job uses no combiner, so the pair accounting is a
         row count per target — no key is ever assembled here.
         """
@@ -198,7 +194,7 @@ class EvalJob(MapReduceJob):
                     continue
                 block_rows = block.rows()
                 rows.update(block_rows)
-                ledger.add(block_rows, TAG_BYTES, prefix)
+                ledger.add(block_rows, MARKER_BYTES, prefix)
             return ledger.batch(relation, ("member", membership, rows))
         guards = []
         row_len = next((b.arity for b in blocks if b.length), None)
@@ -220,7 +216,7 @@ class EvalJob(MapReduceJob):
                     else [r for r in block_rows if matcher(r)]
                 )
                 conforming[t_index].extend(rows_for_target)
-                ledger.add(rows_for_target, TAG_BYTES, (t_index,))
+                ledger.add(rows_for_target, MARKER_BYTES, (t_index,))
         return ledger.batch(relation, ("guard", conforming))
 
     def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:

@@ -14,34 +14,20 @@ Queries A3 and B2 of the paper's experiments are evaluated this way by the
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..mapreduce.job import (
-    Key,
-    MapReduceJob,
-    OutputFact,
-    REDUCERS_BY_INPUT,
-    REDUCERS_BY_INTERMEDIATE,
-)
-from collections import Counter
-
-from ..mapreduce.kernels import (
-    ChunkLedger,
-    MapBatch,
-    as_column_block,
-    conditional_keys,
-    union_key_set,
-)
+from ..mapreduce.job import Key, OutputFact
+from ..mapreduce.kernels import union_key_set
 from ..model.atoms import Atom
-from ..model.terms import Variable
 from ..query.bsgf import BSGFQuery
+from .exchange import RequestAssertJob
 from .messages import (
     AssertMessage,
-    FIELD_BYTES,
+    AssertSide,
+    MessageLayout,
     RequestMessage,
-    TAG_BYTES,
-    TUPLE_REFERENCE_BYTES,
-    pack_messages,
+    RequestSide,
     unpack_messages,
 )
 from .options import GumboOptions
@@ -61,7 +47,39 @@ def one_round_applicable(query: BSGFQuery) -> bool:
     return query.shares_join_key()
 
 
-class FusedOneRoundJob(MapReduceJob):
+def one_round_layout(queries: Sequence[BSGFQuery], by_reference: bool) -> MessageLayout:
+    """The messages of the fused job over *queries*.
+
+    Query ``q`` keys its messages by ``(q,)`` followed by its shared join key
+    (guard-variable order): its guard facts send request ``q`` carrying the
+    full guard row, and each of its conditional atoms gets its own assert tag.
+    Sizes and packing: ``docs/operators.md`` § Message layout.
+    """
+    requests: List[RequestSide] = []
+    asserts: List[AssertSide] = []
+    for q_index, query in enumerate(queries):
+        specs = query.semijoin_specs()
+        join_key = specs[0].join_key if specs else ()
+        prefix = (q_index,)
+        requests.append(
+            RequestSide.build(
+                query.guard.relation,
+                query.guard,
+                join_key,
+                prefix,
+                q_index,
+                None,
+                by_reference,
+            )
+        )
+        for atom in query.conditional_atoms:
+            asserts.append(
+                AssertSide(atom.relation, atom, join_key, prefix, len(asserts))
+            )
+    return MessageLayout(tuple(requests), tuple(asserts), by_reference)
+
+
+class FusedOneRoundJob(RequestAssertJob):
     """A single job evaluating one or more shared-key BSGF queries end to end."""
 
     def __init__(
@@ -70,7 +88,7 @@ class FusedOneRoundJob(MapReduceJob):
         queries: Sequence[BSGFQuery],
         options: Optional[GumboOptions] = None,
     ) -> None:
-        super().__init__(job_id)
+        super().__init__(job_id, options)
         queries = list(queries)
         if not queries:
             raise ValueError("the fused job needs at least one query")
@@ -84,31 +102,16 @@ class FusedOneRoundJob(MapReduceJob):
         if len(set(outputs)) != len(outputs):
             raise ValueError("query outputs must be pairwise distinct")
         self.queries: List[BSGFQuery] = queries
-        self.options = options or GumboOptions()
-        self.reducer_allocation = (
-            REDUCERS_BY_INTERMEDIATE
-            if self.options.reducers_by_intermediate
-            else REDUCERS_BY_INPUT
-        )
-        # Per query: the shared join key (guard-variable order) and, per
-        # conditional atom, its global assert tag.
-        self._join_keys: List[Tuple[Variable, ...]] = []
-        self._atom_tags: List[Dict[Atom, int]] = []
-        self._tags: List[Tuple[int, Atom, Tuple[Variable, ...]]] = []
-        for q_index, query in enumerate(queries):
-            specs = query.semijoin_specs()
-            join_key = specs[0].join_key if specs else ()
-            self._join_keys.append(join_key)
-            tags: Dict[Atom, int] = {}
-            for atom in query.conditional_atoms:
-                tag = len(self._tags)
-                tags[atom] = tag
-                self._tags.append((q_index, atom, join_key))
-            self._atom_tags.append(tags)
+        self.layout = one_round_layout(queries, self.options.tuple_reference)
+        # Per query, the assert tag of each conditional atom.
+        self._atom_tags: List[Dict[Atom, int]] = [{} for _ in queries]
+        for side in self.layout.asserts:
+            self._atom_tags[side.prefix[0]][side.atom] = side.tag
 
     # -- schema -------------------------------------------------------------------
 
     def input_relations(self) -> Sequence[str]:
+        """Every relation read once, query by query: guard, then conditionals."""
         seen: List[str] = []
         for query in self.queries:
             if query.guard.relation not in seen:
@@ -123,44 +126,7 @@ class FusedOneRoundJob(MapReduceJob):
             query.output: max(1, len(query.projection)) for query in self.queries
         }
 
-    # -- map / combine / reduce -------------------------------------------------------
-
-    def map(self, relation: str, row: Tuple[object, ...]) -> Iterable[
-        Tuple[Key, object]
-    ]:
-        pairs: List[Tuple[Key, object]] = []
-        for q_index, query in enumerate(self.queries):
-            if query.guard.relation == relation:
-                binding = query.guard.match(row)
-                if binding is not None:
-                    key_values = tuple(
-                        binding[v] for v in self._join_keys[q_index]
-                    )
-                    pairs.append(
-                        (
-                            (q_index,) + key_values,
-                            RequestMessage(
-                                index=q_index,
-                                payload=tuple(row),
-                                by_reference=self.options.tuple_reference,
-                            ),
-                        )
-                    )
-        for tag, (q_index, atom, join_key) in enumerate(self._tags):
-            if atom.relation != relation:
-                continue
-            binding = atom.match(row)
-            if binding is None:
-                continue
-            key_values = tuple(binding[v] for v in join_key)
-            pairs.append(((q_index,) + key_values, AssertMessage(tag)))
-        return pairs
-
-    def uses_combiner(self) -> bool:
-        return self.options.message_packing
-
-    def combine(self, key: Key, values: List[object]) -> List[object]:
-        return pack_messages(values)
+    # -- reduce ---------------------------------------------------------------------
 
     def reduce(self, key: Key, values: List[object]) -> Iterable[OutputFact]:
         messages = list(unpack_messages(values))
@@ -180,117 +146,9 @@ class FusedOneRoundJob(MapReduceJob):
             projected = tuple(binding[v] for v in query.projection)
             yield (query.output, projected if projected else (message.payload[0],))
 
-    # -- batch kernel ----------------------------------------------------------------
-
-    def supports_kernel(self) -> bool:
-        return True
-
-    def _kernel(self) -> "_FusedKernel":
-        kernel = self.__dict__.get("_kernel_cache")
-        if kernel is None:
-            kernel = self.__dict__["_kernel_cache"] = _FusedKernel(self)
-        return kernel
-
-    def map_batch(self, relation: str, chunks) -> MapBatch:
-        return self._kernel().map_batch(relation, chunks)
-
     def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
-        return self._kernel().reduce_batch(batches)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(q.output for q in self.queries)
-        return f"FusedOneRoundJob({self.job_id!r}: {inner})"
-
-
-class _FusedKernel:
-    """Set-based evaluation plan for one :class:`FusedOneRoundJob`.
-
-    The shared join key means every query can be evaluated as: build one key
-    set per conditional atom tag, compute per guard row its membership
-    bitmask over the query's atoms, and evaluate the Boolean condition once
-    per distinct mask (memoised).  Pair accounting mirrors the interpreted
-    map+combiner exactly: keys are ``(query index,) + join-key values``,
-    requests carry the full guard row, asserts deduplicate per chunk-key
-    under message packing.
-    """
-
-    def __init__(self, job: FusedOneRoundJob) -> None:
-        self.job = job
-        by_reference = job.options.tuple_reference
-        #: relation -> [(q index, arity, matcher, key positions, key extractor,
-        #:               req size)]
-        self.guards: Dict[str, List[tuple]] = {}
-        #: relation -> [(tag, q index, arity, matcher, key positions,
-        #:               key extractor)]
-        self.tags: Dict[str, List[tuple]] = {}
-        for q_index, query in enumerate(job.queries):
-            compiled = query.guard.compile()
-            request_size = TAG_BYTES + (
-                TUPLE_REFERENCE_BYTES
-                if by_reference
-                else max(1, query.guard.arity) * FIELD_BYTES
-            )
-            self.guards.setdefault(query.guard.relation, []).append(
-                (
-                    q_index,
-                    compiled.arity,
-                    compiled.matcher,
-                    compiled.positions(job._join_keys[q_index]),
-                    compiled.extractor(job._join_keys[q_index]),
-                    request_size,
-                )
-            )
-        for tag, (q_index, atom, join_key) in enumerate(job._tags):
-            compiled = atom.compile()
-            self.tags.setdefault(atom.relation, []).append(
-                (
-                    tag,
-                    q_index,
-                    compiled.arity,
-                    compiled.matcher,
-                    compiled.positions(join_key),
-                    compiled.extractor(join_key),
-                )
-            )
-
-    def map_batch(self, relation: str, chunks) -> MapBatch:
-        job = self.job
-        blocks = [as_column_block(chunk) for chunk in chunks]
-        row_len = next((b.arity for b in blocks if b.length), None)
-        guards = [g for g in self.guards.get(relation, ()) if g[1] == row_len]
-        tags = [t for t in self.tags.get(relation, ()) if t[2] == row_len]
-        probe: Dict[int, List[tuple]] = {g[0]: [] for g in guards}
-        build: Dict[int, set] = {t[0]: set() for t in tags}
-        ledger = ChunkLedger(job)
-        packed = ledger.packed
-        for block in blocks:
-            if not block.length:
-                continue
-            for q_index, _, matcher, key_positions, key_of, request_size in guards:
-                distinct = None
-                if matcher is None:
-                    key_values = block.key_tuples(key_positions)
-                    if packed:
-                        distinct = block.distinct_keys(key_positions)
-                    rows = block.rows()
-                else:
-                    rows = [r for r in block.rows() if matcher(r)]
-                    if not rows:
-                        continue
-                    key_values = [key_of(r) for r in rows]
-                probe[q_index].append((key_values, rows))
-                ledger.add(key_values, request_size, (q_index,), distinct)
-            for tag, q_index, _, matcher, key_positions, key_of in tags:
-                key_values = conditional_keys(
-                    block, matcher, key_positions, key_of, packed
-                )
-                build[tag].update(key_values)
-                ledger.add(key_values, TAG_BYTES, (q_index,))
-            ledger.close_chunk()
-        return ledger.batch(relation, (probe, build))
-
-    def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
-        job = self.job
+        """Per query: one asserted-key set per conditional tag, and the
+        Boolean condition evaluated once per distinct membership mask."""
         asserted: Dict[int, set] = {}
         owned: set = set()
         for batch in batches:
@@ -300,12 +158,12 @@ class _FusedKernel:
         for batch in batches:
             for q_index, segments in batch.data[0].items():
                 guard_segments.setdefault(q_index, []).extend(segments)
-        outputs: Dict[str, set] = {q.output: set() for q in job.queries}
-        for q_index, query in enumerate(job.queries):
+        outputs: Dict[str, set] = {q.output: set() for q in self.queries}
+        for q_index, query in enumerate(self.queries):
             segments = guard_segments.get(q_index)
             if not segments:
                 continue
-            atom_tags = job._atom_tags[q_index]
+            atom_tags = self._atom_tags[q_index]
             tag_list = list(atom_tags.items())  # (atom, tag) in atom order
             bit_of = {atom: i for i, (atom, _) in enumerate(tag_list)}
             sets = [asserted.get(tag, frozenset()) for _, tag in tag_list]
@@ -348,3 +206,7 @@ class _FusedKernel:
                         else [(row[0],) for row in selected]
                     )
         return outputs
+
+    def __repr__(self) -> str:
+        inner = ", ".join(q.output for q in self.queries)
+        return f"FusedOneRoundJob({self.job_id!r}: {inner})"

@@ -16,12 +16,21 @@ Section 5.1:
 * *message packing* (optimisation 1): all messages sharing a key are packed
   into one list value, so the key is shipped once and duplicate asserts are
   collapsed — see :class:`PackedMessages` and :func:`pack_messages`.
+
+The MSJ, 1-ROUND and SEQ-chain jobs all speak this protocol.  Each describes
+the messages its input relations emit with one :class:`MessageLayout`, which
+the interpreted map, the batch kernels (:mod:`repro.core.exchange`) and the
+planner's cost estimates (:mod:`repro.core.costing`) read alike; see
+``docs/operators.md`` § Message layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
+
+from ..model.atoms import Atom
+from ..model.terms import Variable
 
 #: Serialised size of a message tag (semi-join index / conditional-atom id).
 TAG_BYTES = 4
@@ -31,6 +40,77 @@ TUPLE_REFERENCE_BYTES = 8
 
 #: Serialised size of one field of a shipped tuple.
 FIELD_BYTES = 10
+
+#: Serialised size of a message that carries tags only: an assert, or an
+#: EVAL guard / membership marker.
+MARKER_BYTES = TAG_BYTES
+
+
+def payload_bytes(fields: int, by_reference: bool) -> int:
+    """Serialised size of a shipped tuple of *fields* fields.
+
+    An 8-byte tuple id under optimisation (2) (*by_reference*), otherwise
+    ``FIELD_BYTES`` per field (at least one).
+    """
+    return TUPLE_REFERENCE_BYTES if by_reference else max(1, fields) * FIELD_BYTES
+
+
+class RequestSide(NamedTuple):
+    """Facts of *relation* conforming to *atom* send ``Req(index)`` messages.
+
+    The key is ``prefix`` followed by the fact's *join_key* values; the
+    payload is its *payload* variables, or the full row when ``None``.
+    ``size`` is the serialised request (tag plus payload).
+    """
+
+    relation: str
+    atom: Atom
+    join_key: Tuple[Variable, ...]
+    prefix: Tuple[object, ...]
+    index: int
+    payload: Optional[Tuple[Variable, ...]]
+    size: int
+
+    @classmethod
+    def build(
+        cls,
+        relation: str,
+        atom: Atom,
+        join_key: Tuple[Variable, ...],
+        prefix: Tuple[object, ...],
+        index: int,
+        payload: Optional[Tuple[Variable, ...]],
+        by_reference: bool,
+    ) -> "RequestSide":
+        """The side, its ``size`` derived from the payload's field count."""
+        fields = atom.arity if payload is None else len(payload)
+        size = TAG_BYTES + payload_bytes(fields, by_reference)
+        return cls(relation, atom, join_key, prefix, index, payload, size)
+
+
+class AssertSide(NamedTuple):
+    """Facts of *relation* conforming to *atom* send ``Assert(tag)`` messages,
+    keyed by ``prefix`` followed by their *join_key* values."""
+
+    relation: str
+    atom: Atom
+    join_key: Tuple[Variable, ...]
+    prefix: Tuple[object, ...]
+    tag: int
+    size: int = TAG_BYTES
+
+
+class MessageLayout(NamedTuple):
+    """Every message one request/assert job emits, side by side.
+
+    A fact emits its requests in ``requests`` order, then its asserts in
+    ``asserts`` order; the order matters, since the shuffle keeps the first
+    representative of equal keys.
+    """
+
+    requests: Tuple[RequestSide, ...]
+    asserts: Tuple[AssertSide, ...]
+    by_reference: bool
 
 
 @dataclass(frozen=True)
@@ -49,12 +129,7 @@ class RequestMessage:
     by_reference: bool = False
 
     def size_bytes(self) -> int:
-        payload = (
-            TUPLE_REFERENCE_BYTES
-            if self.by_reference
-            else max(1, len(self.payload)) * FIELD_BYTES
-        )
-        return TAG_BYTES + payload
+        return TAG_BYTES + payload_bytes(len(self.payload), self.by_reference)
 
     def __str__(self) -> str:
         return f"Req({self.index}; Out {self.payload!r})"

@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices called out in DESIGN.md.
+"""Ablation experiments for the individual Gumbo optimisations.
 
 These are not figures of the paper but isolate the contribution of the
 individual Gumbo optimisations of Section 5.1:

@@ -26,7 +26,7 @@ class ExperimentResult:
 
     def by_strategy(self, strategy: str) -> List[RunRecord]:
         strategy = strategy.upper()
-        return [r for r in self.records if r.strategy == strategy]
+        return [r for r in self.records if r.strategy.upper() == strategy]
 
     def by_query(self, query_id: str) -> List[RunRecord]:
         return [r for r in self.records if r.query_id == query_id]
@@ -34,7 +34,10 @@ class ExperimentResult:
     def record(self, query_id: str, strategy: str) -> RunRecord:
         strategy = strategy.upper()
         for candidate in self.records:
-            if candidate.query_id == query_id and candidate.strategy == strategy:
+            if (
+                candidate.query_id == query_id
+                and candidate.strategy.upper() == strategy
+            ):
                 return candidate
         raise KeyError((query_id, strategy))
 

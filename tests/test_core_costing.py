@@ -69,29 +69,62 @@ class TestMSJEstimates:
         )
         assert with_ref.semijoin_output_mb(spec) < without_ref.semijoin_output_mb(spec)
 
-    def test_estimated_intermediate_tracks_execution(self):
-        """The estimate should be close to the engine's measured intermediate.
+    @pytest.mark.parametrize("packing", [False, True], ids=["off", "on"])
+    @pytest.mark.parametrize(
+        "job_type,query_id",
+        [
+            ("msj", "A1"),
+            ("msj", "A3"),
+            ("msj", "B2"),
+            ("chain", "A1"),
+            ("chain", "B2"),
+        ],
+    )
+    def test_estimated_intermediate_tracks_execution(self, job_type, query_id, packing):
+        """The estimator and the engine read one message layout.
 
-        A generated A1 workload is used (rather than the 5-tuple toy database)
-        so that coincidental value collisions, which the estimator cannot
-        foresee, do not dominate.
+        MSJ over a whole query set, and every SEQ chain step of the first
+        level, on a generated workload (rather than the 5-tuple toy database)
+        with a catalog that samples every tuple.  Without packing the
+        estimate is the engine's intermediate size, relation by relation.
+        With packing the estimator cannot foresee same-key packing across
+        different guard tuples inside one map task (and prices chain steps
+        unpacked), so it over-approximates slightly.
         """
+        from repro.core.chain import SemiJoinChainJob
+        from repro.core.gumbo import Gumbo
         from repro.core.msj import MSJJob
         from repro.mapreduce.engine import MapReduceEngine
-        from repro.workloads.queries import database_for, query_a1
-
-        queries = query_a1()
-        db = database_for(queries, guard_tuples=400, selectivity=0.5, seed=2)
-        estimator = PlanCostEstimator(
-            StatisticsCatalog(db, sample_size=400), options=GumboOptions()
+        from repro.workloads.queries import (
+            bsgf_query_set,
+            database_for,
+            workload_query,
         )
-        specs = queries[0].semijoin_specs()
-        estimate = sum(p.intermediate_mb for p in estimator.msj_partitions(specs))
-        job = MSJJob("msj", specs, GumboOptions(), emit_projection=False)
-        measured = MapReduceEngine().run_job(job, db).metrics.intermediate_mb
-        # The estimator cannot foresee same-key packing across different guard
-        # tuples inside one map task, so it over-approximates slightly.
-        assert measured <= estimate <= 1.5 * measured
+
+        queries = bsgf_query_set(query_id)
+        db = database_for(queries, guard_tuples=400, selectivity=0.5, seed=2)
+        options = GumboOptions(message_packing=packing)
+        estimator = PlanCostEstimator(
+            StatisticsCatalog(db, sample_size=10**6), options=options
+        )
+        if job_type == "msj":
+            specs = [spec for query in queries for spec in query.semijoin_specs()]
+            jobs = [MSJJob("msj", specs, options, emit_projection=False)]
+            estimates = [estimator.msj_partitions(specs)]
+        else:
+            program = Gumbo(options=options).plan(workload_query(query_id), db, "seq")
+            jobs = program.levels()[0]
+            assert jobs and all(isinstance(job, SemiJoinChainJob) for job in jobs)
+            estimates = [estimator.job_estimate(job).profile.partitions for job in jobs]
+        for job, estimate in zip(jobs, estimates):
+            estimated = {p.label: p.intermediate_mb * 2**20 for p in estimate}
+            partitions = MapReduceEngine().run_job(job, db).metrics.partitions
+            measured = {p.relation: p.intermediate_mb * 2**20 for p in partitions}
+            if packing:
+                total = sum(measured.values())
+                assert total <= sum(estimated.values()) <= 1.5 * total
+            else:
+                assert estimated == measured
 
 
 class TestEvalAndProgramEstimates:

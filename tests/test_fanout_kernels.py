@@ -192,7 +192,8 @@ def test_self_semi_join_chunk_counts_the_union_of_its_keys(chunks):
     engine = _engine_cutting(chunks)
     program = Gumbo().plan_with(query, database, "par").program
     (msj,) = [job for job in program.jobs if type(job).__name__ == "MSJJob"]
-    assert msj.guard_relations == msj.conditional_relations == ["R"]
+    sides = msj.layout.requests + msj.layout.asserts
+    assert [side.relation for side in sides] == ["R", "R"]
     assert _check_partials_compose(engine, msj, database) == chunks - 1
     records = 0
     for chunk in database["R"].column_chunks(chunks):

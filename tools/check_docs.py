@@ -1,7 +1,7 @@
 """Documentation checks: runnable examples, resolvable links, honest --help.
 
 Run by the CI ``docs`` job (and locally via ``PYTHONPATH=src python
-tools/check_docs.py``).  Three families of checks, all blocking:
+tools/check_docs.py``).  Four families of checks, all blocking:
 
 1. **Examples** — every fenced ``python`` code block in ``docs/*.md`` is
    executed, top to bottom, in one namespace per file (so a later block may
@@ -16,6 +16,9 @@ tools/check_docs.py``).  Three families of checks, all blocking:
    describe (backends, kernel mode, fuzz backend axis) — and none of them
    may offer the removed job-level SQL backend again (``sql`` as a
    ``--backend`` choice, ``--sql-db``).
+4. **Cited docs** — every ``*.md`` path a ``.py`` file under ``src/``,
+   ``tools/``, ``tests/`` or top-level ``benchmarks/`` cites must exist,
+   relative to the repository root or to the citing file.
 
 Exit code 0 when everything passes, 1 otherwise, with one line per failure.
 """
@@ -33,6 +36,16 @@ EXAMPLE_FILES = sorted((REPO / "docs").glob("*.md"))
 
 #: Files whose relative links are checked.
 LINK_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+
+#: Python files whose cited ``*.md`` paths are checked.
+CITING_FILES = sorted(
+    [
+        *(REPO / "src").rglob("*.py"),
+        *(REPO / "tools").rglob("*.py"),
+        *(REPO / "tests").rglob("*.py"),
+        *(REPO / "benchmarks").glob("*.py"),
+    ]
+)
 
 #: (argv, required substrings) pairs checked against parser help text.
 HELP_CHECKS = [
@@ -55,6 +68,7 @@ _FENCE = re.compile(r"^```(\w*)\s*$")
 # these docs.  Skips autolinks and raw URLs.
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
+_MD_PATH = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def _python_blocks(path: Path):
@@ -129,6 +143,18 @@ def check_links() -> list:
     return failures
 
 
+def check_cited_docs() -> list:
+    failures = []
+    for path in CITING_FILES:
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            for cited in _MD_PATH.findall(line):
+                if not ((REPO / cited).exists() or (path.parent / cited).exists()):
+                    failures.append(
+                        f"{path.relative_to(REPO)}:{number}: cites missing {cited!r}"
+                    )
+    return failures
+
+
 def check_cli_help() -> list:
     from repro.cli import build_parser
 
@@ -156,7 +182,7 @@ def check_cli_help() -> list:
 
 
 def main() -> int:
-    failures = check_examples() + check_links() + check_cli_help()
+    failures = check_examples() + check_links() + check_cli_help() + check_cited_docs()
     examples = sum(1 for path in EXAMPLE_FILES for _ in _python_blocks(path))
     if failures:
         print(f"check_docs: {len(failures)} failure(s)")
@@ -166,7 +192,8 @@ def main() -> int:
     print(
         f"check_docs: ok ({examples} doc examples executed, "
         f"{len(LINK_FILES)} files link-checked, "
-        f"{len(HELP_CHECKS)} --help surfaces verified)"
+        f"{len(HELP_CHECKS)} --help surfaces verified, "
+        f"{len(CITING_FILES)} Python files' doc citations resolved)"
     )
     return 0
 

@@ -14,7 +14,14 @@ whose digests must equal the serial ones line for line:
   rendered as their IEEE-754 bit patterns so the digest is bit-exact;
 * ``shuffle`` — SHA-256 over the per-job map/reduce task-duration vectors,
   which expose the simulated shuffle's key-to-reducer placement (the part
-  of the metrics most sensitive to set/dict iteration order).
+  of the metrics most sensitive to set/dict iteration order);
+* ``estimates`` — one line per strategy, kernel mode aside: SHA-256 over the
+  planner's :meth:`~repro.core.costing.PlanCostEstimator.program_estimate`
+  of the strategy's program — every job's estimated cost, output size,
+  reducers and per-partition input/intermediate sizes, records and mappers,
+  floats as IEEE-754 bit patterns.  The estimator groups messages by key
+  signature, so set- or dict-order dependence there would silently change
+  the AUTO strategy's choices.
 
 A last case guards against *history* dependence: join keys that are equal but
 not identical (``1``, ``1.0`` and ``True``) on an engine that spreads every
@@ -128,10 +135,30 @@ def _digest_result(label: str, strategy: str, mode: str, result) -> str:
     )
 
 
+def _digest_estimates(label: str, strategy: str, gumbo, query, database) -> str:
+    program = gumbo.plan(query, database, strategy)
+    estimate = gumbo.estimator(database).program_estimate(program)
+    lines = []
+    for job_id, job in estimate.jobs:
+        profile = job.profile
+        parts = [
+            f"{p.label}:{canonical(p.input_mb)}:{canonical(p.intermediate_mb)}"
+            f":{p.records}:{p.mappers}"
+            for p in profile.partitions
+        ]
+        lines.append(
+            f"{job_id}|{canonical(job.cost)}|{canonical(profile.output_mb)}"
+            f"|{profile.reducers}|" + "|".join(parts)
+        )
+    return f"{label} strategy={strategy} estimates={digest(lines)}"
+
+
 def run_case(
     label: str, query, database, backend=None, modes=("auto", "off"), emit=print
 ) -> None:
     for strategy in applicable_strategies(query, include_optimal=False):
+        gumbo = Gumbo(backend=backend)
+        emit(_digest_estimates(label, strategy, gumbo, query, database))
         for mode in modes:
             gumbo = Gumbo(
                 backend=backend, options=GumboOptions(kernel_mode=mode)
