@@ -21,8 +21,9 @@ Quick start
 [(1, 2), (3, 4)]
 
 :func:`connect` is the unified client API (see :mod:`repro.client`): one
-``Connection`` with ``execute``/``materialize``/``refresh``/``close``, one
-``Result`` type, every backend selectable by name.  The layers it wraps
+``Connection`` with ``execute``/``materialize``/``refresh``/``close``, every
+backend selectable by name, and every query answered with :class:`Result`,
+the query service's own result type.  The layers it wraps
 (:class:`Gumbo`, the planner/executor, and :class:`QueryService
 <repro.service.QueryService>`, the serving layer) can be built directly;
 all three take one :class:`GumboOptions`.
@@ -41,7 +42,7 @@ workers=4)``), through :class:`GumboOptions(backend=...) <GumboOptions>`, or
 on the command line with ``repro query --backend parallel --workers 4``.
 """
 
-from .client import Connection, Result, connect
+from .client import Connection, connect
 from .core.dynamic import DynamicSGFExecutor
 from .core.gumbo import Gumbo, GumboResult, PlannedQuery
 from .core.msj import MSJJob, multi_semi_join
@@ -64,7 +65,7 @@ from .query.bsgf import BSGFQuery
 from .query.parser import parse_bsgf, parse_sgf
 from .query.reference import evaluate_bsgf, evaluate_sgf
 from .query.sgf import SGFQuery
-from .service import BatchResult, QueryService, ServiceResult, query_fingerprint
+from .service import BatchResult, QueryService, Result, query_fingerprint
 
 __version__ = "1.0.0"
 
@@ -94,7 +95,6 @@ __all__ = [
     "PlannedQuery",
     "QueryService",
     "Result",
-    "ServiceResult",
     "StrategyChoice",
     "HadoopSettings",
     "MSJJob",

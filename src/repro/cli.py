@@ -1,88 +1,24 @@
-"""Command-line interface: run queries, inspect plans, reproduce experiments.
+"""Command-line interface: ``python -m repro <command>``.
 
-The subcommands (``python -m repro <command> --help``):
-
-``query``
-    Evaluate an SGF query (from a string or a file) over CSV data (a directory
-    with one file per relation) under a chosen strategy and execution backend
-    (``--backend serial|parallel|sharded --workers N --shards N``), print
-    the metrics and optionally write the output relations back to CSV.
-    ``--strategy auto`` picks the cheapest applicable strategy by estimated
-    cost.
-
-``plan``
-    Show the MapReduce plan (jobs, rounds, partition of the semi-joins) that a
-    strategy would produce for a query, without executing it.
-
-``auto``
-    Cost-based strategy selection, made visible: for one of the paper's
-    workload queries, plan every applicable strategy, print the estimated
-    cost of each candidate and the winner AUTO would run.
-
-``serve``
-    Run the plan-caching :class:`~repro.service.QueryService` over a stream
-    of repeated workload queries with concurrent clients, and print serving
-    metrics (throughput, plan-cache hit rate, strategies chosen).
-    ``--sharded --shards N`` serves the stream through the persistent
-    sharded tier instead: an asyncio front-end with admission control
-    (bounded queue, shed + timeout errors) over long-lived worker-shard
-    processes, printing latency percentiles and shed/respawn counts.
-
-``generate``
-    Generate the synthetic workload of one of the paper's experiment queries
-    (A1–A5, B1–B2, C1–C4) as CSV files, for use with ``query``.
-
-``experiment``
-    Run one of the paper's experiments (figure3, figure4, figure5, figure7a,
-    figure7b, figure7c, figure8, table3, costmodel, ablation, or ``all``) and
-    print the same tables the benchmark harness prints.
-
-``fuzz``
-    Run a seeded differential-fuzzing campaign: random (B)SGF programs and
-    databases, each evaluated with the reference evaluator (cross-checked
-    by a query-level sqlite3 translation) and with every applicable strategy
-    on every selected backend (serial and parallel by default, plus the
-    dynamic executor).
-    Divergences are shrunk to minimal counterexamples and
-    printed as standalone repro scripts; the exit code is non-zero when any
-    divergence was found.  ``--incremental`` switches to the incremental
-    oracle: every case additionally gets a random insert batch, and the
-    incremental refresh of a materialization built by every strategy must
-    equal a full recompute.
-
-``delta``
-    Incremental delta evaluation, head to head: materialize a paper workload
-    query, apply a small insert batch incrementally, and compare the refresh
-    time against a full re-execution (statistics + planning + run) — while
-    verifying the refreshed output matches the recomputed one exactly.
-
-``trace``
-    End-to-end tracing demo (see :mod:`repro.obs`): run one paper workload
-    through the query service twice (a planning miss, then a plan-cache hit),
-    print both span trees — request → plan/cache-hit → program → job →
-    shard_fanout → worker-side tasks — and write a validated Chrome
-    trace-event file.
-
-``query``/``serve``/``delta`` additionally accept ``--trace``,
-``--trace-out PATH``, ``--trace-format chrome|jsonl`` and
-``--metrics-out PATH`` to record spans and export them (Chrome trace-event
-JSON loads in Perfetto / ``chrome://tracing``; ``--metrics-out`` writes the
-Prometheus text exposition of the metrics registries).
+``python -m repro --help`` lists the subcommands and ``python -m repro
+<command> --help`` describes each one's flags.  A flag that several
+subcommands share is declared once, in the parent parsers of :func:`_shared`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from dataclasses import replace
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import obs
-from .core.gumbo import Gumbo
+from .core.gumbo import Gumbo, GumboResult
 from .core.options import GumboOptions
-from .obs.options import TRACE_FORMATS, ObsOptions
+from .obs.options import TRACE_FORMATS
 from .exec import BACKEND_NAMES
 from .mapreduce.kernels import KERNEL_MODES
 from .fuzz import FuzzConfig, FuzzOptions, run_fuzz
@@ -100,15 +36,13 @@ from .experiments import (
     run_figure8,
     run_table3,
 )
+from .incremental import apply_inserts, dedupe_inserts
 from .io import load_database, save_database
+from .model.database import Database
 from .query.parser import parse_sgf
-from .service import QueryService
-from .workloads.queries import (
-    bsgf_query_set,
-    database_for,
-    sgf_query,
-    workload_query,
-)
+from .query.sgf import SGFQuery
+from .service import BatchFailure, BatchResult, QueryService
+from .workloads.queries import database_for, workload_query
 from .workloads.scaling import ScaledEnvironment
 
 #: Experiment name → driver returning an object with a ``format()`` method.
@@ -125,37 +59,175 @@ _EXPERIMENTS: Dict[str, Callable] = {
 }
 
 
+def _shared(
+    *groups: str, backends: Sequence[str] = BACKEND_NAMES
+) -> List[argparse.ArgumentParser]:
+    """Parent parsers holding the named groups of shared flags, the one place
+    each shared flag is declared.
+
+    The parents are built fresh on every call: a subcommand's
+    ``set_defaults`` rewrites the defaults of the actions it holds, so a
+    parent shared between subcommands would leak one's defaults into another.
+    """
+    flags = {group: argparse.ArgumentParser(add_help=False) for group in groups}
+    if "query" in flags:
+        source = flags["query"].add_mutually_exclusive_group(required=True)
+        source.add_argument("--query", help="the SGF query text")
+        source.add_argument("--query-file", help="file containing the SGF query")
+        flags["query"].add_argument(
+            "--data",
+            required=True,
+            help="directory with one CSV/TSV file per relation",
+        )
+        flags["query"].add_argument(
+            "--no-packing", action="store_true", help="disable message packing"
+        )
+        flags["query"].add_argument(
+            "--no-tuple-reference",
+            action="store_true",
+            help="disable tuple references",
+        )
+        flags["query"].add_argument(
+            "--kernel-mode",
+            default="auto",
+            choices=list(KERNEL_MODES),
+            help="batch-kernel execution path: auto (kernel wherever the job "
+            "has one, on every backend) or off (always interpret); outputs and "
+            "simulated metrics are identical in both modes (default auto)",
+        )
+    if "workload-id" in flags:
+        flags["workload-id"].add_argument("query_id", help="A1-A5, B1-B2 or C1-C4")
+    if "workload" in flags:
+        flags["workload"].add_argument(
+            "--guard-tuples",
+            type=int,
+            default=2_000,
+            help="tuples per guard relation (default %(default)s)",
+        )
+        flags["workload"].add_argument(
+            "--selectivity",
+            type=float,
+            default=0.5,
+            help="selectivity of the conditional atoms (default %(default)s)",
+        )
+    if "seed" in flags:
+        flags["seed"].add_argument(
+            "--seed", type=int, default=0, help="random seed (default %(default)s)"
+        )
+    if "nodes" in flags:
+        flags["nodes"].add_argument(
+            "--nodes",
+            type=int,
+            default=10,
+            help="simulated cluster size (default %(default)s)",
+        )
+    if "strategy" in flags:
+        flags["strategy"].add_argument(
+            "--strategy",
+            default="auto",
+            help="seq, par, greedy, 1-round, sequnit, parunit, greedy-sgf, or "
+            "auto for cost-based selection (default %(default)s)",
+        )
+    if "cost-model" in flags:
+        flags["cost-model"].add_argument(
+            "--cost-model",
+            default="gumbo",
+            choices=["gumbo", "wang"],
+            help="cost model driving plan choice (default %(default)s)",
+        )
+    if "show-plan" in flags:
+        flags["show-plan"].add_argument(
+            "--show-plan", action="store_true", help="also print the chosen MR plan"
+        )
+    if "backend" in flags:
+        # The width is checked where the backend is built.
+        flags["backend"].add_argument(
+            "--backend",
+            default="serial",
+            choices=list(backends),
+            help="execution backend: serial simulation or the multi-process "
+            "runtime under either of its names (default %(default)s)",
+        )
+        flags["backend"].add_argument(
+            "--workers",
+            type=int,
+            default=None,
+            help="worker processes of the multi-process backend (default: CPU "
+            "count under the name parallel, 2 under sharded)",
+        )
+        flags["backend"].add_argument(
+            "--shards",
+            type=int,
+            default=None,
+            help="another spelling of --workers (give one, or the same value "
+            "for both)",
+        )
+    if "trace" in flags:
+        flags["trace"].add_argument(
+            "--trace",
+            action="store_true",
+            help="record spans: one trace per request/run (see repro.obs)",
+        )
+    if "export" in flags:
+        flags["export"].add_argument(
+            "--trace-out",
+            default=None,
+            metavar="PATH",
+            help="write the collected spans to PATH after the run (implies "
+            "--trace); Chrome output is validated after writing",
+        )
+        flags["export"].add_argument(
+            "--trace-format",
+            default="chrome",
+            choices=list(TRACE_FORMATS),
+            help="span export format: chrome (trace-event JSON, loads in "
+            "Perfetto / chrome://tracing) or jsonl (default %(default)s)",
+        )
+        flags["export"].add_argument(
+            "--metrics-out",
+            default=None,
+            metavar="PATH",
+            help="write the Prometheus text exposition of the metrics "
+            "registries to PATH",
+        )
+    return list(flags.values())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Gumbo: parallel evaluation of multi-semi-joins (paper reproduction).",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    plan_flags = ("query", "strategy", "cost-model", "nodes", "backend")
 
-    query = subparsers.add_parser("query", help="evaluate an SGF query over CSV data")
-    _add_query_arguments(query)
-    _add_obs_arguments(query)
+    query = subparsers.add_parser(
+        "query",
+        help="evaluate an SGF query over CSV data",
+        parents=_shared(*plan_flags, "trace", "export", "show-plan"),
+    )
+    query.set_defaults(strategy="greedy")
     query.add_argument(
         "--output-dir", help="write the query's output relations to this directory"
     )
-    query.add_argument(
-        "--show-plan", action="store_true", help="also print the chosen MR plan"
-    )
 
-    plan = subparsers.add_parser("plan", help="show the MR plan without executing it")
-    _add_query_arguments(plan)
+    plan = subparsers.add_parser(
+        "plan", help="show the MR plan without executing it", parents=_shared(*plan_flags)
+    )
+    plan.set_defaults(strategy="greedy")
 
     generate = subparsers.add_parser(
-        "generate", help="generate a paper workload as CSV files"
+        "generate",
+        help="generate a paper workload as CSV files",
+        parents=_shared("workload-id", "workload", "seed"),
     )
-    generate.add_argument("query_id", help="A1-A5, B1-B2 or C1-C4")
+    generate.set_defaults(guard_tuples=10_000)
     generate.add_argument("output_dir", help="directory to write the CSV files to")
-    generate.add_argument("--guard-tuples", type=int, default=10_000)
-    generate.add_argument("--selectivity", type=float, default=0.5)
-    generate.add_argument("--seed", type=int, default=0)
 
     experiment = subparsers.add_parser(
-        "experiment", help="reproduce one of the paper's experiments"
+        "experiment",
+        help="reproduce one of the paper's experiments",
+        parents=_shared("nodes"),
     )
     experiment.add_argument(
         "name",
@@ -168,33 +240,25 @@ def build_parser() -> argparse.ArgumentParser:
         default=5e-6,
         help="workload scale relative to the paper's 100M tuples (default 5e-6)",
     )
-    experiment.add_argument("--nodes", type=int, default=10, help="cluster size")
 
     auto = subparsers.add_parser(
-        "auto", help="show the cost-based strategy choice for a paper workload"
+        "auto",
+        help="show the cost-based strategy choice for a paper workload",
+        parents=_shared(
+            "workload-id", "workload", "seed", "nodes", "cost-model", "show-plan"
+        ),
     )
-    auto.add_argument("query_id", help="A1-A5, B1-B2 or C1-C4")
-    auto.add_argument("--guard-tuples", type=int, default=5_000)
-    auto.add_argument("--selectivity", type=float, default=0.5)
-    auto.add_argument("--seed", type=int, default=0)
-    auto.add_argument("--nodes", type=int, default=10, help="simulated cluster size")
-    auto.add_argument(
-        "--cost-model",
-        default="gumbo",
-        choices=["gumbo", "wang"],
-        help="cost model driving the comparison (default gumbo)",
-    )
+    auto.set_defaults(guard_tuples=5_000)
     auto.add_argument(
         "--no-optimal",
         action="store_true",
         help="exclude the brute-force OPTIMAL strategies from the candidates",
     )
-    auto.add_argument(
-        "--show-plan", action="store_true", help="also print the winning MR plan"
-    )
 
     serve = subparsers.add_parser(
-        "serve", help="serve repeated workload queries through the query service"
+        "serve",
+        help="serve repeated workload queries through the query service",
+        parents=_shared("workload", "seed", "nodes", "strategy", "trace", "export"),
     )
     serve.add_argument(
         "--query-ids",
@@ -212,11 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="plan-cache capacity (0 disables plan caching)",
-    )
-    serve.add_argument(
-        "--strategy",
-        default="auto",
-        help="strategy served when a request does not name one (default auto)",
     )
     serve.add_argument(
         "--sharded",
@@ -245,10 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="per-request timeout for --sharded (default: none)",
     )
-    serve.add_argument("--guard-tuples", type=int, default=2_000)
-    serve.add_argument("--selectivity", type=float, default=0.5)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--nodes", type=int, default=10, help="simulated cluster size")
     serve.add_argument(
         "--verify",
         action="store_true",
@@ -277,24 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
         "history + per-service metrics) as JSON to PATH, or to stdout "
         "when no PATH is given",
     )
-    _add_obs_arguments(serve)
 
     delta = subparsers.add_parser(
-        "delta", help="incremental delta refresh vs full re-execution"
+        "delta",
+        help="incremental delta refresh vs full re-execution",
+        parents=_shared(
+            "workload", "seed", "nodes", "strategy", "backend", "trace", "export"
+        ),
     )
+    delta.set_defaults(guard_tuples=4_000)
     delta.add_argument(
         "--query-id", default="A3", help="paper workload (A1-A5, B1-B2, C1-C4)"
     )
-    delta.add_argument("--guard-tuples", type=int, default=4_000)
-    delta.add_argument("--selectivity", type=float, default=0.5)
-    delta.add_argument("--seed", type=int, default=0)
-    delta.add_argument("--nodes", type=int, default=10, help="simulated cluster size")
-    delta.add_argument(
-        "--strategy",
-        default="auto",
-        help="strategy for the materialized run and the recompute (default auto)",
-    )
-    _add_backend_arguments(delta, default="serial")
     delta.add_argument(
         "--insert-fraction",
         type=float,
@@ -302,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="insert batch size as a fraction of the guard relation "
         "(default 0.01 = 1%%)",
     )
-    _add_obs_arguments(delta)
 
     trace = subparsers.add_parser(
         "trace",
@@ -311,38 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
         "Runs on the parallel backend by default, so worker-side spans "
         "appear in the trace, with 2 workers unless --workers/--shards "
         "says otherwise.",
+        parents=_shared(
+            "workload-id", "workload", "seed", "nodes", "strategy", "backend", "export"
+        ),
     )
-    trace.add_argument("query_id", help="A1-A5, B1-B2 or C1-C4")
-    trace.add_argument("--guard-tuples", type=int, default=500)
-    trace.add_argument("--selectivity", type=float, default=0.5)
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--nodes", type=int, default=10, help="simulated cluster size")
-    trace.add_argument(
-        "--strategy",
-        default="auto",
-        help="strategy served for both requests (default auto)",
-    )
-    _add_backend_arguments(trace, default="parallel")
-    trace.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="also write the spans to PATH (validated Chrome trace-event "
-        "JSON, or JSONL with --trace-format jsonl)",
-    )
-    trace.add_argument(
-        "--trace-format",
-        default="chrome",
-        choices=list(TRACE_FORMATS),
-        help="span export format for --trace-out (default chrome)",
-    )
-    trace.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write the Prometheus text exposition of the metrics "
-        "registries to PATH",
-    )
+    trace.set_defaults(guard_tuples=500, backend="parallel", trace=True)
 
     fuzz = subparsers.add_parser(
         "fuzz",
@@ -350,8 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Differential-fuzz the strategies and backends. "
         "--backend takes one backend, 'both' (serial+parallel) or 'all' "
         "(every backend name: serial+parallel+sharded, the default).",
+        parents=_shared("seed", "backend", backends=(*BACKEND_NAMES, "both", "all")),
     )
-    fuzz.add_argument("--seed", type=int, default=0, help="campaign seed")
+    fuzz.set_defaults(backend="all")
     fuzz.add_argument(
         "--iterations", type=int, default=100, help="number of random cases"
     )
@@ -373,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(PROFILE_NAMES),
         help="data-value profile for generated databases (default mixed)",
     )
-    _add_backend_arguments(fuzz, default="all", choices=[*BACKEND_NAMES, "both", "all"])
     fuzz.add_argument(
         "--no-shrink",
         action="store_true",
@@ -413,141 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared observability flags (``repro.obs`` exports)."""
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="record spans: one trace per request/run (see repro.obs)",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="write the collected spans to PATH after the run (implies --trace)",
-    )
-    parser.add_argument(
-        "--trace-format",
-        default="chrome",
-        choices=list(TRACE_FORMATS),
-        help="span export format: chrome (trace-event JSON, loads in "
-        "Perfetto / chrome://tracing) or jsonl (default chrome)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write the Prometheus text exposition of the metrics "
-        "registries to PATH",
-    )
-
-
-def _obs_options(args: argparse.Namespace) -> ObsOptions:
-    return ObsOptions(
-        trace=getattr(args, "trace", False),
-        trace_out=getattr(args, "trace_out", None),
-        trace_format=getattr(args, "trace_format", "chrome"),
-        metrics_out=getattr(args, "metrics_out", None),
-    )
-
-
-def _export_obs(obs_options: ObsOptions, registries: Sequence[object] = ()) -> None:
-    """Drain completed traces and write the requested export files."""
-    if not (obs_options.tracing or obs_options.metrics_out):
-        return
-    traces = obs.drain_traces()
-    if obs_options.trace_out:
-        if obs_options.trace_format == "jsonl":
-            count = obs.write_spans_jsonl(
-                obs.spans_of(traces), obs_options.trace_out
-            )
-        else:
-            count = obs.write_chrome_trace(traces, obs_options.trace_out)
-        print(
-            f"wrote {count} spans ({obs_options.trace_format}) "
-            f"to {obs_options.trace_out}"
-        )
-    if obs_options.metrics_out:
-        obs.write_prometheus(
-            obs.registries_for_export(registries), obs_options.metrics_out
-        )
-        print(f"wrote metrics to {obs_options.metrics_out}")
-
-
-def _add_backend_arguments(
-    parser: argparse.ArgumentParser,
-    default: str,
-    choices: Sequence[str] = BACKEND_NAMES,
-) -> None:
-    """``--backend`` / ``--workers`` / ``--shards`` for a subcommand that
-    runs plans (the width is checked where the backend is built)."""
-    parser.add_argument(
-        "--backend",
-        default=default,
-        choices=list(choices),
-        help="execution backend: serial simulation or the multi-process "
-        f"runtime under either of its names (default {default})",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes of the multi-process backend (default: CPU "
-        "count under the name parallel, 2 under sharded)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="another spelling of --workers (give one, or the same value "
-        "for both)",
-    )
-
-
-def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--query", help="the SGF query text")
-    source.add_argument("--query-file", help="file containing the SGF query")
-    parser.add_argument(
-        "--data",
-        required=True,
-        help="directory with one CSV/TSV file per relation",
-    )
-    parser.add_argument(
-        "--strategy",
-        default="greedy",
-        help="seq, par, greedy, 1-round, sequnit, parunit, greedy-sgf, or "
-        "auto for cost-based selection (default greedy)",
-    )
-    parser.add_argument(
-        "--cost-model",
-        default="gumbo",
-        choices=["gumbo", "wang"],
-        help="cost model driving plan choice (default gumbo)",
-    )
-    parser.add_argument("--nodes", type=int, default=10, help="simulated cluster size")
-    _add_backend_arguments(parser, default="serial")
-    parser.add_argument(
-        "--no-packing", action="store_true", help="disable message packing"
-    )
-    parser.add_argument(
-        "--no-tuple-reference", action="store_true", help="disable tuple references"
-    )
-    parser.add_argument(
-        "--kernel-mode",
-        default="auto",
-        choices=list(KERNEL_MODES),
-        help="batch-kernel execution path: auto (kernel wherever the job "
-        "has one, on every backend) or off (always interpret); outputs and "
-        "simulated metrics are identical in both modes (default auto)",
-    )
-
-
-def _read_query_text(args: argparse.Namespace) -> str:
-    if args.query:
-        return args.query
-    with open(args.query_file) as handle:
-        return handle.read()
+# -- what every subcommand builds the same way ------------------------------------------
 
 
 def _options_from_args(args: argparse.Namespace) -> GumboOptions:
@@ -570,125 +457,22 @@ def _options_from_args(args: argparse.Namespace) -> GumboOptions:
     )
 
 
-def _gumbo_for(args: argparse.Namespace) -> Gumbo:
+def _gumbo_for(args: argparse.Namespace, **options: object) -> Gumbo:
+    """The Gumbo a subcommand's flags select (*options* override them), on
+    a paper cluster of ``--nodes`` nodes."""
     environment = ScaledEnvironment(scale=1.0, nodes=args.nodes)
     return Gumbo(
         engine=environment.engine(),
-        cost_model=args.cost_model,
-        options=_options_from_args(args),
+        cost_model=vars(args).get("cost_model", "gumbo"),
+        options=replace(_options_from_args(args), **options),
     )
 
 
-def _describe_program(program) -> str:
-    lines = [
-        f"MR program {program.name!r}: {len(program)} jobs, "
-        f"{program.rounds()} rounds"
-    ]
-    for level_index, level in enumerate(program.levels()):
-        for job in level:
-            inputs = ", ".join(job.input_relations())
-            outputs = ", ".join(job.output_schema())
-            lines.append(
-                f"  round {level_index}: {type(job).__name__}[{job.job_id}] "
-                f"reads({inputs}) writes({outputs})"
-            )
-    return "\n".join(lines)
-
-
-def _command_query(args: argparse.Namespace) -> int:
-    database = load_database(args.data)
-    query = parse_sgf(_read_query_text(args))
-    gumbo = _gumbo_for(args)
-    try:
-        if args.show_plan:
-            program = gumbo.plan(query, database, args.strategy)
-            print(_describe_program(program))
-            print()
-        result = gumbo.execute(query, database, args.strategy)
-    finally:
-        gumbo.close()
-    print(f"strategy: {result.strategy}")
-    print(f"backend: {result.metrics.backend}")
-    for key, value in result.summary().items():
-        print(f"{key}: {value:.3f}")
-    print(f"wall_clock_s: {result.metrics.wall_elapsed_s:.3f}")
-    for name in sorted(result.outputs):
-        relation = result.outputs[name]
-        print(f"{name}: {len(relation)} tuples")
-        for row in relation.sorted_tuples()[:20]:
-            print("   ", row)
-        if len(relation) > 20:
-            print(f"    ... ({len(relation) - 20} more)")
-    if args.output_dir:
-        written = save_database_like(result.outputs, args.output_dir)
-        print("wrote:", ", ".join(written))
-    _export_obs(_obs_options(args))
-    return 0
-
-
-def save_database_like(relations: Dict[str, object], directory: str) -> List[str]:
-    """Persist a name→relation mapping as CSV files (helper for the CLI)."""
-    from .model.database import Database
-
-    database = Database()
-    for relation in relations.values():
-        database.add_relation(relation)
-    return save_database(database, directory)
-
-
-def _command_plan(args: argparse.Namespace) -> int:
-    database = load_database(args.data)
-    query = parse_sgf(_read_query_text(args))
-    gumbo = _gumbo_for(args)
-    program = gumbo.plan(query, database, args.strategy)
-    print(_describe_program(program))
-    return 0
-
-
-def _command_generate(args: argparse.Namespace) -> int:
-    query_id = args.query_id.upper()
-    if query_id.startswith("C"):
-        queries = sgf_query(query_id)
-    else:
-        queries = bsgf_query_set(query_id)
-    database = database_for(
-        queries,
-        guard_tuples=args.guard_tuples,
-        selectivity=args.selectivity,
-        seed=args.seed,
-    )
-    paths = save_database(database, args.output_dir)
-    print(f"generated {len(paths)} relations for {query_id} in {args.output_dir}:")
-    for path in paths:
-        print("   ", path)
-    return 0
-
-
-def _command_auto(args: argparse.Namespace) -> int:
-    """Print the per-strategy estimated costs and the AUTO winner."""
-    query = workload_query(args.query_id)
-    database = database_for(
-        query,
-        guard_tuples=args.guard_tuples,
-        selectivity=args.selectivity,
-        seed=args.seed,
-    )
-    environment = ScaledEnvironment(scale=1.0, nodes=args.nodes)
-    gumbo = Gumbo(engine=environment.engine(), cost_model=args.cost_model)
-    choice = gumbo.choose(query, database, include_optimal=not args.no_optimal)
-    print(
-        f"workload {args.query_id.upper()} ({args.guard_tuples} guard tuples), "
-        f"cost model {args.cost_model}, {args.nodes} nodes"
-    )
-    print(choice.describe())
-    if args.show_plan:
-        print()
-        print(_describe_program(choice.program))
-    return 0
-
-
-def _serve_workload(ids: Sequence[str], args: argparse.Namespace):
-    """The queries and merged database for a ``repro serve`` session."""
+def _workload(
+    ids: Sequence[str], args: argparse.Namespace
+) -> Tuple[List[SGFQuery], Database]:
+    """The paper workload queries *ids* and one database generated for all
+    of them by the ``--guard-tuples`` / ``--selectivity`` / ``--seed`` flags."""
     queries = [workload_query(query_id) for query_id in ids]
     arities: Dict[str, int] = {}
     for query in queries:
@@ -701,9 +485,8 @@ def _serve_workload(ids: Sequence[str], args: argparse.Namespace):
                         f"relation {atom.relation!r} ({known} vs {atom.arity}); "
                         f"serve them separately"
                     )
-    all_subqueries = [subquery for query in queries for subquery in query]
     database = database_for(
-        all_subqueries,
+        [subquery for query in queries for subquery in query],
         guard_tuples=args.guard_tuples,
         selectivity=args.selectivity,
         seed=args.seed,
@@ -711,246 +494,20 @@ def _serve_workload(ids: Sequence[str], args: argparse.Namespace):
     return queries, database
 
 
-def _command_serve_sharded(args: argparse.Namespace) -> int:
-    """Serve an open-loop query stream through the sharded persistent tier."""
-    import asyncio
-
-    from .service.sharded import (
-        RequestTimeoutError,
-        ServiceOverloadedError,
-        ShardedService,
-    )
-
-    ids = [part.strip().upper() for part in args.query_ids.split(",") if part.strip()]
-    if not ids:
-        raise SystemExit("no workload ids given")
-    queries, database = _serve_workload(ids, args)
-    requests = [queries[i % len(queries)] for i in range(args.requests)]
-    options = replace(_options_from_args(args), backend="sharded")
-    environment = ScaledEnvironment(scale=1.0, nodes=args.nodes)
-    obs_options = _obs_options(args)
-    shards = args.shards if args.shards is not None else 2
-    latencies: List[float] = []
-    shed = timeouts = 0
-
-    async def _client(frontend, query) -> Optional[str]:
-        nonlocal shed, timeouts
-        start = perf_counter()
-        try:
-            result = await frontend.execute(query)
-        except ServiceOverloadedError:
-            shed += 1
-            return None
-        except RequestTimeoutError:
-            timeouts += 1
-            return None
-        latencies.append(perf_counter() - start)
-        return result.strategy
-
-    async def _drive(frontend) -> List[Optional[str]]:
-        return list(
-            await asyncio.gather(*[_client(frontend, q) for q in requests])
-        )
-
-    start = perf_counter()
-    with ShardedService.create(
-        database,
-        shards=shards,
-        engine=environment.engine(),
-        strategy=args.strategy,
-        plan_cache_size=args.plan_cache,
-        options=options,
-        max_concurrency=args.clients,
-        max_queue=args.max_queue,
-        request_timeout_s=args.request_timeout,
-    ) as frontend:
-        strategies = asyncio.run(_drive(frontend))
-        elapsed = perf_counter() - start
-        front_stats = frontend.stats()
-        service_stats = frontend.service.stats()
-        cluster = frontend.service.gumbo.backend.cluster
-        respawns, retries = cluster.respawns, cluster.retries
-        service_registry = frontend.service.metrics
-    _export_obs(obs_options, registries=[service_registry])
-
-    served = [s for s in strategies if s is not None]
-    print(
-        f"served {len(served)}/{len(requests)} requests over {', '.join(ids)} "
-        f"(sharded tier: {shards} shards, {args.clients} concurrent, "
-        f"queue {args.max_queue})"
-    )
-    print(f"  elapsed:             {elapsed:.3f}s "
-          f"({len(served) / elapsed if elapsed > 0 else 0.0:.1f} queries/s)")
-    if latencies:
-        ordered = sorted(latencies)
-
-        def pct(p: float) -> float:
-            return ordered[min(len(ordered) - 1, int(p * len(ordered)))]
-
-        print(f"  latency p50/p95/p99: {pct(0.50) * 1e3:.1f} / "
-              f"{pct(0.95) * 1e3:.1f} / {pct(0.99) * 1e3:.1f} ms")
-    print(f"  shed / timed out:    {shed} / {timeouts}")
-    print(f"  plan-cache hit rate: {service_stats.plan_cache.hit_rate:.0%} "
-          f"({service_stats.plan_cache.hits} hits / "
-          f"{service_stats.plan_cache.misses} misses)")
-    print(f"  worker respawns:     {respawns} ({retries} request retries)")
-    print(f"  front-end stats:     {front_stats}")
-    return 0
-
-
-def _command_serve(args: argparse.Namespace) -> int:
-    """Serve repeated workload queries through the plan-caching service."""
-    if args.sharded:
-        return _command_serve_sharded(args)
-    ids = [part.strip().upper() for part in args.query_ids.split(",") if part.strip()]
-    if not ids:
-        raise SystemExit("no workload ids given")
-    queries, database = _serve_workload(ids, args)
-    requests = [queries[i % len(queries)] for i in range(args.requests)]
-    environment = ScaledEnvironment(scale=1.0, nodes=args.nodes)
-    obs_options = _obs_options(args)
-    gumbo = Gumbo(
-        engine=environment.engine(),
-        options=GumboOptions(trace=obs_options.tracing),
-    )
-    incremental_report: List[str] = []
-    with QueryService(
-        database,
-        gumbo,
-        strategy=args.strategy,
-        plan_cache_size=args.plan_cache,
-        max_workers=args.clients,
-    ) as service:
-        if args.incremental:
-            for query in queries:
-                service.materialize(query)
-        batch = service.execute_many(requests)
-        if args.incremental:
-            guard_name = queries[0].subqueries[0].guard.relation
-            guard_relation = database[guard_name]
-            ceiling = 1 + max(
-                (
-                    v
-                    for row in guard_relation.sorted_tuples()
-                    for v in row
-                    if isinstance(v, int)
-                ),
-                default=0,
-            )
-            arity = guard_relation.arity
-            rows = [
-                tuple(ceiling + i * arity + j for j in range(arity))
-                for i in range(max(1, args.insert_tuples))
-            ]
-            refresh_start = perf_counter()
-            deltas = service.add_tuples(guard_name, rows, incremental=True)
-            refresh_s = perf_counter() - refresh_start
-            rerun = service.execute_many(requests)
-            verified = all(
-                frozenset(result.result.output().tuples())
-                == frozenset(
-                    gumbo.execute(query, service.database, result.strategy)
-                    .output()
-                    .tuples()
-                )
-                for query, result in zip(requests[: len(queries)], rerun.results)
-            )
-            verdict = (
-                "refreshed results match direct execution"
-                if verified
-                else "MISMATCH"
-            )
-            incremental_report = [
-                f"  insert batch:        {len(rows)} tuples into {guard_name} "
-                f"(incremental, no invalidation)",
-                f"  delta refresh:       {refresh_s * 1e3:.3f} ms over "
-                f"{len(deltas)} materialization(s), "
-                f"+{sum(d.added_count() for d in deltas)}"
-                f"/-{sum(d.removed_count() for d in deltas)} output tuples",
-                f"  re-serve:            {rerun.throughput_qps:.1f} queries/s "
-                f"(all from refreshed materializations)",
-                f"  verification:        {verdict}",
-            ]
-            if not verified:
-                for line in incremental_report:
-                    print(line)
-                return 1
-        stats = service.stats()
-        snapshot = service.stats_snapshot()
-        service_registry = service.metrics
-
-    if args.stats_json is not None:
-        payload = json.dumps(snapshot, indent=2, sort_keys=True)
-        if args.stats_json == "-":
-            print(payload)
-        else:
-            with open(args.stats_json, "w") as handle:
-                handle.write(payload + "\n")
-            print(f"wrote service stats to {args.stats_json}")
-    _export_obs(obs_options, registries=[service_registry])
-
-    strategies_run: Dict[str, int] = {}
-    for result in batch.results:
-        strategies_run[result.strategy] = strategies_run.get(result.strategy, 0) + 1
-    print(
-        f"served {len(batch.results)} requests over {', '.join(ids)} "
-        f"({args.clients} clients, plan cache {args.plan_cache})"
-    )
-    print(f"  elapsed:             {batch.elapsed_s:.3f}s "
-          f"({batch.throughput_qps:.1f} queries/s)")
-    print(f"  plan-cache hit rate: {stats.plan_cache.hit_rate:.0%} "
-          f"({stats.plan_cache.hits} hits / {stats.plan_cache.misses} misses)")
-    print(f"  planning time:       {sum(r.plan_s for r in batch.results):.3f}s total")
-    print(f"  execution time:      {sum(r.exec_s for r in batch.results):.3f}s total")
-    strategies = ", ".join(
-        f"{name}×{count}" for name, count in sorted(strategies_run.items())
-    )
-    print(f"  strategies run:      {strategies}")
-    if incremental_report:
-        print(
-            f"  materialized:        {stats.materialized_results} result(s), "
-            f"{stats.materialized_hits} served from materialization, "
-            f"{stats.incremental_refreshes} incremental refresh(es)"
-        )
-        for line in incremental_report:
-            print(line)
-
-    if args.verify:
-        mismatches = 0
-        for query, result in zip(requests, batch.results):
-            reference = gumbo.execute(query, database, result.strategy)
-            expected = {
-                name: rel.tuples() for name, rel in reference.all_outputs.items()
-            }
-            got = {
-                name: rel.tuples()
-                for name, rel in result.result.all_outputs.items()
-            }
-            if expected != got:
-                mismatches += 1
-        status = "all match" if mismatches == 0 else f"{mismatches} MISMATCH(ES)"
-        print(f"  verification:        {status}")
-        return 0 if mismatches == 0 else 1
-    return 0
-
-
-def _insert_batch_for(
-    database, query, fraction: float, seed: int
+def _insert_batch(
+    database: Database, query: SGFQuery, count: int, seed: int
 ) -> Dict[str, List[tuple]]:
-    """A mixed insert batch: new guard tuples + conditional-key flips.
+    """A mixed batch of *count* inserts for *query*'s first statement.
 
     Half the batch is fresh guard rows (values beyond the stored domain, so
     they are genuinely new); the other half inserts into the first
     conditional relation join-key values drawn from stored guard rows, so
-    existing guard tuples flip.  Total size ≈ ``fraction`` of the guard.
+    existing guard tuples flip.
     """
-    import random as _random
-
-    rng = _random.Random(f"repro-delta-cli:{seed}")
+    rng = random.Random(f"repro-delta-cli:{seed}")
     first = query.subqueries[0]
     guard_name = first.guard.relation
     guard_relation = database[guard_name]
-    count = max(2, int(len(guard_relation) * fraction))
     stored = guard_relation.sorted_tuples()
     ceiling = 1 + max(
         (v for row in stored for v in row if isinstance(v, int)), default=0
@@ -980,24 +537,321 @@ def _insert_batch_for(
     return batch
 
 
+def _mismatches(
+    gumbo: Gumbo,
+    database: Database,
+    requests: Sequence[SGFQuery],
+    batch: BatchResult,
+) -> int:
+    """How many of *batch*'s answers differ, in any output, from a direct
+    Gumbo execution of the request each one answers (failed requests have
+    no answer; ``BatchFailure.index`` keeps the others paired)."""
+
+    def answers(result: GumboResult) -> Dict[str, object]:
+        return {name: rel.tuples() for name, rel in result.all_outputs.items()}
+
+    failed = {failure.index for failure in batch.failures}
+    answered = [query for index, query in enumerate(requests) if index not in failed]
+    return sum(
+        answers(gumbo.execute(query, database, served.strategy))
+        != answers(served.result)
+        for query, served in zip(answered, batch.results)
+    )
+
+
+def _export(
+    args: argparse.Namespace,
+    registries: Sequence[object] = (),
+    traces: Optional[list] = None,
+) -> None:
+    """Write the spans (*traces*, by default every completed trace) and the
+    metrics that ``--trace-out`` / ``--metrics-out`` ask for."""
+    if traces is None:
+        traces = obs.drain_traces()
+    if args.trace_out:
+        if args.trace_format == "jsonl":
+            count = obs.write_spans_jsonl(obs.spans_of(traces), args.trace_out)
+            checked = ""
+        else:
+            count = obs.write_chrome_trace(traces, args.trace_out)
+            checked = f", {obs.validate_chrome_trace(args.trace_out)} validated"
+        print(
+            f"wrote {count} spans ({args.trace_format}{checked}) "
+            f"to {args.trace_out}"
+        )
+    if args.metrics_out:
+        obs.write_prometheus(obs.registries_for_export(registries), args.metrics_out)
+        print(f"wrote metrics to {args.metrics_out}")
+
+
+def _read_query_text(args: argparse.Namespace) -> str:
+    if args.query:
+        return args.query
+    with open(args.query_file) as handle:
+        return handle.read()
+
+
+def _describe_program(program) -> str:
+    lines = [
+        f"MR program {program.name!r}: {len(program)} jobs, "
+        f"{program.rounds()} rounds"
+    ]
+    for level_index, level in enumerate(program.levels()):
+        for job in level:
+            inputs = ", ".join(job.input_relations())
+            outputs = ", ".join(job.output_schema())
+            lines.append(
+                f"  round {level_index}: {type(job).__name__}[{job.job_id}] "
+                f"reads({inputs}) writes({outputs})"
+            )
+    return "\n".join(lines)
+
+
+# -- subcommands ---------------------------------------------------------------------
+
+
+def _command_query(args: argparse.Namespace) -> int:
+    database = load_database(args.data)
+    query = parse_sgf(_read_query_text(args))
+    with _gumbo_for(args) as gumbo:
+        if args.show_plan:
+            print(_describe_program(gumbo.plan(query, database, args.strategy)))
+            print()
+        result = gumbo.execute(query, database, args.strategy)
+    print(f"strategy: {result.strategy}")
+    print(f"backend: {result.metrics.backend}")
+    for key, value in result.summary().items():
+        print(f"{key}: {value:.3f}")
+    print(f"wall_clock_s: {result.metrics.wall_elapsed_s:.3f}")
+    for name in sorted(result.outputs):
+        relation = result.outputs[name]
+        print(f"{name}: {len(relation)} tuples")
+        for row in relation.sorted_tuples()[:20]:
+            print("   ", row)
+        if len(relation) > 20:
+            print(f"    ... ({len(relation) - 20} more)")
+    if args.output_dir:
+        written = save_database(Database(result.outputs.values()), args.output_dir)
+        print("wrote:", ", ".join(written))
+    _export(args)
+    return 0
+
+
+def _command_plan(args: argparse.Namespace) -> int:
+    database = load_database(args.data)
+    query = parse_sgf(_read_query_text(args))
+    with _gumbo_for(args) as gumbo:
+        print(_describe_program(gumbo.plan(query, database, args.strategy)))
+    return 0
+
+
+def _command_generate(args: argparse.Namespace) -> int:
+    query_id = args.query_id.upper()
+    _, database = _workload([query_id], args)
+    paths = save_database(database, args.output_dir)
+    print(f"generated {len(paths)} relations for {query_id} in {args.output_dir}:")
+    for path in paths:
+        print("   ", path)
+    return 0
+
+
+def _command_auto(args: argparse.Namespace) -> int:
+    """Print the per-strategy estimated costs and the AUTO winner."""
+    [query], database = _workload([args.query_id], args)
+    with _gumbo_for(args) as gumbo:
+        choice = gumbo.choose(query, database, include_optimal=not args.no_optimal)
+    print(
+        f"workload {args.query_id.upper()} ({args.guard_tuples} guard tuples), "
+        f"cost model {args.cost_model}, {args.nodes} nodes"
+    )
+    print(choice.describe())
+    if args.show_plan:
+        print()
+        print(_describe_program(choice.program))
+    return 0
+
+
+def _serve_sharded(
+    args: argparse.Namespace, service: QueryService, requests: Sequence[SGFQuery]
+) -> Tuple[BatchResult, List[str], int]:
+    """Send every request at once through the admission-controlled
+    front-end; returns the batch, the tier's report lines and how many
+    requests it shed or timed out."""
+    import asyncio
+
+    from .service.sharded import (
+        RequestTimeoutError,
+        ServiceOverloadedError,
+        ShardedService,
+    )
+
+    latencies: List[float] = []
+
+    async def timed(frontend: ShardedService, query: SGFQuery):
+        start = perf_counter()
+        result = await frontend.execute(query)
+        latencies.append(perf_counter() - start)
+        return result
+
+    async def drive(frontend: ShardedService) -> list:
+        return await asyncio.gather(
+            *[timed(frontend, query) for query in requests], return_exceptions=True
+        )
+
+    start = perf_counter()
+    with ShardedService(
+        service,
+        max_concurrency=args.clients,
+        max_queue=args.max_queue,
+        request_timeout_s=args.request_timeout,
+    ) as frontend:
+        outcomes = asyncio.run(drive(frontend))
+        elapsed = perf_counter() - start
+        front_stats = frontend.stats()
+    batch = BatchResult(
+        results=tuple(r for r in outcomes if not isinstance(r, BaseException)),
+        elapsed_s=elapsed,
+        failures=tuple(
+            BatchFailure(index, f"{type(error).__name__}: {error}", error)
+            for index, error in enumerate(outcomes)
+            if isinstance(error, BaseException)
+        ),
+    )
+    ordered = sorted(latencies) or [0.0]
+    p50, p95, p99 = (
+        ordered[min(len(ordered) - 1, int(p * len(ordered)))] * 1e3
+        for p in (0.50, 0.95, 0.99)
+    )
+    cluster = service.gumbo.backend.cluster
+    return batch, [
+        f"  sharded tier:        {cluster.shards} shards, {args.clients} "
+        f"concurrent, queue {args.max_queue}",
+        f"  latency p50/p95/p99: {p50:.1f} / {p95:.1f} / {p99:.1f} ms",
+        f"  shed / timed out:    {front_stats['shed']:.0f} / "
+        f"{front_stats['timeouts']:.0f}",
+        f"  worker respawns:     {cluster.respawns} "
+        f"({cluster.retries} request retries)",
+        f"  front-end stats:     {front_stats}",
+    ], sum(
+        isinstance(failure.exception, (ServiceOverloadedError, RequestTimeoutError))
+        for failure in batch.failures
+    )
+
+
+def _command_serve(args: argparse.Namespace) -> int:
+    """Serve repeated workload queries through the plan-caching service
+    (and, with ``--sharded``, the front-end of the sharded tier)."""
+    ids = [part.strip().upper() for part in args.query_ids.split(",") if part.strip()]
+    if not ids:
+        raise SystemExit("no workload ids given")
+    queries, database = _workload(ids, args)
+    requests = [queries[i % len(queries)] for i in range(args.requests)]
+    shards = 2 if args.shards is None else args.shards
+    tier = {"backend": "sharded", "shards": shards} if args.sharded else {}
+    tier_report: List[str] = []
+    refused = 0
+    with _gumbo_for(args, **tier) as gumbo, QueryService(
+        database,
+        gumbo,
+        strategy=args.strategy,
+        plan_cache_size=args.plan_cache,
+        max_workers=args.clients,
+    ) as service:
+        if args.incremental:
+            for query in queries:
+                service.materialize(query)
+        if args.sharded:
+            batch, tier_report, refused = _serve_sharded(args, service, requests)
+        else:
+            batch = service.execute_many(requests)
+        failures = list(batch.failures)
+        if args.verify:
+            mismatches = _mismatches(gumbo, database, requests, batch)
+        if args.incremental:
+            inserts = _insert_batch(
+                database, queries[0], max(1, args.insert_tuples), args.seed
+            )
+            refresh_start = perf_counter()
+            deltas = [
+                delta
+                for relation, rows in inserts.items()
+                for delta in service.add_tuples(relation, rows, incremental=True)
+            ]
+            refresh_s = perf_counter() - refresh_start
+            rerun = service.execute_many(requests)
+            failures += rerun.failures
+            stale = _mismatches(gumbo, database, requests, rerun)
+        stats = service.stats()
+        snapshot = service.stats_snapshot()
+
+    if args.stats_json is not None:
+        payload = json.dumps(snapshot, indent=2, sort_keys=True)
+        if args.stats_json == "-":
+            print(payload)
+        else:
+            with open(args.stats_json, "w") as handle:
+                handle.write(payload + "\n")
+            print(f"wrote service stats to {args.stats_json}")
+    _export(args, registries=[service.metrics])
+
+    strategies_run: Dict[str, int] = {}
+    for result in batch.results:
+        strategies_run[result.strategy] = strategies_run.get(result.strategy, 0) + 1
+    print(
+        f"served {len(batch.results)}/{len(requests)} requests over {', '.join(ids)} "
+        f"({args.clients} clients, plan cache {args.plan_cache})"
+    )
+    if failures:
+        print(f"  failed:              {len(failures)} (first: {failures[0].error})")
+    print(f"  elapsed:             {batch.elapsed_s:.3f}s "
+          f"({batch.throughput_qps:.1f} queries/s)")
+    print(f"  plan-cache hit rate: {stats.plan_cache.hit_rate:.0%} "
+          f"({stats.plan_cache.hits} hits / {stats.plan_cache.misses} misses)")
+    print(f"  planning time:       {sum(r.plan_s for r in batch.results):.3f}s total")
+    print(f"  execution time:      {sum(r.exec_s for r in batch.results):.3f}s total")
+    strategies = ", ".join(
+        f"{name}×{count}" for name, count in sorted(strategies_run.items())
+    )
+    print(f"  strategies run:      {strategies}")
+    for line in tier_report:
+        print(line)
+    wrong = 0
+    if args.incremental:
+        print(
+            f"  materialized:        {stats.materialized_results} result(s), "
+            f"{stats.materialized_hits} served from materialization, "
+            f"{stats.incremental_refreshes} incremental refresh(es)"
+        )
+        print(f"  insert batch:        {sum(map(len, inserts.values()))} tuples "
+              f"into {', '.join(inserts)} (incremental, no invalidation)")
+        print(f"  delta refresh:       {refresh_s * 1e3:.3f} ms, "
+              f"+{sum(d.added_count() for d in deltas)}"
+              f"/-{sum(d.removed_count() for d in deltas)} output tuples")
+        print(f"  re-serve:            {rerun.throughput_qps:.1f} queries/s "
+              f"(all from refreshed materializations)")
+        verdict = "refreshed results match direct execution"
+        print(f"  verification:        {f'{stale} MISMATCH(ES)' if stale else verdict}")
+        wrong += stale
+    if args.verify:
+        verdict = f"all match ({len(batch.results)} answers)"
+        print(f"  verification:        "
+              f"{f'{mismatches} MISMATCH(ES)' if mismatches else verdict}")
+        wrong += mismatches
+    # Shed and timed-out requests are admission control working as designed.
+    return 1 if len(failures) > refused or wrong else 0
+
+
 def _command_delta(args: argparse.Namespace) -> int:
     """Materialize a workload, refresh it incrementally, race a recompute."""
-    query = workload_query(args.query_id)
-    database = database_for(
-        query,
-        guard_tuples=args.guard_tuples,
-        selectivity=args.selectivity,
-        seed=args.seed,
+    [query], database = _workload([args.query_id], args)
+    guard = database[query.subqueries[0].guard.relation]
+    batch = _insert_batch(
+        database, query, max(2, int(len(guard) * args.insert_fraction)), args.seed
     )
-    batch = _insert_batch_for(database, query, args.insert_fraction, args.seed)
     inserted = sum(len(rows) for rows in batch.values())
-    environment = ScaledEnvironment(scale=1.0, nodes=args.nodes)
-    gumbo = Gumbo(engine=environment.engine(), options=_options_from_args(args))
-    try:
+    with _gumbo_for(args) as gumbo:
         # Full re-execution path: statistics + planning + run on the
         # post-batch database (what an invalidating service would do).
-        from .incremental import apply_inserts, dedupe_inserts
-
         recompute_db = database.copy()
         apply_inserts(recompute_db, dedupe_inserts(recompute_db, batch))
         full_start = perf_counter()
@@ -1007,8 +861,6 @@ def _command_delta(args: argparse.Namespace) -> int:
         # Incremental path: materialize once, refresh with the delta.
         materialization = gumbo.materialize(query, database, args.strategy)
         delta = gumbo.execute_delta(materialization, batch)
-    finally:
-        gumbo.close()
 
     expected = {
         name: frozenset(rel.tuples()) for name, rel in full.all_outputs.items()
@@ -1029,29 +881,20 @@ def _command_delta(args: argparse.Namespace) -> int:
     print(f"  incremental refresh:   {delta.wall_s * 1e3:9.3f} ms")
     print(f"  speedup:               {speedup:9.1f}x")
     print(f"  outputs identical:     {'yes' if matches else 'NO'}")
-    _export_obs(_obs_options(args))
+    _export(args)
     return 0 if matches else 1
 
 
 def _command_trace(args: argparse.Namespace) -> int:
     """Trace one workload twice through the service and export the spans."""
-    query = workload_query(args.query_id)
-    database = database_for(
-        query,
-        guard_tuples=args.guard_tuples,
-        selectivity=args.selectivity,
-        seed=args.seed,
-    )
-    options = replace(_options_from_args(args), trace=True)
-    if options.workers is None and options.shards is None:
-        options = replace(options, workers=2)
-    environment = ScaledEnvironment(scale=1.0, nodes=args.nodes)
-    gumbo = Gumbo(engine=environment.engine(), options=options)
+    [query], database = _workload([args.query_id], args)
+    width = {"workers": 2} if args.workers is None and args.shards is None else {}
     obs.drain_traces()  # start from a clean collector
-    with QueryService(database, gumbo, strategy=args.strategy) as service:
+    with _gumbo_for(args, **width) as gumbo, QueryService(
+        database, gumbo, strategy=args.strategy
+    ) as service:
         miss = service.execute(query)
         hit = service.execute(query)
-        service_registry = service.metrics
     traces = obs.drain_traces()
 
     print(
@@ -1065,34 +908,15 @@ def _command_trace(args: argparse.Namespace) -> int:
         print(label)
         print(obs.format_trace(tracer))
     assert hit.plan_cached, "second request should hit the plan cache"
-
-    if args.trace_out:
-        if args.trace_format == "jsonl":
-            count = obs.write_spans_jsonl(obs.spans_of(traces), args.trace_out)
-            print(f"\nwrote {count} spans (jsonl) to {args.trace_out}")
-        else:
-            count = obs.write_chrome_trace(traces, args.trace_out)
-            validated = obs.validate_chrome_trace(args.trace_out)
-            print(
-                f"\nwrote {count} spans (chrome trace-event JSON, "
-                f"{validated} validated) to {args.trace_out}"
-            )
-    if args.metrics_out:
-        obs.write_prometheus(
-            obs.registries_for_export([service_registry]), args.metrics_out
-        )
-        print(f"wrote metrics to {args.metrics_out}")
+    _export(args, registries=[service.metrics], traces=traces)
     return 0
 
 
 def _command_fuzz(args: argparse.Namespace) -> int:
     """Run a differential-fuzzing campaign and report any counterexample."""
-    if args.backend == "all":
-        backends = tuple(BACKEND_NAMES)
-    elif args.backend == "both":
-        backends = ("serial", "parallel")
-    else:
-        backends = (args.backend,)
+    backends = {"all": tuple(BACKEND_NAMES), "both": ("serial", "parallel")}.get(
+        args.backend, (args.backend,)
+    )
     config = FuzzConfig(
         max_statements=args.max_statements,
         max_tuples=args.max_tuples,
@@ -1139,21 +963,15 @@ def _command_fuzz(args: argparse.Namespace) -> int:
 
 def _command_experiment(args: argparse.Namespace) -> int:
     environment = ScaledEnvironment(scale=args.scale, nodes=args.nodes)
-    names: Sequence[str]
-    if args.name == "all":
-        names = sorted(_EXPERIMENTS) + ["table3"]
-    else:
-        names = [args.name]
+    names = sorted(_EXPERIMENTS) + ["table3"] if args.name == "all" else [args.name]
     for name in names:
         if name == "table3":
             result = run_table3(environment)
             print(result.format())
             print(format_table3(result))
-            continue
-        driver = _EXPERIMENTS[name]
-        result = driver(environment)
-        print(result.format())
-        print()
+        else:
+            print(_EXPERIMENTS[name](environment).format())
+            print()
     return 0
 
 

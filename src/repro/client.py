@@ -1,14 +1,11 @@
-"""The unified client API: ``repro.connect()`` → :class:`Connection`.
+"""The client API: ``repro.connect()`` → :class:`Connection`.
 
-Historically each layer had its own entry point with its own result type:
-:class:`~repro.core.gumbo.Gumbo` returned ``GumboResult``, the query service
-returned ``ServiceResult``, incremental refreshes returned ``DeltaResult``.
-:func:`connect` is the one front door now — it accepts anything that can
+:func:`connect` is the one front door: it accepts anything that can
 describe a database (a :class:`~repro.model.database.Database`, a plain
 name→rows mapping, or a CSV directory path), selects any execution backend
 (``serial``/``parallel``/``sharded``) by name, and returns a
-:class:`Connection` whose every query comes back as the single
-:class:`Result` type::
+:class:`Connection` whose every query comes back as the service's one
+:class:`~repro.service.service.Result` type::
 
     import repro
 
@@ -30,104 +27,16 @@ plan cache, materializations are maintained incrementally by
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .core.options import GumboOptions
 from .core.strategies import AUTO
-from .mapreduce.counters import ProgramMetrics
 from .model.database import Database
-from .model.relation import Relation
-from .service.service import QueryService, ServiceResult
+from .service.service import QueryService, Result
 
 #: Anything :func:`connect` accepts as the database: a built Database, a
 #: name→rows mapping, or a directory path of CSV/TSV files.
 DatabaseLike = Union[Database, Mapping[str, Sequence[tuple]], str]
-
-
-class Result:
-    """The one result type of the client API.
-
-    Wraps a served query uniformly, whatever backend or cache path produced
-    it: output relations, the strategy that ran, the simulated metrics, and
-    the serving-layer facts (plan-cache hit, timings, fingerprint).
-    """
-
-    def __init__(self, served: ServiceResult) -> None:
-        self._served = served
-
-    # -- outputs -----------------------------------------------------------------
-
-    @property
-    def outputs(self) -> Dict[str, Relation]:
-        """All output relations, keyed by name."""
-        return self._served.outputs
-
-    def output(self, name: Optional[str] = None) -> Relation:
-        """One output relation (the single output when *name* is omitted)."""
-        outputs = self.outputs
-        if name is None:
-            if len(outputs) != 1:
-                raise ValueError(
-                    f"query has {len(outputs)} outputs "
-                    f"({', '.join(sorted(outputs))}); pass a name"
-                )
-            return next(iter(outputs.values()))
-        return outputs[name]
-
-    def tuples(self, name: Optional[str] = None) -> frozenset:
-        """The tuples of one output relation, as a frozenset."""
-        return frozenset(self.output(name).tuples())
-
-    # -- provenance --------------------------------------------------------------
-
-    @property
-    def strategy(self) -> str:
-        """The strategy that actually ran (AUTO resolves to its winner)."""
-        return self._served.strategy
-
-    @property
-    def backend(self) -> str:
-        """The execution backend that produced the result."""
-        return self._served.metrics.backend
-
-    @property
-    def metrics(self) -> ProgramMetrics:
-        """The simulated MapReduce metrics of the execution."""
-        return self._served.metrics
-
-    @property
-    def fingerprint(self) -> str:
-        """The (query, schema, database-version) fingerprint served."""
-        return self._served.fingerprint
-
-    @property
-    def plan_cached(self) -> bool:
-        """True when planning was skipped (plan cache or materialization)."""
-        return self._served.plan_cached
-
-    @property
-    def plan_s(self) -> float:
-        """Planning wall time (0.0 on a cache hit)."""
-        return self._served.plan_s
-
-    @property
-    def exec_s(self) -> float:
-        """Execution wall time."""
-        return self._served.exec_s
-
-    @property
-    def service_result(self) -> ServiceResult:
-        """The underlying service-layer result (escape hatch)."""
-        return self._served
-
-    def __repr__(self) -> str:
-        sizes = ", ".join(
-            f"{name}={len(relation)}" for name, relation in sorted(self.outputs.items())
-        )
-        return (
-            f"Result(strategy={self.strategy!r}, backend={self.backend!r}, "
-            f"plan_cached={self.plan_cached}, outputs[{sizes}])"
-        )
 
 
 class Connection:
@@ -146,7 +55,7 @@ class Connection:
 
     def execute(self, query, strategy: Optional[str] = None) -> Result:
         """Evaluate *query* (text or a parsed query) and return its Result."""
-        return Result(self.service.execute(query, strategy))
+        return self.service.execute(query, strategy)
 
     def execute_many(
         self, queries: Iterable[object], strategy: Optional[str] = None
@@ -158,13 +67,13 @@ class Connection:
         batch = self.service.execute_many(queries, strategy)
         if batch.failures:
             raise batch.failures[0].exception
-        return tuple(Result(served) for served in batch.results)
+        return batch.results
 
     def materialize(self, query, strategy: Optional[str] = None) -> Result:
         """Evaluate *query* and keep its result maintained incrementally:
         subsequent :meth:`execute` calls serve it without re-running, and
         :meth:`refresh` updates it in place."""
-        return Result(self.service.materialize(query, strategy))
+        return self.service.materialize(query, strategy)
 
     def refresh(
         self, relation: str, rows: Iterable[Sequence[object]]

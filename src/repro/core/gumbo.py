@@ -25,7 +25,7 @@ Example
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..cost.estimates import StatisticsCatalog
@@ -71,16 +71,25 @@ class GumboResult:
 
     ``strategy`` is the strategy that actually ran: when ``"auto"`` was
     requested it is the concrete winner of the cost comparison, and
-    ``choice`` carries the full per-candidate cost breakdown.
+    ``choice`` carries the full per-candidate cost breakdown.  ``outputs``
+    is derived: the entries of ``all_outputs`` that are query roots.
     """
 
     query: SGFQuery
     strategy: str
     program: MRProgram
-    outputs: Dict[str, Relation]
     all_outputs: Dict[str, Relation]
     metrics: ProgramMetrics
     choice: Optional[StrategyChoice] = None
+    outputs: Dict[str, Relation] = field(init=False)
+
+    def __post_init__(self) -> None:
+        roots = set(self.query.root_names)
+        self.outputs = {
+            name: relation
+            for name, relation in self.all_outputs.items()
+            if name in roots
+        }
 
     def output(self, name: Optional[str] = None) -> Relation:
         """The output relation called *name* (default: the query's final output)."""
@@ -328,23 +337,16 @@ class Gumbo:
             backend=self.backend.name,
         ):
             result: ProgramResult = self.backend.run_program(program, database)
-        roots = set(sgf.root_names)
-        outputs = {
-            name: relation
-            for name, relation in result.outputs.items()
-            if name in roots
-        }
-        all_outputs = {
-            name: relation
-            for name, relation in result.outputs.items()
-            if name in set(sgf.output_names)
-        }
+        output_names = set(sgf.output_names)
         return GumboResult(
             query=sgf,
             strategy=strategy,
             program=program,
-            outputs=outputs,
-            all_outputs=all_outputs,
+            all_outputs={
+                name: relation
+                for name, relation in result.outputs.items()
+                if name in output_names
+            },
             metrics=result.metrics,
             choice=choice,
         )

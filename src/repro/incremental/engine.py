@@ -92,7 +92,7 @@ def materialize_query(
     reused instead of re-executing.  The directly materialized outputs are
     verified tuple-for-tuple against the planned program's outputs.
     """
-    from ..core.gumbo import Gumbo, GumboResult  # local: avoid import cycle
+    from ..core.gumbo import Gumbo  # local: avoid import cycle
 
     sgf = Gumbo.as_sgf(query)
     if result is None:
@@ -123,21 +123,11 @@ def materialize_query(
         produced[subquery.output] = state.output
         states.append(state)
 
-    roots = set(sgf.root_names)
-    refreshed = GumboResult(
-        query=sgf,
-        strategy=result.strategy,
-        program=result.program,
-        outputs={name: rel for name, rel in produced.items() if name in roots},
-        all_outputs=dict(produced),
-        metrics=result.metrics,
-        choice=result.choice,
-    )
     return Materialization(
         query=sgf,
         database=database,
         states=states,
-        result=refreshed,
+        result=replace(result, query=sgf, all_outputs=dict(produced)),
         requested_strategy=strategy if strategy is not None else "auto",
     )
 

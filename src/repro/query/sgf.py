@@ -14,6 +14,7 @@ used by ``Greedy-SGF``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from .bsgf import BSGFQuery
@@ -92,9 +93,12 @@ class SGFQuery:
             consumed.update(query.relation_names & produced)
         return frozenset(consumed)
 
-    @property
+    @cached_property
     def root_names(self) -> Tuple[str, ...]:
-        """Outputs not consumed by any other subquery (the user-visible results)."""
+        """Outputs not consumed by any other subquery (the user-visible results).
+
+        Cached on the (immutable) query: every result built for it reads it.
+        """
         consumed = self.intermediate_names
         return tuple(name for name in self.output_names if name not in consumed)
 

@@ -12,7 +12,7 @@ from .service import (
     BatchResult,
     QueryMetricsHistory,
     QueryService,
-    ServiceResult,
+    Result,
     ServiceStats,
 )
 
@@ -24,8 +24,8 @@ __all__ = [
     "QueryMetricsHistory",
     "QueryService",
     "RequestTimeoutError",
+    "Result",
     "ServiceOverloadedError",
-    "ServiceResult",
     "ServiceStats",
     "ShardCluster",
     "ShardedBackend",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from threading import Lock, RLock
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -55,10 +55,17 @@ from .fingerprint import query_fingerprint
 PlanKey = Tuple[str, str]
 
 
-@dataclass(frozen=True)
-class ServiceResult:
-    """One served query: the execution result plus serving-layer metrics."""
+@dataclass(frozen=True, repr=False)
+class Result:
+    """One served query: the one result type of :func:`repro.connect`, the
+    :class:`QueryService` and the sharded front-end.
 
+    It carries the output relations, the strategy that ran, the simulated
+    metrics and the serving-layer facts (plan-cache hit, timings,
+    fingerprint), whatever backend or cache path produced it.
+    """
+
+    #: The execution itself (every output, the program, AUTO's choice).
     result: GumboResult
     fingerprint: str
     requested_strategy: str
@@ -72,13 +79,18 @@ class ServiceResult:
         return self.result.strategy
 
     @property
+    def backend(self) -> str:
+        """The execution backend that produced the result."""
+        return self.result.metrics.backend
+
+    @property
     def query(self) -> SGFQuery:
         """The query served (parsed form)."""
         return self.result.query
 
     @property
     def outputs(self) -> Dict[str, Relation]:
-        """The query's output relations, keyed by name."""
+        """The query's root output relations, keyed by name."""
         return self.result.outputs
 
     @property
@@ -92,8 +104,30 @@ class ServiceResult:
         return self.plan_s + self.exec_s
 
     def output(self, name: Optional[str] = None) -> Relation:
-        """One output relation (the query's primary output by default)."""
-        return self.result.output(name)
+        """The output relation called *name* (any output of the query), or
+        with no name the single root output (``ValueError`` when the query
+        has several roots)."""
+        if name is not None:
+            return self.result.all_outputs[name]
+        if len(self.outputs) != 1:
+            raise ValueError(
+                f"query has {len(self.outputs)} outputs "
+                f"({', '.join(sorted(self.outputs))}); pass a name"
+            )
+        return next(iter(self.outputs.values()))
+
+    def tuples(self, name: Optional[str] = None) -> frozenset:
+        """The tuples of one output relation (as :meth:`output` picks it)."""
+        return frozenset(self.output(name).tuples())
+
+    def __repr__(self) -> str:
+        sizes = ", ".join(
+            f"{name}={len(relation)}" for name, relation in sorted(self.outputs.items())
+        )
+        return (
+            f"Result(strategy={self.strategy!r}, backend={self.backend!r}, "
+            f"plan_cached={self.plan_cached}, outputs[{sizes}])"
+        )
 
 
 @dataclass(frozen=True)
@@ -117,7 +151,7 @@ class BatchResult:
     failing query no longer aborts the rest of the batch.
     """
 
-    results: Tuple[ServiceResult, ...]
+    results: Tuple[Result, ...]
     elapsed_s: float
     failures: Tuple[BatchFailure, ...] = ()
 
@@ -169,7 +203,7 @@ class QueryMetricsHistory:
         default_factory=lambda: Histogram("repro_query_exec_seconds")
     )
 
-    def record(self, result: "ServiceResult", materialized: bool = False) -> None:
+    def record(self, result: "Result", materialized: bool = False) -> None:
         """Fold one served result into the cumulative counters."""
         self.queries += 1
         self.plan_cache_hits += 1 if result.plan_cached else 0
@@ -242,9 +276,10 @@ class ServiceStats:
 class QueryService:
     """Serve (B)SGF queries over one database with plan and statistics caching.
 
-    :func:`repro.connect` wraps this service in a ``Connection`` with one
-    unified ``Result`` type; build a ``QueryService`` directly to share one
-    :class:`~repro.core.gumbo.Gumbo` or to reach the serving layer itself.
+    :func:`repro.connect` wraps this service in a ``Connection`` that
+    returns its :class:`Result` unchanged; build a ``QueryService``
+    directly to share one :class:`~repro.core.gumbo.Gumbo` or to reach the
+    serving layer itself.
 
     Parameters
     ----------
@@ -422,7 +457,7 @@ class QueryService:
 
     def execute(
         self, query: QueryLike, strategy: Optional[str] = None
-    ) -> ServiceResult:
+    ) -> Result:
         """Serve one query synchronously (plan from cache when possible).
 
         The database reference is snapshotted once per request, so a
@@ -442,7 +477,7 @@ class QueryService:
 
         Returns
         -------
-        ServiceResult
+        Result
             The execution result plus serving-layer metrics (plan-cache hit,
             plan and execution wall times).
 
@@ -497,7 +532,7 @@ class QueryService:
             except Exception:
                 self._record_failure(fingerprint)
                 raise
-        served = ServiceResult(
+        served = Result(
             result=result,
             fingerprint=fingerprint,
             requested_strategy=requested,
@@ -509,7 +544,7 @@ class QueryService:
         self._m_request_seconds.observe(perf_counter() - request_start)
         return served
 
-    def _record(self, served: ServiceResult, materialized: bool = False) -> None:
+    def _record(self, served: Result, materialized: bool = False) -> None:
         with self._state_lock:
             self._queries_served += 1
             if materialized:
@@ -535,7 +570,7 @@ class QueryService:
 
     def _serve_materialized(
         self, fingerprint: str, requested: str
-    ) -> Optional[ServiceResult]:
+    ) -> Optional[Result]:
         """Serve a query straight from its maintained materialization.
 
         The materialized relations are mutated in place by incremental
@@ -548,7 +583,7 @@ class QueryService:
             if materialization is None:
                 return None
             snapshot = self._snapshot_result(materialization.result)
-        served = ServiceResult(
+        served = Result(
             result=snapshot,
             fingerprint=fingerprint,
             requested_strategy=requested,
@@ -561,20 +596,17 @@ class QueryService:
 
     @staticmethod
     def _snapshot_result(result: GumboResult) -> GumboResult:
-        copies = {name: rel.copy() for name, rel in result.all_outputs.items()}
-        return GumboResult(
-            query=result.query,
-            strategy=result.strategy,
-            program=result.program,
-            outputs={name: copies[name] for name in result.outputs},
-            all_outputs=copies,
-            metrics=result.metrics,
-            choice=result.choice,
+        return replace(
+            result,
+            all_outputs={
+                name: relation.copy()
+                for name, relation in result.all_outputs.items()
+            },
         )
 
     def materialize(
         self, query: QueryLike, strategy: Optional[str] = None
-    ) -> ServiceResult:
+    ) -> Result:
         """Execute *query* and keep its result maintained under inserts.
 
         The result is registered under ``(fingerprint, requested strategy)``;
@@ -627,7 +659,7 @@ class QueryService:
                     self.gumbo, sgf, database, requested, result=result
                 )
                 self._materialized[(fingerprint, requested)] = materialization
-                served = ServiceResult(
+                served = Result(
                     result=self._snapshot_result(materialization.result),
                     fingerprint=fingerprint,
                     requested_strategy=requested,
@@ -653,7 +685,7 @@ class QueryService:
 
     def submit(
         self, query: QueryLike, strategy: Optional[str] = None
-    ) -> "Future[ServiceResult]":
+    ) -> "Future[Result]":
         """Serve one query on the thread pool; returns a future."""
         return self._pool.submit(self.execute, query, strategy)
 
@@ -661,7 +693,7 @@ class QueryService:
         self,
         queries: Iterable[QueryLike],
         strategy: Optional[str] = None,
-    ) -> List["Future[ServiceResult]"]:
+    ) -> List["Future[Result]"]:
         """Submit a batch of queries; futures preserve submission order."""
         return [self.submit(query, strategy) for query in queries]
 
@@ -680,7 +712,7 @@ class QueryService:
         """
         start = perf_counter()
         futures = self.submit_many(queries, strategy)
-        results: List[ServiceResult] = []
+        results: List[Result] = []
         failures: List[BatchFailure] = []
         for index, future in enumerate(futures):
             try:

@@ -35,7 +35,7 @@ from ...core.strategies import AUTO
 from ...exec.base import check_width
 from ...mapreduce.engine import MapReduceEngine
 from ...model.database import Database
-from ..service import QueryService, ServiceResult
+from ..service import QueryService, Result
 from .backend import ShardedBackend
 
 
@@ -185,7 +185,7 @@ class ShardedService:
         """Admitted requests allowed at once (executing + queued)."""
         return self.max_concurrency + self.max_queue
 
-    async def execute(self, query, strategy: Optional[str] = None) -> ServiceResult:
+    async def execute(self, query, strategy: Optional[str] = None) -> Result:
         """Serve one query under admission control.
 
         Raises
@@ -227,7 +227,7 @@ class ShardedService:
 
     async def materialize(
         self, query, strategy: Optional[str] = None
-    ) -> ServiceResult:
+    ) -> Result:
         """Materialize *query* on the offload pool (no admission gating —
         materialization is a warm-up step, not serving traffic)."""
         loop = asyncio.get_running_loop()

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -24,7 +26,157 @@ def data_dir(tmp_path):
 QUERY = "Z := SELECT (x, y) FROM R(x, y) WHERE S(x) OR T(y);"
 
 
+BACKENDS = ("serial", "parallel", "sharded")
+TRACE_FORMATS = ("chrome", "jsonl")
+EXPERIMENTS = (
+    "ablation", "costmodel", "figure3", "figure4", "figure5", "figure7a",
+    "figure7b", "figure7c", "figure8", "table3", "all",
+)
+PROFILES = ("adversarial", "correlated", "degenerate", "mixed", "uniform", "zipf")
+QUERY_FLAGS = {
+    "--query": (None, None),
+    "--query-file": (None, None),
+    "--data": (None, None),
+    "--strategy": ("greedy", None),
+    "--cost-model": ("gumbo", ("gumbo", "wang")),
+    "--nodes": (10, None),
+    "--backend": ("serial", BACKENDS),
+    "--workers": (None, None),
+    "--shards": (None, None),
+    "--no-packing": (False, None),
+    "--no-tuple-reference": (False, None),
+    "--kernel-mode": ("auto", ("auto", "off")),
+}
+EXPORT_FLAGS = {
+    "--trace-out": (None, None),
+    "--trace-format": ("chrome", TRACE_FORMATS),
+    "--metrics-out": (None, None),
+}
+
+#: Every subcommand's arguments: option string (or positional name) ->
+#: (default, choices).  Refactoring the parser must leave this unchanged.
+CLI_SURFACE = {
+    "query": {
+        **QUERY_FLAGS,
+        "--trace": (False, None),
+        **EXPORT_FLAGS,
+        "--output-dir": (None, None),
+        "--show-plan": (False, None),
+    },
+    "plan": QUERY_FLAGS,
+    "generate": {
+        "query_id": (None, None),
+        "output_dir": (None, None),
+        "--guard-tuples": (10_000, None),
+        "--selectivity": (0.5, None),
+        "--seed": (0, None),
+    },
+    "experiment": {
+        "name": (None, EXPERIMENTS),
+        "--scale": (5e-6, None),
+        "--nodes": (10, None),
+    },
+    "auto": {
+        "query_id": (None, None),
+        "--guard-tuples": (5_000, None),
+        "--selectivity": (0.5, None),
+        "--seed": (0, None),
+        "--nodes": (10, None),
+        "--cost-model": ("gumbo", ("gumbo", "wang")),
+        "--no-optimal": (False, None),
+        "--show-plan": (False, None),
+    },
+    "serve": {
+        "--query-ids": ("A1,A2,A3,B1", None),
+        "--requests": (40, None),
+        "--clients": (4, None),
+        "--plan-cache": (64, None),
+        "--strategy": ("auto", None),
+        "--sharded": (False, None),
+        "--shards": (None, None),
+        "--max-queue": (64, None),
+        "--request-timeout": (None, None),
+        "--guard-tuples": (2_000, None),
+        "--selectivity": (0.5, None),
+        "--seed": (0, None),
+        "--nodes": (10, None),
+        "--verify": (False, None),
+        "--incremental": (False, None),
+        "--insert-tuples": (16, None),
+        "--stats-json": (None, None),
+        "--trace": (False, None),
+        **EXPORT_FLAGS,
+    },
+    "delta": {
+        "--query-id": ("A3", None),
+        "--guard-tuples": (4_000, None),
+        "--selectivity": (0.5, None),
+        "--seed": (0, None),
+        "--nodes": (10, None),
+        "--strategy": ("auto", None),
+        "--backend": ("serial", BACKENDS),
+        "--workers": (None, None),
+        "--shards": (None, None),
+        "--insert-fraction": (0.01, None),
+        "--trace": (False, None),
+        **EXPORT_FLAGS,
+    },
+    "trace": {
+        "query_id": (None, None),
+        "--guard-tuples": (500, None),
+        "--selectivity": (0.5, None),
+        "--seed": (0, None),
+        "--nodes": (10, None),
+        "--strategy": ("auto", None),
+        "--backend": ("parallel", BACKENDS),
+        "--workers": (None, None),
+        "--shards": (None, None),
+        **EXPORT_FLAGS,
+    },
+    "fuzz": {
+        "--seed": (0, None),
+        "--iterations": (100, None),
+        "--max-statements": (4, None),
+        "--max-tuples": (12, None),
+        "--profile": ("mixed", PROFILES),
+        "--backend": ("all", (*BACKENDS, "both", "all")),
+        "--workers": (None, None),
+        "--shards": (None, None),
+        "--no-shrink": (False, None),
+        "--no-dynamic": (False, None),
+        "--no-auto": (False, None),
+        "--no-kernel-axis": (False, None),
+        "--keep-going": (False, None),
+        "--incremental": (False, None),
+        "--artifact": (None, None),
+    },
+}
+
+
+def _subcommands(parser):
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
 class TestParser:
+    @pytest.mark.parametrize("command", sorted(CLI_SURFACE))
+    def test_cli_surface_is_pinned(self, command):
+        """Each subcommand keeps its option strings, defaults and choices."""
+        subcommands = _subcommands(build_parser())
+        assert set(subcommands) == set(CLI_SURFACE)
+        sub = subcommands[command]
+        surface = {
+            "/".join(action.option_strings) or action.dest: (
+                sub.get_default(action.dest),
+                tuple(action.choices) if action.choices else None,
+            )
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        assert surface == CLI_SURFACE[command]
+
     def test_requires_command(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -236,6 +388,47 @@ class TestServeCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "all match" in out
+
+    def test_serve_reports_failed_requests(self, capsys):
+        code = main(
+            [
+                "serve",
+                "--query-ids",
+                "A1",
+                "--strategy",
+                "bogus",
+                "--requests",
+                "4",
+                "--guard-tuples",
+                "50",
+                "--verify",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "served 0/4 requests" in out
+        assert "failed:              4 (first: ValueError:" in out
+        assert "all match (0 answers)" in out
+
+    def test_serve_sharded(self, capsys):
+        code = main(
+            [
+                "serve",
+                "--sharded",
+                "--shards",
+                "2",
+                "--query-ids",
+                "A1,A3",
+                "--requests",
+                "6",
+                "--guard-tuples",
+                "100",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "served 6/6 requests" in out
+        assert "2 shards" in out
 
     def test_serve_rejects_empty_ids(self):
         with pytest.raises(SystemExit):

@@ -207,6 +207,8 @@ class TestConnect:
             assert result.exec_s >= 0.0
             assert result.metrics.backend == "serial"
             assert "Z=2" in repr(result)
+            # One result type, whichever layer served the query.
+            assert type(result) is Result is type(conn.service.execute(QUERY))
             # Second serve of the same query hits the plan cache.
             assert conn.execute(QUERY).plan_cached is True
 
@@ -221,6 +223,17 @@ class TestConnect:
             with pytest.raises(ValueError):
                 result.output()
             assert result.tuples("Z2") == {(4,)}
+
+    def test_output_by_name_reaches_intermediate_outputs(self):
+        program = (
+            "Z1 := SELECT (x, y) FROM R(x, y) WHERE S(x);\n"
+            "Z2 := SELECT (x, y) FROM Z1(x, y) WHERE NOT T(y);"
+        )
+        with connect(DB) as conn:
+            result = conn.execute(program)
+            assert set(result.outputs) == {"Z2"}  # the one root
+            assert result.tuples() == EXPECTED
+            assert result.tuples("Z1") == {(1, 2), (3, 4), (5, 6)}
 
     def test_materialize_and_refresh(self):
         with connect(DB) as conn:

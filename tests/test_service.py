@@ -266,7 +266,7 @@ class TestConcurrentService:
             assert result.result.choice is not None
 
 
-class TestServiceResultSurface:
+class TestResultSurface:
     def test_metrics_and_timings(self):
         with QueryService(small_database()) as service:
             result = service.execute(SIMPLE_QUERY)

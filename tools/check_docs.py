@@ -13,7 +13,8 @@ tools/check_docs.py``).  Four families of checks, all blocking:
    ``#fragment``, at an existing heading in that file).
 3. **CLI help** — the ``--help`` output of ``python -m repro`` and the
    subcommands the docs lean on must still mention the flags the docs
-   describe (backends, kernel mode, fuzz backend axis) — and none of them
+   describe (backends, kernel mode, fuzz backend axis, the serve, delta and
+   trace flags) — and none of them
    may offer the removed job-level SQL backend again (``sql`` as a
    ``--backend`` choice, ``--sql-db``).
 4. **Cited docs** — every ``*.md`` path a ``.py`` file under ``src/``,
@@ -59,8 +60,9 @@ HELP_CHECKS = [
     (["fuzz"], ["--backend", "{serial,parallel,sharded,both,all}", "--profile",
                 "--incremental", "--shards"]),
     (["delta"], ["--backend", "--insert-fraction"]),
-    (["trace"], ["--backend", "--trace-out"]),
-    (["serve"], ["--sharded", "--shards", "--max-queue", "--request-timeout"]),
+    (["trace"], ["--backend", "--trace-out", "--trace-format", "--metrics-out"]),
+    (["serve"], ["--sharded", "--shards", "--max-queue", "--request-timeout",
+                 "--stats-json", "--incremental", "--insert-tuples", "--verify"]),
 ]
 
 _FENCE = re.compile(r"^```(\w*)\s*$")
