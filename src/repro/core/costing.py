@@ -24,6 +24,7 @@ The estimates mirror what the execution engine will actually measure:
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -132,13 +133,20 @@ class PlanCostEstimator:
         #: selectivity instead of the paper's upper bound (all guard facts
         #: survive).  The upper bound is the default, matching Section 4.1.
         self.use_selectivity_for_outputs = use_selectivity_for_outputs
+        #: Equation (5) estimates by ordered spec tuple, each stamped with
+        #: the catalog's stats objects of the relations it read.
+        self._msj_memo: Dict[
+            Tuple[SemiJoinSpec, ...],
+            Tuple[Tuple[Optional[RelationStats], ...], JobEstimate],
+        ] = {}
 
     # -- shared helpers --------------------------------------------------------
 
     def scratch_copy(self) -> "PlanCostEstimator":
         """A copy over a scratch catalog: planning-time estimate registrations
         (intermediate outputs, chain steps) stay local to this copy while the
-        sampled base-relation statistics remain shared."""
+        sampled base-relation statistics remain shared.  The copy starts with
+        an empty Equation (5) memo."""
         return PlanCostEstimator(
             self.catalog.scratch_copy(),
             self.cost_model,
@@ -298,10 +306,28 @@ class PlanCostEstimator:
         ]
 
     def msj_estimate(self, specs: Sequence[SemiJoinSpec]) -> JobEstimate:
-        """Equation (5): estimated cost of evaluating *specs* in one MSJ job."""
-        partitions = self.msj_partitions(specs)
-        output_mb = sum(self.semijoin_output_mb(spec) for spec in specs)
-        return self._estimate(partitions, output_mb, "MSJ")
+        """Equation (5): estimated cost of evaluating *specs* in one MSJ job.
+
+        Memoised per ordered tuple of specs (the partition and output sums
+        follow spec order).  An entry holds while the catalog still holds the
+        very stats objects of the guard and conditional relations it read, so
+        :meth:`~repro.cost.estimates.StatisticsCatalog.refresh_relation` or a
+        late estimate registration forces a recompute.
+        """
+        key = tuple(specs)
+        stamp = tuple(
+            self.catalog.relation_stats(name)
+            for spec in key
+            for name in (spec.guard.relation, spec.conditional.relation)
+        )
+        entry = self._msj_memo.get(key)
+        if entry is not None and all(map(operator.is_, entry[0], stamp)):
+            return entry[1]
+        partitions = self.msj_partitions(key)
+        output_mb = sum(self.semijoin_output_mb(spec) for spec in key)
+        estimate = self._estimate(partitions, output_mb, "MSJ")
+        self._msj_memo[key] = (stamp, estimate)
+        return estimate
 
     def msj_cost(self, specs: Sequence[SemiJoinSpec]) -> float:
         return self.msj_estimate(specs).cost
@@ -383,8 +409,10 @@ class PlanCostEstimator:
         all_specs: List[SemiJoinSpec] = []
         for query in queries:
             all_specs.extend(query.semijoin_specs())
-        partitions = self.msj_partitions(all_specs) if all_specs else []
-        if not all_specs:
+        if all_specs:
+            partitions = self.msj_estimate(all_specs).profile.partitions
+        else:
+            partitions = []
             for query in queries:
                 input_mb = self._relation_mb(query.guard.relation)
                 records = int(self.catalog.atom_count(query.guard))

@@ -154,19 +154,21 @@ class StatisticsCatalog:
     # -- sampling --------------------------------------------------------------------
 
     def sample(self, name: str) -> List[Tuple[object, ...]]:
-        """A deterministic sample (without replacement) of relation *name*."""
+        """A deterministic sample (without replacement) of relation *name*.
+
+        Only samples of stored relations are cached: the database may gain a
+        relation of that name later, and the cache is shared by every
+        scratch copy.
+        """
         if name in self._samples:
             return self._samples[name]
         relation = self._database.get(name)
-        if relation is None or len(relation) == 0:
-            rows: List[Tuple[object, ...]] = []
-        else:
-            ordered = relation.sorted_tuples()
-            if len(ordered) <= self._sample_size:
-                rows = ordered
-            else:
-                rng = random.Random(self._seed ^ hash(name) & 0xFFFFFFFF)
-                rows = rng.sample(ordered, self._sample_size)
+        if relation is None:
+            return []
+        rows = relation.sorted_tuples()
+        if len(rows) > self._sample_size:
+            rng = random.Random(self._seed ^ hash(name) & 0xFFFFFFFF)
+            rows = rng.sample(rows, self._sample_size)
         self._samples[name] = rows
         return rows
 
@@ -176,7 +178,10 @@ class StatisticsCatalog:
         """Estimated fraction of the relation's tuples conforming to *atom*.
 
         Atoms without constants or repeated variables trivially have fraction
-        1.0; otherwise the fraction is estimated on the sample.
+        1.0; otherwise the fraction is estimated on the sample.  Fractions are
+        cached only for relations the database holds: an intermediate's
+        fraction follows the estimate registered for it, which differs from
+        one query's scratch copy to the next.
         """
         if atom in self._fraction_cache:
             return self._fraction_cache[atom]
@@ -193,7 +198,8 @@ class StatisticsCatalog:
             else:
                 matches = sum(1 for row in rows if atom.conforms(row))
                 fraction = matches / len(rows)
-        self._fraction_cache[atom] = fraction
+        if atom.relation in self._database:
+            self._fraction_cache[atom] = fraction
         return fraction
 
     def atom_count(self, atom: Atom) -> float:

@@ -1,12 +1,24 @@
 """Unit tests for the planner-side cost estimator (Equations 5-7, 9)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.costing import PlanCostEstimator
 from repro.core.eval_job import EvalTarget
+from repro.core.gumbo import Gumbo
 from repro.core.options import GumboOptions
-from repro.cost.estimates import StatisticsCatalog
+from repro.core.strategies import (
+    applicable_strategies,
+    build_bsgf_program,
+    build_sgf_program,
+    choose_strategy,
+    register_intermediate_estimates,
+)
+from repro.cost.estimates import RelationStats, StatisticsCatalog
 from repro.cost.models import GumboCostModel, WangCostModel
+from repro.query.parser import parse_bsgf
+from repro.workloads.queries import database_for, workload_query
 
 from helpers import shared_key_query, star_database, star_query
 
@@ -92,14 +104,9 @@ class TestMSJEstimates:
         unpacked), so it over-approximates slightly.
         """
         from repro.core.chain import SemiJoinChainJob
-        from repro.core.gumbo import Gumbo
         from repro.core.msj import MSJJob
         from repro.mapreduce.engine import MapReduceEngine
-        from repro.workloads.queries import (
-            bsgf_query_set,
-            database_for,
-            workload_query,
-        )
+        from repro.workloads.queries import bsgf_query_set
 
         queries = bsgf_query_set(query_id)
         db = database_for(queries, guard_tuples=400, selectivity=0.5, seed=2)
@@ -169,3 +176,77 @@ class TestModelChoice:
         gumbo = PlanCostEstimator(catalog, GumboCostModel())
         wang = PlanCostEstimator(catalog, WangCostModel())
         assert wang.msj_cost(specs) <= gumbo.msj_cost(specs) + 1e-9
+
+
+class TestMSJMemo:
+    """Equation (5) is priced once per ordered group and planning catalog."""
+
+    SHAPES = ("A1", "A3", "B2", "C3", "C4")
+
+    @staticmethod
+    def _shape(query_id):
+        query = workload_query(query_id)
+        database = database_for(query, guard_tuples=200, seed=7)
+        return query, Gumbo().estimator(database)
+
+    @pytest.mark.parametrize("query_id", SHAPES)
+    def test_memoised_estimates_equal_fresh_ones(self, query_id):
+        query, estimator = self._shape(query_id)
+        register_intermediate_estimates(query, estimator.catalog)
+        for name in applicable_strategies(query):
+            if not name.startswith(("greedy", "optimal")):
+                continue
+            if query.intermediate_names:
+                build_sgf_program(query, name, estimator)
+            else:
+                build_bsgf_program(list(query.subqueries), name, estimator)
+        groups = list(estimator._msj_memo)
+        assert len(groups) > 1
+        for group in groups:
+            fresh = estimator.scratch_copy().msj_estimate(group)
+            assert estimator.msj_estimate(group) == fresh
+
+    def test_refresh_relation_forces_a_recompute(self):
+        database = star_database()
+        estimator = PlanCostEstimator(StatisticsCatalog(database, sample_size=100))
+        specs = tuple(star_query().semijoin_specs())
+        before = estimator.msj_estimate(specs)
+        assert estimator.msj_estimate(specs) is before
+        database.get("S").update([(n,) for n in range(10, 60)])
+        estimator.catalog.refresh_relation("S")
+        after = estimator.msj_estimate(specs)
+        assert after.cost > before.cost
+        assert after == estimator.scratch_copy().msj_estimate(specs)
+
+    def test_late_registration_forces_a_recompute(self):
+        estimator = PlanCostEstimator(StatisticsCatalog(star_database()))
+        text = "OUT := SELECT (x) FROM R(x, y, z, w) WHERE S(x) AND Z1(y);"
+        specs = tuple(parse_bsgf(text).semijoin_specs())
+        before = estimator.msj_estimate(specs)
+        estimator.catalog.register_estimate(
+            RelationStats("Z1", tuples=5000, arity=1, size_mb=0.04, bytes_per_field=8)
+        )
+        after = estimator.msj_estimate(specs)
+        assert after.cost > before.cost
+        assert after == estimator.scratch_copy().msj_estimate(specs)
+
+    def test_group_order_is_part_of_the_key(self):
+        estimator = PlanCostEstimator(StatisticsCatalog(star_database()))
+        specs = tuple(star_query().semijoin_specs())
+        estimator.msj_estimate(specs)
+        estimator.msj_estimate(specs[::-1])
+        assert set(estimator._msj_memo) == {specs, specs[::-1]}
+
+    @pytest.mark.parametrize("query_id", SHAPES)
+    def test_one_partition_pass_per_group_and_plan(self, query_id, monkeypatch):
+        calls = Counter()
+        priced = PlanCostEstimator.msj_partitions
+
+        def counting(self, specs):
+            calls[tuple(specs)] += 1
+            return priced(self, specs)
+
+        monkeypatch.setattr(PlanCostEstimator, "msj_partitions", counting)
+        query, estimator = self._shape(query_id)
+        choose_strategy(query, estimator)
+        assert calls and max(calls.values()) == 1

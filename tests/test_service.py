@@ -128,6 +128,23 @@ class TestPlanCache:
             assert not res.plan_cached
             assert service.stats().plan_cache.evictions >= 1
 
+    def test_planning_leaves_no_estimate_for_the_next_query(self):
+        """An intermediate one query estimated at 0 tuples does not shape the
+        next query's costs through the shared statistics caches."""
+        empty_z1 = (
+            "Z1 := SELECT x FROM R(x, 99) WHERE S(x); "
+            "Z2 := SELECT x FROM R(x, y) WHERE Z1(x) AND T(y);"
+        )
+        text = (
+            "Z1 := SELECT x FROM R(x, y) WHERE S(x); "
+            "Z2 := SELECT x FROM R(x, y) WHERE Z1(x) AND NOT T(y);"
+        )
+        with QueryService(small_database()) as fresh:
+            expected = fresh.plan(text, "auto")[0].choice.costs
+        with QueryService(small_database()) as service:
+            service.plan(empty_z1, "auto")
+            assert service.plan(text, "auto")[0].choice.costs == expected
+
     def test_cacheless_service_still_serves(self):
         with QueryService(small_database(), plan_cache_size=0) as service:
             first = service.execute(SIMPLE_QUERY)

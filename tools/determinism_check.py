@@ -32,6 +32,15 @@ databases — one meeting the ints first, one the floats — are run in one
 order and then, in the same process, in the opposite one; ``--reverse-jobs``
 swaps which order the cold process sees.
 
+A planning-history pass guards the planner the same way: one
+:class:`~repro.service.QueryService` plans (AUTO) the five batch shapes, a
+few multi-level SGF texts whose intermediate names collide, and a pair whose
+first query estimates an intermediate at 0 tuples, in list order or, under
+``--reverse-jobs``, in reverse.  One sorted line per query gives the winner
+and a digest of every candidate's estimated cost, as IEEE-754 bit patterns:
+a statistic or memoised estimate one query leaves behind for the next shows
+up as a difference between the two orders.
+
 Every line must be identical under every ``PYTHONHASHSEED`` and either job
 order: CI runs the script twice, with different seeds and opposite orders,
 and diffs the stdout; any divergence pinpoints the combination that went
@@ -93,6 +102,30 @@ NUMERIC_DBS = {
 }
 #: Small enough that these few hundred bytes spread over ~10-20 reducers.
 NUMERIC_MB_PER_REDUCER = 2e-5
+
+#: The planning-history pass: the batch shapes, then SGF texts over the same
+#: relations.  No fact of ``R`` conforms to ``empty-z1``'s first guard (the
+#: generated values stay far below 99999), so its ``Z1`` is estimated empty.
+BATCH_SHAPES = ("A1", "A3", "B2", "C3", "C4")
+PLANNING_TEXTS = {
+    "sgf-two-level": (
+        "Z1 := SELECT (x, y) FROM R(x, y, z, w) WHERE S(x) OR T(y); "
+        "Z2 := SELECT x FROM G(x, y, z, w) WHERE Z1(x, y) AND NOT U(z);"
+    ),
+    "sgf-three-level": (
+        "Z1 := SELECT z FROM H(x, y, z, w) WHERE U(x) AND V(y); "
+        "Z2 := SELECT z FROM R(x, y, z, w) WHERE Z1(z) OR S(x); "
+        "Z3 := SELECT x FROM I(x, y, z, w) WHERE Z2(x) AND NOT Z1(y);"
+    ),
+    "empty-z1": (
+        "Z1 := SELECT x FROM R(x, y, z, 99999) WHERE S(x); "
+        "Z2 := SELECT x FROM R(x, y, z, w) WHERE Z1(x) AND T(y);"
+    ),
+    "after-empty-z1": (
+        "Z1 := SELECT x FROM R(x, y, z, w) WHERE S(x); "
+        "Z2 := SELECT x FROM R(x, y, z, w) WHERE Z1(x) AND NOT T(y);"
+    ),
+}
 
 
 def canonical(value: object) -> str:
@@ -216,6 +249,30 @@ def run_numeric_case(reverse: bool) -> None:
     print("\n".join(sorted(lines)))
 
 
+def run_planning_history(tuples: int, reverse: bool) -> None:
+    """AUTO-plan every query of the list on one service, in order or reversed."""
+    from repro.service import QueryService
+
+    queries = {shape: workload_query(shape) for shape in BATCH_SHAPES}
+    database = database_for(
+        [sub for query in queries.values() for sub in query],
+        guard_tuples=tuples,
+        seed=7,
+    )
+    queries.update((label, parse_sgf(text)) for label, text in PLANNING_TEXTS.items())
+    order = list(queries)[::-1] if reverse else list(queries)
+    lines = []
+    with QueryService(database) as service:
+        for label in order:
+            choice = service.plan(queries[label], "auto")[0].choice
+            costs = [f"{name}:{canonical(cost)}" for name, cost in choice.costs.items()]
+            lines.append(
+                f"planning-history {label} strategy={choice.strategy} "
+                f"costs={digest(costs)}"
+            )
+    print("\n".join(sorted(lines)))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -227,7 +284,8 @@ def main() -> None:
     parser.add_argument(
         "--reverse-jobs",
         action="store_true",
-        help="run the numeric-keys databases in the opposite order first",
+        help="run the numeric-keys databases and the planning-history "
+        "queries in the opposite order",
     )
     args = parser.parse_args()
 
@@ -241,6 +299,7 @@ def main() -> None:
         run_fanout_case("A3", a3, a3_db, transport)
         run_fanout_case("mixed-types", mixed, mixed_db, transport)
     run_numeric_case(args.reverse_jobs)
+    run_planning_history(args.tuples, args.reverse_jobs)
 
 
 if __name__ == "__main__":
