@@ -8,6 +8,7 @@ second-level subquery.  It
 * shows the multiway topological sort chosen by ``Greedy-SGF`` and compares
   its estimated cost against the SEQUNIT and PARUNIT orderings,
 * executes all three SGF strategies and reports their measured metrics,
+* re-plans the query stage by stage (``Gumbo.execute_dynamic``),
 * verifies the answers against the reference evaluator.
 
 Run with::
@@ -17,8 +18,6 @@ Run with::
 
 from repro import Gumbo, evaluate_sgf
 from repro.core import (
-    GumboOptions,
-    PlanCostEstimator,
     greedy_multiway_sort,
     parunit_sort,
     register_intermediate_estimates,
@@ -26,7 +25,6 @@ from repro.core import (
     sgf_group_cost,
     sort_cost,
 )
-from repro.cost import StatisticsCatalog
 from repro.query import DependencyGraph
 from repro.workloads.queries import database_for, sgf_query
 from repro.workloads.scaling import ScaledEnvironment
@@ -53,9 +51,9 @@ def main() -> None:
         print(f"    level {index}: {', '.join(level)}")
     print()
 
-    catalog = StatisticsCatalog(database, sample_size=500)
-    estimator = PlanCostEstimator(catalog, options=GumboOptions())
-    register_intermediate_estimates(query, catalog)
+    gumbo = Gumbo(engine=environment.engine())
+    estimator = gumbo.estimator(database)
+    register_intermediate_estimates(query, estimator.catalog)
 
     def cost_of(groups) -> float:
         return sort_cost(graph, groups, lambda qs: sgf_group_cost(qs, estimator))
@@ -71,7 +69,11 @@ def main() -> None:
         print(f"    {name:<11} cost={cost_of(groups):9.1f}s   {rendering}")
     print()
 
-    gumbo = Gumbo(engine=environment.engine())
+    # A BSGF name asked of a nested query plans its SGF counterpart.
+    planned = gumbo.plan_with(query, database, "greedy")
+    print(f"'greedy' on this nested query plans as {planned.strategy!r}")
+    print()
+
     reference = evaluate_sgf(query, database)
     print("Measured execution of the SGF strategies:")
     for strategy in ("sequnit", "parunit", "greedy-sgf"):
@@ -83,6 +85,12 @@ def main() -> None:
             f"net={summary['net_time_s']:8.1f}s total={summary['total_time_s']:9.1f}s "
             f"input={summary['input_gb']:6.2f}GB comm={summary['communication_gb']:6.2f}GB"
         )
+    dynamic = gumbo.execute_dynamic(query, database)
+    assert set(dynamic.output().tuples()) == set(reference[query.output].tuples())
+    print(
+        f"    {'DYNAMIC':<11} stages={len(dynamic.stages):<3} "
+        f"net={dynamic.metrics.net_time:8.1f}s total={dynamic.metrics.total_time:9.1f}s"
+    )
     print()
     print(f"Answer size ({query.output}): {len(reference[query.output])} tuples "
           "(all strategies agree with the reference evaluator)")

@@ -10,8 +10,8 @@ Two features the paper sketches without evaluating are demonstrated here:
    same answer.
 
 2. **Dynamic re-planning** (Section 4.6): instead of planning an entire nested
-   SGF query up front with upper-bound size estimates, the dynamic executor
-   re-runs Greedy-SGF after every evaluated group, so later grouping decisions
+   SGF query up front with upper-bound size estimates,
+   ``Gumbo.execute_dynamic`` re-runs Greedy-SGF after every evaluated group, so later grouping decisions
    see the *actual* sizes of the materialised intermediate relations.
 
 Run with::
@@ -19,7 +19,7 @@ Run with::
     python examples/skew_and_replanning.py
 """
 
-from repro import Database, DynamicSGFExecutor, Gumbo, MapReduceEngine
+from repro import Database, Gumbo, MapReduceEngine
 from repro.core import MSJJob, SkewAwareMSJJob, detect_heavy_hitters
 from repro.cost import StatisticsCatalog
 from repro.mapreduce.scheduler import makespan
@@ -79,8 +79,9 @@ def replanning_demo() -> None:
     query = sgf_query("C3")
     database = database_for(query, guard_tuples=400, selectivity=0.3, seed=17)
 
-    static = Gumbo().execute(query, database, "greedy-sgf")
-    dynamic = DynamicSGFExecutor().execute(query, database)
+    gumbo = Gumbo()
+    static = gumbo.execute(query, database, "greedy-sgf")
+    dynamic = gumbo.execute_dynamic(query, database)
 
     print("Static GREEDY-SGF plan:")
     print(f"    jobs={static.metrics.num_jobs}, rounds={static.metrics.rounds}, "

@@ -43,7 +43,6 @@ on the command line with ``repro query --backend parallel --workers 4``.
 """
 
 from .client import Connection, connect
-from .core.dynamic import DynamicSGFExecutor
 from .core.gumbo import Gumbo, GumboResult, PlannedQuery
 from .core.msj import MSJJob, multi_semi_join
 from .core.options import GumboOptions
@@ -81,7 +80,6 @@ __all__ = [
     "Database",
     "DeltaResult",
     "DifferentialOracle",
-    "DynamicSGFExecutor",
     "IncrementalError",
     "Materialization",
     "ExecutionBackend",

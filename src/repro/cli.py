@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import obs
 from .core.gumbo import Gumbo, GumboResult
 from .core.options import GumboOptions
+from .core.strategies import choose_strategy
 from .obs.options import TRACE_FORMATS
 from .exec import BACKEND_NAMES
 from .mapreduce.kernels import KERNEL_MODES
@@ -615,7 +616,8 @@ def _command_query(args: argparse.Namespace) -> int:
     query = parse_sgf(_read_query_text(args))
     with _gumbo_for(args) as gumbo:
         if args.show_plan:
-            print(_describe_program(gumbo.plan(query, database, args.strategy)))
+            planned = gumbo.plan_with(query, database, args.strategy)
+            print(_describe_program(planned.program))
             print()
         result = gumbo.execute(query, database, args.strategy)
     print(f"strategy: {result.strategy}")
@@ -641,7 +643,8 @@ def _command_plan(args: argparse.Namespace) -> int:
     database = load_database(args.data)
     query = parse_sgf(_read_query_text(args))
     with _gumbo_for(args) as gumbo:
-        print(_describe_program(gumbo.plan(query, database, args.strategy)))
+        planned = gumbo.plan_with(query, database, args.strategy)
+    print(_describe_program(planned.program))
     return 0
 
 
@@ -659,7 +662,12 @@ def _command_auto(args: argparse.Namespace) -> int:
     """Print the per-strategy estimated costs and the AUTO winner."""
     [query], database = _workload([args.query_id], args)
     with _gumbo_for(args) as gumbo:
-        choice = gumbo.choose(query, database, include_optimal=not args.no_optimal)
+        choice = choose_strategy(
+            Gumbo.as_sgf(query),
+            gumbo.estimator(database),
+            gumbo.options,
+            include_optimal=not args.no_optimal,
+        )
     print(
         f"workload {args.query_id.upper()} ({args.guard_tuples} guard tuples), "
         f"cost model {args.cost_model}, {args.nodes} nodes"

@@ -20,7 +20,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..query.bsgf import BSGFQuery
 from ..query.dependency import DependencyGraph
-from ..query.sgf import SGFQuery
 
 #: A multiway topological sort represented as ordered groups of subquery names.
 Groups = List[List[str]]
@@ -139,8 +138,3 @@ def validate_sort(graph: DependencyGraph, groups: Sequence[Sequence[str]]) -> No
     """Raise ``ValueError`` when *groups* is not a valid multiway topological sort."""
     if not graph.is_valid_multiway_sort(groups):
         raise ValueError(f"{groups!r} is not a multiway topological sort")
-
-
-def sort_for_query(query: SGFQuery) -> Groups:
-    """Convenience wrapper: the greedy sort of an SGF query's dependency graph."""
-    return greedy_multiway_sort(DependencyGraph(query))

@@ -26,7 +26,7 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..cost.estimates import StatisticsCatalog
 from ..cost.models import CostModel, make_cost_model
@@ -38,31 +38,21 @@ from ..model.database import Database
 from ..model.relation import Relation
 from .. import obs
 from ..query.bsgf import BSGFQuery
+from ..query.dependency import DependencyGraph
 from ..query.parser import parse_sgf
 from ..query.sgf import SGFQuery
 from .costing import PlanCostEstimator
+from .greedy_sgf import greedy_multiway_sort
 from .options import GumboOptions
 from .strategies import (
-    AUTO,
-    GREEDY,
-    GREEDY_SGF,
-    PAR,
-    PARUNIT,
-    SEQ,
-    SEQUNIT,
-    SGF_STRATEGIES,
     StrategyChoice,
-    build_bsgf_program,
-    build_sgf_program,
-    choose_strategy,
-    normalise_strategy,
+    greedy_stage_program,
+    plan_strategy,
+    register_intermediate_estimates,
 )
 
 #: Anything Gumbo accepts as a query.
 QueryLike = Union[str, BSGFQuery, SGFQuery, Sequence[BSGFQuery]]
-
-#: Mapping applied when a BSGF strategy name is used for a nested SGF query.
-_SGF_EQUIVALENT = {SEQ: SEQUNIT, PAR: PARUNIT, GREEDY: GREEDY_SGF}
 
 
 @dataclass
@@ -105,6 +95,8 @@ class Gumbo:
     The planning/execution layer underneath :func:`repro.connect` (which
     adds plan caching, incremental refresh and one ``Result`` type on top)
     and the layer the paper's experiments and ablations drive directly.
+    :meth:`plan_with` is its one planning entry; :meth:`execute` plans and
+    runs, :meth:`execute_dynamic` re-plans between stages (Section 4.6).
 
     Parameters
     ----------
@@ -200,41 +192,6 @@ class Gumbo:
 
     # -- planning ----------------------------------------------------------------------
 
-    def plan(
-        self,
-        query: QueryLike,
-        database: Database,
-        strategy: Optional[str] = None,
-    ) -> MRProgram:
-        """Build (but do not run) the MR program for *query* under *strategy*.
-
-        ``strategy=None`` uses ``options.default_strategy``; ``"auto"`` costs
-        every applicable strategy and plans the cheapest.
-        """
-        sgf = self.as_sgf(query)
-        program, _, _ = self._plan_resolved(sgf, database, strategy)
-        return program
-
-    def choose(
-        self,
-        query: QueryLike,
-        database: Database,
-        include_optimal: bool = True,
-    ) -> StrategyChoice:
-        """Cost-based strategy selection: every applicable candidate, costed.
-
-        This is the AUTO strategy's engine, exposed for inspection — the
-        returned :class:`StrategyChoice` has the winning program plus the
-        estimated cost of every candidate.
-        """
-        sgf = self.as_sgf(query)
-        return choose_strategy(
-            sgf,
-            self.estimator(database),
-            self.options,
-            include_optimal=include_optimal,
-        )
-
     def plan_with(
         self,
         query: QueryLike,
@@ -242,55 +199,29 @@ class Gumbo:
         strategy: Optional[str],
         estimator: Optional[PlanCostEstimator] = None,
     ) -> "PlannedQuery":
-        """Plan *query* and return the program plus the concrete strategy.
+        """Plan (but do not run) *query* under *strategy*.
 
-        Unlike :meth:`plan` this reports which strategy actually planned the
-        program (AUTO resolves to its winner) and accepts a pre-built
-        *estimator* so callers holding cached statistics (the query service)
-        can skip re-collecting them.
+        ``strategy=None`` uses ``options.default_strategy``; ``"auto"`` costs
+        every applicable strategy and plans the cheapest.  The result names
+        the strategy that actually planned the program (AUTO's winner, or the
+        SGF counterpart of a BSGF name on a nested query, see
+        :func:`~repro.core.strategies.plan_strategy`).  A pre-built
+        *estimator* lets callers holding cached statistics (the query
+        service) skip re-collecting them.
         """
         sgf = self.as_sgf(query)
-        program, resolved, choice = self._plan_resolved(
-            sgf, database, strategy, estimator
-        )
+        if strategy is None:
+            strategy = self.options.default_strategy
+        with obs.span("gumbo.plan", requested=strategy) as plan_span:
+            if estimator is None:
+                estimator = self.estimator(database)
+            resolved, program, choice = plan_strategy(
+                sgf, strategy, estimator, self.options
+            )
+            plan_span.set(strategy=resolved, jobs=len(program))
         return PlannedQuery(
             query=sgf, strategy=resolved, program=program, choice=choice
         )
-
-    def _plan_resolved(
-        self,
-        sgf: SGFQuery,
-        database: Database,
-        strategy: Optional[str],
-        estimator: Optional[PlanCostEstimator] = None,
-    ) -> Tuple[MRProgram, str, Optional[StrategyChoice]]:
-        """Plan under the resolved strategy: (program, concrete name, choice)."""
-        resolved = self._resolve_strategy(sgf, strategy)
-        with obs.span("gumbo.plan", requested=resolved) as plan_span:
-            if estimator is None:
-                estimator = self.estimator(database)
-            if resolved == AUTO:
-                with obs.span("gumbo.choose"):
-                    choice = choose_strategy(sgf, estimator, self.options)
-                plan_span.set(strategy=choice.strategy, jobs=len(choice.program))
-                return choice.program, choice.strategy, choice
-            if resolved in SGF_STRATEGIES:
-                program = build_sgf_program(sgf, resolved, estimator, self.options)
-            else:
-                program = build_bsgf_program(
-                    list(sgf.subqueries), resolved, estimator, self.options
-                )
-            plan_span.set(strategy=resolved, jobs=len(program))
-            return program, resolved, None
-
-    def _resolve_strategy(self, query: SGFQuery, strategy: Optional[str]) -> str:
-        if strategy is None:
-            strategy = self.options.default_strategy
-        normalised = normalise_strategy(strategy)
-        has_dependencies = bool(query.intermediate_names)
-        if has_dependencies and normalised in _SGF_EQUIVALENT:
-            return _SGF_EQUIVALENT[normalised]
-        return normalised
 
     # -- execution --------------------------------------------------------------------------
 
@@ -307,12 +238,15 @@ class Gumbo:
         result's ``strategy`` is the concrete winner, ``choice`` the
         breakdown).
         """
-        sgf = self.as_sgf(query)
         with obs.trace("gumbo.execute", enabled=self.options.trace) as handle:
-            program, resolved, choice = self._plan_resolved(sgf, database, strategy)
-            handle.set(strategy=resolved, backend=self.backend.name)
+            planned = self.plan_with(query, database, strategy)
+            handle.set(strategy=planned.strategy, backend=self.backend.name)
             return self.execute_program(
-                sgf, database, program, strategy=resolved, choice=choice
+                planned.query,
+                database,
+                planned.program,
+                strategy=planned.strategy,
+                choice=planned.choice,
             )
 
     def execute_program(
@@ -351,6 +285,59 @@ class Gumbo:
             choice=choice,
         )
 
+    def execute_dynamic(self, query: QueryLike, database: Database) -> "DynamicResult":
+        """Evaluate *query* stage by stage, re-planning after every stage.
+
+        Section 4.6's dynamic strategy: static plans size intermediates by
+        upper bounds, so this loop instead
+
+        1. runs ``Greedy-SGF`` over the not-yet-evaluated subqueries,
+        2. runs only the *first* group of that multiway topological sort
+           (as GOPT, the ``Greedy-BSGF`` grouping) on the backend,
+        3. adds every output to a working copy of the database, whose fresh
+           statistics give later stages the intermediates' *actual* sizes,
+
+        until every subquery has been evaluated.  The price is one planning
+        pass per stage.
+        """
+        sgf = self.as_sgf(query)
+        working = database.copy()
+        outputs: Dict[str, Relation] = {}
+        stages: List[DynamicStage] = []
+        remaining: List[BSGFQuery] = list(sgf.subqueries)
+        while remaining:
+            index = len(stages)
+            remaining_query = SGFQuery(tuple(remaining), name=f"{sgf.name}@{index}")
+            estimator = self.estimator(working)
+            # Only the outputs still to come need upper-bound estimates.
+            register_intermediate_estimates(remaining_query, estimator.catalog)
+            graph = DependencyGraph(remaining_query)
+            first_group = greedy_multiway_sort(graph)[0]
+            stage_queries = [graph.subquery(name) for name in first_group]
+            program = greedy_stage_program(
+                stage_queries,
+                estimator,
+                self.options,
+                name=f"dynamic-stage-{index}",
+                job_prefix=f"d{index}-",
+            )
+            result = self.backend.run_program(program, working)
+            evaluated = [q.output for q in stage_queries]
+            for name, relation in result.outputs.items():
+                if name in evaluated:
+                    outputs[name] = relation
+                working.add_relation(relation)
+            stages.append(
+                DynamicStage(
+                    index=index,
+                    subqueries=evaluated,
+                    msj_groups=len(program) - 1,  # every job but the EVAL
+                    metrics=result.metrics,
+                )
+            )
+            remaining = [q for q in remaining if q.output not in evaluated]
+        return DynamicResult(query=sgf, outputs=outputs, stages=stages)
+
     # -- incremental delta evaluation ---------------------------------------------
 
     def materialize(
@@ -384,17 +371,35 @@ class Gumbo:
         with obs.trace("gumbo.execute_delta", enabled=self.options.trace):
             return refresh(materialization, inserts)
 
-    def compare_strategies(
-        self,
-        query: QueryLike,
-        database: Database,
-        strategies: Sequence[str],
-    ) -> Dict[str, GumboResult]:
-        """Run *query* under several strategies and return all results."""
-        return {
-            strategy: self.execute(query, database, strategy)
-            for strategy in strategies
-        }
+
+@dataclass
+class DynamicStage:
+    """One stage of a dynamic evaluation: the group evaluated and its metrics."""
+
+    index: int
+    subqueries: List[str]
+    msj_groups: int
+    metrics: ProgramMetrics
+
+
+@dataclass
+class DynamicResult:
+    """Outcome of :meth:`Gumbo.execute_dynamic`: every subquery's output."""
+
+    query: SGFQuery
+    outputs: Dict[str, Relation]
+    stages: List[DynamicStage] = field(default_factory=list)
+
+    @property
+    def metrics(self) -> ProgramMetrics:
+        """Aggregated metrics over all stages (net time adds up across stages)."""
+        combined = ProgramMetrics()
+        for stage in self.stages:
+            combined = combined.merge(stage.metrics)
+        return combined
+
+    def output(self, name: Optional[str] = None) -> Relation:
+        return self.outputs[name or self.query.output]
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ The options bundle is passed to every job builder and plan strategy so that
 individual optimisations can be switched off for the ablation benchmarks.
 It also carries the *execution backend* selection (serial in-process
 simulation vs the multi-process runtime), so backend choice threads
-through :class:`~repro.core.gumbo.Gumbo` and the dynamic executor the same
-way the optimisation switches do.  It is the one options type of every
+through :class:`~repro.core.gumbo.Gumbo` (static and dynamic plans alike)
+the same way the optimisation switches do.  It is the one options type of every
 entry point: :func:`repro.connect`, the query service, ``Gumbo`` and the
 CLI (whose flags lift into it) all take a ``GumboOptions``.
 """

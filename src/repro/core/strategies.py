@@ -21,6 +21,11 @@ SGF strategies (Section 5.3)
     * ``GREEDY-SGF`` — the greedy multiway topological sort, each group
       evaluated with ``Greedy-BSGF`` grouping;
     * ``OPTIMAL-SGF``— brute-force sort (small queries only).
+
+:func:`plan_strategy` is the one entry that turns a requested strategy name
+— an alias, ``"auto"``, or a BSGF name asked of a nested query — into a
+program; :class:`~repro.core.gumbo.Gumbo` and the AUTO loop both plan
+through it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .. import obs
 from ..cost.estimates import RelationStats, StatisticsCatalog
 from ..mapreduce.program import MRProgram
 from ..query.bsgf import BSGFQuery
@@ -36,6 +42,7 @@ from ..query.sgf import SGFQuery
 from .costing import PlanCostEstimator
 from .fused import one_round_applicable
 from .greedy_bsgf import (
+    Partition,
     greedy_partition,
     optimal_partition,
     single_group_partition,
@@ -92,21 +99,23 @@ _ALIASES = {
 }
 
 
-def _normalise(strategy: str) -> str:
+def normalise_strategy(strategy: str) -> str:
+    """Canonical form of a strategy name (aliases resolved, e.g. → ``auto``)."""
     name = strategy.strip().lower().replace("_", "-").replace(" ", "-")
     return _ALIASES.get(name, name)
 
 
-def normalise_strategy(strategy: str) -> str:
-    """Canonical form of a strategy name (aliases resolved, e.g. → ``auto``)."""
-    return _normalise(strategy)
+#: The SGF strategy a BSGF strategy name stands for on a nested SGF query.
+_SGF_EQUIVALENT = {SEQ: SEQUNIT, PAR: PARUNIT, GREEDY: GREEDY_SGF, OPTIMAL: OPTIMAL_SGF}
+
+#: Size bounds of the brute-force OPTIMAL (semi-joins) and OPTIMAL-SGF
+#: (subqueries) strategies in :func:`applicable_strategies`.
+MAX_OPTIMAL_SPECS = 6
+MAX_OPTIMAL_SUBQUERIES = 5
 
 
 def applicable_strategies(
-    query: SGFQuery,
-    include_optimal: bool = True,
-    max_optimal_specs: int = 6,
-    max_optimal_subqueries: int = 5,
+    query: SGFQuery, include_optimal: bool = True
 ) -> List[str]:
     """Every evaluation strategy applicable to *query*, in canonical order.
 
@@ -114,19 +123,20 @@ def applicable_strategies(
     sweeps: nested queries (with dependencies between subqueries) get the SGF
     strategies, flat query sets get the BSGF strategies.  The brute-force
     OPTIMAL variants enumerate set partitions / topological sorts, so they are
-    only included below the given size bounds (or never, when
+    only included up to :data:`MAX_OPTIMAL_SUBQUERIES` subqueries /
+    :data:`MAX_OPTIMAL_SPECS` semi-joins (or never, when
     *include_optimal* is false); 1-ROUND is included only when every subquery
     satisfies the shared-join-key condition of Section 5.1.
     """
     nested = bool(query.intermediate_names)
     if nested:
         names = [SEQUNIT, PARUNIT, GREEDY_SGF]
-        if include_optimal and len(query) <= max_optimal_subqueries:
+        if include_optimal and len(query) <= MAX_OPTIMAL_SUBQUERIES:
             names.append(OPTIMAL_SGF)
         return names
     names = [SEQ, PAR, GREEDY]
     total_specs = sum(len(q.conditional_atoms) for q in query)
-    if include_optimal and total_specs <= max_optimal_specs:
+    if include_optimal and total_specs <= MAX_OPTIMAL_SPECS:
         names.append(OPTIMAL)
     if all(one_round_applicable(q) for q in query):
         names.append(ONE_ROUND)
@@ -150,12 +160,15 @@ def build_bsgf_program(
     options: Optional[GumboOptions] = None,
     name: Optional[str] = None,
 ) -> MRProgram:
-    """Build the MR program evaluating a set of BSGF queries under *strategy*."""
+    """Build the MR program evaluating a set of BSGF queries under *strategy*.
+
+    *strategy* is a canonical BSGF name (see :func:`plan_strategy` for
+    aliases and nested queries).
+    """
     queries = list(queries)
     if not queries:
         raise ValueError("no queries given")
     options = options or GumboOptions()
-    strategy = _normalise(strategy)
     name = name or f"{strategy}:{'+'.join(q.output for q in queries)}"
 
     if strategy == SEQ:
@@ -170,23 +183,7 @@ def build_bsgf_program(
                 )
         return build_one_round_program(queries, options, name=name)
 
-    specs = all_semijoin_specs(queries)
-    if strategy == PAR:
-        groups = singleton_partition(specs)
-    elif strategy == GREEDY:
-        if estimator is None:
-            raise ValueError("the GREEDY strategy needs a cost estimator")
-        groups = greedy_partition(specs, estimator)
-    elif strategy == OPTIMAL:
-        if estimator is None:
-            raise ValueError("the OPTIMAL strategy needs a cost estimator")
-        groups, _ = optimal_partition(specs, estimator)
-    else:
-        raise ValueError(
-            f"unknown BSGF strategy {strategy!r}; expected one of {BSGF_STRATEGIES}"
-        )
-    plan = BasicPlan(queries, groups, options, name=name)
-    return plan.to_program()
+    return bsgf_plan(queries, strategy, estimator, options, name=name).to_program()
 
 
 def bsgf_plan(
@@ -194,27 +191,31 @@ def bsgf_plan(
     strategy: str,
     estimator: Optional[PlanCostEstimator] = None,
     options: Optional[GumboOptions] = None,
+    name: Optional[str] = None,
 ) -> BasicPlan:
-    """The :class:`BasicPlan` (partition view) for the two-round strategies."""
+    """The :class:`BasicPlan` (partition view) of PAR, GREEDY, OPTIMAL or 1-ROUND.
+
+    PAR, GREEDY and OPTIMAL run as this plan's two-round program; 1-ROUND's
+    view is the single group of all semi-joins that its fused job evaluates.
+    """
     queries = list(queries)
-    options = options or GumboOptions()
-    strategy = _normalise(strategy)
     specs = all_semijoin_specs(queries)
+    if strategy in (GREEDY, OPTIMAL) and estimator is None:
+        raise ValueError(f"the {strategy.upper()} strategy needs a cost estimator")
     if strategy == PAR:
         groups = singleton_partition(specs)
     elif strategy == GREEDY:
-        if estimator is None:
-            raise ValueError("the GREEDY strategy needs a cost estimator")
         groups = greedy_partition(specs, estimator)
     elif strategy == OPTIMAL:
-        if estimator is None:
-            raise ValueError("the OPTIMAL strategy needs a cost estimator")
         groups, _ = optimal_partition(specs, estimator)
     elif strategy == ONE_ROUND:
         groups = single_group_partition(specs)
     else:
-        raise ValueError(f"strategy {strategy!r} has no BasicPlan representation")
-    return BasicPlan(queries, groups, options, name=strategy)
+        raise ValueError(
+            f"unknown BSGF strategy {strategy!r}; expected one of {BSGF_STRATEGIES} "
+            f"(SEQ has no partition view)"
+        )
+    return BasicPlan(queries, groups, options or GumboOptions(), name=name or strategy)
 
 
 # -- SGF queries ---------------------------------------------------------------------------
@@ -254,32 +255,31 @@ def build_sgf_program(
     options: Optional[GumboOptions] = None,
     name: Optional[str] = None,
 ) -> MRProgram:
-    """Build the MR program evaluating an SGF query under *strategy*."""
+    """Build the MR program evaluating an SGF query under *strategy*.
+
+    *strategy* is a canonical SGF name (see :func:`plan_strategy` for
+    aliases and the BSGF names of nested queries).
+    """
     options = options or GumboOptions()
-    strategy = _normalise(strategy)
     name = name or f"{strategy}:{query.name}"
     graph = DependencyGraph(query)
 
     if estimator is not None:
         register_intermediate_estimates(query, estimator.catalog)
+    elif strategy in (GREEDY_SGF, OPTIMAL_SGF):
+        raise ValueError(f"the {strategy.upper()} strategy needs a cost estimator")
 
     if strategy == SEQUNIT:
         groups = sequnit_sort(graph)
-        grouping = PAR
     elif strategy == PARUNIT:
         groups = parunit_sort(graph)
-        grouping = PAR
     elif strategy == GREEDY_SGF:
         groups = greedy_multiway_sort(graph)
-        grouping = GREEDY
     elif strategy == OPTIMAL_SGF:
-        if estimator is None:
-            raise ValueError("the OPTIMAL-SGF strategy needs a cost estimator")
         groups, _ = optimal_multiway_sort(
             graph,
-            lambda queries: _group_cost(queries, estimator),
+            lambda queries: sgf_group_cost(queries, estimator),
         )
-        grouping = GREEDY
     else:
         raise ValueError(
             f"unknown SGF strategy {strategy!r}; expected one of {SGF_STRATEGIES}"
@@ -288,21 +288,16 @@ def build_sgf_program(
     program: Optional[MRProgram] = None
     for stage_index, group in enumerate(groups):
         stage_queries = [graph.subquery(q) for q in group]
-        if grouping == PAR:
-            stage_program = _ungrouped_stage_program(
-                stage_queries, options, prefix=f"s{stage_index}-"
-            )
+        prefix = f"s{stage_index}-"
+        if strategy in (SEQUNIT, PARUNIT):
+            stage_program = _ungrouped_stage_program(stage_queries, options, prefix)
         else:
-            specs = all_semijoin_specs(stage_queries)
-            if estimator is None:
-                raise ValueError("the GREEDY-SGF strategy needs a cost estimator")
-            stage_groups = greedy_partition(specs, estimator)
-            stage_program = build_two_round_program(
+            stage_program = greedy_stage_program(
                 stage_queries,
-                stage_groups,
+                estimator,
                 options,
                 name=f"{name}-stage{stage_index}",
-                job_prefix=f"s{stage_index}-",
+                job_prefix=prefix,
             )
         program = (
             stage_program
@@ -336,20 +331,34 @@ def _ungrouped_stage_program(
     return program
 
 
-def _group_cost(
-    queries: Sequence[BSGFQuery], estimator: PlanCostEstimator
-) -> float:
-    """cost(GOPT(F_i)): greedy grouping cost of one multiway-sort group."""
-    specs = all_semijoin_specs(queries)
-    groups = greedy_partition(specs, estimator)
-    return estimator.basic_program_cost(queries, groups)
+def _gopt(queries: Sequence[BSGFQuery], estimator: PlanCostEstimator) -> Partition:
+    """GOPT(F): the Greedy-BSGF partition of one group's semi-joins."""
+    return greedy_partition(all_semijoin_specs(queries), estimator)
+
+
+def greedy_stage_program(
+    queries: Sequence[BSGFQuery],
+    estimator: PlanCostEstimator,
+    options: GumboOptions,
+    name: str,
+    job_prefix: str,
+) -> MRProgram:
+    """One Greedy-SGF stage: the basic MR program of GOPT(F) for group *queries*.
+
+    The static Greedy-SGF / SGF-Opt plans and every stage of
+    :meth:`Gumbo.execute_dynamic <repro.core.gumbo.Gumbo.execute_dynamic>`
+    evaluate their groups with this program.
+    """
+    return build_two_round_program(
+        queries, _gopt(queries, estimator), options, name=name, job_prefix=job_prefix
+    )
 
 
 def sgf_group_cost(
     queries: Sequence[BSGFQuery], estimator: PlanCostEstimator
 ) -> float:
-    """Public alias of the per-group cost used by Greedy-SGF / SGF-Opt."""
-    return _group_cost(queries, estimator)
+    """cost(GOPT(F_i)): the per-group cost driving SGF-Opt (Equation (10))."""
+    return estimator.basic_program_cost(queries, _gopt(queries, estimator))
 
 
 # -- AUTO: cost-based strategy selection ------------------------------------------------
@@ -389,8 +398,9 @@ def choose_strategy(
 ) -> StrategyChoice:
     """Cost every applicable strategy for *query* and return the cheapest.
 
-    Every candidate of :func:`applicable_strategies` is planned into an
-    executable :class:`~repro.mapreduce.program.MRProgram` and costed with
+    Every candidate of :func:`applicable_strategies` is planned by
+    :func:`plan_strategy` into an executable
+    :class:`~repro.mapreduce.program.MRProgram` and costed with
     :meth:`PlanCostEstimator.program_cost` — the same estimator that drives
     the greedy optimizers, so the comparison is apples to apples.  Ties keep
     the earlier candidate in canonical order; a candidate whose planner
@@ -398,19 +408,13 @@ def choose_strategy(
     always plans (SEQ / SEQUNIT have no applicability precondition).
     """
     options = options or GumboOptions()
-    nested = bool(query.intermediate_names)
     register_intermediate_estimates(query, estimator.catalog)
     costs: Dict[str, float] = {}
     errors: Dict[str, str] = {}
     best: Optional[Tuple[float, str, MRProgram]] = None
     for name in applicable_strategies(query, include_optimal=include_optimal):
         try:
-            if nested:
-                program = build_sgf_program(query, name, estimator, options)
-            else:
-                program = build_bsgf_program(
-                    list(query.subqueries), name, estimator, options
-                )
+            _, program, _ = plan_strategy(query, name, estimator, options)
             cost = estimator.program_cost(program)
         except Exception as exc:  # noqa: BLE001 - a failing candidate is skipped
             errors[name] = f"{type(exc).__name__}: {exc}"
@@ -427,3 +431,39 @@ def choose_strategy(
     return StrategyChoice(
         strategy=name, program=program, cost=cost, costs=costs, errors=errors
     )
+
+
+# -- resolving a requested strategy ---------------------------------------------------
+
+
+def plan_strategy(
+    query: SGFQuery,
+    strategy: str,
+    estimator: Optional[PlanCostEstimator],
+    options: Optional[GumboOptions] = None,
+) -> Tuple[str, MRProgram, Optional[StrategyChoice]]:
+    """Plan *query* under a requested *strategy*: ``(name, program, choice)``.
+
+    The one place a requested strategy name is resolved: aliases are
+    normalised; ``"auto"`` plans the winner of :func:`choose_strategy` and
+    returns its cost breakdown as *choice* (``None`` for every other name);
+    on a nested SGF query a BSGF name plans its SGF counterpart (SEQ →
+    SEQUNIT, PAR → PARUNIT, GREEDY → GREEDY-SGF, OPTIMAL → OPTIMAL-SGF),
+    while 1-ROUND, which has none, raises ``ValueError``.
+    """
+    name = normalise_strategy(strategy)
+    if name == AUTO:
+        with obs.span("gumbo.choose"):
+            choice = choose_strategy(query, estimator, options)
+        return choice.strategy, choice.program, choice
+    if query.intermediate_names:
+        if name == ONE_ROUND:
+            raise ValueError(
+                f"1-ROUND does not apply to the nested SGF query {query.name!r} "
+                f"(its subqueries read each other's outputs)"
+            )
+        name = _SGF_EQUIVALENT.get(name, name)
+    if name in SGF_STRATEGIES:
+        return name, build_sgf_program(query, name, estimator, options), None
+    subqueries = list(query.subqueries)
+    return name, build_bsgf_program(subqueries, name, estimator, options), None

@@ -1,6 +1,6 @@
 """The execution-backend seam: one planner, interchangeable runtimes.
 
-The planning layers (strategies, Gumbo, the dynamic executor) produce
+The planning layers (strategies, Gumbo and its dynamic re-planning) produce
 :class:`~repro.mapreduce.program.MRProgram` DAGs; *how* those programs are
 executed is an independent choice captured by :class:`ExecutionBackend`:
 

@@ -19,6 +19,7 @@ from ..baselines.plans import (
 )
 from ..core.gumbo import Gumbo
 from ..core.options import GumboOptions
+from ..core.strategies import normalise_strategy
 from ..cost.models import CostModel
 from ..model.database import Database
 from ..query.bsgf import BSGFQuery
@@ -165,7 +166,7 @@ class ExperimentRunner:
         environment: Optional[ScaledEnvironment] = None,
     ) -> RunRecord:
         """Dispatch to Gumbo or baseline execution based on the strategy name."""
-        normalised = strategy.strip().lower().replace("_", "-").replace(" ", "-")
+        normalised = normalise_strategy(strategy)
         if normalised in BASELINE_STRATEGIES:
             if isinstance(queries, SGFQuery):
                 queries = list(queries.subqueries)

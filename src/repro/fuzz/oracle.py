@@ -5,7 +5,8 @@ with the reference evaluator of Section 3.1 (:func:`repro.query.reference.
 evaluate_sgf` — the semantics *by definition*), has sqlite3 compute it again
 from a whole-query translation (:mod:`repro.fuzz.sql_oracle`), and then
 executes the program under every applicable evaluation strategy on every
-configured execution backend, plus the dynamic re-planning executor.  Four
+configured execution backend, plus dynamic re-planning
+(:meth:`~repro.core.gumbo.Gumbo.execute_dynamic`).  Four
 kinds of divergence are reported:
 
 * ``reference`` — the two reference answers differ: one of them is wrong,
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..core.dynamic import DynamicSGFExecutor
 from ..core.gumbo import Gumbo
 from ..core.options import GumboOptions
 from ..core.strategies import AUTO, applicable_strategies
@@ -39,7 +39,7 @@ from ..query.sgf import SGFQuery
 from ..exec.base import PARALLEL, SHARDED, make_backend, normalise_backend
 from .sql_oracle import SQLOracleUnsupported, sql_answers
 
-#: Pseudo-strategy name under which the dynamic executor is reported.
+#: Pseudo-strategy name under which dynamic re-planning is reported.
 DYNAMIC = "dynamic"
 
 #: Suffix of the axes that run the batch-kernel execution path.
@@ -90,7 +90,8 @@ class DifferentialOracle:
     engine:
         The shared MapReduce engine (paper-cluster default when omitted).
     include_dynamic:
-        Also run the dynamic re-planning executor on every backend.
+        Also run dynamic re-planning (``Gumbo.execute_dynamic``) on every
+        backend.
     include_optimal:
         Include the brute-force OPTIMAL / OPTIMAL-SGF strategies (within the
         size bounds of :func:`repro.core.strategies.applicable_strategies`).
@@ -167,10 +168,6 @@ class DifferentialOracle:
         self._backends = {name: backend for name, backend, _ in axes}
         self._gumbos = {
             name: Gumbo(backend=backend, options=options)
-            for name, backend, options in axes
-        }
-        self._dynamics = {
-            name: DynamicSGFExecutor(backend=backend, options=options)
             for name, backend, options in axes
         }
 
@@ -288,9 +285,9 @@ class DifferentialOracle:
     # -- incremental checking -----------------------------------------------------
 
     def incremental_strategies(self, program: SGFQuery) -> List[str]:
-        """Strategies swept by the incremental oracle (no dynamic executor).
+        """Strategies swept by the incremental oracle (no dynamic re-planning).
 
-        The dynamic executor re-plans mid-flight and has no materialization
+        Dynamic re-planning re-plans mid-flight and has no materialization
         notion; every plannable strategy — including AUTO — must however
         produce a materialization whose incremental refresh matches a full
         recompute.
@@ -417,19 +414,17 @@ class DifferentialOracle:
         database: Database,
     ) -> Tuple[Dict[str, Answer], Dict[str, float]]:
         """Execute one combination, returning answers and the simulated summary."""
+        gumbo = self._gumbos[backend_name]
         if strategy == DYNAMIC:
-            result = self._dynamics[backend_name].execute(program, database)
-            answers = {
-                name: frozenset(relation.tuples())
-                for name, relation in result.outputs.items()
-            }
-            return answers, result.metrics.summary()
-        result = self._gumbos[backend_name].execute(program, database, strategy)
+            dynamic = gumbo.execute_dynamic(program, database)
+            outputs, metrics = dynamic.outputs, dynamic.metrics
+        else:
+            result = gumbo.execute(program, database, strategy)
+            outputs, metrics = result.all_outputs, result.metrics
         answers = {
-            name: frozenset(relation.tuples())
-            for name, relation in result.all_outputs.items()
+            name: frozenset(relation.tuples()) for name, relation in outputs.items()
         }
-        return answers, result.summary()
+        return answers, metrics.summary()
 
 
 def _diff_answers(

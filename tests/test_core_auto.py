@@ -171,7 +171,10 @@ class TestAutoThroughGumbo:
         db = star_database()
         query = "Z := SELECT (x, y, z, w) FROM R(x, y, z, w) WHERE S(x) AND T(x);"
         gumbo = Gumbo()
-        program = gumbo.plan(query, db, AUTO)
-        choice = gumbo.choose(query, db)
+        planned = gumbo.plan_with(query, db, AUTO)
+        program = planned.program
+        choice = choose_strategy(Gumbo.as_sgf(query), gumbo.estimator(db))
+        assert planned.strategy == choice.strategy
+        assert planned.choice.costs == choice.costs
         assert program.rounds() == choice.program.rounds()
         assert len(program) == len(choice.program)

@@ -119,7 +119,8 @@ class TestMSJEstimates:
             jobs = [MSJJob("msj", specs, options, emit_projection=False)]
             estimates = [estimator.msj_partitions(specs)]
         else:
-            program = Gumbo(options=options).plan(workload_query(query_id), db, "seq")
+            gumbo = Gumbo(options=options)
+            program = gumbo.plan_with(workload_query(query_id), db, "seq").program
             jobs = program.levels()[0]
             assert jobs and all(isinstance(job, SemiJoinChainJob) for job in jobs)
             estimates = [estimator.job_estimate(job).profile.partitions for job in jobs]

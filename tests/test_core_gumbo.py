@@ -113,9 +113,12 @@ class TestExecution:
 
     def test_compare_strategies(self, gumbo):
         db = star_database()
-        results = gumbo.compare_strategies(star_query(), db, ["seq", "par", "greedy"])
-        assert set(results) == {"seq", "par", "greedy"}
-        answers = {as_set(r.output()) for r in results.values()}
+        results = [
+            gumbo.execute(star_query(), db, strategy)
+            for strategy in ("seq", "par", "greedy")
+        ]
+        assert [r.strategy for r in results] == ["seq", "par", "greedy"]
+        answers = {as_set(r.output()) for r in results}
         assert len(answers) == 1
 
 
@@ -136,13 +139,14 @@ class TestConfiguration:
     def test_plan_only(self):
         gumbo = Gumbo()
         db = star_database()
-        program = gumbo.plan(star_query(), db, "par")
-        assert len(program) == 5
+        planned = gumbo.plan_with(star_query(), db, "par")
+        assert planned.strategy == "par" and planned.choice is None
+        assert len(planned.program) == 5
 
     def test_options_propagate_to_plan(self):
         db = star_database()
         no_packing = Gumbo(options=GumboOptions(message_packing=False))
-        program = no_packing.plan(shared_key_query(), db, "par")
+        program = no_packing.plan_with(shared_key_query(), db, "par").program
         for job in program.jobs:
             if hasattr(job, "uses_combiner") and job.job_id.startswith("msj"):
                 assert not job.uses_combiner()

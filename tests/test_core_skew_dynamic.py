@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.dynamic import DynamicSGFExecutor
+from repro.core.gumbo import Gumbo
+from repro.core.options import GumboOptions
 from repro.core.msj import MSJJob
 from repro.core.skew import (
     HeavyHitterReport,
@@ -11,6 +12,7 @@ from repro.core.skew import (
     skew_aware_msj,
 )
 from repro.cost.estimates import StatisticsCatalog
+from repro.exec.simulated import SimulatedBackend
 from repro.mapreduce.engine import MapReduceEngine
 from repro.model.database import Database
 from repro.query.parser import parse_bsgf
@@ -132,7 +134,7 @@ class TestDynamicExecutor:
     def test_matches_reference_on_nested_query(self):
         query = nested_sgf()
         db = small_database()
-        result = DynamicSGFExecutor().execute(query, db)
+        result = Gumbo().execute_dynamic(query, db)
         reference = evaluate_sgf(query, db)
         for name in query.output_names:
             assert as_set(result.outputs[name]) == as_set(reference[name]), name
@@ -141,7 +143,7 @@ class TestDynamicExecutor:
     def test_matches_reference_on_experiment_queries(self, query_id):
         query = sgf_query(query_id)
         db = database_for(query, guard_tuples=120, selectivity=0.5, seed=9)
-        result = DynamicSGFExecutor().execute(query, db)
+        result = Gumbo().execute_dynamic(query, db)
         reference = evaluate_sgf(query, db)
         for name in query.output_names:
             assert as_set(result.outputs[name]) == as_set(reference[name]), name
@@ -149,7 +151,7 @@ class TestDynamicExecutor:
     def test_stages_cover_all_subqueries_exactly_once(self):
         query = sgf_query("C4")
         db = database_for(query, guard_tuples=80, selectivity=0.5, seed=9)
-        result = DynamicSGFExecutor().execute(query, db)
+        result = Gumbo().execute_dynamic(query, db)
         evaluated = [name for stage in result.stages for name in stage.subqueries]
         assert sorted(evaluated) == sorted(query.output_names)
         assert len(result.stages) >= 2  # at least one re-planning step
@@ -157,7 +159,7 @@ class TestDynamicExecutor:
     def test_metrics_aggregate_over_stages(self):
         query = nested_sgf()
         db = small_database()
-        result = DynamicSGFExecutor().execute(query, db)
+        result = Gumbo().execute_dynamic(query, db)
         assert result.metrics.net_time == pytest.approx(
             sum(stage.metrics.net_time for stage in result.stages)
         )
@@ -167,16 +169,34 @@ class TestDynamicExecutor:
 
     def test_dynamic_total_time_close_to_static_greedy(self):
         """Dynamic re-planning should not be worse than static GREEDY-SGF by much."""
-        from repro.core.gumbo import Gumbo
-
         query = sgf_query("C4")
         db = database_for(query, guard_tuples=150, selectivity=0.5, seed=10)
         static = Gumbo().execute(query, db, "greedy-sgf").metrics.total_time
-        dynamic = DynamicSGFExecutor().execute(query, db).metrics.total_time
+        dynamic = Gumbo().execute_dynamic(query, db).metrics.total_time
         assert dynamic <= 1.5 * static
 
     def test_output_accessor(self):
         query = nested_sgf()
         db = small_database()
-        result = DynamicSGFExecutor().execute(query, db)
+        result = Gumbo().execute_dynamic(query, db)
         assert result.output().name == query.output
+
+    def test_runs_on_the_gumbos_own_backend(self):
+        """Every stage runs on ``gumbo.backend``: there is no second backend
+        whose width could differ from the one ``options`` asks for."""
+        ran = []
+
+        class CountingBackend(SimulatedBackend):
+            def run_program(self, program, database):
+                ran.append(program.name)
+                return super().run_program(program, database)
+
+        query = sgf_query("C4")
+        db = database_for(query, guard_tuples=80, selectivity=0.5, seed=9)
+        result = Gumbo(backend=CountingBackend()).execute_dynamic(query, db)
+        assert ran == [f"dynamic-stage-{stage.index}" for stage in result.stages]
+        assert len(ran) >= 2
+        sharded = Gumbo(options=GumboOptions(backend="sharded", shards=3))
+        assert sharded.backend.shards == 3
+        assert not sharded.backend.cluster.started  # no worker was started
+        sharded.close()

@@ -2,20 +2,37 @@
 
 import pytest
 
+import repro
+from repro.cli import main
 from repro.core.costing import PlanCostEstimator
+from repro.core.gumbo import Gumbo
 from repro.core.options import GumboOptions
 from repro.core.strategies import (
+    AUTO,
     BSGF_STRATEGIES,
+    GREEDY,
+    MAX_OPTIMAL_SPECS,
+    MAX_OPTIMAL_SUBQUERIES,
+    ONE_ROUND,
+    OPTIMAL,
+    OPTIMAL_SGF,
+    PAR,
+    SEQ,
     SGF_STRATEGIES,
     all_semijoin_specs,
     bsgf_plan,
     build_bsgf_program,
     build_sgf_program,
+    plan_strategy,
     register_intermediate_estimates,
 )
 from repro.cost.estimates import StatisticsCatalog
+from repro.fuzz.generator import generate_case
+from repro.io import save_database
 from repro.mapreduce.engine import MapReduceEngine
+from repro.model.database import Database
 from repro.query.reference import evaluate_bsgf, evaluate_sgf
+from repro.query.sgf import SGFQuery
 from repro.workloads.queries import bsgf_query_set, database_for, sgf_query
 
 from helpers import (
@@ -104,12 +121,12 @@ class TestBSGFStrategies:
             )
 
     def test_strategy_name_normalisation(self):
-        query, db = shared_key_query(), star_database()
-        program = build_bsgf_program([query], "GREEDY", estimator_for(db))
-        assert len(program) >= 2
+        query, db = SGFQuery((shared_key_query(),)), star_database()
+        name, program, _ = plan_strategy(query, "GREEDY", estimator_for(db))
+        assert name == "greedy" and len(program) >= 2
         # "ONE_ROUND" is accepted as an alias of the canonical "1-round".
-        aliased = build_bsgf_program([query], "ONE_ROUND", estimator_for(db))
-        assert len(aliased) == 1
+        name, aliased, _ = plan_strategy(query, "ONE_ROUND", estimator_for(db))
+        assert name == "1-round" and len(aliased) == 1
 
     def test_bsgf_plan_views(self):
         query, db = star_query(), star_database()
@@ -193,3 +210,75 @@ class TestSGFStrategies:
             "greedy-sgf",
             "optimal-sgf",
         }
+
+
+#: Two statements, the second reading the first: a nested SGF query.
+NESTED_TEXT = (
+    "X := SELECT (x, y) FROM R(x, y) WHERE S(x); "
+    "Z := SELECT x FROM X(x, y) WHERE T(y);"
+)
+NESTED_ROWS = {"R": [(1, 2), (3, 4)], "S": [(1,)], "T": [(2,)]}
+
+
+class TestStrategyResolution:
+    """Every requested name is resolved for the query by ``plan_strategy``."""
+
+    @pytest.mark.parametrize(
+        "requested, planned",
+        [
+            ("seq", "sequnit"),
+            ("par", "parunit"),
+            ("greedy", "greedy-sgf"),
+            ("optimal", "optimal-sgf"),
+            ("OPTIMAL", "optimal-sgf"),
+        ],
+    )
+    def test_bsgf_names_plan_sgf_counterparts_of_nested_queries(
+        self, requested, planned
+    ):
+        with repro.connect(NESTED_ROWS) as conn:
+            result = conn.execute(NESTED_TEXT, requested)
+        assert result.strategy == planned
+        assert sorted(result.tuples()) == [(1,)]
+
+    def test_one_round_on_nested_query_raises(self, tmp_path):
+        database = Database.from_dict(NESTED_ROWS)
+        with pytest.raises(ValueError, match="1-ROUND"):
+            Gumbo().execute(NESTED_TEXT, database, "1-round")
+        with repro.connect(NESTED_ROWS) as conn:
+            with pytest.raises(ValueError, match="1-ROUND"):
+                conn.execute(NESTED_TEXT, "one-round")
+        data = str(tmp_path / "data")
+        save_database(database, data)
+        argv = ["query", "--query", NESTED_TEXT, "--data", data]
+        with pytest.raises(ValueError, match="1-ROUND"):
+            main(argv + ["--strategy", "1-round"])
+
+    def test_every_name_matches_reference_or_raises_value_error(self):
+        """Flat and nested fuzz programs: no name gives a wrong answer."""
+        names = BSGF_STRATEGIES + SGF_STRATEGIES + (AUTO,)
+        kinds = set()
+        gumbo = Gumbo(backend="serial")
+        for index in range(25):
+            case = generate_case(34, index)
+            program, database = case.program, case.database
+            nested = bool(program.intermediate_names)
+            kinds.add(nested)
+            specs = sum(len(q.conditional_atoms) for q in program)
+            small = len(program) <= MAX_OPTIMAL_SUBQUERIES
+            small = small and specs <= MAX_OPTIMAL_SPECS
+            reference = evaluate_sgf(program, database)
+            for name in names:
+                if name in (OPTIMAL, OPTIMAL_SGF) and not small:
+                    continue
+                try:
+                    result = gumbo.execute(program, database, name)
+                except ValueError:
+                    assert not (nested and name in (SEQ, PAR, GREEDY)), name
+                    continue
+                assert name != ONE_ROUND or not nested
+                for output in program.output_names:
+                    assert as_set(result.all_outputs[output]) == as_set(
+                        reference[output]
+                    ), (case.case_id, name, output)
+        assert kinds == {False, True}, "the cases cover flat and nested programs"

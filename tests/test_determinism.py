@@ -4,10 +4,11 @@ The engine's contract is that outputs *and* every simulated metric are pure
 functions of (query, database, strategy, options) — nothing may leak Python's
 per-process hash randomisation.  ``tools/determinism_check.py`` canonically
 digests the sorted outputs, the shuffle orderings and the planner's estimates
-of a fixed workload mix, and the AUTO choices of one service's planning
-history; here it is spawned under different ``PYTHONHASHSEED`` values (and
-opposite job orders for its history-dependence cases) and the
-stdout must match byte for byte (the same check CI runs as a dedicated step).
+of a fixed workload mix, the AUTO choices of one service's planning
+history and dynamic re-planning of its SGF texts; here it is spawned under
+different ``PYTHONHASHSEED`` values (and opposite job orders for its
+history-dependence cases) and the stdout must match byte for byte (the same
+check CI runs as a dedicated step).
 """
 
 from __future__ import annotations
@@ -45,15 +46,18 @@ def test_digests_identical_across_hash_seeds():
         "engine output varied with PYTHONHASHSEED or job order:\n"
         f"--- seed 0 ---\n{first}\n--- seed 1, reversed ---\n{second}"
     )
-    # One planner-estimates line per case and strategy and one AUTO line per
-    # planning-history query, compared above; the remaining lines digest runs.
+    # One planner-estimates line per case and strategy, one AUTO line per
+    # planning-history query and one line per dynamically re-planned SGF
+    # text, compared above; the remaining lines digest runs.
     lines = first.strip().splitlines()
     assert any(" estimates=" in line for line in lines)
     assert any(line.startswith("planning-history ") for line in lines)
+    assert sum(line.startswith("dynamic ") for line in lines) == 4
     lines = [
         line
         for line in lines
-        if " estimates=" not in line and not line.startswith("planning-history ")
+        if " estimates=" not in line
+        and not line.startswith(("planning-history ", "dynamic "))
     ]
     # Kernel-auto and kernel-off lines of one combination share their digests
     # (parity), and every strategy appears for both cases.

@@ -15,7 +15,6 @@ import zlib
 import pytest
 
 from repro import obs
-from repro.core.dynamic import DynamicSGFExecutor
 from repro.core.gumbo import Gumbo
 from repro.core.options import GumboOptions
 from repro.core.skew import SkewAwareMSJJob, detect_heavy_hitters
@@ -266,8 +265,8 @@ class TestSGFStrategyParity:
     def test_dynamic_executor(self, serial_backend, parallel_backend):
         query = sgf_query("C2")
         database = database_for(query, guard_tuples=250, selectivity=0.5, seed=11)
-        serial = DynamicSGFExecutor(backend=serial_backend).execute(query, database)
-        parallel = DynamicSGFExecutor(backend=parallel_backend).execute(query, database)
+        serial = Gumbo(backend=serial_backend).execute_dynamic(query, database)
+        parallel = Gumbo(backend=parallel_backend).execute_dynamic(query, database)
         assert set(serial.outputs) == set(parallel.outputs)
         for name in serial.outputs:
             assert serial.outputs[name].tuples() == parallel.outputs[name].tuples()

@@ -38,8 +38,8 @@ class TestDeterminism:
     def test_plans_are_deterministic(self):
         db = star_database()
         gumbo = Gumbo()
-        first = gumbo.plan(star_query(), db, "greedy")
-        second = gumbo.plan(star_query(), db, "greedy")
+        first = gumbo.plan_with(star_query(), db, "greedy").program
+        second = gumbo.plan_with(star_query(), db, "greedy").program
         assert sorted(j.job_id for j in first.jobs) == sorted(
             j.job_id for j in second.jobs
         )
@@ -145,5 +145,6 @@ class TestQueryEdgeCases:
         rows = [(1, i) for i in range(500)]
         db = Database.from_dict({"R": rows, "S": [(1,)]})
         query = parse_bsgf("Z := SELECT (x, y) FROM R(x, y) WHERE S(x);")
-        result = MapReduceEngine().run_program(Gumbo().plan(query, db, "1-round"), db)
+        program = Gumbo().plan_with(query, db, "1-round").program
+        result = MapReduceEngine().run_program(program, db)
         assert len(result.outputs["Z"]) == 500

@@ -267,7 +267,7 @@ class TestConcurrentService:
         )
         big = "Z := SELECT (x, y) FROM R(x, y) WHERE S(x) AND S2(y);"
         small = "Z := SELECT (x, y) FROM T(x, y) WHERE U(x) AND U2(y);"
-        fresh = Gumbo().choose(small, db)
+        fresh = Gumbo().plan_with(small, db, "auto").choice
         with QueryService(db) as service:
             service.execute(big)  # registers 'Z'/'Z__*' estimates while planning
             served = service.execute(small)

@@ -25,7 +25,6 @@ import time
 
 import pytest
 
-from repro.core.dynamic import DynamicSGFExecutor
 from repro.core.gumbo import Gumbo
 from repro.core.options import GumboOptions
 from repro.exec import SimulatedBackend, make_backend, partition_index
@@ -308,8 +307,8 @@ class TestShardedParity:
     def test_dynamic_executor_parity(self, serial_backend, sharded_backend):
         query = sgf_query("C2")
         database = database_for(query, guard_tuples=150, selectivity=0.5, seed=11)
-        serial = DynamicSGFExecutor(backend=serial_backend).execute(query, database)
-        sharded = DynamicSGFExecutor(backend=sharded_backend).execute(query, database)
+        serial = Gumbo(backend=serial_backend).execute_dynamic(query, database)
+        sharded = Gumbo(backend=sharded_backend).execute_dynamic(query, database)
         assert set(serial.outputs) == set(sharded.outputs)
         for name in serial.outputs:
             assert serial.outputs[name].tuples() == sharded.outputs[name].tuples()

@@ -41,6 +41,12 @@ and a digest of every candidate's estimated cost, as IEEE-754 bit patterns:
 a statistic or memoised estimate one query leaves behind for the next shows
 up as a difference between the two orders.
 
+A last pass digests dynamic re-planning
+(:meth:`~repro.core.gumbo.Gumbo.execute_dynamic`) of each SGF text over
+that database: one ``dynamic`` line per text with its stage count, its
+``outputs`` and ``shuffle`` digests and a ``summary`` digest of the merged
+simulated metrics.
+
 Every line must be identical under every ``PYTHONHASHSEED`` and either job
 order: CI runs the script twice, with different seeds and opposite orders,
 and diffs the stdout; any divergence pinpoints the combination that went
@@ -143,33 +149,36 @@ def digest(lines) -> str:
     return hasher.hexdigest()[:16]
 
 
-def _digest_result(label: str, strategy: str, mode: str, result) -> str:
+def _digest_run(outputs, metrics) -> str:
+    """``outputs=`` and ``shuffle=`` digests of one run's relations and metrics."""
     output_lines = []
-    for name in sorted(result.all_outputs):
-        relation = result.all_outputs[name]
+    for name in sorted(outputs):
+        relation = outputs[name]
         for row in relation.sorted_tuples():
             output_lines.append(name + "|" + ",".join(canonical(v) for v in row))
 
     shuffle_lines = []
-    for job_id in sorted(result.metrics.job_metrics):
-        metrics = result.metrics.job_metrics[job_id]
+    for job_id in sorted(metrics.job_metrics):
+        job = metrics.job_metrics[job_id]
         shuffle_lines.append(
             "%s|map:%s|reduce:%s"
             % (
                 job_id,
-                ",".join(map(canonical, metrics.map_task_durations)),
-                ",".join(map(canonical, metrics.reduce_task_durations)),
+                ",".join(map(canonical, job.map_task_durations)),
+                ",".join(map(canonical, job.reduce_task_durations)),
             )
         )
+    return f"outputs={digest(output_lines)} shuffle={digest(shuffle_lines)}"
 
-    return (
-        f"{label} strategy={strategy} kernel={mode} "
-        f"outputs={digest(output_lines)} shuffle={digest(shuffle_lines)}"
+
+def _digest_result(label: str, strategy: str, mode: str, result) -> str:
+    return f"{label} strategy={strategy} kernel={mode} " + _digest_run(
+        result.all_outputs, result.metrics
     )
 
 
 def _digest_estimates(label: str, strategy: str, gumbo, query, database) -> str:
-    program = gumbo.plan(query, database, strategy)
+    program = gumbo.plan_with(query, database, strategy).program
     estimate = gumbo.estimator(database).program_estimate(program)
     lines = []
     for job_id, job in estimate.jobs:
@@ -249,16 +258,21 @@ def run_numeric_case(reverse: bool) -> None:
     print("\n".join(sorted(lines)))
 
 
+def _history_database(tuples: int) -> Database:
+    """The database of the batch shapes, which the SGF texts also read."""
+    return database_for(
+        [sub for shape in BATCH_SHAPES for sub in workload_query(shape)],
+        guard_tuples=tuples,
+        seed=7,
+    )
+
+
 def run_planning_history(tuples: int, reverse: bool) -> None:
     """AUTO-plan every query of the list on one service, in order or reversed."""
     from repro.service import QueryService
 
     queries = {shape: workload_query(shape) for shape in BATCH_SHAPES}
-    database = database_for(
-        [sub for query in queries.values() for sub in query],
-        guard_tuples=tuples,
-        seed=7,
-    )
+    database = _history_database(tuples)
     queries.update((label, parse_sgf(text)) for label, text in PLANNING_TEXTS.items())
     order = list(queries)[::-1] if reverse else list(queries)
     lines = []
@@ -271,6 +285,20 @@ def run_planning_history(tuples: int, reverse: bool) -> None:
                 f"costs={digest(costs)}"
             )
     print("\n".join(sorted(lines)))
+
+
+def run_dynamic(tuples: int) -> None:
+    """Dynamic re-planning of every SGF text: outputs and merged metrics."""
+    database = _history_database(tuples)
+    gumbo = Gumbo()
+    for label, text in PLANNING_TEXTS.items():
+        result = gumbo.execute_dynamic(parse_sgf(text), database)
+        metrics = result.metrics
+        summary = [f"{k}:{canonical(v)}" for k, v in sorted(metrics.summary().items())]
+        print(
+            f"dynamic {label} stages={len(result.stages)} "
+            f"{_digest_run(result.outputs, metrics)} summary={digest(summary)}"
+        )
 
 
 def main() -> None:
@@ -300,6 +328,7 @@ def main() -> None:
         run_fanout_case("mixed-types", mixed, mixed_db, transport)
     run_numeric_case(args.reverse_jobs)
     run_planning_history(args.tuples, args.reverse_jobs)
+    run_dynamic(args.tuples)
 
 
 if __name__ == "__main__":
