@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.selection import Selection
 from ..mapreduce.job import Key, MapReduceJob, OutputFact, REDUCERS_BY_INPUT
 from ..query.bsgf import BSGFQuery, SemiJoinSpec
 
@@ -140,6 +141,10 @@ class BaselineCombineJob(MapReduceJob):
                 )
             for c_index, name in enumerate(names):
                 self._membership[name] = (q_index, c_index)
+        self.selections = [
+            Selection.of_query(query, range(len(query.conditional_atoms)))
+            for query in self.queries
+        ]
 
     def input_relations(self) -> Sequence[str]:
         names: List[str] = []
@@ -181,22 +186,11 @@ class BaselineCombineJob(MapReduceJob):
         return pairs
 
     def reduce(self, key: Key, values: List[object]) -> Iterable[OutputFact]:
-        q_index = key[0]
-        row = tuple(key[1:])
-        query = self.queries[q_index]
         if not any(kind == "g" for kind, _ in values):
             return
-        present = {index for kind, index in values if kind == "m"}
-        atoms = query.conditional_atoms
-        index_of = {atom: i for i, atom in enumerate(atoms)}
-        holds = query.condition.evaluate(lambda atom: index_of[atom] in present)
-        if not holds:
-            return
-        binding = query.guard.match(row)
-        if binding is None:  # pragma: no cover - defensive
-            return
-        projected = tuple(binding[v] for v in query.projection)
-        yield (query.output, projected if projected else (row[0],))
+        selection = self.selections[key[0]]
+        if selection.holds({index for kind, index in values if kind == "m"}):
+            yield (selection.output, selection.project(tuple(key[1:])))
 
     def key_bytes(self, key: Key) -> int:
         """Keys carry the full guard tuple (no id compression)."""

@@ -19,7 +19,6 @@ from . import obs
 from .core.gumbo import Gumbo, GumboResult
 from .core.options import GumboOptions
 from .core.strategies import choose_strategy
-from .obs.options import TRACE_FORMATS
 from .exec import BACKEND_NAMES
 from .mapreduce.kernels import KERNEL_MODES
 from .fuzz import FuzzConfig, FuzzOptions, run_fuzz
@@ -180,7 +179,7 @@ def _shared(
         flags["export"].add_argument(
             "--trace-format",
             default="chrome",
-            choices=list(TRACE_FORMATS),
+            choices=list(obs.TRACE_FORMATS),
             help="span export format: chrome (trace-event JSON, loads in "
             "Perfetto / chrome://tracing) or jsonl (default %(default)s)",
         )

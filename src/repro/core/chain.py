@@ -32,19 +32,13 @@ from ..mapreduce.job import (
     REDUCERS_BY_INTERMEDIATE,
 )
 from ..mapreduce.kernels import ChunkLedger, MapBatch, as_column_block
-from ..model.atoms import Atom
+from ..model.atoms import Atom, tuple_extractor
 from ..model.terms import Variable
 from ..query.conditions import And, AtomCondition, Condition, Not, Or, TrueCondition
 from .exchange import RequestAssertJob
-from .messages import (
-    AssertMessage,
-    AssertSide,
-    MessageLayout,
-    RequestMessage,
-    RequestSide,
-    unpack_messages,
-)
+from .messages import AssertSide, MessageLayout, RequestSide
 from .options import GumboOptions
+from .selection import Selection
 
 
 @dataclass(frozen=True)
@@ -151,6 +145,16 @@ class SemiJoinChainJob(RequestAssertJob):
         self.layout = chain_layout(
             input_name, guard_atom, literal, self.join_key, self.options.tuple_reference
         )
+        condition = AtomCondition(literal.atom)
+        self.selections = [
+            Selection(
+                output_name,
+                condition if literal.positive else Not(condition),
+                [(literal.atom, 0)],
+                guard_atom,
+                self.projection,
+            )
+        ]
 
     def output_schema(self) -> Dict[str, int]:
         arity = (
@@ -159,62 +163,6 @@ class SemiJoinChainJob(RequestAssertJob):
             else self.guard_atom.arity
         )
         return {self.output_name: arity}
-
-    def reduce(self, key: Key, values: List[object]) -> Iterable[OutputFact]:
-        messages = list(unpack_messages(values))
-        asserted = any(isinstance(m, AssertMessage) for m in messages)
-        keep = asserted if self.literal.positive else not asserted
-        if not keep:
-            return
-        for message in messages:
-            if not isinstance(message, RequestMessage):
-                continue
-            row = message.payload
-            if self.projection is None:
-                yield (self.output_name, row)
-            else:
-                binding = self.guard_atom.match(row)
-                if binding is None:  # pragma: no cover - defensive
-                    continue
-                projected = tuple(binding[v] for v in self.projection)
-                yield (self.output_name, projected if projected else (row[0],))
-
-    def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
-        """Kernelised reduce: one hash semi-join (anti-join when negative)."""
-        asserted: set = set()
-        for batch in batches:
-            asserted.update(batch.data[1].get(0, ()))
-        positive = self.literal.positive
-        rows: set = set()
-        if self.projection is not None:
-            project = self.guard_atom.compile().extractor(self.projection)
-            projects = bool(self.projection)
-        else:
-            project = None
-            projects = False
-        for batch in batches:
-            for keys, request_rows in batch.data[0].get(0, ()):
-                if positive:
-                    kept = [
-                        row
-                        for key, row in zip(keys, request_rows)
-                        if key in asserted
-                    ]
-                else:
-                    kept = [
-                        row
-                        for key, row in zip(keys, request_rows)
-                        if key not in asserted
-                    ]
-                if not kept:
-                    continue
-                if project is None:
-                    rows.update(kept)
-                elif projects:
-                    rows.update(map(project, kept))
-                else:
-                    rows.update([(row[0],) for row in kept])
-        return {self.output_name: rows}
 
     def __repr__(self) -> str:
         return (
@@ -263,12 +211,11 @@ class UnionProjectJob(MapReduceJob):
     def map(self, relation: str, row: Tuple[object, ...]) -> Iterable[
         Tuple[Key, object]
     ]:
-        binding = self.guard_atom.match(row)
-        if binding is None:
+        compiled = self.guard_atom.compile()
+        if not compiled.conforms(row):
             return []
-        projected = tuple(binding[v] for v in self.projection)
-        key = projected if projected else (row[0],)
-        return [(key, 1)]
+        positions = compiled.projection_positions(self.projection)
+        return [(tuple(row[i] for i in positions), 1)]
 
     def reduce(self, key: Key, values: List[object]) -> Iterable[OutputFact]:
         yield (self.output_name, tuple(key))
@@ -291,21 +238,15 @@ class UnionProjectJob(MapReduceJob):
         ledger = ChunkLedger(self)
         if compiled.arity == row_len:
             matcher = compiled.matcher
-            positions = (
-                compiled.positions(self.projection) if self.projection else (0,)
-            )
-            project = compiled.extractor(self.projection)
-            projects = bool(self.projection)
+            positions = compiled.projection_positions(self.projection)
+            project = tuple_extractor(positions)
             for block in blocks:
                 if not block.length:
                     continue
                 if matcher is None:
                     block_keys = block.key_tuples(positions)
                 else:
-                    rows = [r for r in block.rows() if matcher(r)]
-                    block_keys = [
-                        project(r) if projects else (r[0],) for r in rows
-                    ]
+                    block_keys = [project(r) for r in block.rows() if matcher(r)]
                 keys.update(block_keys)
                 ledger.add(block_keys, 1)
         return ledger.batch(relation, keys)

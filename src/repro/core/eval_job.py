@@ -24,8 +24,6 @@ from ..mapreduce.job import (
     REDUCERS_BY_INPUT,
     REDUCERS_BY_INTERMEDIATE,
 )
-from collections import Counter
-
 from ..mapreduce.kernels import (
     ChunkLedger,
     MapBatch,
@@ -41,6 +39,7 @@ from .messages import (
     payload_bytes,
 )
 from .options import GumboOptions
+from .selection import Selection
 
 
 @dataclass(frozen=True)
@@ -105,6 +104,14 @@ class EvalJob(MapReduceJob):
                         f"intermediate relation {name!r} is used by two targets"
                     )
                 self._membership[name] = (t_index, c_index)
+        # Target t keeps its guard rows by its condition over the memberships
+        # of its intermediates, slot (t, i) for the i-th.
+        self.selections = [
+            Selection.of_query(
+                target.query, [(t_index, i) for i in range(len(target.intermediates))]
+            )
+            for t_index, target in enumerate(targets)
+        ]
 
     # -- schema --------------------------------------------------------------
 
@@ -143,25 +150,14 @@ class EvalJob(MapReduceJob):
         return pairs
 
     def reduce(self, key: Key, values: List[object]) -> Iterable[OutputFact]:
-        t_index = key[0]
-        row = tuple(key[1:])
-        target = self.targets[t_index]
+        if not any(isinstance(v, GuardMessage) for v in values):
+            return
+        selection = self.selections[key[0]]
         present = {
-            v.index for v in values if isinstance(v, MembershipMessage)
+            (v.target, v.index) for v in values if isinstance(v, MembershipMessage)
         }
-        has_guard = any(isinstance(v, GuardMessage) for v in values)
-        if not has_guard:
-            return
-        atoms = target.query.conditional_atoms
-        index_of = {atom: i for i, atom in enumerate(atoms)}
-        holds = target.query.condition.evaluate(lambda atom: index_of[atom] in present)
-        if not holds:
-            return
-        binding = target.guard.match(row)
-        if binding is None:  # pragma: no cover - defensive
-            return
-        projected = tuple(binding[v] for v in target.query.projection)
-        yield (target.output, projected if projected else (row[0],))
+        if selection.holds(present):
+            yield (selection.output, selection.project(tuple(key[1:])))
 
     # -- byte accounting ------------------------------------------------------------
 
@@ -220,9 +216,8 @@ class EvalJob(MapReduceJob):
         return ledger.batch(relation, ("guard", conforming))
 
     def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
-        """Kernelised reduce: per guard row a membership bitmask, memoised
-        Boolean evaluation per distinct mask, projection via compiled
-        extractors."""
+        """Kernelised reduce: the guard rows' membership masks; only the rows
+        found in some intermediate are walked, the rest is a set difference."""
         members: Dict[Tuple[int, int], set] = {}
         owned: set = set()
         guard_rows: Dict[int, List[Tuple[object, ...]]] = {}
@@ -233,49 +228,15 @@ class EvalJob(MapReduceJob):
             else:
                 for t_index, rows in batch.data[1].items():
                     guard_rows.setdefault(t_index, []).extend(rows)
-        outputs: Dict[str, set] = {t.output: set() for t in self.targets}
-        for t_index, target in enumerate(self.targets):
-            rows = guard_rows.get(t_index)
-            if not rows:
-                continue
-            atoms = target.query.conditional_atoms
-            index_of = {atom: i for i, atom in enumerate(atoms)}
-            sets = [members.get((t_index, i), frozenset()) for i in range(len(atoms))]
-            condition = target.query.condition
-            project = target.guard.compile().extractor(target.query.projection)
-            projects = bool(target.query.projection)
-            sink = outputs[target.output]
-
-            def holds(mask: int) -> bool:
-                return condition.evaluate(
-                    lambda atom: mask >> index_of[atom] & 1 == 1
-                )
-
-            # Membership bitmask per guard row, assembled set-at-a-time: each
-            # conditional's intersection with the guard rows contributes its
-            # bit through one Counter merge (bits are powers of two, so the
-            # Counter's sums equal the bitwise OR).
+        outputs: Dict[str, set] = {s.output: set() for s in self.selections}
+        for t_index, rows in guard_rows.items():
+            selection = self.selections[t_index]
             row_set = set(rows)
-            masks: Counter = Counter()
-            for i, present in enumerate(sets):
-                hit = row_set & present
-                if hit:
-                    masks.update(dict.fromkeys(hit, 1 << i))
-            true_masks = {m for m in set(masks.values()) if holds(m)}
-            if true_masks:
-                selected = [row for row, mask in masks.items() if mask in true_masks]
-                sink.update(
-                    map(project, selected)
-                    if projects
-                    else [(row[0],) for row in selected]
-                )
-            if len(masks) < len(row_set) and holds(0):
-                zero_rows = row_set.difference(masks.keys())
-                sink.update(
-                    map(project, zero_rows)
-                    if projects
-                    else [(row[0],) for row in zero_rows]
-                )
+            masks, accepted = selection.masks(members, row_set)
+            kept = [row for row, mask in masks.items() if mask in accepted]
+            if 0 in accepted and len(masks) < len(row_set):
+                kept.extend(row_set.difference(masks))
+            selection.emit(kept, outputs[selection.output])
         return outputs
 
     def __repr__(self) -> str:

@@ -6,8 +6,10 @@ map phase is the same whatever the reducer then does with them.  A
 :class:`~repro.core.messages.MessageLayout` (built in its ``__init__``) and
 inherits both map paths from here: the interpreted :meth:`~RequestAssertJob.map`
 with its message-packing combiner, and the batch kernel
-:meth:`~RequestAssertJob.map_batch`.  A subclass implements only its
-``reduce`` / ``reduce_batch``.
+:meth:`~RequestAssertJob.map_batch`.  Next to its layout it builds one
+:class:`~repro.core.selection.Selection` per request index, and inherits
+both reduce paths too: a request's payload is output when its selection
+holds over the tags asserted at its key.
 
 The kernel hands ``reduce_batch`` ``(probe, build)``: ``probe`` maps a
 request index to the ``(keys, payloads)`` segments of its rows, ``build``
@@ -22,12 +24,26 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from ..mapreduce.job import (
     Key,
     MapReduceJob,
+    OutputFact,
     REDUCERS_BY_INPUT,
     REDUCERS_BY_INTERMEDIATE,
 )
-from ..mapreduce.kernels import ChunkLedger, MapBatch, as_column_block, conditional_keys
-from .messages import AssertMessage, MessageLayout, RequestMessage, pack_messages
+from ..mapreduce.kernels import (
+    ChunkLedger,
+    MapBatch,
+    as_column_block,
+    conditional_keys,
+    union_key_set,
+)
+from .messages import (
+    AssertMessage,
+    MessageLayout,
+    RequestMessage,
+    pack_messages,
+    unpack_messages,
+)
 from .options import GumboOptions
+from .selection import Selection
 
 
 class _SidePlan(NamedTuple):
@@ -60,9 +76,11 @@ def _side_plan(side, slot: int, payload) -> _SidePlan:
 
 
 class RequestAssertJob(MapReduceJob):
-    """A job whose map phase is the request/assert exchange of ``self.layout``."""
+    """A job whose map phase is the request/assert exchange of ``self.layout``
+    and whose reducer keeps request ``i``'s payloads by ``self.selections[i]``."""
 
     layout: MessageLayout
+    selections: Sequence[Selection]
 
     def __init__(self, job_id: str, options: Optional[GumboOptions]) -> None:
         super().__init__(job_id)
@@ -195,3 +213,31 @@ class RequestAssertJob(MapReduceJob):
                 ledger.add(keys, plan.size, plan.prefix)
             ledger.close_chunk()
         return ledger.batch(relation, (probe, build))
+
+    # -- reduce ------------------------------------------------------------------------
+
+    def reduce(self, key: Key, values: List[object]) -> Iterable[OutputFact]:
+        messages = list(unpack_messages(values))
+        asserted = {m.tag for m in messages if isinstance(m, AssertMessage)}
+        for message in messages:
+            if isinstance(message, RequestMessage):
+                selection = self.selections[message.index]
+                if selection.holds(asserted):
+                    yield (selection.output, selection.project(message.payload))
+
+    def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
+        """Per assert tag the set of asserted keys; each request index's
+        segments, in batch order, go through its selection."""
+        asserted: Dict[int, set] = {}
+        owned: set = set()
+        segments: Dict[int, List[tuple]] = {}
+        for batch in batches:
+            for tag, keys in batch.data[1].items():
+                union_key_set(asserted, owned, tag, keys)
+            for index, parts in batch.data[0].items():
+                segments.setdefault(index, []).extend(parts)
+        outputs: Dict[str, set] = {s.output: set() for s in self.selections}
+        for index, parts in segments.items():
+            selection = self.selections[index]
+            selection.select(asserted, parts, outputs[selection.output])
+        return outputs

@@ -14,23 +14,13 @@ Queries A3 and B2 of the paper's experiments are evaluated this way by the
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..mapreduce.job import Key, OutputFact
-from ..mapreduce.kernels import union_key_set
-from ..model.atoms import Atom
 from ..query.bsgf import BSGFQuery
 from .exchange import RequestAssertJob
-from .messages import (
-    AssertMessage,
-    AssertSide,
-    MessageLayout,
-    RequestMessage,
-    RequestSide,
-    unpack_messages,
-)
+from .messages import AssertSide, MessageLayout, RequestSide
 from .options import GumboOptions
+from .selection import Selection
 
 
 class OneRoundNotApplicableError(ValueError):
@@ -103,10 +93,13 @@ class FusedOneRoundJob(RequestAssertJob):
             raise ValueError("query outputs must be pairwise distinct")
         self.queries: List[BSGFQuery] = queries
         self.layout = one_round_layout(queries, self.options.tuple_reference)
-        # Per query, the assert tag of each conditional atom.
-        self._atom_tags: List[Dict[Atom, int]] = [{} for _ in queries]
-        for side in self.layout.asserts:
-            self._atom_tags[side.prefix[0]][side.atom] = side.tag
+        # Query q keeps its guard rows by its condition over its atoms' tags.
+        self.selections = [
+            Selection.of_query(
+                query, [a.tag for a in self.layout.asserts if a.prefix == (q_index,)]
+            )
+            for q_index, query in enumerate(queries)
+        ]
 
     # -- schema -------------------------------------------------------------------
 
@@ -125,87 +118,6 @@ class FusedOneRoundJob(RequestAssertJob):
         return {
             query.output: max(1, len(query.projection)) for query in self.queries
         }
-
-    # -- reduce ---------------------------------------------------------------------
-
-    def reduce(self, key: Key, values: List[object]) -> Iterable[OutputFact]:
-        messages = list(unpack_messages(values))
-        asserted = {m.tag for m in messages if isinstance(m, AssertMessage)}
-        for message in messages:
-            if not isinstance(message, RequestMessage):
-                continue
-            q_index = message.index
-            query = self.queries[q_index]
-            tags = self._atom_tags[q_index]
-            holds = query.condition.evaluate(lambda atom: tags[atom] in asserted)
-            if not holds:
-                continue
-            binding = query.guard.match(message.payload)
-            if binding is None:  # pragma: no cover - defensive
-                continue
-            projected = tuple(binding[v] for v in query.projection)
-            yield (query.output, projected if projected else (message.payload[0],))
-
-    def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
-        """Per query: one asserted-key set per conditional tag, and the
-        Boolean condition evaluated once per distinct membership mask."""
-        asserted: Dict[int, set] = {}
-        owned: set = set()
-        for batch in batches:
-            for tag, keys in batch.data[1].items():
-                union_key_set(asserted, owned, tag, keys)
-        guard_segments: Dict[int, List[tuple]] = {}
-        for batch in batches:
-            for q_index, segments in batch.data[0].items():
-                guard_segments.setdefault(q_index, []).extend(segments)
-        outputs: Dict[str, set] = {q.output: set() for q in self.queries}
-        for q_index, query in enumerate(self.queries):
-            segments = guard_segments.get(q_index)
-            if not segments:
-                continue
-            atom_tags = self._atom_tags[q_index]
-            tag_list = list(atom_tags.items())  # (atom, tag) in atom order
-            bit_of = {atom: i for i, (atom, _) in enumerate(tag_list)}
-            sets = [asserted.get(tag, frozenset()) for _, tag in tag_list]
-            condition = query.condition
-            project = query.guard.compile().extractor(query.projection)
-            projects = bool(query.projection)
-            sink = outputs[query.output]
-
-            def holds(mask: int) -> bool:
-                return condition.evaluate(
-                    lambda atom: mask >> bit_of[atom] & 1 == 1
-                )
-
-            # Mask per distinct join-key value (guard rows sharing a key share
-            # their conditional memberships), assembled via set intersections.
-            all_keys: set = set()
-            for key_values, _ in segments:
-                all_keys.update(key_values)
-            masks: Counter = Counter()
-            for i, keys in enumerate(sets):
-                hit = all_keys & keys
-                if hit:
-                    masks.update(dict.fromkeys(hit, 1 << i))
-            true_masks = {m for m in set(masks.values()) if holds(m)}
-            if holds(0):
-                true_masks.add(0)
-            if not true_masks:
-                continue
-            get_mask = masks.get
-            for key_values, rows in segments:
-                selected = [
-                    row
-                    for kv, row in zip(key_values, rows)
-                    if get_mask(kv, 0) in true_masks
-                ]
-                if selected:
-                    sink.update(
-                        map(project, selected)
-                        if projects
-                        else [(row[0],) for row in selected]
-                    )
-        return outputs
 
     def __repr__(self) -> str:
         inner = ", ".join(q.output for q in self.queries)

@@ -30,6 +30,7 @@ from ..model.terms import Constant, Variable
 from ..query.bsgf import BSGFQuery
 from ..query.conditions import AtomCondition, conjunction
 from ..query.sgf import SGFQuery
+from .greedy_bsgf import set_partitions
 
 #: Size of one tuple in the reduction's data relations (1 MB, as in the paper).
 REDUCTION_TUPLE_MB = 1.0
@@ -67,7 +68,7 @@ class SubsetCostInstance:
         """
         costs: Set[int] = set()
         universe = self.universe()
-        for partition in _all_partitions(universe):
+        for partition in set_partitions(universe):
             costs.add(self.partition_cost(partition))
         return costs
 
@@ -90,27 +91,6 @@ class _Special:
 
 
 SPECIAL = _Special()
-
-
-def _all_partitions(items: Sequence[object]) -> Iterable[List[List[object]]]:
-    items = list(items)
-    if not items:
-        yield []
-        return
-
-    def _recurse(index: int, blocks: List[List[object]]):
-        if index == len(items):
-            yield [list(b) for b in blocks]
-            return
-        for block in blocks:
-            block.append(items[index])
-            yield from _recurse(index + 1, blocks)
-            block.pop()
-        blocks.append([items[index]])
-        yield from _recurse(index + 1, blocks)
-        blocks.pop()
-
-    yield from _recurse(0, [])
 
 
 # -- the SGF-Opt reduction (Theorem 4) ----------------------------------------------------

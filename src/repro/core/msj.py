@@ -26,22 +26,14 @@ Two execution modes are supported:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..mapreduce.job import Key, OutputFact
-from ..mapreduce.kernels import union_key_set
 from ..query.bsgf import SemiJoinSpec
+from ..query.conditions import AtomCondition
 from .exchange import RequestAssertJob
-from .messages import (
-    AssertMessage,
-    AssertSide,
-    MessageLayout,
-    RequestMessage,
-    RequestSide,
-    payload_bytes,
-    unpack_messages,
-)
+from .messages import AssertSide, MessageLayout, RequestSide, payload_bytes
 from .options import GumboOptions
+from .selection import Selection
 
 
 def msj_layout(
@@ -99,10 +91,15 @@ class MSJJob(RequestAssertJob):
         self.specs: List[SemiJoinSpec] = specs
         self.emit_projection = emit_projection
         self.layout = msj_layout(specs, self.options.tuple_reference, emit_projection)
-        # The assert tag each semi-join's requests wait for.
+        # Semi-join i keeps its payloads whose key its conditional's tag asserts.
         tag_of = {(a.atom, a.join_key): a.tag for a in self.layout.asserts}
-        self._spec_tag: List[int] = [
-            tag_of[spec.conditional, side.join_key]
+        self.selections = [
+            Selection(
+                spec.output,
+                AtomCondition(spec.conditional),
+                [(spec.conditional, tag_of[spec.conditional, side.join_key])],
+                spec.guard,
+            )
             for spec, side in zip(specs, self.layout.requests)
         ]
 
@@ -119,39 +116,6 @@ class MSJJob(RequestAssertJob):
             if spec.output == relation:
                 return payload_bytes(len(spec.projection), self.options.tuple_reference)
         return None
-
-    # -- reduce ------------------------------------------------------------------------
-
-    def reduce(self, key: Key, values: List[object]) -> Iterable[OutputFact]:
-        messages = list(unpack_messages(values))
-        asserted = {m.tag for m in messages if isinstance(m, AssertMessage)}
-        for message in messages:
-            if not isinstance(message, RequestMessage):
-                continue
-            if self._spec_tag[message.index] in asserted:
-                spec = self.specs[message.index]
-                yield (spec.output, message.payload)
-
-    def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
-        """A hash semi-join: per conditional tag a set of asserted keys,
-        probed segment-at-a-time by the requests' key/payload slices."""
-        asserted: Dict[int, set] = {}
-        owned: set = set()
-        for batch in batches:
-            for tag, keys in batch.data[1].items():
-                union_key_set(asserted, owned, tag, keys)
-        outputs: Dict[str, set] = {spec.output: set() for spec in self.specs}
-        for batch in batches:
-            for index, segments in batch.data[0].items():
-                keyset = asserted.get(self._spec_tag[index])
-                if not keyset:
-                    continue
-                sink = outputs[self.specs[index].output]
-                for keys, payloads in segments:
-                    sink.update(
-                        [p for k, p in zip(keys, payloads) if k in keyset]
-                    )
-        return outputs
 
     def __repr__(self) -> str:
         inner = ", ".join(spec.output for spec in self.specs)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..model.atoms import Atom
+from ..model.atoms import Atom, tuple_extractor
 from ..model.database import Database
 from ..model.relation import Relation
 from ..model.terms import Variable
@@ -122,7 +122,8 @@ class _StatementState:
     def __init__(self, query: BSGFQuery, bytes_per_field: int) -> None:
         self.query = query
         self.guard = query.guard
-        self.projection = query.projection
+        positions = self.guard.compile().projection_positions(query.projection)
+        self._project = tuple_extractor(positions)
         self.indexes: Dict[Atom, _AtomIndex] = {
             atom: _AtomIndex(atom, self.guard) for atom in query.conditional_atoms
         }
@@ -153,15 +154,9 @@ class _StatementState:
                 continue
             self._index_guard_row(row, binding)
             if self._holds_now(binding):
-                self._bump(self._project(binding, row), +1, set(), set())
+                self._bump(self._project(row), +1, set(), set())
 
     # -- evaluation helpers -----------------------------------------------------
-
-    def _project(self, binding: Dict[Variable, object], row: Row) -> Row:
-        projected = tuple(binding[v] for v in self.projection)
-        # Mirrors the reference evaluator: an empty SELECT list degenerates
-        # to the guard row's first field.
-        return projected if projected else (row[0],)
 
     def _holds_now(self, binding: Dict[Variable, object]) -> bool:
         """Condition value under the *current* (post-delta) indexes."""
@@ -288,7 +283,7 @@ class _StatementState:
         removed: Set[Row] = set()
         for row, binding in ins_guard.items():
             if self._holds_now(binding):
-                self._bump(self._project(binding, row), +1, added, removed)
+                self._bump(self._project(row), +1, added, removed)
         for row in touched:  # indexed rows only, so disjoint from ins_guard
             binding = self.guard.match(row)
             assert binding is not None  # guard_rows only holds conforming rows
@@ -296,14 +291,14 @@ class _StatementState:
             after = self._holds_now(binding)
             if before != after:
                 self._bump(
-                    self._project(binding, row),
+                    self._project(row),
                     +1 if after else -1,
                     added,
                     removed,
                 )
         for row, binding in del_guard.items():
             if self._holds_before(binding, flipped):
-                self._bump(self._project(binding, row), -1, added, removed)
+                self._bump(self._project(row), -1, added, removed)
 
         # 4. Guard index maintenance (after step 2 read the old index).
         for row, binding in ins_guard.items():

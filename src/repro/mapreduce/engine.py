@@ -79,11 +79,6 @@ KeyLoads = Callable[[], Iterable[Mapping[Key, int]]]
 #: part its partial batches in chunk order out.
 MapPhase = Callable[[List[InputPart]], List[List[MapBatch]]]
 
-#: Backward-compatible alias; the shared implementation lives in
-#: :mod:`repro.exec.partition` so every execution backend partitions
-#: identically.
-_stable_hash = stable_hash
-
 #: Process-global execution counters (see :mod:`repro.obs.metrics`), created
 #: once at import so per-job recording is a single locked add.  The dispatch
 #: counters are bumped at the dispatch sites (interpreted here, kernel in
@@ -492,8 +487,8 @@ class MapReduceEngine:
         job: MapReduceJob,
         relation_name: str,
         database: Database,
-        groups: Dict[Key, List[object]],
-        key_bytes: Optional[Dict[Key, int]] = None,
+        groups: defaultdict[Key, List[object]],
+        key_bytes: Counter,
     ) -> PartitionMetrics:
         """Apply the map function to one input relation and shuffle its output."""
         relation = database.get(relation_name)
@@ -506,13 +501,6 @@ class MapReduceEngine:
         intermediate_bytes = 0
         output_records = 0
         combine = job.combine if job.uses_combiner() else None
-        # defaultdict/Counter fast paths (the engine always passes those);
-        # plain dicts from external callers keep working via setdefault/get.
-        if isinstance(groups, defaultdict):
-            group_for = groups.__getitem__
-        else:
-            group_for = lambda key: groups.setdefault(key, [])  # noqa: E731
-        counting = isinstance(key_bytes, Counter)
         for chunk_rows in map_task_chunks(rows, mappers):
             buffer: Dict[Key, List[object]] = defaultdict(list)
             for row in chunk_rows:
@@ -525,11 +513,8 @@ class MapReduceEngine:
                     pair_size = job.pair_bytes(key, value)
                     intermediate_bytes += pair_size
                     output_records += 1
-                    group_for(key).append(value)
-                    if counting:
-                        key_bytes[key] += pair_size
-                    elif key_bytes is not None:
-                        key_bytes[key] = key_bytes.get(key, 0) + pair_size
+                    groups[key].append(value)
+                    key_bytes[key] += pair_size
 
         return PartitionMetrics(
             relation=relation_name,

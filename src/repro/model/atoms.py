@@ -259,6 +259,11 @@ class CompiledAtom:
         indices = tuple(self._positions[v] for v in variables)
         return tuple_extractor(indices)
 
+    def projection_positions(self, variables: Sequence[Variable]) -> Tuple[int, ...]:
+        """The columns of a row's projection onto the SELECT list *variables*;
+        an empty list yields the first field, as in the reference evaluator."""
+        return self.positions(variables) if variables else (0,)
+
 
 def _build_matcher(
     const_checks: Tuple[Tuple[int, object], ...],

@@ -25,6 +25,7 @@ Quick tour::
 """
 
 from .export import (
+    TRACE_FORMATS,
     chrome_trace_events,
     render_prometheus,
     spans_from_jsonl,
@@ -42,7 +43,6 @@ from .metrics import (
     default_registry,
     registries_for_export,
 )
-from .options import TRACE_FORMATS, ObsOptions
 from .trace import (
     Span,
     TraceCollector,
@@ -65,7 +65,6 @@ __all__ = [
     "Histogram",
     "LATENCY_BUCKETS",
     "MetricsRegistry",
-    "ObsOptions",
     "Span",
     "TraceCollector",
     "TRACE_FORMATS",

@@ -23,6 +23,7 @@ from .metrics import MetricsRegistry
 from .trace import Span, Tracer
 
 __all__ = [
+    "TRACE_FORMATS",
     "chrome_trace_events",
     "render_prometheus",
     "spans_from_jsonl",
@@ -31,6 +32,9 @@ __all__ = [
     "write_prometheus",
     "write_spans_jsonl",
 ]
+
+#: Accepted span-export formats (``repro ... --trace-format``).
+TRACE_FORMATS = ("chrome", "jsonl")
 
 #: The category stamped on exported trace events.
 _CATEGORY = "repro"

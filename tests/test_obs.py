@@ -14,16 +14,17 @@ import gc
 import json
 import os
 import threading
+from argparse import Namespace
 
 import pytest
 
 from repro import obs
+from repro.cli import _options_from_args
 from repro.core.gumbo import Gumbo
 from repro.core.options import GumboOptions
 from repro.exec import make_backend
 from repro.mapreduce.engine import collector_paused
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.options import ObsOptions
 from repro.obs.trace import NOOP, Span, Tracer
 from repro.service import QueryService
 from repro.workloads.queries import database_for, workload_query
@@ -316,9 +317,10 @@ class TestExporters:
 
 class TestObsOptions:
     def test_tracing_property(self):
-        assert not ObsOptions().tracing
-        assert ObsOptions(trace=True).tracing
-        assert ObsOptions(trace_out="trace.json").tracing
+        """Tracing is on when requested or implied by ``--trace-out``."""
+        assert not _options_from_args(Namespace()).trace
+        assert _options_from_args(Namespace(trace=True)).trace
+        assert _options_from_args(Namespace(trace_out="trace.json")).trace
 
     def test_gumbo_options_default_off(self):
         assert not GumboOptions().trace

@@ -3,7 +3,8 @@
 
 Runs a fixed workload mix — the Section 5 A3 query plus a handwritten
 mixed-type database that stresses the type-tagged sort order (ints, floats,
-strings, ``None`` sharing columns) — under both kernel modes and every
+strings, ``None`` sharing columns), read also by a query with an empty
+SELECT list and a NOT-only condition — under both kernel modes and every
 applicable strategy, then prints a canonical digest per combination.  A
 final pass re-runs the mix on the multi-process backend (every ``map_batch``
 task executed in worker processes with their own interpreters, chunks routed
@@ -67,6 +68,7 @@ from repro.core.gumbo import Gumbo
 from repro.core.options import GumboOptions
 from repro.core.strategies import applicable_strategies
 from repro.model.database import Database
+from repro.query.bsgf import BSGFQuery
 from repro.query.parser import parse_sgf
 from repro.workloads.queries import database_for, workload_query
 
@@ -87,6 +89,12 @@ MIXED_DB = {
     "S": [(1,), ("s3",), (None,), (9,), (2.5,)],
     "T": [("a",), (3,), (None,), (7.5,)],
 }
+
+#: The 0-ary output rule (an empty SELECT list yields the guard row's first
+#: field) and the zero membership mask (NOT-only: rows in no conditional are
+#: kept), over the mixed-type database.  The grammar has no empty SELECT
+#: list, so the query is this text with its projection dropped.
+ZERO_ARY_QUERY = "Z := SELECT (x, y) FROM R(x, y) WHERE NOT S(y) AND NOT T(x);"
 
 
 #: Equal-but-not-identical join keys: every class {1, 1.0, True}, {2, 2.0},
@@ -322,10 +330,14 @@ def main() -> None:
     mixed = parse_sgf(MIXED_QUERY)
     mixed_db = Database.from_dict(MIXED_DB)
     run_case("A3", a3, a3_db)
+    (zero_ary,) = parse_sgf(ZERO_ARY_QUERY)
+    zero_ary = Gumbo.as_sgf(BSGFQuery("Z", (), zero_ary.guard, zero_ary.condition))
     run_case("mixed-types", mixed, mixed_db)
+    run_case("zero-ary", zero_ary, mixed_db)
     for transport in FANOUT_TRANSPORTS:
         run_fanout_case("A3", a3, a3_db, transport)
         run_fanout_case("mixed-types", mixed, mixed_db, transport)
+        run_fanout_case("zero-ary", zero_ary, mixed_db, transport)
     run_numeric_case(args.reverse_jobs)
     run_planning_history(args.tuples, args.reverse_jobs)
     run_dynamic(args.tuples)
