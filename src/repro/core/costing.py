@@ -27,7 +27,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..cost.constants import GUMBO_MB_PER_REDUCER, PIG_INPUT_MB_PER_REDUCER
 from ..cost.estimates import RelationStats, StatisticsCatalog
@@ -52,6 +52,8 @@ from .msj import MSJJob, msj_layout
 from .options import GumboOptions
 
 _MB = 1024.0 * 1024.0
+
+T = TypeVar("T")
 
 
 def _key_bytes(key_length: int) -> int:
@@ -133,12 +135,11 @@ class PlanCostEstimator:
         #: selectivity instead of the paper's upper bound (all guard facts
         #: survive).  The upper bound is the default, matching Section 4.1.
         self.use_selectivity_for_outputs = use_selectivity_for_outputs
-        #: Equation (5) estimates by ordered spec tuple, each stamped with
-        #: the catalog's stats objects of the relations it read.
-        self._msj_memo: Dict[
-            Tuple[SemiJoinSpec, ...],
-            Tuple[Tuple[Optional[RelationStats], ...], JobEstimate],
-        ] = {}
+        #: Equation (5) estimates by ordered spec tuple, and GOPT partitions
+        #: by query tuple (filled by :mod:`repro.core.strategies`), each
+        #: entry stamped as :meth:`memoised` describes.
+        self._msj_memo: Dict[Tuple[SemiJoinSpec, ...], Tuple[tuple, JobEstimate]] = {}
+        self.gopt_memo: Dict[Tuple[BSGFQuery, ...], Tuple[tuple, object]] = {}
 
     # -- shared helpers --------------------------------------------------------
 
@@ -156,6 +157,35 @@ class PlanCostEstimator:
             mb_per_reducer_input=self.mb_per_reducer_input,
             use_selectivity_for_outputs=self.use_selectivity_for_outputs,
         )
+
+    def memoised(
+        self,
+        memo: Dict,
+        key: object,
+        specs: Sequence[SemiJoinSpec],
+        compute: Callable[[], T],
+    ) -> T:
+        """``compute()``, memoised under *key* in *memo*, one of this
+        estimator's per-plan memos.
+
+        An entry holds while the catalog still holds the very stats objects
+        of the guard and conditional relations of *specs* (everything
+        ``compute`` reads), so
+        :meth:`~repro.cost.estimates.StatisticsCatalog.refresh_relation` or a
+        late estimate registration forces a recompute.
+        """
+        relation_stats = self.catalog.relation_stats
+        stamp = tuple(
+            relation_stats(name)
+            for spec in specs
+            for name in (spec.guard.relation, spec.conditional.relation)
+        )
+        entry = memo.get(key)
+        if entry is not None and all(map(operator.is_, entry[0], stamp)):
+            return entry[1]
+        value = compute()
+        memo[key] = (stamp, value)
+        return value
 
     def _mappers_for(self, input_mb: float) -> int:
         return max(1, math.ceil(input_mb / self.split_mb))
@@ -309,25 +339,17 @@ class PlanCostEstimator:
         """Equation (5): estimated cost of evaluating *specs* in one MSJ job.
 
         Memoised per ordered tuple of specs (the partition and output sums
-        follow spec order).  An entry holds while the catalog still holds the
-        very stats objects of the guard and conditional relations it read, so
-        :meth:`~repro.cost.estimates.StatisticsCatalog.refresh_relation` or a
-        late estimate registration forces a recompute.
+        follow spec order), see :meth:`memoised`.
         """
         key = tuple(specs)
-        stamp = tuple(
-            self.catalog.relation_stats(name)
-            for spec in key
-            for name in (spec.guard.relation, spec.conditional.relation)
+        return self.memoised(
+            self._msj_memo, key, key, lambda: self._msj_estimate(key)
         )
-        entry = self._msj_memo.get(key)
-        if entry is not None and all(map(operator.is_, entry[0], stamp)):
-            return entry[1]
-        partitions = self.msj_partitions(key)
-        output_mb = sum(self.semijoin_output_mb(spec) for spec in key)
-        estimate = self._estimate(partitions, output_mb, "MSJ")
-        self._msj_memo[key] = (stamp, estimate)
-        return estimate
+
+    def _msj_estimate(self, specs: Tuple[SemiJoinSpec, ...]) -> JobEstimate:
+        partitions = self.msj_partitions(specs)
+        output_mb = sum(self.semijoin_output_mb(spec) for spec in specs)
+        return self._estimate(partitions, output_mb, "MSJ")
 
     def msj_cost(self, specs: Sequence[SemiJoinSpec]) -> float:
         return self.msj_estimate(specs).cost

@@ -35,6 +35,7 @@ from ..mapreduce.kernels import (
     conditional_keys,
     union_key_set,
 )
+from ..model.atoms import tuple_extractor
 from .messages import (
     AssertMessage,
     MessageLayout,
@@ -62,14 +63,15 @@ class _SidePlan(NamedTuple):
 
 def _side_plan(side, slot: int, payload) -> _SidePlan:
     compiled = side.atom.compile()
+    positions = None if payload is None else compiled.projection_positions(payload)
     return _SidePlan(
         slot,
         compiled.arity,
         compiled.matcher,
         compiled.positions(side.join_key),
         compiled.extractor(side.join_key),
-        None if payload is None else compiled.positions(payload),
-        None if payload is None else compiled.extractor(payload),
+        positions,
+        None if positions is None else tuple_extractor(positions),
         side.size,
         side.prefix,
     )
@@ -116,7 +118,8 @@ class RequestAssertJob(MapReduceJob):
             if side.payload is None:
                 payload = tuple(row)
             else:
-                payload = tuple(binding[v] for v in side.payload)
+                positions = side.atom.compile().projection_positions(side.payload)
+                payload = tuple(row[i] for i in positions)
             pairs.append((key, RequestMessage(side.index, payload, by_reference)))
         for side in self.layout.asserts:
             if side.relation != relation:

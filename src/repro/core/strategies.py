@@ -24,8 +24,10 @@ SGF strategies (Section 5.3)
 
 :func:`plan_strategy` is the one entry that turns a requested strategy name
 — an alias, ``"auto"``, or a BSGF name asked of a nested query — into a
-program; :class:`~repro.core.gumbo.Gumbo` and the AUTO loop both plan
-through it.
+program; :class:`~repro.core.gumbo.Gumbo` plans through it.  Every strategy
+first decides a *draft* (its partition, multiway sort or fused query set)
+and builds the program from it; AUTO prices the drafts and builds only the
+winner's.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from ..cost.estimates import RelationStats, StatisticsCatalog
 from ..mapreduce.program import MRProgram
-from ..query.bsgf import BSGFQuery
+from ..query.bsgf import BSGFQuery, SemiJoinSpec
 from ..query.dependency import DependencyGraph
 from ..query.sgf import SGFQuery
 from .costing import PlanCostEstimator
@@ -61,6 +63,7 @@ from .plan import (
     build_one_round_program,
     build_sequential_program_for_set,
     build_two_round_program,
+    eval_targets_for,
 )
 
 #: Canonical names of the BSGF strategies.
@@ -143,6 +146,99 @@ def applicable_strategies(
     return names
 
 
+# -- drafts: a strategy's decision before any job exists ----------------------------
+
+#: One basic MR program of a plan, before its jobs exist: the queries it
+#: evaluates, the partition of their semi-joins into MSJ jobs (one job per
+#: group) and the prefix of its job ids.  It becomes
+#: :func:`~repro.core.plan.build_two_round_program`'s program.
+Unit = Tuple[Tuple[BSGFQuery, ...], Tuple[Tuple[SemiJoinSpec, ...], ...], str]
+
+#: Stage by stage, the units a plan runs side by side; every stage waits for
+#: the one before it.
+Stages = Tuple[Tuple[Unit, ...], ...]
+
+
+def _unit(
+    queries: Sequence[BSGFQuery], groups: Sequence[Sequence[SemiJoinSpec]], prefix: str
+) -> Unit:
+    return (tuple(queries), tuple(tuple(group) for group in groups if group), prefix)
+
+
+def _staged_program(stages: Stages, options: GumboOptions, name: str) -> MRProgram:
+    """The MR program of *stages*: each unit a two-round MSJ/EVAL program."""
+    program: Optional[MRProgram] = None
+    for units in stages:
+        stage = MRProgram(name)
+        for queries, groups, prefix in units:
+            piece = build_two_round_program(
+                queries, groups, options, name=name, job_prefix=prefix
+            )
+            for job in piece.jobs:
+                stage.add_job(job, piece.dependencies_of(job.job_id))
+        program = stage if program is None else program.then(stage, name=name)
+    assert program is not None
+    program.name = name
+    return program
+
+
+def _staged_job_costs(stages: Stages, estimator: PlanCostEstimator) -> List[float]:
+    """The estimated cost of every job of :func:`_staged_program`'s program.
+
+    Listed in the order :meth:`PlanCostEstimator.program_estimate` walks
+    that program — level by level, by job id within a level — so that their
+    ``sum`` is bit-identical to the program's estimate.  The job ids are
+    :func:`~repro.core.plan.build_two_round_program`'s.  No job reads an
+    estimate that an earlier job of the walk registers: MSJ and EVAL price
+    from the guards' and conditionals' statistics alone.
+    """
+    costs: List[float] = []
+    for units in stages:
+        msj_level: List[Tuple[str, float]] = []
+        eval_level: List[Tuple[str, float]] = []
+        for queries, groups, prefix in units:
+            for index, group in enumerate(groups):
+                msj_level.append((f"{prefix}msj-{index}", estimator.msj_cost(group)))
+            (eval_level if groups else msj_level).append(
+                (f"{prefix}eval", estimator.eval_cost(eval_targets_for(queries)))
+            )
+        for level in (msj_level, eval_level):
+            costs.extend(cost for _, cost in sorted(level))
+    return costs
+
+
+@dataclass(frozen=True)
+class _Draft:
+    """What one strategy decided for a query, before its program is built.
+
+    PAR, GREEDY, OPTIMAL and the SGF strategies decide *stages*: a
+    partition, or a multiway sort with one partition per stage.  1-ROUND
+    fuses all of *fused*.  SEQ has no partition view; its draft carries the
+    built *program*.  Two drafts with equal stages build the same jobs, so
+    they cost the same.
+    """
+
+    name: str
+    stages: Stages = ()
+    fused: Tuple[BSGFQuery, ...] = ()
+    program: Optional[MRProgram] = None
+
+    def job_costs(self, estimator: PlanCostEstimator) -> List[float]:
+        """Every job's estimated cost, in the program walk's order."""
+        if self.program is not None:
+            return [e.cost for _, e in estimator.program_estimate(self.program).jobs]
+        if self.fused:
+            return [estimator.one_round_estimate(self.fused).cost]
+        return _staged_job_costs(self.stages, estimator)
+
+    def build(self, options: GumboOptions) -> MRProgram:
+        if self.program is not None:
+            return self.program
+        if self.fused:
+            return build_one_round_program(self.fused, options, name=self.name)
+        return _staged_program(self.stages, options, self.name)
+
+
 # -- BSGF query sets ---------------------------------------------------------------
 
 
@@ -151,6 +247,33 @@ def all_semijoin_specs(queries: Sequence[BSGFQuery]):
     for query in queries:
         specs.extend(query.semijoin_specs())
     return specs
+
+
+def _bsgf_draft(
+    queries: Sequence[BSGFQuery],
+    strategy: str,
+    estimator: Optional[PlanCostEstimator],
+    options: GumboOptions,
+    name: Optional[str],
+) -> _Draft:
+    queries = list(queries)
+    if not queries:
+        raise ValueError("no queries given")
+    name = name or f"{strategy}:{'+'.join(q.output for q in queries)}"
+    if strategy == SEQ:
+        return _Draft(
+            name, program=build_sequential_program_for_set(queries, options, name=name)
+        )
+    if strategy == ONE_ROUND:
+        for query in queries:
+            if not one_round_applicable(query):
+                raise ValueError(
+                    f"1-ROUND is not applicable to query {query.output!r} "
+                    f"(conditional atoms use different join keys)"
+                )
+        return _Draft(name, fused=tuple(queries))
+    plan = bsgf_plan(queries, strategy, estimator, options, name)
+    return _Draft(name, stages=((_unit(queries, plan.groups, ""),),))
 
 
 def build_bsgf_program(
@@ -165,25 +288,8 @@ def build_bsgf_program(
     *strategy* is a canonical BSGF name (see :func:`plan_strategy` for
     aliases and nested queries).
     """
-    queries = list(queries)
-    if not queries:
-        raise ValueError("no queries given")
     options = options or GumboOptions()
-    name = name or f"{strategy}:{'+'.join(q.output for q in queries)}"
-
-    if strategy == SEQ:
-        return build_sequential_program_for_set(queries, options, name=name)
-
-    if strategy == ONE_ROUND:
-        for query in queries:
-            if not one_round_applicable(query):
-                raise ValueError(
-                    f"1-ROUND is not applicable to query {query.output!r} "
-                    f"(conditional atoms use different join keys)"
-                )
-        return build_one_round_program(queries, options, name=name)
-
-    return bsgf_plan(queries, strategy, estimator, options, name=name).to_program()
+    return _bsgf_draft(queries, strategy, estimator, options, name).build(options)
 
 
 def bsgf_plan(
@@ -248,6 +354,57 @@ def register_intermediate_estimates(
         )
 
 
+def _sgf_draft(
+    query: SGFQuery,
+    strategy: str,
+    estimator: Optional[PlanCostEstimator],
+    name: Optional[str],
+) -> _Draft:
+    name = name or f"{strategy}:{query.name}"
+    graph = DependencyGraph(query)
+
+    if estimator is not None:
+        register_intermediate_estimates(query, estimator.catalog)
+    elif strategy in (GREEDY_SGF, OPTIMAL_SGF):
+        raise ValueError(f"the {strategy.upper()} strategy needs a cost estimator")
+
+    if strategy == SEQUNIT:
+        sort = sequnit_sort(graph)
+    elif strategy == PARUNIT:
+        sort = parunit_sort(graph)
+    elif strategy == GREEDY_SGF:
+        sort = greedy_multiway_sort(graph)
+    elif strategy == OPTIMAL_SGF:
+        sort, _ = optimal_multiway_sort(
+            graph,
+            lambda queries: sgf_group_cost(queries, estimator),
+        )
+    else:
+        raise ValueError(
+            f"unknown SGF strategy {strategy!r}; expected one of {SGF_STRATEGIES}"
+        )
+
+    stages: List[Tuple[Unit, ...]] = []
+    for stage_index, group in enumerate(sort):
+        queries = [graph.subquery(q) for q in group]
+        prefix = f"s{stage_index}-"
+        if strategy in (SEQUNIT, PARUNIT):
+            # Per query: every semi-join in its own MSJ job, and its own EVAL.
+            stages.append(
+                tuple(
+                    _unit(
+                        [sub],
+                        singleton_partition(sub.semijoin_specs()),
+                        f"{prefix}q{index}-",
+                    )
+                    for index, sub in enumerate(queries)
+                )
+            )
+        else:
+            stages.append((_unit(queries, _gopt(queries, estimator), prefix),))
+    return _Draft(name, stages=tuple(stages))
+
+
 def build_sgf_program(
     query: SGFQuery,
     strategy: str,
@@ -261,79 +418,22 @@ def build_sgf_program(
     aliases and the BSGF names of nested queries).
     """
     options = options or GumboOptions()
-    name = name or f"{strategy}:{query.name}"
-    graph = DependencyGraph(query)
-
-    if estimator is not None:
-        register_intermediate_estimates(query, estimator.catalog)
-    elif strategy in (GREEDY_SGF, OPTIMAL_SGF):
-        raise ValueError(f"the {strategy.upper()} strategy needs a cost estimator")
-
-    if strategy == SEQUNIT:
-        groups = sequnit_sort(graph)
-    elif strategy == PARUNIT:
-        groups = parunit_sort(graph)
-    elif strategy == GREEDY_SGF:
-        groups = greedy_multiway_sort(graph)
-    elif strategy == OPTIMAL_SGF:
-        groups, _ = optimal_multiway_sort(
-            graph,
-            lambda queries: sgf_group_cost(queries, estimator),
-        )
-    else:
-        raise ValueError(
-            f"unknown SGF strategy {strategy!r}; expected one of {SGF_STRATEGIES}"
-        )
-
-    program: Optional[MRProgram] = None
-    for stage_index, group in enumerate(groups):
-        stage_queries = [graph.subquery(q) for q in group]
-        prefix = f"s{stage_index}-"
-        if strategy in (SEQUNIT, PARUNIT):
-            stage_program = _ungrouped_stage_program(stage_queries, options, prefix)
-        else:
-            stage_program = greedy_stage_program(
-                stage_queries,
-                estimator,
-                options,
-                name=f"{name}-stage{stage_index}",
-                job_prefix=prefix,
-            )
-        program = (
-            stage_program
-            if program is None
-            else program.then(stage_program, name=name)
-        )
-    assert program is not None
-    program.name = name
-    return program
-
-
-def _ungrouped_stage_program(
-    queries: Sequence[BSGFQuery],
-    options: GumboOptions,
-    prefix: str,
-) -> MRProgram:
-    """One stage of SEQUNIT/PARUNIT: per query, singleton MSJ jobs + its own EVAL."""
-    program = MRProgram(f"{prefix}stage")
-    for q_index, query in enumerate(queries):
-        specs = query.semijoin_specs()
-        groups = singleton_partition(specs)
-        piece = build_two_round_program(
-            [query],
-            groups,
-            options,
-            name=f"{prefix}{query.output}",
-            job_prefix=f"{prefix}q{q_index}-",
-        )
-        for job in piece.jobs:
-            program.add_job(job, piece.dependencies_of(job.job_id))
-    return program
+    return _sgf_draft(query, strategy, estimator, name).build(options)
 
 
 def _gopt(queries: Sequence[BSGFQuery], estimator: PlanCostEstimator) -> Partition:
-    """GOPT(F): the Greedy-BSGF partition of one group's semi-joins."""
-    return greedy_partition(all_semijoin_specs(queries), estimator)
+    """GOPT(F): the Greedy-BSGF partition of one group's semi-joins.
+
+    Memoised on the estimator: SGF-Opt prices a group in many candidate
+    sorts, and the winning sort's stages ask for it again.
+    """
+    specs = all_semijoin_specs(queries)
+    return estimator.memoised(
+        estimator.gopt_memo,
+        tuple(queries),
+        specs,
+        lambda: greedy_partition(specs, estimator),
+    )
 
 
 def greedy_stage_program(
@@ -398,38 +498,54 @@ def choose_strategy(
 ) -> StrategyChoice:
     """Cost every applicable strategy for *query* and return the cheapest.
 
-    Every candidate of :func:`applicable_strategies` is planned by
-    :func:`plan_strategy` into an executable
-    :class:`~repro.mapreduce.program.MRProgram` and costed with
-    :meth:`PlanCostEstimator.program_cost` — the same estimator that drives
-    the greedy optimizers, so the comparison is apples to apples.  Ties keep
-    the earlier candidate in canonical order; a candidate whose planner
-    raises is recorded in ``errors`` and skipped.  At least one candidate
-    always plans (SEQ / SEQUNIT have no applicability precondition).
+    Every candidate of :func:`applicable_strategies` is priced with the
+    estimator that drives the greedy optimizers, so the comparison is apples
+    to apples; each price equals
+    :meth:`PlanCostEstimator.program_cost` of the program
+    :func:`plan_strategy` builds for that name.  PAR, GREEDY, OPTIMAL,
+    1-ROUND and the SGF strategies are priced from their partitions or
+    multiway sorts (Equation (9) per stage, summed job by job in the program
+    walk's order); a candidate whose stages equal an earlier one's reuses
+    its price; only the winner's program is built.  SEQ, which has no
+    partition view, is built to be priced.  Ties keep the earlier candidate
+    in canonical order; a candidate whose planner raises is recorded in
+    ``errors`` and skipped.  At least one candidate always plans (SEQ /
+    SEQUNIT have no applicability precondition).
     """
     options = options or GumboOptions()
     register_intermediate_estimates(query, estimator.catalog)
     costs: Dict[str, float] = {}
     errors: Dict[str, str] = {}
-    best: Optional[Tuple[float, str, MRProgram]] = None
+    priced: Dict[object, float] = {}  # by stages, or by name (SEQ, 1-ROUND)
+    best: Optional[Tuple[float, str, _Draft]] = None
     for name in applicable_strategies(query, include_optimal=include_optimal):
         try:
-            _, program, _ = plan_strategy(query, name, estimator, options)
-            cost = estimator.program_cost(program)
+            if query.intermediate_names:
+                draft = _sgf_draft(query, name, estimator, None)
+            else:
+                draft = _bsgf_draft(query.subqueries, name, estimator, options, None)
+            key = draft.stages or name
+            if key not in priced:
+                priced[key] = sum(draft.job_costs(estimator))
+            cost = priced[key]
         except Exception as exc:  # noqa: BLE001 - a failing candidate is skipped
             errors[name] = f"{type(exc).__name__}: {exc}"
             continue
         costs[name] = cost
         if best is None or cost < best[0]:
-            best = (cost, name, program)
+            best = (cost, name, draft)
     if best is None:
         raise ValueError(
             f"no applicable strategy could be planned for query {query.name!r}: "
             + "; ".join(f"{n}: {m}" for n, m in errors.items())
         )
-    cost, name, program = best
+    cost, name, draft = best
     return StrategyChoice(
-        strategy=name, program=program, cost=cost, costs=costs, errors=errors
+        strategy=name,
+        program=draft.build(options),
+        cost=cost,
+        costs=costs,
+        errors=errors,
     )
 
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .terms import Constant, Term, Variable, as_term
+from .terms import Constant, Term, Variable, as_term, computed_once
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,28 @@ class Atom:
             raise ValueError("relation symbol must be a non-empty string")
         object.__setattr__(self, "terms", tuple(self.terms))
 
+    # -- identity ------------------------------------------------------------
+    #
+    # Atoms key the planner's memos, so equality tests identity first and the
+    # hash (and the variable views below) are computed once, on first use.
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.relation == other.relation and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @computed_once
+    def _hash(self) -> int:
+        return hash((self.relation, self.terms))
+
+    def __reduce__(self):
+        return (self.__class__, (self.relation, self.terms))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -62,7 +84,7 @@ class Atom:
         """Number of term positions of the atom."""
         return len(self.terms)
 
-    @property
+    @computed_once
     def variables(self) -> Tuple[Variable, ...]:
         """Distinct variables of the atom, in order of first occurrence."""
         seen = []
@@ -82,7 +104,11 @@ class Atom:
 
     def variable_set(self) -> frozenset:
         """The set of variables occurring in the atom."""
-        return frozenset(t for t in self.terms if isinstance(t, Variable))
+        return self._variable_set
+
+    @computed_once
+    def _variable_set(self) -> frozenset:
+        return frozenset(self.variables)
 
     def shared_variables(self, other: "Atom") -> frozenset:
         """Variables occurring in both this atom and *other*."""

@@ -14,7 +14,31 @@ identified by their name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
+
+
+class computed_once:
+    """A read-only attribute computed on first access and then kept in the
+    instance ``__dict__``, which a frozen dataclass still has.
+
+    :func:`functools.cached_property` without the lock it takes on every
+    first access before Python 3.12: threads racing on a first access each
+    compute the same immutable value, and either result stays.  The query
+    terms, atoms, specs and queries that cache their hash this way rebuild
+    from their fields in ``__reduce__``, so no cached value is pickled: a
+    hash holds only in the process, and under the ``PYTHONHASHSEED``, that
+    computed it.
+    """
+
+    def __init__(self, func: Callable) -> None:
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True, order=True)
@@ -22,7 +46,9 @@ class Variable:
     """A query variable such as ``x`` or ``y1``.
 
     Variables compare and hash by name, so two ``Variable("x")`` instances are
-    interchangeable.  Names must be non-empty strings.
+    interchangeable.  Names must be non-empty strings.  Equality tests
+    identity first and the hash is computed once, on first use (the parser
+    interns variables, so equal variables are usually the same object).
     """
 
     name: str
@@ -30,6 +56,23 @@ class Variable:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("variable name must be a non-empty string")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @computed_once
+    def _hash(self) -> int:
+        return hash((self.name,))
+
+    def __reduce__(self):
+        return (self.__class__, (self.name,))
 
     def __str__(self) -> str:
         return self.name

@@ -361,7 +361,9 @@ def trace(
         start_s=perf_counter(),
         attributes=dict(attrs) if attrs else {},
     )
-    return _TraceHandle(root, tracer, collector or default_collector())
+    if collector is None:
+        collector = default_collector()
+    return _TraceHandle(root, tracer, collector)
 
 
 # -- worker-side payloads ----------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..model.atoms import Atom
-from ..model.terms import Variable
+from ..model.terms import Variable, computed_once
 from .conditions import TRUE, AtomCondition, Condition
 
 
@@ -40,6 +40,9 @@ class SemiJoinSpec:
     variable sequence ``w̄`` (the SELECT list of the surrounding query), and
     ``join_key`` is the ordered tuple of variables shared by guard and
     conditional atom — the key on which the repartition join hashes.
+
+    Specs key the planner's memos: the hash and the join key are computed
+    once, on first use.
     """
 
     output: str
@@ -47,10 +50,23 @@ class SemiJoinSpec:
     conditional: Atom
     projection: Tuple[Variable, ...]
 
-    @property
+    @computed_once
     def join_key(self) -> Tuple[Variable, ...]:
         shared = self.guard.shared_variables(self.conditional)
         return tuple(v for v in self.guard.variables if v in shared)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @computed_once
+    def _hash(self) -> int:
+        return hash((self.output, self.guard, self.conditional, self.projection))
+
+    def __reduce__(self):
+        return (
+            self.__class__,
+            (self.output, self.guard, self.conditional, self.projection),
+        )
 
     def __str__(self) -> str:
         proj = ", ".join(str(v) for v in self.projection)
@@ -59,7 +75,11 @@ class SemiJoinSpec:
 
 @dataclass(frozen=True)
 class BSGFQuery:
-    """A basic SGF query ``Z := SELECT x̄ FROM guard WHERE condition``."""
+    """A basic SGF query ``Z := SELECT x̄ FROM guard WHERE condition``.
+
+    Like its atoms and specs, a query computes its hash, its conditional
+    atoms and its default semi-join specs once, on first use.
+    """
 
     output: str
     projection: Tuple[Variable, ...]
@@ -69,6 +89,19 @@ class BSGFQuery:
     def __post_init__(self) -> None:
         object.__setattr__(self, "projection", tuple(self.projection))
         self.validate()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @computed_once
+    def _hash(self) -> int:
+        return hash((self.output, self.projection, self.guard, self.condition))
+
+    def __reduce__(self):
+        return (
+            self.__class__,
+            (self.output, self.projection, self.guard, self.condition),
+        )
 
     # -- validation -----------------------------------------------------------
 
@@ -101,7 +134,7 @@ class BSGFQuery:
 
     # -- derived structure ------------------------------------------------------
 
-    @property
+    @computed_once
     def conditional_atoms(self) -> Tuple[Atom, ...]:
         """The distinct conditional atoms κ_1, ..., κ_n (left-to-right order)."""
         return self.condition.atoms()
@@ -125,9 +158,19 @@ class BSGFQuery:
         """The semi-join equations ``X_i := pi_w̄(guard ⋉ κ_i)``.
 
         Intermediate relation names default to ``"<output>#<i>"`` which keeps
-        them unique across multiple BSGF queries evaluated together.
+        them unique across multiple BSGF queries evaluated together.  With
+        the default names every call returns a fresh list over the same spec
+        objects, so memo keys built from them compare by identity.
         """
-        prefix = prefix if prefix is not None else self.output
+        if prefix is None:
+            return list(self._default_specs)
+        return self._specs(prefix)
+
+    @computed_once
+    def _default_specs(self) -> Tuple[SemiJoinSpec, ...]:
+        return tuple(self._specs(self.output))
+
+    def _specs(self, prefix: str) -> List[SemiJoinSpec]:
         return [
             SemiJoinSpec(
                 output=f"{prefix}#{i}",

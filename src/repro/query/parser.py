@@ -30,6 +30,7 @@ guardedness validation on construction.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -77,6 +78,20 @@ _TOKEN_RE = re.compile(
 )
 
 _KEYWORDS = {"SELECT", "FROM", "WHERE", "AND", "OR", "NOT"}
+
+#: Interned variables: every parse hands out one object per live name, so
+#: term tuples compare by identity.  Weak values bound the table by the
+#: variables still referenced somewhere.
+_VARIABLES: "weakref.WeakValueDictionary[str, Variable]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _variable(name: str) -> Variable:
+    variable = _VARIABLES.get(name)
+    if variable is None:
+        variable = _VARIABLES[name] = Variable(name)
+    return variable
 
 
 def _tokenize(text: str) -> List[_Token]:
@@ -174,7 +189,7 @@ class _Parser:
                 token.position,
                 self.text,
             )
-        return Variable(token.value)
+        return _variable(token.value)
 
     def _parse_or(self) -> Condition:
         left = self._parse_and()
@@ -225,7 +240,7 @@ class _Parser:
         if token.kind == "IDENT":
             self._advance()
             if token.value[0].islower():
-                return Variable(token.value)
+                return _variable(token.value)
             # Uppercase identifiers in term position are treated as string constants
             # (e.g. named data values); the paper uses quoted strings for these but
             # accepting bare names is convenient.

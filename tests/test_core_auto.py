@@ -1,7 +1,10 @@
 """Tests for the AUTO strategy: cost dominance, program costing, exposure."""
 
+import random
+
 import pytest
 
+from repro import Database
 from repro.core.costing import PlanCostEstimator
 from repro.core.gumbo import Gumbo
 from repro.core.options import GumboOptions
@@ -11,8 +14,10 @@ from repro.core.strategies import (
     build_bsgf_program,
     build_sgf_program,
     choose_strategy,
+    plan_strategy,
 )
 from repro.cost.estimates import StatisticsCatalog
+from repro.fuzz.generator import generate_case
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.program import MRProgram
 from repro.query.parser import parse_sgf
@@ -178,3 +183,57 @@ class TestAutoThroughGumbo:
         assert planned.choice.costs == choice.costs
         assert program.rounds() == choice.program.rounds()
         assert len(program) == len(choice.program)
+
+
+def _jobs(program):
+    return [
+        (job.job_id, type(job).__name__, sorted(program.dependencies_of(job.job_id)))
+        for level in program.levels()
+        for job in level
+    ]
+
+
+class TestPricedFromPartitions:
+    """AUTO prices PAR/GREEDY/OPTIMAL/1-ROUND and the SGF strategies from
+    their partitions and sorts and builds only the winner: every price must
+    equal, bit for bit, the program cost of the per-name path, and the winner
+    must be the very program that path builds."""
+
+    SEED, CASES = 36, 200
+
+    @staticmethod
+    def assert_same_as_per_name_path(query, database, label):
+        base = PlanCostEstimator(StatisticsCatalog(database))
+        choice = choose_strategy(query, base.scratch_copy())
+        assert not choice.errors, (label, choice.errors)
+        names = applicable_strategies(query)
+        assert list(choice.costs) == names
+        for name in names:
+            estimator = base.scratch_copy()
+            _, program, _ = plan_strategy(query, name, estimator)
+            cost = estimator.program_cost(program)
+            assert choice.costs[name].hex() == cost.hex(), (label, name)
+            if name == choice.strategy:
+                assert choice.program.name == program.name
+                assert _jobs(choice.program) == _jobs(program), label
+
+    def test_fuzz_programs(self):
+        shapes = {"flat": 0, "nested": 0}
+        for index in range(self.CASES):
+            case = generate_case(self.SEED, index)
+            query = case.program
+            self.assert_same_as_per_name_path(query, case.database, case.case_id)
+            shapes["nested" if query.intermediate_names else "flat"] += 1
+        assert min(shapes.values()) >= 50, shapes
+
+    def test_job_ids_order_the_sum(self):
+        # Twelve semi-joins: PAR's jobs msj-10 and msj-11 sort before msj-2,
+        # and the program walk adds the costs in that order.
+        rng = random.Random(5)
+        rows = {"R": [tuple(rng.randrange(50) for _ in range(4)) for _ in range(300)]}
+        for i in range(12):
+            rows[f"C{i}"] = [(rng.randrange(50),) for _ in range(7 * i + 3)]
+        condition = " AND ".join(f"C{i}({'xyzw'[i % 4]})" for i in range(12))
+        query = parse_sgf(f"Z := SELECT (x, y) FROM R(x, y, z, w) WHERE {condition};")
+        database = Database.from_dict(rows)
+        self.assert_same_as_per_name_path(query, database, "twelve semi-joins")

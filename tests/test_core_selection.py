@@ -5,8 +5,9 @@ projects it onto the SELECT list.  Two corners of that rule get no coverage
 from the fuzzer, which never draws an empty SELECT list: the 0-ary output
 (``SELECT ()`` yields the guard row's first field) and guard rows that are a
 member of no conditional at all (membership mask 0).  Here every job path —
-each applicable strategy plus AUTO in both kernel modes, the three Pig/Hive
-baselines, and a materialization with one refresh — must answer as the
+each applicable strategy plus AUTO in both kernel modes, standalone MSJ
+(Algorithm 1, for the one-atom condition), the three Pig/Hive baselines,
+and a materialization with one refresh — must answer as the
 reference evaluator does, with and without a projection, on a database
 whose conditionals match some guard rows and on one where they match none.
 """
@@ -19,6 +20,7 @@ import pytest
 
 from repro import Database, Gumbo
 from repro.baselines.plans import BASELINE_STRATEGIES, build_baseline_program
+from repro.core.msj import multi_semi_join
 from repro.core.options import GumboOptions
 from repro.core.selection import Selection
 from repro.core.strategies import AUTO, applicable_strategies
@@ -26,6 +28,7 @@ from repro.incremental import apply_inserts, dedupe_inserts
 from repro.mapreduce.engine import MapReduceEngine
 from repro.model.atoms import Atom
 from repro.query.bsgf import BSGFQuery
+from repro.query.conditions import AtomCondition
 from repro.query.parser import parse_bsgf
 from repro.query.reference import evaluate_sgf
 
@@ -71,6 +74,14 @@ def test_every_job_path_matches_the_reference(condition, projected, db_name):
             gumbo = Gumbo(options=GumboOptions(kernel_mode=mode))
             result = gumbo.execute(query, database, strategy)
             assert frozenset(result.output().tuples()) == expected, (strategy, mode)
+
+    if isinstance(query.condition, AtomCondition):
+        # One semi-join: Algorithm 1's standalone MSJ outputs the answer.
+        (spec,) = query.semijoin_specs()
+        for mode in ("auto", "off"):
+            options = GumboOptions(kernel_mode=mode)
+            outputs = multi_semi_join([spec], database, options=options)
+            assert frozenset(outputs[spec.output].tuples()) == expected, mode
 
     for strategy in BASELINE_STRATEGIES:
         program = build_baseline_program([query], strategy)

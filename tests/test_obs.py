@@ -25,7 +25,7 @@ from repro.core.options import GumboOptions
 from repro.exec import make_backend
 from repro.mapreduce.engine import collector_paused
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.trace import NOOP, Span, Tracer
+from repro.obs.trace import NOOP, Span, TraceCollector, Tracer
 from repro.service import QueryService
 from repro.workloads.queries import database_for, workload_query
 
@@ -106,6 +106,17 @@ class TestTracePropagation:
         assert failing.end_s >= failing.start_s
         assert failing.attributes.get("error", "").startswith("RuntimeError")
         assert tracer.root().attributes.get("error", "").startswith("RuntimeError")
+
+    def test_empty_private_collector_receives_its_trace(self):
+        # An empty collector is falsy (it has a length); the trace must still
+        # go to it, not to the process default.
+        collector = TraceCollector()
+        assert len(collector) == 0
+        with obs.trace("root", collector=collector):
+            pass
+        (tracer,) = collector.drain()
+        assert tracer.root().name == "root"
+        assert obs.drain_traces() == []
 
     def test_context_restored_after_trace(self):
         with obs.trace("root"):

@@ -35,12 +35,14 @@ swaps which order the cold process sees.
 
 A planning-history pass guards the planner the same way: one
 :class:`~repro.service.QueryService` plans (AUTO) the five batch shapes, a
-few multi-level SGF texts whose intermediate names collide, and a pair whose
-first query estimates an intermediate at 0 tuples, in list order or, under
-``--reverse-jobs``, in reverse.  One sorted line per query gives the winner
-and a digest of every candidate's estimated cost, as IEEE-754 bit patterns:
-a statistic or memoised estimate one query leaves behind for the next shows
-up as a difference between the two orders.
+few multi-level SGF texts whose intermediate names collide, a pair whose
+first query estimates an intermediate at 0 tuples, a flat text whose PAR and
+GREEDY partitions coincide and a nested one whose Greedy-SGF and SGF-Opt
+sorts differ, in list order or, under ``--reverse-jobs``, in reverse.  One
+sorted line per query gives the winner and a digest of every candidate's
+estimated cost, as IEEE-754 bit patterns: a statistic or memoised estimate
+one query leaves behind for the next shows up as a difference between the
+two orders.
 
 A last pass digests dynamic re-planning
 (:meth:`~repro.core.gumbo.Gumbo.execute_dynamic`) of each SGF text over
@@ -138,6 +140,19 @@ PLANNING_TEXTS = {
     "after-empty-z1": (
         "Z1 := SELECT x FROM R(x, y, z, w) WHERE S(x); "
         "Z2 := SELECT x FROM R(x, y, z, w) WHERE Z1(x) AND NOT T(y);"
+    ),
+}
+
+#: Planning-history texts only (no dynamic pass), for the two ways AUTO
+#: reuses work: a flat query whose PAR, GREEDY and OPTIMAL partitions
+#: coincide (one priced partition), and a nested one on which Greedy-SGF and
+#: SGF-Opt choose different multiway sorts.
+PRICING_TEXTS = {
+    "par-is-greedy": "Z := SELECT (x, y) FROM G(x, y, z, w) WHERE NOT S(x);",
+    "sgf-sorts-differ": (
+        "Z1 := SELECT x FROM R(x, y, z, w) WHERE S(x); "
+        "Z2 := SELECT x FROM G(x, y, z, w) WHERE T(y); "
+        "Z3 := SELECT x FROM R(x, y, z, w) WHERE Z1(x) AND Z2(y);"
     ),
 }
 
@@ -281,7 +296,8 @@ def run_planning_history(tuples: int, reverse: bool) -> None:
 
     queries = {shape: workload_query(shape) for shape in BATCH_SHAPES}
     database = _history_database(tuples)
-    queries.update((label, parse_sgf(text)) for label, text in PLANNING_TEXTS.items())
+    texts = {**PLANNING_TEXTS, **PRICING_TEXTS}
+    queries.update((label, parse_sgf(text)) for label, text in texts.items())
     order = list(queries)[::-1] if reverse else list(queries)
     lines = []
     with QueryService(database) as service:
