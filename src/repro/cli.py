@@ -41,7 +41,7 @@ from .io import load_database, save_database
 from .model.database import Database
 from .query.parser import parse_sgf
 from .query.sgf import SGFQuery
-from .service import BatchFailure, BatchResult, QueryService
+from .service import BatchResult, QueryService, ServiceError
 from .workloads.queries import database_for, workload_query
 from .workloads.scaling import ScaledEnvironment
 
@@ -280,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--sharded",
         action="store_true",
-        help="serve through the sharded persistent tier: an asyncio "
-        "front-end with admission control over long-lived worker shards "
+        help="serve on the sharded persistent tier (long-lived worker "
+        "shards) under the --max-queue / --request-timeout admission limits "
         "(see docs/service.md)",
     )
     serve.add_argument(
@@ -678,76 +678,9 @@ def _command_auto(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_sharded(
-    args: argparse.Namespace, service: QueryService, requests: Sequence[SGFQuery]
-) -> Tuple[BatchResult, List[str], int]:
-    """Send every request at once through the admission-controlled
-    front-end; returns the batch, the tier's report lines and how many
-    requests it shed or timed out."""
-    import asyncio
-
-    from .service.sharded import (
-        RequestTimeoutError,
-        ServiceOverloadedError,
-        ShardedService,
-    )
-
-    latencies: List[float] = []
-
-    async def timed(frontend: ShardedService, query: SGFQuery):
-        start = perf_counter()
-        result = await frontend.execute(query)
-        latencies.append(perf_counter() - start)
-        return result
-
-    async def drive(frontend: ShardedService) -> list:
-        return await asyncio.gather(
-            *[timed(frontend, query) for query in requests], return_exceptions=True
-        )
-
-    start = perf_counter()
-    with ShardedService(
-        service,
-        max_concurrency=args.clients,
-        max_queue=args.max_queue,
-        request_timeout_s=args.request_timeout,
-    ) as frontend:
-        outcomes = asyncio.run(drive(frontend))
-        elapsed = perf_counter() - start
-        front_stats = frontend.stats()
-    batch = BatchResult(
-        results=tuple(r for r in outcomes if not isinstance(r, BaseException)),
-        elapsed_s=elapsed,
-        failures=tuple(
-            BatchFailure(index, f"{type(error).__name__}: {error}", error)
-            for index, error in enumerate(outcomes)
-            if isinstance(error, BaseException)
-        ),
-    )
-    ordered = sorted(latencies) or [0.0]
-    p50, p95, p99 = (
-        ordered[min(len(ordered) - 1, int(p * len(ordered)))] * 1e3
-        for p in (0.50, 0.95, 0.99)
-    )
-    cluster = service.gumbo.backend.cluster
-    return batch, [
-        f"  sharded tier:        {cluster.shards} shards, {args.clients} "
-        f"concurrent, queue {args.max_queue}",
-        f"  latency p50/p95/p99: {p50:.1f} / {p95:.1f} / {p99:.1f} ms",
-        f"  shed / timed out:    {front_stats['shed']:.0f} / "
-        f"{front_stats['timeouts']:.0f}",
-        f"  worker respawns:     {cluster.respawns} "
-        f"({cluster.retries} request retries)",
-        f"  front-end stats:     {front_stats}",
-    ], sum(
-        isinstance(failure.exception, (ServiceOverloadedError, RequestTimeoutError))
-        for failure in batch.failures
-    )
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     """Serve repeated workload queries through the plan-caching service
-    (and, with ``--sharded``, the front-end of the sharded tier)."""
+    (with ``--sharded``, on the sharded tier under its admission limits)."""
     ids = [part.strip().upper() for part in args.query_ids.split(",") if part.strip()]
     if not ids:
         raise SystemExit("no workload ids given")
@@ -755,22 +688,24 @@ def _command_serve(args: argparse.Namespace) -> int:
     requests = [queries[i % len(queries)] for i in range(args.requests)]
     shards = 2 if args.shards is None else args.shards
     tier = {"backend": "sharded", "shards": shards} if args.sharded else {}
-    tier_report: List[str] = []
-    refused = 0
+    limits = (
+        {"max_queue": args.max_queue, "request_timeout_s": args.request_timeout}
+        if args.sharded
+        else {}
+    )
+    tier_report = ""
     with _gumbo_for(args, **tier) as gumbo, QueryService(
         database,
         gumbo,
         strategy=args.strategy,
         plan_cache_size=args.plan_cache,
         max_workers=args.clients,
+        **limits,
     ) as service:
         if args.incremental:
             for query in queries:
                 service.materialize(query)
-        if args.sharded:
-            batch, tier_report, refused = _serve_sharded(args, service, requests)
-        else:
-            batch = service.execute_many(requests)
+        batch = service.execute_many(requests)
         failures = list(batch.failures)
         if args.verify:
             mismatches = _mismatches(gumbo, database, requests, batch)
@@ -790,6 +725,13 @@ def _command_serve(args: argparse.Namespace) -> int:
             stale = _mismatches(gumbo, database, requests, rerun)
         stats = service.stats()
         snapshot = service.stats_snapshot()
+        if args.sharded:
+            cluster = gumbo.backend.cluster
+            tier_report = (
+                f"  sharded tier:        {cluster.shards} shards, queue "
+                f"{args.max_queue}, {cluster.respawns} worker respawns "
+                f"({cluster.retries} request retries)"
+            )
 
     if args.stats_json is not None:
         payload = json.dumps(snapshot, indent=2, sort_keys=True)
@@ -820,8 +762,14 @@ def _command_serve(args: argparse.Namespace) -> int:
         f"{name}×{count}" for name, count in sorted(strategies_run.items())
     )
     print(f"  strategies run:      {strategies}")
-    for line in tier_report:
-        print(line)
+    latency = service.metrics.histogram("repro_service_request_seconds").summary()
+    print(f"  latency p50/p95/p99: {latency['p50'] * 1e3:.1f} / "
+          f"{latency['p95'] * 1e3:.1f} / {latency['p99'] * 1e3:.1f} ms")
+    shed = service.metrics.counter("repro_service_shed_total").value
+    timed_out = service.metrics.counter("repro_service_timeouts_total").value
+    print(f"  shed / timed out:    {shed:.0f} / {timed_out:.0f}")
+    if tier_report:
+        print(tier_report)
     wrong = 0
     if args.incremental:
         print(
@@ -845,6 +793,7 @@ def _command_serve(args: argparse.Namespace) -> int:
               f"{f'{mismatches} MISMATCH(ES)' if mismatches else verdict}")
         wrong += mismatches
     # Shed and timed-out requests are admission control working as designed.
+    refused = sum(isinstance(f.exception, ServiceError) for f in failures)
     return 1 if len(failures) > refused or wrong else 0
 
 

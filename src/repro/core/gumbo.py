@@ -26,7 +26,7 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from ..cost.estimates import StatisticsCatalog
 from ..cost.models import CostModel, make_cost_model
@@ -50,6 +50,9 @@ from .strategies import (
     plan_strategy,
     register_intermediate_estimates,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from ..service.service import Deadline
 
 #: Anything Gumbo accepts as a query.
 QueryLike = Union[str, BSGFQuery, SGFQuery, Sequence[BSGFQuery]]
@@ -256,12 +259,13 @@ class Gumbo:
         program: MRProgram,
         strategy: str = "planned",
         choice: Optional[StrategyChoice] = None,
+        deadline: Optional["Deadline"] = None,
     ) -> GumboResult:
         """Run an already-planned *program* for *query* on the backend.
 
         The plan-caching query service uses this to skip planning entirely on
-        a cache hit; :meth:`execute` funnels through it as well so results are
-        assembled identically.
+        a cache hit, with its request's *deadline*; :meth:`execute` funnels
+        through it as well so results are assembled identically.
         """
         sgf = self.as_sgf(query)
         with obs.trace(
@@ -270,7 +274,9 @@ class Gumbo:
             strategy=strategy,
             backend=self.backend.name,
         ):
-            result: ProgramResult = self.backend.run_program(program, database)
+            result: ProgramResult = self.backend.run_program(
+                program, database, deadline=deadline
+            )
         output_names = set(sgf.output_names)
         return GumboResult(
             query=sgf,

@@ -33,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..mapreduce.job import MapReduceJob
     from ..mapreduce.program import MRProgram
     from ..model.database import Database
+    from ..service.service import Deadline
 
 #: Canonical backend names accepted by :func:`make_backend` and the CLI.
 SERIAL = "serial"
@@ -99,20 +100,26 @@ class ExecutionBackend(ABC):
         """
 
     def run_program(
-        self, program: "MRProgram", database: "Database"
+        self,
+        program: "MRProgram",
+        database: "Database",
+        *,
+        deadline: Optional["Deadline"] = None,
     ) -> "ProgramResult":
         """Execute an MR program level by level against *database*.
 
         Every backend walks the engine's one level loop
         (:meth:`~repro.mapreduce.engine.MapReduceEngine.run_program`) with its
-        own :meth:`run_job`; the result's metrics carry the backend's name
-        and the measured wall-clock time of the whole run.
+        own :meth:`run_job`, checking *deadline* before every job; the
+        result's metrics carry the backend's name and the measured
+        wall-clock time of the whole run.
         """
         start = perf_counter()
         result = self.engine.run_program(
             program,
             database,
             run_job=self.run_job,
+            deadline=deadline,
             backend=self.name,
             **self.prepare(database),
         )

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -63,6 +64,9 @@ from .job import Key, MapReduceJob
 from .kernels import MapBatch, use_kernel
 from .program import MRProgram
 from .scheduler import makespan
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from ..service.service import Deadline
 
 _MB = 1024.0 * 1024.0
 
@@ -601,6 +605,7 @@ class MapReduceEngine:
         program: MRProgram,
         database: Database,
         run_job: Optional[Callable[[MapReduceJob, Database], JobResult]] = None,
+        deadline: Optional["Deadline"] = None,
         **span_attrs: object,
     ) -> ProgramResult:
         """Execute an MR program level by level — the one level loop.
@@ -613,7 +618,8 @@ class MapReduceEngine:
         Execution backends drive this same loop through
         :meth:`repro.exec.base.ExecutionBackend.run_program`: *run_job* is the
         per-job callable (default: this engine's :meth:`run_job`) and
-        *span_attrs* are extra attributes of the ``program`` span.
+        *span_attrs* are extra attributes of the ``program`` span.  A
+        *deadline* is checked before every job, so none is cut mid-flight.
         """
         program.validate()
         run_job = run_job or self.run_job
@@ -636,6 +642,8 @@ class MapReduceEngine:
                 level_results: List[JobResult] = []
                 with obs.span("level", index=level_index, jobs=len(level_jobs)):
                     for job in level_jobs:
+                        if deadline is not None:
+                            deadline.check()
                         result = run_job(job, working)
                         level_results.append(result)
                         metrics.add_job(result.metrics)

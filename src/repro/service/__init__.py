@@ -1,8 +1,8 @@
 """The serving subsystem: plan-caching, statistics-caching query service.
 
 See :class:`~repro.service.service.QueryService` for the in-process entry
-point and :mod:`repro.service.sharded` for the persistent sharded tier
-(multi-process backend plus the admission-controlled async front-end).
+point (with admission control and deadlines) and :mod:`repro.service.sharded`
+for the persistent sharded tier (multi-process backend, asyncio front-end).
 """
 
 from .cache import CacheStats, LRUCache
@@ -12,7 +12,10 @@ from .service import (
     BatchResult,
     QueryMetricsHistory,
     QueryService,
+    RequestTimeoutError,
     Result,
+    ServiceError,
+    ServiceOverloadedError,
     ServiceStats,
 )
 
@@ -25,6 +28,7 @@ __all__ = [
     "QueryService",
     "RequestTimeoutError",
     "Result",
+    "ServiceError",
     "ServiceOverloadedError",
     "ServiceStats",
     "ShardCluster",
@@ -38,8 +42,6 @@ __all__ = [
 #: Sharded-tier symbols loaded lazily (PEP 562) so importing the in-process
 #: service does not pull in asyncio/multiprocessing machinery.
 _SHARDED_EXPORTS = (
-    "RequestTimeoutError",
-    "ServiceOverloadedError",
     "ShardCluster",
     "ShardedBackend",
     "ShardedService",

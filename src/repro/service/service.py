@@ -19,7 +19,10 @@ and high-volume workloads cheap:
 * **concurrent execution** — queries submitted through :meth:`submit` /
   :meth:`submit_many` run on a thread pool against the shared execution
   backend (the serial simulated backend is pure and runs concurrently;
-  other backends are serialised with a lock), with per-query metrics.
+  other backends are serialised with a lock), with per-query metrics;
+* **admission and deadlines** — submissions past ``max_workers +
+  max_queue`` in flight are shed; a request past ``request_timeout_s``
+  stops before its next job.
 
 The default strategy is ``AUTO`` — cost-based selection over every applicable
 strategy — because a serving layer should not require callers to name one.
@@ -53,6 +56,46 @@ from .fingerprint import query_fingerprint
 
 #: Plan-cache key: (query fingerprint, normalised requested strategy).
 PlanKey = Tuple[str, str]
+
+
+class ServiceError(RuntimeError):
+    """Base class of the typed serving errors: a shed or a timed-out request."""
+
+
+class ServiceOverloadedError(ServiceError):
+    """The request was shed: every worker is busy and the queue is full."""
+
+    def __init__(self, in_flight: int, limit: int) -> None:
+        super().__init__(
+            f"service overloaded: {in_flight} requests in flight "
+            f"(admission limit {limit}); request shed"
+        )
+        self.in_flight = in_flight
+        self.limit = limit
+
+
+class RequestTimeoutError(ServiceError):
+    """A request ran past its deadline; it stopped before its next job."""
+
+    def __init__(self, timeout_s: float) -> None:
+        super().__init__(f"request exceeded the {timeout_s:g}s timeout")
+        self.timeout_s = timeout_s
+
+
+class Deadline:
+    """A request's wall-time budget, from the moment it starts executing;
+    the engine's level loop calls :meth:`check` before every job."""
+
+    __slots__ = ("timeout_s", "at")
+
+    def __init__(self, timeout_s: float) -> None:
+        self.timeout_s = timeout_s
+        self.at = perf_counter() + timeout_s
+
+    def check(self) -> None:
+        """Raise :class:`RequestTimeoutError` once the deadline has passed."""
+        if perf_counter() >= self.at:
+            raise RequestTimeoutError(self.timeout_s)
 
 
 @dataclass(frozen=True, repr=False)
@@ -212,34 +255,15 @@ class QueryMetricsHistory:
         self.exec_s_total += result.exec_s
         self.exec_seconds.observe(result.exec_s)
 
-    def record_failure(self) -> None:
-        """Count one failed request against this fingerprint."""
-        self.failures += 1
-
     def copy(self) -> "QueryMetricsHistory":
         """An independent copy (the histogram is mutable, so snapshot it)."""
-        return QueryMetricsHistory(
-            fingerprint=self.fingerprint,
-            queries=self.queries,
-            plan_cache_hits=self.plan_cache_hits,
-            materialized_hits=self.materialized_hits,
-            failures=self.failures,
-            plan_s_total=self.plan_s_total,
-            exec_s_total=self.exec_s_total,
-            exec_seconds=self.exec_seconds.snapshot(),
-        )
+        return replace(self, exec_seconds=self.exec_seconds.snapshot())
 
     def as_dict(self) -> Dict[str, object]:
         """The counters (with exec-time percentiles) as a JSON-ready mapping."""
-        return {
-            "queries": self.queries,
-            "plan_cache_hits": self.plan_cache_hits,
-            "materialized_hits": self.materialized_hits,
-            "failures": self.failures,
-            "plan_s_total": self.plan_s_total,
-            "exec_s_total": self.exec_s_total,
-            "exec_seconds": self.exec_seconds.summary(),
-        }
+        record = {**vars(self), "exec_seconds": self.exec_seconds.summary()}
+        del record["fingerprint"]
+        return record
 
 
 @dataclass(frozen=True)
@@ -259,18 +283,7 @@ class ServiceStats:
 
     def as_dict(self) -> Dict[str, object]:
         """The snapshot as a JSON-ready mapping."""
-        return {
-            "queries_served": self.queries_served,
-            "queries_failed": self.queries_failed,
-            "plan_cache": self.plan_cache.as_dict(),
-            "plan_cache_size": self.plan_cache_size,
-            "database_version": self.database_version,
-            "statistics_rebuilds": self.statistics_rebuilds,
-            "materialized_results": self.materialized_results,
-            "materialized_hits": self.materialized_hits,
-            "incremental_refreshes": self.incremental_refreshes,
-            "metrics_histories": self.metrics_histories,
-        }
+        return {**vars(self), "plan_cache": self.plan_cache.as_dict()}
 
 
 class QueryService:
@@ -298,6 +311,14 @@ class QueryService:
     max_workers:
         Thread-pool size for concurrent submissions (``ValueError`` below
         1).
+    max_queue:
+        Submitted requests allowed to wait beyond the executing ones; past
+        ``max_workers + max_queue`` in flight a submission is shed with
+        :class:`ServiceOverloadedError`.  ``None`` (default): unbounded.
+    request_timeout_s:
+        Wall-time budget of each :meth:`execute` from its start (queue wait
+        excluded); past it the request stops before its next job with
+        :class:`RequestTimeoutError`.  ``None`` (default): no deadline.
     backend:
         A backend name or :class:`~repro.exec.base.ExecutionBackend`
         instance for the fresh Gumbo (overrides ``options.backend``).
@@ -314,10 +335,18 @@ class QueryService:
         strategy: str = AUTO,
         plan_cache_size: int = 256,
         max_workers: int = 4,
+        max_queue: Optional[int] = None,
+        request_timeout_s: Optional[float] = None,
         backend: Union[str, ExecutionBackend, None] = None,
         options: Optional[GumboOptions] = None,
     ) -> None:
         check_width("max_workers", max_workers)
+        if max_queue is not None and max_queue < 0:
+            raise ValueError(f"max_queue must be >= 0, got {max_queue}")
+        if request_timeout_s is not None and request_timeout_s <= 0:
+            raise ValueError(
+                f"request_timeout_s must be > 0, got {request_timeout_s}"
+            )
         self._owns_gumbo = gumbo is None
         if gumbo is None:
             gumbo = Gumbo(options=options, backend=backend)
@@ -325,6 +354,13 @@ class QueryService:
         self.database = database
         self.default_strategy = strategy
         self.plan_cache: LRUCache[PlanKey, PlannedQuery] = LRUCache(plan_cache_size)
+        self.max_workers = max_workers
+        self.max_queue = max_queue
+        self.request_timeout_s = request_timeout_s
+        #: Submitted requests allowed in flight at once (None: unbounded).
+        self.admission_limit = None if max_queue is None else max_workers + max_queue
+        #: Submitted requests queued or executing.
+        self._in_flight = 0
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-service"
         )
@@ -356,6 +392,9 @@ class QueryService:
         self.metrics = MetricsRegistry()
         self._m_requests = self.metrics.counter("repro_service_requests_total")
         self._m_failures = self.metrics.counter("repro_service_failures_total")
+        self._m_shed = self.metrics.counter("repro_service_shed_total")
+        self._m_timeouts = self.metrics.counter("repro_service_timeouts_total")
+        self._m_in_flight = self.metrics.gauge("repro_service_in_flight")
         self._m_plan_hits = self.metrics.counter(
             "repro_service_plan_cache_total", outcome="hit"
         )
@@ -483,30 +522,42 @@ class QueryService:
 
         Raises
         ------
+        RequestTimeoutError
+            When ``request_timeout_s`` is set and the request is still
+            running at its deadline (checked before every job).
         Exception
             Planning and execution errors propagate unchanged; the failure is
             counted against the service and the query's fingerprint first.
         """
-        requested = self._normalise_strategy(strategy)
-        database = self.database
-        try:
-            sgf = Gumbo.as_sgf(query)
-            fingerprint = query_fingerprint(sgf, database)
-        except Exception:
-            # Unparseable/ill-typed queries fail before a fingerprint exists;
-            # count them against the service under a sentinel fingerprint so
-            # batch accounting (queries_failed) never loses a failure.
-            self._record_failure("<unparseable>")
-            raise
+        return self._execute(query, strategy)
+
+    def _execute(
+        self,
+        query: QueryLike,
+        strategy: Optional[str],
+        queued_s: Optional[float] = None,
+    ) -> Result:
+        """:meth:`execute`; *queued_s* is the admission-queue wait, if any."""
         self._m_requests.inc()
         request_start = perf_counter()
+        timeout = self.request_timeout_s
+        deadline = None if timeout is None else Deadline(timeout)
+        database = self.database
+        # Unparseable/ill-typed queries fail before a fingerprint exists;
+        # they are counted under a sentinel so no failure is lost.
+        fingerprint = "<unparseable>"
         with obs.trace(
-            "service.request",
-            enabled=self.gumbo.options.trace,
-            fingerprint=fingerprint,
-            requested_strategy=requested,
+            "service.request", enabled=self.gumbo.options.trace
         ) as request_span:
+            if queued_s is not None:
+                request_span.set(queued_ms=queued_s * 1e3)
             try:
+                requested = self._normalise_strategy(strategy)
+                sgf = Gumbo.as_sgf(query)
+                fingerprint = query_fingerprint(sgf, database)
+                request_span.set(
+                    fingerprint=fingerprint, requested_strategy=requested
+                )
                 materialized = self._serve_materialized(fingerprint, requested)
                 if materialized is not None:
                     request_span.set(materialized=True, plan_cached=True)
@@ -523,13 +574,11 @@ class QueryService:
                     plan_cached=was_cached, strategy=planned.strategy
                 )
                 exec_start = perf_counter()
-                if self._exec_lock is not None:
-                    with self._exec_lock:
-                        result = self._run(planned, database)
-                else:
-                    result = self._run(planned, database)
+                result = self._run(planned, database, deadline)
                 exec_s = perf_counter() - exec_start
-            except Exception:
+            except Exception as exc:
+                if isinstance(exc, RequestTimeoutError):
+                    self._m_timeouts.inc()
                 self._record_failure(fingerprint)
                 raise
         served = Result(
@@ -544,29 +593,27 @@ class QueryService:
         self._m_request_seconds.observe(perf_counter() - request_start)
         return served
 
+    def _history_of(self, fingerprint: str) -> QueryMetricsHistory:
+        """The history of *fingerprint*, created on first use (caller holds
+        ``_state_lock``)."""
+        history = self._history.get(fingerprint)
+        if history is None:
+            history = self._history[fingerprint] = QueryMetricsHistory(fingerprint)
+        return history
+
     def _record(self, served: Result, materialized: bool = False) -> None:
         with self._state_lock:
             self._queries_served += 1
             if materialized:
                 self._materialized_hits += 1
-            history = self._history.get(served.fingerprint)
-            if history is None:
-                history = self._history[served.fingerprint] = QueryMetricsHistory(
-                    served.fingerprint
-                )
-            history.record(served, materialized=materialized)
+            self._history_of(served.fingerprint).record(served, materialized)
 
     def _record_failure(self, fingerprint: str) -> None:
         """Count a failed request against the service and its fingerprint."""
         self._m_failures.inc()
         with self._state_lock:
             self._queries_failed += 1
-            history = self._history.get(fingerprint)
-            if history is None:
-                history = self._history[fingerprint] = QueryMetricsHistory(
-                    fingerprint
-                )
-            history.record_failure()
+            self._history_of(fingerprint).failures += 1
 
     def _serve_materialized(
         self, fingerprint: str, requested: str
@@ -639,11 +686,7 @@ class QueryService:
             )
             plan_s = perf_counter() - plan_start
             exec_start = perf_counter()
-            if self._exec_lock is not None:
-                with self._exec_lock:
-                    result = self._run(planned, database)
-            else:
-                result = self._run(planned, database)
+            result = self._run(planned, database)
             # Build + register under the planning lock: incremental batches
             # (add_tuples(..., incremental=True)) also hold it, so the state
             # is never built over a half-applied mutation.  A batch or
@@ -674,20 +717,70 @@ class QueryService:
             "attempts (concurrent mutations kept landing mid-execution)"
         )
 
-    def _run(self, planned: PlannedQuery, database: Database) -> GumboResult:
-        return self.gumbo.execute_program(
-            planned.query,
-            database,
-            planned.program,
-            strategy=planned.strategy,
-            choice=planned.choice,
-        )
+    def _run(
+        self,
+        planned: PlannedQuery,
+        database: Database,
+        deadline: Optional[Deadline] = None,
+    ) -> GumboResult:
+        """Run *planned* on the backend, one program at a time unless serial."""
+        if self._exec_lock is not None:
+            with obs.span("service.exec_lock"):
+                self._exec_lock.acquire()
+        try:
+            return self.gumbo.execute_program(
+                planned.query,
+                database,
+                planned.program,
+                strategy=planned.strategy,
+                choice=planned.choice,
+                deadline=deadline,
+            )
+        finally:
+            if self._exec_lock is not None:
+                self._exec_lock.release()
+
+    @property
+    def in_flight(self) -> int:
+        """Submitted requests queued or executing right now."""
+        return self._in_flight
 
     def submit(
         self, query: QueryLike, strategy: Optional[str] = None
     ) -> "Future[Result]":
-        """Serve one query on the thread pool; returns a future."""
-        return self._pool.submit(self.execute, query, strategy)
+        """Serve one query on the thread pool; returns a future.
+
+        Past the :attr:`admission_limit` the request is shed: the returned
+        future has already failed with :class:`ServiceOverloadedError`, and
+        the request counts as a failure.
+        """
+        limit = self.admission_limit
+        with self._state_lock:
+            in_flight = self._in_flight
+            admitted = limit is None or in_flight < limit
+            if admitted:
+                self._in_flight += 1
+                self._m_in_flight.set(self._in_flight)
+        if admitted:
+            return self._pool.submit(self._admitted, query, strategy, perf_counter())
+        self._m_requests.inc()
+        self._m_shed.inc()
+        self._record_failure("<shed>")
+        shed: "Future[Result]" = Future()
+        shed.set_exception(ServiceOverloadedError(in_flight, limit))
+        return shed
+
+    def _admitted(
+        self, query: QueryLike, strategy: Optional[str], submitted: float
+    ) -> Result:
+        """One admitted request on a pool thread; leaves the in-flight count
+        before its future completes."""
+        try:
+            return self._execute(query, strategy, perf_counter() - submitted)
+        finally:
+            with self._state_lock:
+                self._in_flight -= 1
+                self._m_in_flight.set(self._in_flight)
 
     def submit_many(
         self,
@@ -750,9 +843,12 @@ class QueryService:
             return self.plan_cache.clear()
 
     def mutate(self, mutator: Callable[[Database], None]) -> None:
-        """Apply *mutator* to the database, then invalidate the caches."""
-        mutator(self.database)
-        self.invalidate()
+        """Apply *mutator* to the database, then invalidate the caches (also
+        when the mutator raises: it may have changed the database first)."""
+        try:
+            mutator(self.database)
+        finally:
+            self.invalidate()
 
     def add_tuples(
         self,
@@ -785,29 +881,23 @@ class QueryService:
         rows = [tuple(row) for row in rows]
         if not rows:
             return [] if incremental else None
+        # Validate the batch up front so nothing is half-applied: every row
+        # must match the target relation's arity (or, for a new relation,
+        # the batch must agree with itself).
+        existing = self.database.get(relation)
+        arity = existing.arity if existing is not None else len(rows[0])
+        for row in rows:
+            if len(row) != arity:
+                raise SchemaError(
+                    f"tuple {row!r} has arity {len(row)}, relation "
+                    f"{relation!r} expects {arity}"
+                )
         if not incremental:
-
-            def _apply(database: Database) -> None:
-                existing = database.get(relation)
-                if existing is None:
-                    existing = database.ensure_relation(relation, len(rows[0]))
-                for row in rows:
-                    existing.add(row)
-
-            self.mutate(_apply)
+            self.mutate(
+                lambda database: database.ensure_relation(relation, arity).update(rows)
+            )
             return None
         with self._plan_lock:
-            # Validate the batch up front so nothing is half-applied: every
-            # row must match the target relation's arity (or, for a new
-            # relation, the batch must agree with itself).
-            existing = self.database.get(relation)
-            arity = existing.arity if existing is not None else len(rows[0])
-            for row in rows:
-                if len(row) != arity:
-                    raise SchemaError(
-                        f"tuple {row!r} has arity {len(row)}, relation "
-                        f"{relation!r} expects {arity}"
-                    )
             materializations = list(self._materialized.values())
             # Bad-argument errors are raised before anything mutates (the
             # fail-safe below is for crashes mid-batch, not for these).

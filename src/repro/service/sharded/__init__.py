@@ -13,31 +13,27 @@ Layers, bottom up:
 * :mod:`~repro.service.sharded.backend` — the multi-process execution
   backend, ``"parallel"`` and ``"sharded"`` by name (bit-identical outputs
   and simulated metrics to the serial reference);
-* :mod:`~repro.service.sharded.frontend` — the admission-controlled asyncio
-  front-end with typed shed/timeout errors.
+* :mod:`~repro.service.sharded.frontend` — the asyncio front-end over the
+  query service's admission control and deadlines.
 
 See ``docs/service.md`` for the tier architecture and failure semantics.
 """
 
+from ..service import RequestTimeoutError, ServiceError, ServiceOverloadedError
 from .backend import ShardedBackend
 from .cluster import ShardCluster, ShardedExecutionError, WorkerCrashedError
-from .frontend import (
-    RequestTimeoutError,
-    ServiceOverloadedError,
-    ShardedService,
-    ShardedServiceError,
-)
+from .frontend import ShardedService
 from .routing import chunk_assignment, shard_for_chunk
 from .rpc import WorkerDied
 
 __all__ = [
     "RequestTimeoutError",
+    "ServiceError",
     "ServiceOverloadedError",
     "ShardCluster",
     "ShardedBackend",
     "ShardedExecutionError",
     "ShardedService",
-    "ShardedServiceError",
     "WorkerCrashedError",
     "WorkerDied",
     "chunk_assignment",

@@ -87,21 +87,32 @@ class TestOptions:
             build()
 
     @pytest.mark.parametrize(
-        "build, floor",
+        "build, bound",
         [
-            (lambda: make_backend("parallel", workers=0), 1),
-            (lambda: Gumbo(options=GumboOptions(backend="parallel", workers=-1)), 1),
-            (lambda: ShardedService.create(Database.from_dict(DB), shards=0), 1),
-            (lambda: connect(DB, workers=0), 1),
-            (lambda: QueryService(Database.from_dict(DB), max_workers=0), 1),
-            (lambda: connect(DB, max_workers=-2), 1),
+            (lambda: make_backend("parallel", workers=0), ">= 1"),
+            (
+                lambda: Gumbo(options=GumboOptions(backend="parallel", workers=-1)),
+                ">= 1",
+            ),
+            (lambda: ShardedService.create(Database.from_dict(DB), shards=0), ">= 1"),
+            (lambda: connect(DB, workers=0), ">= 1"),
+            (lambda: QueryService(Database.from_dict(DB), max_workers=0), ">= 1"),
+            (lambda: connect(DB, max_workers=-2), ">= 1"),
             (
                 lambda: ShardedService.create(
                     Database.from_dict(DB), max_concurrency=0
                 ),
-                1,
+                ">= 1",
             ),
-            (lambda: ShardedService.create(Database.from_dict(DB), max_queue=-1), 0),
+            (
+                lambda: ShardedService.create(Database.from_dict(DB), max_queue=-1),
+                ">= 0",
+            ),
+            (lambda: QueryService(Database.from_dict(DB), max_queue=-1), ">= 0"),
+            (
+                lambda: QueryService(Database.from_dict(DB), request_timeout_s=0),
+                "> 0",
+            ),
         ],
         ids=[
             "make_backend",
@@ -112,17 +123,20 @@ class TestOptions:
             "connect-max_workers",
             "ShardedService.create-max_concurrency",
             "ShardedService.create-max_queue",
+            "QueryService-max_queue",
+            "QueryService-request_timeout_s",
         ],
     )
-    def test_width_below_one_is_rejected_at_every_entry_point(self, build, floor):
+    def test_width_below_one_is_rejected_at_every_entry_point(self, build, bound):
         """Each entry point raises the same error, and starts no worker.
 
-        Pool widths (processes and threads) must be >= 1; the front-end's
-        wait queue may be empty but not negative.
+        Pool widths (processes and threads) must be >= 1; the service's
+        wait queue may be empty but not negative, and a request timeout
+        must be positive.
         """
         processes = set(multiprocessing.active_children())
         threads = set(threading.enumerate())
-        with pytest.raises(ValueError, match=f"must be >= {floor}, got"):
+        with pytest.raises(ValueError, match=f"must be {bound}, got"):
             build()
         assert set(multiprocessing.active_children()) <= processes
         assert set(threading.enumerate()) <= threads

@@ -1,12 +1,24 @@
 """Tests for the serving layer: fingerprints, plan cache, concurrent service."""
 
+import time
+
 import pytest
 
+from repro import obs
 from repro.core.gumbo import Gumbo
+from repro.core.options import GumboOptions
+from repro.exec.simulated import SimulatedBackend
 from repro.model.database import Database
+from repro.model.relation import SchemaError
 from repro.query.parser import parse_sgf
 from repro.query.reference import evaluate_sgf
-from repro.service import LRUCache, QueryService, query_fingerprint
+from repro.service import (
+    LRUCache,
+    QueryService,
+    RequestTimeoutError,
+    ServiceOverloadedError,
+    query_fingerprint,
+)
 from repro.workloads.queries import database_for, workload_query
 
 from helpers import small_database, star_database
@@ -504,3 +516,162 @@ class TestIncrementalFailureSafety:
             served = service.execute(SIMPLE_QUERY)
             expected = evaluate_sgf(parse_sgf(SIMPLE_QUERY), service.database)
             assert served.result.output().tuples() == expected["Z"].tuples()
+
+
+def _slow_jobs(service, seconds):
+    """Make every job of *service*'s backend sleep first; returns the list
+    the wrapped ``run_job`` appends each started job to."""
+    started = []
+    run_job = service.gumbo.backend.run_job
+
+    def slow(job, database):
+        started.append(job)
+        time.sleep(seconds)
+        return run_job(job, database)
+
+    service.gumbo.backend.run_job = slow
+    return started
+
+
+def _counter(service, name):
+    return service.metrics.counter(name).value
+
+
+class TestAdmissionAndDeadlines:
+    def test_submissions_past_the_admission_limit_are_shed(self):
+        """One executing, one queued: the other three of five are shed at
+        submission, as ordinary batch failures, and the counters add up."""
+        with QueryService(small_database(), max_workers=1, max_queue=1) as service:
+            assert service.admission_limit == 2
+            _slow_jobs(service, 0.05)
+            batch = service.execute_many([SIMPLE_QUERY] * 5)
+            shed = [
+                f for f in batch.failures
+                if isinstance(f.exception, ServiceOverloadedError)
+            ]
+            assert len(shed) == len(batch.failures) == 3
+            assert len(batch.results) == 2
+            assert all(f.exception.limit == 2 for f in shed)
+            stats = service.stats()
+            assert stats.queries_failed == 3
+            assert stats.queries_served + stats.queries_failed == 5
+            assert _counter(service, "repro_service_requests_total") == 5
+            assert _counter(service, "repro_service_failures_total") == 3
+            assert _counter(service, "repro_service_shed_total") == 3
+            assert service.in_flight == 0
+            assert service.metrics.gauge("repro_service_in_flight").value == 0
+
+    def test_in_flight_count_survives_concurrent_submitters(self):
+        """Four submitting threads against four pool threads, with a short
+        switch interval: the admitted count never passes the limit, returns
+        to zero, and every submission is served or shed exactly once."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryService(small_database(), max_workers=4, max_queue=2) as service:
+                seen = []
+                run_job = service.gumbo.backend.run_job
+
+                def watched(job, database):
+                    seen.append(service.in_flight)
+                    return run_job(job, database)
+
+                service.gumbo.backend.run_job = watched
+                with ThreadPoolExecutor(max_workers=4) as submitters:
+                    batches = list(
+                        submitters.map(
+                            lambda _: service.submit_many([SIMPLE_QUERY] * 25),
+                            range(4),
+                        )
+                    )
+                outcomes = [f.exception(timeout=30) for b in batches for f in b]
+                assert all(
+                    e is None or isinstance(e, ServiceOverloadedError)
+                    for e in outcomes
+                )
+                assert service.in_flight == 0
+                assert max(seen) <= service.admission_limit == 6
+                stats = service.stats()
+                assert stats.queries_served == outcomes.count(None)
+                assert stats.queries_served + stats.queries_failed == 100
+                assert _counter(service, "repro_service_requests_total") == 100
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_deadline_stops_the_request_before_its_next_job(self):
+        """A timed-out request raises, starts no later job and leaves its pool
+        thread idle: the deadline is checked between jobs."""
+        query = workload_query("A3")
+        database = database_for(list(query.subqueries), guard_tuples=50, seed=1)
+        with QueryService(database, request_timeout_s=0.05) as service:
+            planned, _ = service.plan(query, "seq")
+            assert len(planned.program.levels()) > 1
+            started = _slow_jobs(service, 0.2)
+            future = service.submit(query, "seq")
+            with pytest.raises(RequestTimeoutError) as excinfo:
+                future.result(timeout=10)
+            assert excinfo.value.timeout_s == 0.05
+            assert len(started) == 1
+            assert service.in_flight == 0
+            time.sleep(0.3)  # longer than a job: nothing is still running
+            assert len(started) == 1
+            assert _counter(service, "repro_service_timeouts_total") == 1
+            assert service.stats().queries_failed == 1
+
+    def test_unparseable_request_is_counted_as_a_request(self):
+        with QueryService(small_database()) as service:
+            with pytest.raises(Exception):
+                service.execute("this is not a query")
+            failures = _counter(service, "repro_service_failures_total")
+            assert failures == 1
+            assert failures <= _counter(service, "repro_service_requests_total")
+            assert "<unparseable>" in service.metrics_history()
+
+    def test_traced_request_records_its_two_waits(self):
+        """The admission-queue wait is ``queued_ms`` on ``service.request``;
+        the wait for the execution lock is a ``service.exec_lock`` span."""
+        backend = SimulatedBackend()
+        backend.name = "serialised"  # any non-serial backend takes the lock
+        gumbo = Gumbo(backend=backend, options=GumboOptions(trace=True))
+        obs.drain_traces()
+        with QueryService(small_database(), gumbo) as service:
+            service.submit(SIMPLE_QUERY).result()
+            service.execute(SIMPLE_QUERY)
+        submitted, direct = obs.drain_traces()
+        root = submitted.root()
+        assert root.name == "service.request"
+        assert root.attributes["queued_ms"] >= 0
+        assert "fingerprint" in root.attributes
+        assert "queued_ms" not in direct.root().attributes
+        [lock] = [s for s in submitted.spans if s.name == "service.exec_lock"]
+        assert lock.parent_id == root.span_id
+
+
+class TestMutationSafety:
+    def test_bad_arity_insert_changes_nothing_and_serves_the_truth(self):
+        text = "Z := SELECT (x, y) FROM R(x, y) WHERE S(x);"
+        database = Database.from_dict({"R": [(1, 2), (3, 4)], "S": [(1,)]})
+        with QueryService(database) as service:
+            service.materialize(text)
+            with pytest.raises(SchemaError):
+                service.add_tuples("S", [(3,), (5, 6)])
+            assert service.database["S"].tuples() == {(1,)}
+            expected = evaluate_sgf(parse_sgf(text), service.database)["Z"]
+            assert service.execute(text).tuples() == expected.tuples()
+
+    def test_mutate_invalidates_even_when_the_mutator_raises(self):
+        with QueryService(small_database()) as service:
+            service.materialize(SIMPLE_QUERY)
+
+            def half_applied(database):
+                database["S"].add((3,))
+                raise RuntimeError("mutator crashed")
+
+            with pytest.raises(RuntimeError):
+                service.mutate(half_applied)
+            assert service.database_version == 1
+            expected = evaluate_sgf(parse_sgf(SIMPLE_QUERY), service.database)
+            assert service.execute(SIMPLE_QUERY).tuples() == expected["Z"].tuples()
