@@ -216,8 +216,8 @@ class EvalJob(MapReduceJob):
         return ledger.batch(relation, ("guard", conforming))
 
     def reduce_batch(self, batches) -> Dict[str, Iterable[Tuple[object, ...]]]:
-        """Kernelised reduce: the guard rows' membership masks; only the rows
-        found in some intermediate are walked, the rest is a set difference."""
+        """Kernelised reduce: each target's guard rows, which are their own
+        keys, go through its selection over the intermediates' row sets."""
         members: Dict[Tuple[int, int], set] = {}
         owned: set = set()
         guard_rows: Dict[int, List[Tuple[object, ...]]] = {}
@@ -231,12 +231,7 @@ class EvalJob(MapReduceJob):
         outputs: Dict[str, set] = {s.output: set() for s in self.selections}
         for t_index, rows in guard_rows.items():
             selection = self.selections[t_index]
-            row_set = set(rows)
-            masks, accepted = selection.masks(members, row_set)
-            kept = [row for row, mask in masks.items() if mask in accepted]
-            if 0 in accepted and len(masks) < len(row_set):
-                kept.extend(row_set.difference(masks))
-            selection.emit(kept, outputs[selection.output])
+            selection.select(members, [(rows, rows)], outputs[selection.output])
         return outputs
 
     def __repr__(self) -> str:

@@ -11,12 +11,13 @@ memberships arrive in (``docs/operators.md`` § Message layout).
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Collection, Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
+from itertools import compress
+from operator import not_
+from typing import Collection, Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from ..model.atoms import Atom, tuple_extractor
 from ..query.bsgf import BSGFQuery
-from ..query.conditions import AtomCondition, Condition, Not
+from ..query.conditions import And, AtomCondition, Condition, Not, Or
 
 _EMPTY: frozenset = frozenset()
 
@@ -30,7 +31,7 @@ class Selection:
     itself when *projection* is ``None``.
     """
 
-    __slots__ = ("output", "condition", "slots", "positions", "_literal")
+    __slots__ = ("output", "condition", "slots", "positions")
 
     def __init__(self, output, condition, slots, guard, projection=None) -> None:
         self.output: str = output
@@ -39,11 +40,6 @@ class Selection:
         self.positions: Optional[Tuple[int, ...]] = None
         if projection is not None:
             self.positions = guard.compile().projection_positions(projection)
-        leaf = condition.operand if isinstance(condition, Not) else condition
-        # A single (negated) atom: its slot and sign, for a direct filter.
-        self._literal = None
-        if isinstance(leaf, AtomCondition):
-            self._literal = (self.slots[leaf.atom], leaf is condition)
 
     @classmethod
     def of_query(cls, query: BSGFQuery, slots: Iterable[object]) -> "Selection":
@@ -60,54 +56,52 @@ class Selection:
         """The output row of a kept guard row."""
         return row if self.positions is None else tuple_extractor(self.positions)(row)
 
-    def emit(self, rows: Iterable[Tuple[object, ...]], sink: Set[tuple]) -> None:
-        """Add the output rows of the kept *rows* to *sink*."""
-        if self.positions is not None:
-            rows = map(tuple_extractor(self.positions), rows)
-        sink.update(rows)
+    def members(self, sets: Mapping) -> Tuple[Collection, bool]:
+        """φ over whole key sets: ``(S, negated)``, φ holding for a key exactly
+        when its membership in ``S`` differs from *negated*.
 
-    def masks(self, sets: Mapping, keys: Set[object]) -> Tuple[Counter, Set[int]]:
-        """The mask algorithm: the membership bitmask (bit ``i``: the ``i``-th
-        slot) of each key of *keys* found in some ``sets[slot]``, and the masks
-        φ accepts, ``0`` (found nowhere) included.  φ is evaluated once per
-        distinct mask; bits are powers of two, so the Counter's sums are ORs.
+        *sets* holds per slot the member keys (a missing slot has none).  An
+        atom is its slot's set, ``Not`` flips the flag and ``And`` is ``&``,
+        ``-`` or ``|`` by the flags of its operands; ``Or`` is ``And`` by De
+        Morgan.  No complement is ever built: TRUE is the empty set, negated.
         """
-        masks: Counter = Counter()
-        bits: Dict[Atom, int] = {}
-        for bit, (atom, slot) in enumerate(self.slots.items()):
-            bits[atom] = 1 << bit
-            hit = keys & sets.get(slot, _EMPTY)
-            if hit:
-                masks.update(dict.fromkeys(hit, 1 << bit))
-        accepted = set()
-        for mask in {0, *masks.values()}:
-            if self.condition.evaluate(lambda atom: mask & bits[atom]):
-                accepted.add(mask)
-        return masks, accepted
+        return _members(self.condition, self.slots, sets)
 
-    def select(self, sets: Mapping, segments: Sequence, sink: Set[tuple]) -> None:
-        """Emit the kept rows of *segments*, ``(keys, rows)`` pairs, into *sink*;
-        *sets* holds per slot the member keys.  A single (negated) atom is a
-        hash semi-join (anti-join), any other φ goes through :meth:`masks`.
-        """
-        if self._literal is None:
-            all_keys: Set[object] = set()
-            for keys, _ in segments:
-                all_keys.update(keys)
-            masks, accepted = self.masks(sets, all_keys)
-            if not accepted:
-                return
-            mask_of = masks.get
-            for keys, rows in segments:
-                kept = [r for k, r in zip(keys, rows) if mask_of(k, 0) in accepted]
-                self.emit(kept, sink)
+    def select(self, sets: Mapping, segments: Iterable, sink: Set[tuple]) -> None:
+        """Add the output rows of the kept rows of *segments*, ``(keys, rows)``
+        pairs, to *sink*; *sets* holds per slot the member keys."""
+        keys_in, negated = self.members(sets)
+        if not keys_in and not negated:
             return
-        slot, positive = self._literal
-        present = sets.get(slot, _EMPTY)
-        if positive and not present:
-            return
+        extract = None if self.positions is None else tuple_extractor(self.positions)
         for keys, rows in segments:
-            if positive:
-                self.emit([r for k, r in zip(keys, rows) if k in present], sink)
-            else:
-                self.emit([r for k, r in zip(keys, rows) if k not in present], sink)
+            if keys_in:
+                hits = map(keys_in.__contains__, keys)
+                rows = compress(rows, map(not_, hits) if negated else hits)
+            sink.update(rows if extract is None else map(extract, rows))
+
+
+def _members(condition: Condition, slots: Mapping, sets: Mapping):
+    """:meth:`Selection.members` of *condition*."""
+    if isinstance(condition, AtomCondition):
+        return sets.get(slots[condition.atom], _EMPTY), False
+    if isinstance(condition, Not):
+        keys, negated = _members(condition.operand, slots, sets)
+        return keys, not negated
+    if isinstance(condition, (And, Or)):
+        disjunction = isinstance(condition, Or)
+        left, left_negated = _members(condition.left, slots, sets)
+        right, right_negated = _members(condition.right, slots, sets)
+        # a OR b is NOT (NOT a AND NOT b).
+        left_negated ^= disjunction
+        right_negated ^= disjunction
+        if left_negated and right_negated:
+            keys, negated = left | right, True
+        elif left_negated:
+            keys, negated = right - left, False
+        elif right_negated:
+            keys, negated = left - right, False
+        else:
+            keys, negated = left & right, False
+        return keys, negated ^ disjunction
+    return _EMPTY, True  # TRUE: the complement of no key

@@ -21,7 +21,10 @@ probabilities from one seeded :class:`random.Random`):
   chains as in the paper's C-queries;
 * databases drawn through a pluggable :class:`~repro.fuzz.profiles.ValueProfile`
   (uniform / Zipf-skewed / correlated / degenerate / mixed), including empty
-  relations.
+  relations;
+* a map split size per case, under which the case's largest relation reads
+  as 1..:data:`MAX_CHUNKS` map chunks (the paper's split would make every
+  relation one chunk at these sizes).
 
 Every generated program round-trips through the concrete syntax
 (:mod:`repro.query.unparse` + :mod:`repro.query.parser`), which is asserted
@@ -99,6 +102,8 @@ class FuzzCase:
     config: FuzzConfig
     program: SGFQuery
     database: Database
+    #: Map split size (MB) the case runs under; ``None``: the engine's own.
+    split_mb: Optional[float] = None
 
     @property
     def case_id(self) -> str:
@@ -341,14 +346,20 @@ def generate_insert_batch(
     return batch
 
 
+#: The most map chunks a case's largest relation is split into.
+MAX_CHUNKS = 20
+
+
 def generate_case(
     seed: int, index: int, config: Optional[FuzzConfig] = None
 ) -> FuzzCase:
-    """Deterministically generate case *index* of the campaign under *seed*."""
+    """Deterministically generate case *index* of the campaign under *seed*
+    (the split is drawn last: program and database do not depend on it)."""
     config = config or FuzzConfig()
     rng = case_rng(seed, index)
     program = generate_program(rng, config)
     database = generate_database(rng, program, config)
-    return FuzzCase(
-        seed=seed, index=index, config=config, program=program, database=database
-    )
+    # 1..MAX_CHUNKS chunks for the largest relation, half a chunk of slack.
+    largest = max((relation.size_mb() for relation in database), default=0.0)
+    split_mb = largest / (rng.randint(1, MAX_CHUNKS) - 0.5) if largest else None
+    return FuzzCase(seed, index, config, program, database, split_mb)

@@ -25,8 +25,9 @@ not once per case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.gumbo import Gumbo
 from ..core.options import GumboOptions
@@ -186,6 +187,19 @@ class DifferentialOracle:
     def __exit__(self, *exc: object) -> bool:
         self.close()
         return False
+
+    @contextmanager
+    def split(self, split_mb: Optional[float]) -> Iterator[None]:
+        """Run the enclosed checks, on every backend and in every planner,
+        with map splits of *split_mb* MB (``None``: the engine's own)."""
+        cluster = self.engine.cluster
+        if split_mb is not None:
+            settings = replace(cluster.settings, split_mb=split_mb)
+            self.engine.cluster = replace(cluster, settings=settings)
+        try:
+            yield
+        finally:
+            self.engine.cluster = cluster
 
     # -- combinations -------------------------------------------------------------
 

@@ -166,24 +166,27 @@ def run_fuzz(
             report.cases_run += 1
             report.statements_generated += len(case.program)
             inserts: Optional[InsertBatch] = None
-            if options.incremental:
-                inserts = generate_insert_batch(
-                    options.seed, index, case.program, options.config
+            with oracle.split(case.split_mb):
+                if options.incremental:
+                    inserts = generate_insert_batch(
+                        options.seed, index, case.program, options.config
+                    )
+                    report.combinations_checked += len(
+                        oracle.incremental_combinations(case.program)
+                    )
+                    divergences = oracle.check_incremental(
+                        case.program, case.database, inserts
+                    )
+                else:
+                    report.combinations_checked += len(
+                        oracle.combinations(case.program)
+                    )
+                    divergences = oracle.check(case.program, case.database)
+                if not divergences:
+                    continue
+                report.counterexamples.append(
+                    _build_counterexample(case, divergences, oracle, options, inserts)
                 )
-                report.combinations_checked += len(
-                    oracle.incremental_combinations(case.program)
-                )
-                divergences = oracle.check_incremental(
-                    case.program, case.database, inserts
-                )
-            else:
-                report.combinations_checked += len(oracle.combinations(case.program))
-                divergences = oracle.check(case.program, case.database)
-            if not divergences:
-                continue
-            report.counterexamples.append(
-                _build_counterexample(case, divergences, oracle, options, inserts)
-            )
             if options.stop_on_failure:
                 break
     finally:
@@ -278,7 +281,10 @@ def repro_script(counterexample: Counterexample) -> str:
         for name, value in counterexample.oracle_arguments.items()
         if value is not None
     )
-    check_block = f"with DifferentialOracle({arguments}) as oracle:\n"
+    check_block = (
+        f"with DifferentialOracle({arguments}) as oracle, "
+        f"oracle.split({case.split_mb!r}):\n"
+    )
     if counterexample.inserts is not None:
         check_block = (
             f"inserts = {counterexample.inserts!r}\n\n{check_block}"

@@ -23,9 +23,16 @@ derived, cached views:
   out of it as whole columns (one C-level ``zip`` per batch instead of a
   Python-level itemgetter per row), and the multi-process backend ships map
   chunks as typed packed columns (``array('q')``/``array('d')``) instead of pickling
-  row tuples one by one.
+  row tuples one by one;
+* :meth:`Relation.column_chunks` — the per-map-task blocks, strided out of
+  :meth:`~Relation.columns`.  A relation read as *one* chunk whose every
+  column holds only exact ``int`` values or only exact ``str`` values is
+  the exception: its block is built straight from the tuple set, in set order,
+  with no sort.  Equal values of such a column are indistinguishable (same
+  type, same ``repr``) and the map accounting is a sum of integer counts, so
+  no output, representative or metric can tell the row order.
 
-Both caches invalidate on mutation and are shared across copy-on-write
+All caches invalidate on mutation and are shared across copy-on-write
 clones: :meth:`Relation.copy` shares the tuple set *and* a :class:`_ShareState`
 holding the sorted/columnar caches, so a base relation warmed by one program
 run stays warm for the next even though each run works on a fresh
@@ -295,28 +302,28 @@ class ColumnBlock:
 
 
 class _ShareState:
-    """Bookkeeping shared by a family of copy-on-write clones.
+    """The derived caches of one tuple set, and the relations sharing it.
 
-    ``owners`` counts the relations currently sharing one tuple set; it is
+    The caches are the sorted rows, their column block and the one-chunk
+    block in set order (:meth:`Relation.column_chunks`); any copy-on-write
+    clone reuses what a peer already computed.  ``owners`` counts the clones
+    attached to the set (0 until the first :meth:`Relation.copy`); it is
     decremented when an owner mutates (detaching) *or is garbage collected*
     (via ``weakref.finalize``), so the last surviving owner knows it is alone
-    and mutates in place instead of copying.  The sorted/columnar caches live
-    here too, letting any sibling reuse an ordering a peer already computed.
+    and mutates in place instead of copying.
     """
 
-    __slots__ = ("owners", "sorted", "columns", "__weakref__")
+    __slots__ = ("owners", "sorted", "columns", "unsorted", "__weakref__")
 
     def __init__(self) -> None:
         self.owners = 0
         self.sorted: Optional[List[Tuple[object, ...]]] = None
         self.columns: Optional[ColumnBlock] = None
+        self.unsorted: Optional[ColumnBlock] = None
 
 
 def _release_share(state: _ShareState) -> None:
     state.owners -= 1
-    if state.owners <= 0:
-        state.sorted = None
-        state.columns = None
 
 
 @dataclass
@@ -333,15 +340,10 @@ class Relation:
     arity: int
     bytes_per_field: int = DEFAULT_BYTES_PER_FIELD
     _tuples: Set[Tuple[object, ...]] = field(default_factory=set, repr=False)
-    #: Cached deterministic ordering (invalidated on mutation, shared by
-    #: copy-on-write clones); excluded from equality like the cache it is.
-    _sorted: Optional[List[Tuple[object, ...]]] = field(
-        default=None, repr=False, compare=False
-    )
-    #: Cached column-major view of the sorted rows (same lifecycle).
-    _columns: Optional[ColumnBlock] = field(default=None, repr=False, compare=False)
-    #: Non-None while ``_tuples`` is shared with copy-on-write siblings.
-    _share: Optional[_ShareState] = field(default=None, repr=False, compare=False)
+    #: The derived caches, shared with copy-on-write clones (dropped on
+    #: mutation); excluded from equality like the caches they are.
+    _share: _ShareState = field(default_factory=_ShareState, repr=False, compare=False)
+    #: Non-None while attached to a share family (see :meth:`copy`).
     _finalizer: Optional[object] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -385,23 +387,18 @@ class Relation:
         state.owners += 1
         self._finalizer = weakref.finalize(self, _release_share, state)
 
-    def _detach(self) -> None:
-        """Leave the share family (decrements the owner count exactly once)."""
-        self._share = None
-        finalizer = self._finalizer
-        if finalizer is not None:
-            self._finalizer = None
-            finalizer()  # runs _release_share now, disarms the GC hook
-
     def _prepare_mutation(self) -> None:
         """Detach from copy-on-write siblings and drop the derived caches."""
         state = self._share
-        if state is not None:
-            if state.owners > 1:  # live siblings: copy before writing
-                self._tuples = set(self._tuples)
-            self._detach()
-        self._sorted = None
-        self._columns = None
+        finalizer = self._finalizer
+        if finalizer is None:  # never shared: the caches are ours alone
+            state.sorted = state.columns = state.unsorted = None
+            return
+        if state.owners > 1:  # live siblings: copy before writing
+            self._tuples = set(self._tuples)
+        self._finalizer = None
+        finalizer()  # runs _release_share now (once), disarms the GC hook
+        self._share = _ShareState()
 
     # -- mutation ----------------------------------------------------------
 
@@ -446,18 +443,10 @@ class Relation:
 
     def clear(self) -> None:
         """Remove all tuples."""
-        state = self._share
-        if state is not None:
-            if state.owners > 1:
-                # Cheaper than materialising a copy just to empty it.
-                self._tuples = set()
-            else:  # every clone died: the set is exclusively ours again
-                self._tuples.clear()
-            self._detach()
-        else:
-            self._tuples.clear()
-        self._sorted = None
-        self._columns = None
+        if self._share.owners > 1:
+            self._tuples = set()  # cheaper than copying a set only to empty it
+        self._prepare_mutation()
+        self._tuples.clear()
 
     # -- access --------------------------------------------------------------
 
@@ -484,51 +473,53 @@ class Relation:
         :func:`tuple_sort_key`) and is cached until the relation mutates; the
         returned list is the cache itself — treat it as read-only.
         """
-        cached = self._sorted
-        if cached is not None:
-            return cached
         state = self._share
-        if state is not None and state.sorted is not None:
-            self._sorted = state.sorted
-            return state.sorted
-        if _naturally_sortable(self._tuples):
-            result = sorted(self._tuples)
-        else:
-            try:
-                result = sorted(self._tuples, key=tuple_sort_key)
-            except TypeError:  # exotic incomparable values: repr fallback
-                result = sorted(self._tuples, key=repr)
-        self._sorted = result
-        if state is not None:
-            state.sorted = result
-        return result
+        if state.sorted is None:
+            if _naturally_sortable(self._tuples):
+                state.sorted = sorted(self._tuples)
+            else:
+                try:
+                    state.sorted = sorted(self._tuples, key=tuple_sort_key)
+                except TypeError:  # exotic incomparable values: repr fallback
+                    state.sorted = sorted(self._tuples, key=repr)
+        return state.sorted
 
     def columns(self) -> ColumnBlock:
         """The column-major view of :meth:`sorted_tuples` (cached alike)."""
-        cached = self._columns
-        if cached is not None:
-            return cached
         state = self._share
-        if state is not None and state.columns is not None:
-            self._columns = state.columns
-            return state.columns
-        block = ColumnBlock.from_rows(self.sorted_tuples(), self.arity)
-        self._columns = block
-        if state is not None:
-            state.columns = block
-        return block
+        if state.columns is None:
+            state.columns = ColumnBlock.from_rows(self.sorted_tuples(), self.arity)
+        return state.columns
 
     def column_chunks(self, mappers: int) -> List[ColumnBlock]:
         """Per-map-task column blocks with the canonical strided boundaries.
 
         Mirrors :func:`~repro.exec.partition.map_task_chunks` exactly (chunk
         count, stride and row order), so per-chunk combiner accounting is
-        bit-identical to the interpreted path.
+        bit-identical to the interpreted path.  One chunk is the exception:
+        its rows may come in set order (see :meth:`_single_chunk`).
         """
         if mappers < 1:
             raise ValueError("mappers must be >= 1")
         count = min(mappers, len(self._tuples)) or 1
+        if count == 1:
+            return [self._single_chunk()]
         return self.columns().chunks(count)
+
+    def _single_chunk(self) -> ColumnBlock:
+        """The relation read as one map chunk: a cached block, else one in
+        set order when every column holds only exact ints or only exact strs
+        (equal values are then indistinguishable, so nothing can observe the
+        order), else the sorted block."""
+        state = self._share
+        for block in (state.columns, state.unsorted):
+            if block is not None:
+                return block
+        block = ColumnBlock.from_rows(list(self._tuples), self.arity)
+        if not all(set(map(type, c)) in ({int}, {str}) for c in block.columns):
+            return self.columns()
+        state.unsorted = block
+        return block
 
     def copy(self, name: Optional[str] = None) -> "Relation":
         """A copy-on-write clone, optionally renamed.
@@ -539,30 +530,22 @@ class Relation:
         garbage collected, the remaining owner mutates in place again.
         """
         state = self._share
-        if state is None:
-            state = _ShareState()
+        if self._finalizer is None:
             self._attach(state)
-        if state.sorted is None:
-            state.sorted = self._sorted
-        if state.columns is None:
-            state.columns = self._columns
         clone = Relation(name or self.name, self.arity, self.bytes_per_field)
         clone._tuples = self._tuples
-        clone._sorted = self._sorted if self._sorted is not None else state.sorted
-        clone._columns = self._columns if self._columns is not None else state.columns
         clone._attach(state)
         return clone
 
-    # -- pickling (share state is process-local) -----------------------------
+    # -- pickling (the share state and its caches are process-local) ---------
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_share"] = None
-        state["_finalizer"] = None
+        del state["_share"], state["_finalizer"]
         return state
 
     def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
+        self.__dict__.update(state, _share=_ShareState(), _finalizer=None)
 
     # -- size accounting -----------------------------------------------------
 

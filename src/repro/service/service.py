@@ -423,11 +423,7 @@ class QueryService:
         self.close()
         return False
 
-    # -- fingerprints and cached statistics --------------------------------------
-
-    def fingerprint(self, query: QueryLike) -> str:
-        """The plan-cache fingerprint of *query* over the current database."""
-        return query_fingerprint(Gumbo.as_sgf(query), self.database)
+    # -- cached statistics ------------------------------------------------------
 
     def estimator(self) -> PlanCostEstimator:
         """The cached cost estimator (statistics catalog) for this version."""

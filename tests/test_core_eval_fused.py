@@ -143,6 +143,25 @@ class TestTwoRoundCorrectness:
         assert as_set(result.outputs["Z"]) == expected == frozenset()
 
 
+class TestEvalRepresentatives:
+    """EVAL keeps guard rows: an intermediate's equal-but-not-identical row
+    decides membership but is never what the job outputs."""
+
+    @pytest.mark.parametrize("kernel_mode", ["auto", "off"])
+    def test_guard_row_wins_over_an_equal_member(self, kernel_mode):
+        query = parse_bsgf("Z := SELECT (x, y) FROM R(x, y) WHERE S(x);")
+        job = EvalJob(
+            "eval",
+            [EvalTarget(query, ("X0",))],
+            GumboOptions(kernel_mode=kernel_mode),
+        )
+        db = Database.from_dict(
+            {"R": [(1, "a"), (2, "b"), (3, "c")], "X0": [(1.0, "a")]}
+        )
+        (row,) = MapReduceEngine().run_job(job, db).outputs["Z"].tuples()
+        assert row == (1, "a") and type(row[0]) is int
+
+
 class TestEvalByteAccounting:
     def test_tuple_reference_shrinks_keys(self):
         query = star_query()

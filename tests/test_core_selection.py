@@ -4,7 +4,8 @@ Every reducer keeps a guard row when φ holds over its memberships and
 projects it onto the SELECT list.  Two corners of that rule get no coverage
 from the fuzzer, which never draws an empty SELECT list: the 0-ary output
 (``SELECT ()`` yields the guard row's first field) and guard rows that are a
-member of no conditional at all (membership mask 0).  Here every job path —
+member of no conditional at all (a key in no member set).  Here every job
+path —
 each applicable strategy plus AUTO in both kernel modes, standalone MSJ
 (Algorithm 1, for the one-atom condition), the three Pig/Hive baselines,
 and a materialization with one refresh — must answer as the
@@ -15,6 +16,7 @@ whose conditionals match some guard rows and on one where they match none.
 from __future__ import annotations
 
 import pickle
+from functools import lru_cache
 
 import pytest
 
@@ -28,7 +30,7 @@ from repro.incremental import apply_inserts, dedupe_inserts
 from repro.mapreduce.engine import MapReduceEngine
 from repro.model.atoms import Atom
 from repro.query.bsgf import BSGFQuery
-from repro.query.conditions import AtomCondition
+from repro.query.conditions import TRUE, And, AtomCondition, Not, Or
 from repro.query.parser import parse_bsgf
 from repro.query.reference import evaluate_sgf
 
@@ -98,19 +100,65 @@ def test_every_job_path_matches_the_reference(condition, projected, db_name):
 
 
 class TestSelection:
-    def test_single_literals_filter_directly_and_the_rest_by_masks(self):
-        for condition, literal in (("S(y)", (0, True)), ("NOT S(y)", (0, False))):
-            selection = Selection.of_query(_query(condition, True), [0])
-            assert selection._literal == literal
-        assert Selection.of_query(_query(CONDITIONS[2], True), [0, 1])._literal is None
-
-    def test_masks_include_zero_exactly_when_phi_holds_without_members(self):
+    def test_members_is_phi_over_whole_key_sets(self):
+        """φ holds for a key exactly when its membership in S differs from
+        the negated flag; a key in no set (mask 0) is kept only when negated."""
+        sets = {"s": {1, 2}, "t": {2, 3}}
         selection = Selection.of_query(_query("NOT S(y) OR NOT T(x)", True), "st")
-        masks, accepted = selection.masks({"s": {1, 2}, "t": {2, 3}}, {1, 2, 3, 4})
-        assert dict(masks) == {1: 0b01, 2: 0b11, 3: 0b10}
-        assert accepted == {0, 0b01, 0b10}
+        assert selection.members(sets) == ({2}, True)
+        query = _query("(S(y) AND T(x)) OR NOT S(x)", True)
+        selection = Selection.of_query(query, "sts")
+        assert selection.members(sets) == ({1}, True)
+        # A lone (negated) atom is its slot's own set, not a copy.
+        for condition, negated in (("S(y)", False), ("NOT S(y)", True)):
+            selection = Selection.of_query(_query(condition, True), "s")
+            keys, flag = selection.members(sets)
+            assert keys is sets["s"] and flag is negated
+        # A slot no batch asserted has no members.
         selection = Selection.of_query(_query("S(y)", True), "s")
-        assert selection.masks({}, {1})[1] == set()
+        assert selection.members({}) == (frozenset(), False)
+        sink: set = set()
+        selection.select({}, [([1], [(1, 10)])], sink)
+        assert sink == set()
+
+    def test_select_agrees_with_holds_on_every_small_formula(self):
+        """Every φ of at most 7 nodes over four atoms and TRUE (so up to four
+        atoms under three connectives), on all 16 membership patterns: key k
+        is a member of slot i exactly when bit i of k is set."""
+        atoms = [AtomCondition(Atom.of(name, "x")) for name in "ABCD"]
+
+        @lru_cache(maxsize=None)
+        def formulas(size: int, negatable: bool = True) -> tuple:
+            if size == 1:
+                return (*atoms, TRUE)
+            found = []
+            if negatable:
+                found.extend(Not(f) for f in formulas(size - 1, False))
+            for left_size in range(1, size - 1):
+                for left in formulas(left_size):
+                    for right in formulas(size - 1 - left_size):
+                        found.extend((And(left, right), Or(left, right)))
+            return tuple(found)
+
+        keys = list(range(16))
+        rows = [(key, -key) for key in keys]
+        sets = {slot: {key for key in keys if key >> slot & 1} for slot in range(4)}
+        patterns = [{slot for slot in range(4) if key >> slot & 1} for key in keys]
+        slots = [(leaf.atom, slot) for slot, leaf in enumerate(atoms)]
+        checked = 0
+        for size in range(1, 8):
+            for condition in formulas(size):
+                selection = Selection("Z", condition, slots, Atom.of("R", "x", "y"))
+                sink: set = set()
+                selection.select(sets, [(keys, rows)], sink)
+                interpreted = {
+                    row
+                    for row, present in zip(rows, patterns)
+                    if selection.holds(present)
+                }
+                assert sink == interpreted, condition
+                checked += 1
+        assert checked == 41410
 
     def test_select_and_project_agree_with_the_interpreted_rule(self):
         selection = Selection.of_query(_query("NOT S(y) OR NOT T(x)", False), "ab")

@@ -64,6 +64,29 @@ def test_campaign_is_deterministic():
     }
 
 
+def test_cases_draw_their_split_and_the_oracle_runs_under_it():
+    """The largest relation of a case reads as 1..20 map chunks (capped by
+    its rows), and the oracle's engine splits by the case only inside
+    ``oracle.split``."""
+    chunk_counts = set()
+    with DifferentialOracle(backends=("serial",)) as oracle:
+        engine = oracle.engine
+        paper_cluster = engine.cluster
+        for index in range(40):
+            case = generate_case(7, index)
+            assert case.split_mb == generate_case(7, index).split_mb
+            largest = max(case.database, key=lambda relation: relation.size_mb())
+            if not len(largest):
+                assert case.split_mb is None
+                continue
+            with oracle.split(case.split_mb):
+                mappers = engine.mappers_for(largest.size_mb())
+                assert 1 <= mappers <= 20
+                chunk_counts.add(len(largest.column_chunks(mappers)))
+            assert engine.cluster is paper_cluster
+    assert min(chunk_counts) == 1 and max(chunk_counts) >= 8
+
+
 # -- generator invariants ------------------------------------------------------------
 
 

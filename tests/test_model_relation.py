@@ -2,6 +2,7 @@
 
 import gc
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -213,6 +214,18 @@ class TestCopyOnWriteLifecycle:
         assert len(shared) == 0
 
 
+    def test_pickling_leaves_the_family_and_its_caches_behind(self):
+        rel = Relation.from_tuples("R", [(2,), (1,)])
+        clone = rel.copy()
+        clone.columns()
+        thawed = pickle.loads(pickle.dumps(clone))
+        assert thawed == clone and thawed._share.columns is None
+        assert thawed._share.owners == 0 and thawed._finalizer is None
+        thawed.add((3,))
+        assert sorted(clone.tuples()) == [(1,), (2,)]
+        assert thawed.sorted_tuples() == [(1,), (2,), (3,)]
+
+
 class TestSortDeterminism:
     def test_nan_order_stable_across_hash_seeds(self):
         """Two NaNs with different bit payloads sort identically under any
@@ -334,3 +347,91 @@ class TestColumnBlock:
         assert [chunk.rows() for chunk in chunks] == [
             ordered[index::3] for index in range(3)
         ]
+        assert rel._share.unsorted is None
+
+
+def _single_chunk(relation: Relation) -> ColumnBlock:
+    (block,) = relation.column_chunks(1)
+    return block
+
+
+#: A fresh relation's tuple set after each mutation path, and the rows the
+#: mutation leaves (from ``{(1, "a"), (2, "b")}``).
+MUTATIONS = {
+    "add": (lambda rel: rel.add((3, "c")), {(1, "a"), (2, "b"), (3, "c")}),
+    "update": (lambda rel: rel.update([(3, "c")]), {(1, "a"), (2, "b"), (3, "c")}),
+    "discard": (lambda rel: rel.discard((1, "a")), {(2, "b")}),
+    "clear": (lambda rel: rel.clear(), set()),
+}
+
+
+class TestSingleChunkBlock:
+    """One-chunk reads of order-free relations skip the sort."""
+
+    def test_order_free_relation_is_read_in_set_order_without_a_sort(self):
+        rows = [(i % 3, f"s{i}") for i in range(20)]
+        rel = Relation.from_tuples("R", rows)
+        block = _single_chunk(rel)
+        assert rel._share.sorted is None and rel._share.columns is None
+        assert sorted(block.rows()) == sorted(rows)
+        assert block.arity == 2 and block.length == 20
+        assert _single_chunk(rel) is block
+        # columns() keeps its sorted meaning.
+        assert rel.columns().rows() == rel.sorted_tuples() == sorted(rows)
+
+    def test_a_cached_sorted_block_keeps_serving(self):
+        rel = Relation.from_tuples("R", [(2,), (1,)])
+        sorted_block = rel.columns()
+        assert _single_chunk(rel) is sorted_block
+        assert _single_chunk(rel.copy()) is sorted_block
+        assert rel._share.unsorted is None
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1, "a"), (1.0, "b"), (True, "c")],
+            [(True,), (False,)],
+            [(float("nan"),), (1.0,)],
+            [(-0.0,), (2.0,)],
+            [(1,), ("a",)],
+            [(1, None), (2, None)],
+        ],
+        ids=["1-1.0-True", "bool", "nan", "negative-zero", "int-and-str", "none"],
+    )
+    def test_observable_orders_keep_the_sorted_block(self, rows):
+        rel = Relation.from_tuples("R", rows)
+        block = _single_chunk(rel)
+        assert block is rel.columns()
+        assert block.rows() == rel.sorted_tuples()
+        assert rel._share.unsorted is None
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_every_mutation_drops_the_block(self, mutation):
+        mutate, expected = MUTATIONS[mutation]
+        rel = Relation.from_tuples("R", [(1, "a"), (2, "b")])
+        block = _single_chunk(rel)
+        mutate(rel)
+        rebuilt = _single_chunk(rel)
+        assert rebuilt is not block
+        assert set(rebuilt.rows()) == expected
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_a_detaching_clone_drops_its_block_and_leaves_its_siblings(self, mutation):
+        mutate, expected = MUTATIONS[mutation]
+        rel = Relation.from_tuples("R", [(1, "a"), (2, "b")])
+        block = _single_chunk(rel)
+        clone = rel.copy()
+        mutate(clone)
+        assert set(_single_chunk(clone).rows()) == expected
+        assert _single_chunk(rel) is block
+        assert set(block.rows()) == {(1, "a"), (2, "b")}
+
+    def test_a_copy_reuses_its_parents_block(self):
+        rel = Relation.from_tuples("R", [(1, "a"), (2, "b")])
+        block = _single_chunk(rel)
+        assert _single_chunk(rel.copy()) is block
+        # A block a clone builds first is shared back with its family.
+        other = Relation.from_tuples("S", [(3,), (4,)])
+        clone = other.copy()
+        assert _single_chunk(clone) is _single_chunk(other)
+        assert _single_chunk(other.copy()) is _single_chunk(clone)

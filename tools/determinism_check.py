@@ -4,8 +4,11 @@
 Runs a fixed workload mix — the Section 5 A3 query plus a handwritten
 mixed-type database that stresses the type-tagged sort order (ints, floats,
 strings, ``None`` sharing columns), read also by a query with an empty
-SELECT list and a NOT-only condition — under both kernel modes and every
-applicable strategy, then prints a canonical digest per combination.  A
+SELECT list and a NOT-only condition, plus a two-level query whose
+intermediate is one all-string column (one map chunk, which the kernels read
+in set order, so in an order that changes with the hash seed) — under both
+kernel modes and every applicable strategy, then prints a canonical digest
+per combination.  A
 final pass re-runs the mix on the multi-process backend (every ``map_batch``
 task executed in worker processes with their own interpreters, chunks routed
 by ``stable_hash`` placement), kernels on — the only mode its workers have —
@@ -97,6 +100,20 @@ MIXED_DB = {
 #: kept), over the mixed-type database.  The grammar has no empty SELECT
 #: list, so the query is this text with its projection dropped.
 ZERO_ARY_QUERY = "Z := SELECT (x, y) FROM R(x, y) WHERE NOT S(y) AND NOT T(x);"
+
+
+#: An intermediate the next level reads as one chunk of one str column: an
+#: order-free relation, whose block comes straight from its tuple set.
+STR_INTERMEDIATE_QUERY = (
+    "Z1 := SELECT y FROM R(x, y) WHERE S(x); "
+    "Z2 := SELECT (x, y) FROM G(x, y) WHERE Z1(y) AND NOT T(x);"
+)
+STR_INTERMEDIATE_DB = {
+    "R": [(i, f"s{i % 11}") for i in range(40)],
+    "S": [(i,) for i in range(0, 40, 3)],
+    "G": [(i, f"s{i % 13}") for i in range(30)],
+    "T": [(i,) for i in range(0, 30, 4)],
+}
 
 
 #: Equal-but-not-identical join keys: every class {1, 1.0, True}, {2, 2.0},
@@ -350,10 +367,14 @@ def main() -> None:
     zero_ary = Gumbo.as_sgf(BSGFQuery("Z", (), zero_ary.guard, zero_ary.condition))
     run_case("mixed-types", mixed, mixed_db)
     run_case("zero-ary", zero_ary, mixed_db)
+    str_intermediate = parse_sgf(STR_INTERMEDIATE_QUERY)
+    str_db = Database.from_dict(STR_INTERMEDIATE_DB)
+    run_case("str-intermediate", str_intermediate, str_db)
     for transport in FANOUT_TRANSPORTS:
         run_fanout_case("A3", a3, a3_db, transport)
         run_fanout_case("mixed-types", mixed, mixed_db, transport)
         run_fanout_case("zero-ary", zero_ary, mixed_db, transport)
+        run_fanout_case("str-intermediate", str_intermediate, str_db, transport)
     run_numeric_case(args.reverse_jobs)
     run_planning_history(args.tuples, args.reverse_jobs)
     run_dynamic(args.tuples)
