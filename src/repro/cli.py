@@ -368,7 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz = subparsers.add_parser(
         "fuzz",
         help="differential-fuzz the strategies and backends",
-        description="Differential-fuzz the strategies and backends. "
+        description="Differential-fuzz the strategies and backends: every "
+        "applicable strategy, AUTO and dynamic re-planning, on every backend, "
+        "serial twice (interpreted and serial+kernel); answers and simulated "
+        "metrics must agree. "
         "--backend takes one backend, 'both' (serial+parallel) or 'all' "
         "(every backend name: serial+parallel+sharded, the default).",
         parents=_shared("seed", "backend", backends=(*BACKEND_NAMES, "both", "all")),
@@ -399,21 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-shrink",
         action="store_true",
         help="report raw counterexamples without greedy shrinking",
-    )
-    fuzz.add_argument(
-        "--no-dynamic",
-        action="store_true",
-        help="skip the dynamic re-planning executor",
-    )
-    fuzz.add_argument(
-        "--no-auto",
-        action="store_true",
-        help="skip the cost-based AUTO meta-strategy",
-    )
-    fuzz.add_argument(
-        "--no-kernel-axis",
-        action="store_true",
-        help="skip the serial backend's batch-kernel axis (serial+kernel)",
     )
     fuzz.add_argument(
         "--keep-going",
@@ -887,9 +875,6 @@ def _command_fuzz(args: argparse.Namespace) -> int:
         shards=args.shards,
         shrink=not args.no_shrink,
         stop_on_failure=not args.keep_going,
-        include_dynamic=not args.no_dynamic,
-        include_auto=not args.no_auto,
-        kernel_axis=not args.no_kernel_axis,
         incremental=args.incremental,
     )
     report = run_fuzz(options)

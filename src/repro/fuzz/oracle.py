@@ -4,18 +4,22 @@ For a given (program, database) pair the oracle computes the expected answer
 with the reference evaluator of Section 3.1 (:func:`repro.query.reference.
 evaluate_sgf` — the semantics *by definition*), has sqlite3 compute it again
 from a whole-query translation (:mod:`repro.fuzz.sql_oracle`), and then
-executes the program under every applicable evaluation strategy on every
-configured execution backend, plus dynamic re-planning
-(:meth:`~repro.core.gumbo.Gumbo.execute_dynamic`).  Four
-kinds of divergence are reported:
+executes the program under every applicable evaluation strategy (OPTIMAL
+within its size bounds), the cost-based AUTO choice and dynamic re-planning
+(:meth:`~repro.core.gumbo.Gumbo.execute_dynamic`) on every axis: each
+configured execution backend, and the in-process one twice — interpreted and
+with batch kernels (``serial+kernel``).  Four kinds of divergence are
+reported:
 
 * ``reference`` — the two reference answers differ: one of them is wrong,
   and no execution can be judged until that is settled;
 * ``mismatch`` — an output relation differs from the reference answer
   (missing and/or extra tuples);
 * ``error``    — a strategy/backend raised instead of producing an answer;
-* ``metrics``  — the *simulated* Hadoop metrics differ between two backends
-  for the same strategy (they are documented to be bit-identical).
+* ``metrics``  — the *simulated* Hadoop metrics of one strategy differ
+  between two axes: ``ProgramMetrics ==`` fails, which compares every
+  field of every job and ignores only the wall clock.  The detail names
+  the first job and field that differ.
 
 The oracle owns its execution backends (one engine shared by all of them, so
 simulated metrics are comparable) and reuses them across checks — the
@@ -26,12 +30,13 @@ not once per case.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.gumbo import Gumbo
 from ..core.options import GumboOptions
 from ..core.strategies import AUTO, applicable_strategies
+from ..mapreduce.counters import ProgramMetrics
 from ..mapreduce.engine import MapReduceEngine
 from ..mapreduce.kernels import KERNEL_AUTO, KERNEL_OFF
 from ..model.database import Database
@@ -90,27 +95,12 @@ class DifferentialOracle:
         (see :func:`repro.exec.base.make_backend`).
     engine:
         The shared MapReduce engine (paper-cluster default when omitted).
-    include_dynamic:
-        Also run dynamic re-planning (``Gumbo.execute_dynamic``) on every
-        backend.
-    include_optimal:
-        Include the brute-force OPTIMAL / OPTIMAL-SGF strategies (within the
-        size bounds of :func:`repro.core.strategies.applicable_strategies`).
-    include_auto:
-        Also run the cost-based AUTO meta-strategy on every backend — its
-        winner must agree with the reference like any fixed strategy.
-    check_metrics:
-        Also require bit-identical simulated metrics across backends.
-    kernel_axis:
-        Also run the in-process (serial) backend with the batch-kernel
-        execution path on (``kernel_mode="auto"``), reported as the
-        ``"serial+kernel"`` axis.  Its plain axis pins
-        ``kernel_mode="off"``, so kernel-vs-interpreted output *and*
-        simulated-metric parity is checked alongside the cross-backend
-        parity (both funnel through the same metric comparison).  The
-        multi-process backend has one axis whatever this flag says: its
-        workers run kernels only, so its plain axis forces them on (with
-        kernels off it would be the serial axis again).
+
+    The sweep is fixed.  An in-process backend has two axes: its plain axis
+    pins ``kernel_mode="off"`` and its ``+kernel`` axis runs the batch
+    kernels.  The multi-process backend has one axis, kernels on: its
+    workers have no other mode, and with kernels off it would be the serial
+    axis again.
     """
 
     def __init__(
@@ -118,21 +108,11 @@ class DifferentialOracle:
         backends: Sequence[str] = ("serial", "parallel"),
         workers: Optional[int] = None,
         engine: Optional[MapReduceEngine] = None,
-        include_dynamic: bool = True,
-        include_optimal: bool = True,
-        include_auto: bool = True,
-        check_metrics: bool = True,
-        kernel_axis: bool = True,
         shards: Optional[int] = None,
     ) -> None:
         if not backends:
             raise ValueError("the oracle needs at least one backend")
         self.engine = engine or MapReduceEngine()
-        self.include_dynamic = include_dynamic
-        self.include_optimal = include_optimal
-        self.include_auto = include_auto
-        self.check_metrics = check_metrics
-        self.kernel_axis = kernel_axis
         #: The arguments deciding what runs where: a repro script must
         #: rebuild its oracle from these to replay what the campaign ran.
         self.arguments: Dict[str, object] = {
@@ -161,11 +141,9 @@ class DifferentialOracle:
             (name, backend, off if name in in_process else on)
             for name, backend in self._physical.items()
         ]
-        if kernel_axis:
-            axes.extend(
-                (name + KERNEL_SUFFIX, self._physical[name], on)
-                for name in in_process
-            )
+        axes.extend(
+            (name + KERNEL_SUFFIX, self._physical[name], on) for name in in_process
+        )
         self._backends = {name: backend for name, backend, _ in axes}
         self._gumbos = {
             name: Gumbo(backend=backend, options=options)
@@ -205,14 +183,7 @@ class DifferentialOracle:
 
     def strategies(self, program: SGFQuery) -> List[str]:
         """The strategies swept for *program* (AUTO and dynamic appended last)."""
-        names = list(
-            applicable_strategies(program, include_optimal=self.include_optimal)
-        )
-        if self.include_auto:
-            names.append(AUTO)
-        if self.include_dynamic:
-            names.append(DYNAMIC)
-        return names
+        return [*applicable_strategies(program), AUTO, DYNAMIC]
 
     def combinations(self, program: SGFQuery) -> List[Tuple[str, str]]:
         """Every (strategy, backend) pair checked for *program*."""
@@ -246,15 +217,14 @@ class DifferentialOracle:
                 break
             if only is not None and all(s != strategy for s, _ in only):
                 continue
-            reference_summary: Optional[Dict[str, float]] = None
-            reference_backend: Optional[str] = None
+            first: Optional[Tuple[str, ProgramMetrics]] = None
             for backend_name in self._backends:
                 if stop_at_first and divergences:
                     break
                 if only is not None and (strategy, backend_name) not in only:
                     continue
                 try:
-                    answers, summary = self._run(
+                    answers, metrics = self._run(
                         strategy, backend_name, program, database
                     )
                 except Exception as exc:  # a crashing strategy is a finding
@@ -278,22 +248,21 @@ class DifferentialOracle:
                             outputs=mismatch,
                         )
                     )
-                if self.check_metrics:
-                    if reference_summary is None:
-                        reference_summary, reference_backend = summary, backend_name
-                    elif summary != reference_summary:
-                        divergences.append(
-                            Divergence(
-                                kind="metrics",
-                                strategy=strategy,
-                                backend=backend_name,
-                                detail=(
-                                    f"simulated metrics differ from backend "
-                                    f"{reference_backend!r}: {summary} vs "
-                                    f"{reference_summary}"
-                                ),
-                            )
+                if first is None:
+                    first = backend_name, metrics
+                elif metrics != first[1]:
+                    divergences.append(
+                        Divergence(
+                            kind="metrics",
+                            strategy=strategy,
+                            backend=backend_name,
+                            detail=(
+                                f"simulated metrics differ from backend "
+                                f"{first[0]!r}: "
+                                f"{_first_difference(first[1], metrics)}"
+                            ),
                         )
+                    )
         return divergences
 
     # -- incremental checking -----------------------------------------------------
@@ -306,12 +275,7 @@ class DifferentialOracle:
         produce a materialization whose incremental refresh matches a full
         recompute.
         """
-        names = list(
-            applicable_strategies(program, include_optimal=self.include_optimal)
-        )
-        if self.include_auto:
-            names.append(AUTO)
-        return names
+        return [*applicable_strategies(program), AUTO]
 
     def incremental_combinations(
         self, program: SGFQuery
@@ -426,8 +390,8 @@ class DifferentialOracle:
         backend_name: str,
         program: SGFQuery,
         database: Database,
-    ) -> Tuple[Dict[str, Answer], Dict[str, float]]:
-        """Execute one combination, returning answers and the simulated summary."""
+    ) -> Tuple[Dict[str, Answer], ProgramMetrics]:
+        """Execute one combination, returning its answers and metrics."""
         gumbo = self._gumbos[backend_name]
         if strategy == DYNAMIC:
             dynamic = gumbo.execute_dynamic(program, database)
@@ -438,7 +402,29 @@ class DifferentialOracle:
         answers = {
             name: frozenset(relation.tuples()) for name, relation in outputs.items()
         }
-        return answers, metrics.summary()
+        return answers, metrics
+
+
+def _first_difference(expected: ProgramMetrics, got: ProgramMetrics) -> str:
+    """Where two unequal runs first differ: a job id and field, in run order,
+    or else a program-level field."""
+    for job_id in dict.fromkeys([*expected.job_metrics, *got.job_metrics]):
+        ours, theirs = expected.job_metrics.get(job_id), got.job_metrics.get(job_id)
+        if ours is None or theirs is None:
+            return f"job {job_id!r} ran on one side only"
+        if ours != theirs:
+            return f"job {job_id!r} " + _field_difference(ours, theirs)
+    return _field_difference(expected, got)
+
+
+def _field_difference(expected: object, got: object) -> str:
+    """The first compared dataclass field of two unequal values that differs."""
+    name = next(
+        field.name
+        for field in fields(expected)
+        if field.compare and getattr(expected, field.name) != getattr(got, field.name)
+    )
+    return f"{name}: {getattr(got, name)!r} vs {getattr(expected, name)!r}"
 
 
 def _diff_answers(

@@ -39,14 +39,6 @@ class FuzzOptions:
     shards: Optional[int] = None
     shrink: bool = True
     stop_on_failure: bool = True
-    include_dynamic: bool = True
-    include_optimal: bool = True
-    include_auto: bool = True
-    check_metrics: bool = True
-    #: Also sweep every backend with the batch-kernel path forced on (the
-    #: ``<backend>+kernel`` axes); outputs *and* simulated metrics must match
-    #: the interpreted axes exactly.
-    kernel_axis: bool = True
     #: Incremental oracle mode: every case additionally gets a random insert
     #: batch, and the incremental refresh of a materialization built by every
     #: strategy (on the first backend) must equal a full recompute.
@@ -149,11 +141,6 @@ def run_fuzz(
             backends=options.backends,
             workers=options.workers,
             shards=options.shards,
-            include_dynamic=options.include_dynamic,
-            include_optimal=options.include_optimal,
-            include_auto=options.include_auto,
-            check_metrics=options.check_metrics,
-            kernel_axis=options.kernel_axis,
         )
     report = FuzzReport(seed=options.seed, iterations=options.iterations)
     skipped_before = oracle.sql_skipped

@@ -16,6 +16,10 @@ wall-clock times (:class:`WallClockMetrics`, per wave and per job) so that
 simulated-vs-real speedup comparisons are first-class: the serial backend
 records its in-process elapsed time, the multi-process backend records the
 elapsed time of every wave of map tasks it fans out to its worker shards.
+The measured fields (``JobMetrics.wall``, ``ProgramMetrics.backend`` and
+``ProgramMetrics.wall_elapsed_s``) take no part in equality, so ``a == b``
+says two runs are the same *simulated* run: the parity contract that every
+strategy, backend and kernel mode honours.
 """
 
 from __future__ import annotations
@@ -101,8 +105,9 @@ class JobMetrics:
     map_task_durations: List[float] = field(default_factory=list)
     reduce_task_durations: List[float] = field(default_factory=list)
     #: Measured wall-clock times, stamped by the execution backend (None when
-    #: the job ran through the bare engine without a backend).
-    wall: Optional[WallClockMetrics] = None
+    #: the job ran through the bare engine without a backend).  Not part of
+    #: equality: two runs are the same run when their simulated metrics are.
+    wall: Optional[WallClockMetrics] = field(default=None, compare=False)
 
     # -- derived quantities -------------------------------------------------
 
@@ -146,10 +151,10 @@ class ProgramMetrics:
     rounds: int = 0
     level_net_times: List[float] = field(default_factory=list)
     #: Name of the execution backend that produced these metrics.
-    backend: str = "serial"
+    backend: str = field(default="serial", compare=False)
     #: Measured end-to-end wall-clock time of the program run (0 when no
     #: backend timed the run).
-    wall_elapsed_s: float = 0.0
+    wall_elapsed_s: float = field(default=0.0, compare=False)
 
     def add_job(self, metrics: JobMetrics) -> None:
         self.job_metrics[metrics.job_id] = metrics
@@ -201,11 +206,12 @@ class ProgramMetrics:
         return combined
 
     def summary(self) -> Dict[str, float]:
-        """The four headline metrics as a plain dictionary.
+        """The four headline metrics as a plain dictionary, for reports.
 
-        Only the paper's *simulated* metrics are included, so summaries are
-        comparable across backends; measured times live in
-        :meth:`wall_summary`.
+        Only the paper's *simulated* metrics are included; measured times
+        live in :meth:`wall_summary`.  This is not the cross-backend check:
+        two runs are the same simulated run when ``a == b``, which compares
+        every job's metrics and ignores only the wall-clock fields.
         """
         return {
             "net_time_s": self.net_time,

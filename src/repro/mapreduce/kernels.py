@@ -49,8 +49,8 @@ Metric fidelity contract: for every job the kernel path must produce the
 interpreted path produces — byte for byte — so that
 :meth:`~repro.mapreduce.engine.MapReduceEngine.finalise_job_metrics` derives
 identical cost breakdowns, task durations and skew behaviour.  The
-``tests/test_kernels.py`` parity suite and the fuzzer's kernel axis enforce
-this contract.
+``tests/test_parity.py`` matrix, the ``tests/test_kernels.py`` properties
+and the fuzzer's kernel axis enforce this contract.
 
 Mode selection (``GumboOptions.kernel_mode``, carried by the job's options):
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from repro.cost.constants import HadoopSettings
+from repro.mapreduce.engine import MapReduceEngine
 from repro.model.database import Database
 from repro.model.terms import Variable
 from repro.query.bsgf import BSGFQuery
 from repro.query.parser import parse_bsgf, parse_sgf
+from repro.workloads.scaling import ScaledEnvironment
 
 X, Y, Z, W = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 
@@ -82,3 +85,32 @@ def nested_sgf():
 def as_set(relation) -> frozenset:
     """Tuples of a relation as a frozenset for comparisons."""
     return frozenset(relation.tuples())
+
+
+def tiny_split_engine(split_bytes: int = 420) -> MapReduceEngine:
+    """An engine whose input split is *split_bytes* (the paper's is 128 MB).
+
+    At the default a 150-row 4-ary guard is 15 map chunks and a unary
+    conditional four, so chunks land on both worker shards; the
+    per-reducer allowances shrink by the same factor, so jobs also spread
+    over several reducers.
+    """
+    paper_split_bytes = HadoopSettings.paper_values().split_mb * 1024 * 1024
+    return ScaledEnvironment(scale=split_bytes / paper_split_bytes).engine()
+
+
+def assert_same_run(expected, got, context=""):
+    """The parity contract: the same output relations, then ``metrics ==``.
+
+    *expected* and *got* are two results of one kind (``Gumbo.execute``,
+    ``execute_dynamic``, a backend's ``run_program`` or ``run_job``).  Metric
+    equality compares every simulated field of every job and ignores only
+    the wall clock.
+    """
+    outputs = [
+        getattr(result, "all_outputs", result.outputs) for result in (expected, got)
+    ]
+    assert set(outputs[0]) == set(outputs[1]), context
+    for name, relation in outputs[0].items():
+        assert relation.tuples() == outputs[1][name].tuples(), f"{context}:{name}"
+    assert expected.metrics == got.metrics, context

@@ -5,6 +5,7 @@ import argparse
 import pytest
 
 from repro.cli import build_parser, main
+from repro.fuzz import DifferentialOracle, generate_case
 from repro.io import load_database, save_database
 from repro.model.database import Database
 
@@ -143,9 +144,6 @@ CLI_SURFACE = {
         "--workers": (None, None),
         "--shards": (None, None),
         "--no-shrink": (False, None),
-        "--no-dynamic": (False, None),
-        "--no-auto": (False, None),
-        "--no-kernel-axis": (False, None),
         "--keep-going": (False, None),
         "--incremental": (False, None),
         "--artifact": (None, None),
@@ -551,22 +549,22 @@ class TestKernelCommands:
                     ]
                 )
 
-    def test_fuzz_no_kernel_axis_smoke(self, capsys):
+    def test_fuzz_always_sweeps_the_kernel_axis(self, capsys):
         code = main(
-            [
-                "fuzz",
-                "--seed",
-                "4",
-                "--iterations",
-                "3",
-                "--backend",
-                "serial",
-                "--no-kernel-axis",
-            ]
+            ["fuzz", "--seed", "4", "--iterations", "3", "--backend", "serial"]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "combinations agree with the reference evaluator" in out
+        with DifferentialOracle(backends=("serial",)) as oracle:
+            assert oracle.backend_names == ("serial", "serial+kernel")
+            combinations = sum(
+                len(oracle.combinations(generate_case(4, index).program))
+                for index in range(3)
+            )
+        assert f"all {combinations} strategy x backend combinations agree" in out
+        for removed in ("--no-kernel-axis", "--no-dynamic", "--no-auto"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["fuzz", removed])
 
 
 class TestTraceCommand:

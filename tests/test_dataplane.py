@@ -13,8 +13,9 @@ Chunks travel to the multi-process backend's workers as pickled
   the module zero orphaned ``/dev/shm/repro_*`` segments.
 
 The other packed shapes (object fallback, empty blocks) are pinned in
-``tests/test_model_relation.py``, and the parallel/sharded Section 5 parity and crash recovery live in
-``tests/test_sharded.py`` and ``tests/test_fanout_kernels.py``.
+``tests/test_model_relation.py``, the parallel/sharded Section 5 parity in
+``tests/test_parity.py``, and crash recovery in ``tests/test_sharded.py``
+and ``tests/test_fanout_kernels.py``.
 """
 
 from __future__ import annotations

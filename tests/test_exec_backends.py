@@ -1,11 +1,12 @@
-"""Backend parity: the multi-process runtime must be indistinguishable from
-the serial simulator in everything except measured wall-clock time.
+"""Backends: the multi-process runtime must be indistinguishable from the
+serial simulator in everything except measured wall-clock time.
 
-Every strategy (SEQ / PAR / GREEDY / 1-ROUND and the SGF variants), the
-dynamic re-planning executor and the jobs without a batch kernel (skew-aware
-MSJ, ``kernel_mode="off"``, a closure-holding user job — all interpreted on
-the driver) are run on both backends over generated workloads, asserting
-identical output relations and identical simulated metrics.
+The strategy × workload matrix is ``tests/test_parity.py``.  Here: the
+partition helpers, ``make_backend``, the one level loop every backend walks,
+the jobs without a batch kernel (skew-aware MSJ, ``kernel_mode="off"``, a
+closure-holding user job — all interpreted on the driver), and the measured
+wall-clock metrics.  Every comparison of two runs is
+``tests/helpers.py::assert_same_run``: identical outputs, ``metrics ==``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from repro.mapreduce.job import MapReduceJob
 from repro.obs import metrics as obs_metrics
 from repro.model.database import Database
 from repro.query.parser import parse_bsgf
-from repro.workloads.queries import bsgf_query_set, database_for, sgf_query
+from repro.workloads.queries import bsgf_query_set, database_for
+
+from helpers import assert_same_run
 
 #: Worker count used throughout; small so clusters stay cheap on tiny CI boxes.
 WORKERS = 2
@@ -52,32 +55,6 @@ def parallel_backend():
 @pytest.fixture(scope="module")
 def serial_backend():
     return SimulatedBackend(MapReduceEngine())
-
-
-def _assert_results_match(serial, parallel):
-    """Outputs and every simulated metric must be identical."""
-    assert set(serial.all_outputs) == set(parallel.all_outputs)
-    for name in serial.all_outputs:
-        assert (
-            serial.all_outputs[name].tuples() == parallel.all_outputs[name].tuples()
-        ), name
-    _assert_metrics_match(serial.metrics, parallel.metrics)
-
-
-def _assert_metrics_match(serial_metrics, parallel_metrics):
-    assert serial_metrics.summary() == parallel_metrics.summary()
-    assert serial_metrics.level_net_times == parallel_metrics.level_net_times
-    assert set(serial_metrics.job_metrics) == set(parallel_metrics.job_metrics)
-    for job_id, serial_job in serial_metrics.job_metrics.items():
-        parallel_job = parallel_metrics.job_metrics[job_id]
-        assert serial_job.reducers == parallel_job.reducers, job_id
-        assert serial_job.mappers == parallel_job.mappers, job_id
-        assert serial_job.intermediate_mb == parallel_job.intermediate_mb, job_id
-        assert serial_job.output_records == parallel_job.output_records, job_id
-        assert serial_job.map_task_durations == parallel_job.map_task_durations, job_id
-        assert (
-            serial_job.reduce_task_durations == parallel_job.reduce_task_durations
-        ), job_id
 
 
 class TestPartitionHelpers:
@@ -206,11 +183,7 @@ class TestExecutionSkeleton:
             spans = obs.spans_of(obs.drain_traces())
 
         assert result.metrics.rounds == serial.metrics.rounds >= 2
-        # summary() (net time included) and level_net_times, job by job:
-        _assert_metrics_match(serial.metrics, result.metrics)
-        assert set(result.outputs) == set(serial.outputs)
-        for relation_name, relation in serial.outputs.items():
-            assert result.outputs[relation_name].tuples() == relation.tuples()
+        assert_same_run(serial, result, name)
 
         # Identity is stamped on the program and on every job of it.
         assert result.metrics.backend == name
@@ -228,50 +201,6 @@ class TestExecutionSkeleton:
             level_span = by_id[job_span.parent_id]
             assert level_span.name == "level"
             assert level_span.parent_id == program_span.span_id
-
-
-class TestBSGFStrategyParity:
-    @pytest.mark.parametrize("strategy", ["seq", "par", "greedy"])
-    @pytest.mark.parametrize("query_id", ["A1", "B1"])
-    def test_generated_workloads(
-        self, strategy, query_id, serial_backend, parallel_backend
-    ):
-        queries = bsgf_query_set(query_id)
-        database = database_for(queries, guard_tuples=250, selectivity=0.5, seed=3)
-        serial = Gumbo(backend=serial_backend).execute(queries, database, strategy)
-        parallel = Gumbo(backend=parallel_backend).execute(queries, database, strategy)
-        _assert_results_match(serial, parallel)
-        assert parallel.metrics.backend == "parallel"
-        assert parallel.metrics.wall_elapsed_s > 0
-
-    def test_one_round(self, serial_backend, parallel_backend):
-        # A3's conditionals share the guard's join key, so 1-ROUND applies.
-        queries = bsgf_query_set("A3")
-        database = database_for(queries, guard_tuples=250, selectivity=0.5, seed=3)
-        serial = Gumbo(backend=serial_backend).execute(queries, database, "1-round")
-        parallel = Gumbo(backend=parallel_backend).execute(queries, database, "1-round")
-        _assert_results_match(serial, parallel)
-
-
-class TestSGFStrategyParity:
-    @pytest.mark.parametrize("strategy", ["sequnit", "parunit", "greedy-sgf"])
-    def test_nested_query(self, strategy, serial_backend, parallel_backend):
-        query = sgf_query("C1")
-        database = database_for(query, guard_tuples=250, selectivity=0.5, seed=7)
-        serial = Gumbo(backend=serial_backend).execute(query, database, strategy)
-        parallel = Gumbo(backend=parallel_backend).execute(query, database, strategy)
-        _assert_results_match(serial, parallel)
-
-    def test_dynamic_executor(self, serial_backend, parallel_backend):
-        query = sgf_query("C2")
-        database = database_for(query, guard_tuples=250, selectivity=0.5, seed=11)
-        serial = Gumbo(backend=serial_backend).execute_dynamic(query, database)
-        parallel = Gumbo(backend=parallel_backend).execute_dynamic(query, database)
-        assert set(serial.outputs) == set(parallel.outputs)
-        for name in serial.outputs:
-            assert serial.outputs[name].tuples() == parallel.outputs[name].tuples()
-        assert len(serial.stages) == len(parallel.stages)
-        _assert_metrics_match(serial.metrics, parallel.metrics)
 
 
 class _TaggedCopyJob(MapReduceJob):
@@ -320,42 +249,8 @@ class TestSkewPathParity:
             before = interpreted.value
             parallel = parallel_backend.run_job(job, database)
             assert interpreted.value == before + 1, job.job_id
-            assert set(serial.outputs) == set(parallel.outputs)
-            for name in serial.outputs:
-                assert serial.outputs[name].tuples() == parallel.outputs[name].tuples()
-            wall, parallel.metrics.wall = parallel.metrics.wall, serial.metrics.wall
-            assert parallel.metrics == serial.metrics, job.job_id
+            assert_same_run(serial, parallel, job.job_id)
             # Stamped by the backend that was asked, though no worker ran.
+            wall = parallel.metrics.wall
             assert (wall.backend, wall.workers) == ("parallel", WORKERS)
             assert wall.elapsed_s > 0 and wall.wave_count == 0
-
-
-class TestWallClockMetrics:
-    def test_waves_recorded_per_phase(self, parallel_backend):
-        queries = bsgf_query_set("A1")
-        database = database_for(queries, guard_tuples=100, selectivity=0.5, seed=1)
-        result = Gumbo(backend=parallel_backend).execute(queries, database, "par")
-        walls = [m.wall for m in result.metrics.job_metrics.values()]
-        assert all(wall is not None for wall in walls)
-        phases = {wave.phase for wall in walls for wave in wall.waves}
-        assert phases <= {"map", "reduce"}
-        assert "map" in phases
-        for wall in walls:
-            assert wall.elapsed_s >= wall.map_elapsed_s + wall.reduce_elapsed_s - 1e-9
-        wall_summary = result.metrics.wall_summary()
-        assert wall_summary["backend"] == "parallel"
-        assert wall_summary["wall_clock_s"] > 0
-
-    def test_serial_backend_records_wall_clock(self, serial_backend):
-        queries = bsgf_query_set("A1")
-        database = database_for(queries, guard_tuples=100, selectivity=0.5, seed=1)
-        result = Gumbo(backend=serial_backend).execute(queries, database, "seq")
-        assert result.metrics.backend == "serial"
-        assert result.metrics.wall_elapsed_s > 0
-        # summary() stays purely simulated, so cross-backend comparisons hold.
-        assert set(result.summary()) == {
-            "net_time_s",
-            "total_time_s",
-            "input_gb",
-            "communication_gb",
-        }

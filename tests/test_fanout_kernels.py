@@ -14,16 +14,19 @@ per base relation, spread over two worker shards:
   7 chunks: bytes, records and ``key_loads()`` equal the interpreted map +
   combiner's, the partials' accounting sums to the whole, and ``reduce_batch``
   over per-chunk partials equals ``reduce_batch`` over whole-relation batches;
-* the parity matrix: serial ``auto``/``off`` vs the workers' kernels over
-  every Section 5 workload (the benchmark's five batch shapes among them)
-  under every strategy, bit-identical outputs and simulated metrics;
-* a differential-oracle campaign over every backend on that engine;
+* a differential-oracle campaign over every backend on that engine, and
+  the same campaign naming the job and field when a mutant misplaces the
+  reducers' loads;
 * a worker crash landing on a kernel map batch: respawn → resident reload →
   retry → bit-identical;
 * the dispatch bookkeeping: one ``path="kernel"`` job count and nothing
   else (``path="interpreted"`` with kernels off), a ``map`` wave plus
   ``reduce`` time on the wall clock, and the worker-side job memo evicting
   one job at a time.
+
+The Section 5 matrix on this engine (serial ``off``/``auto`` vs the workers'
+kernels, every workload and strategy) is ``tests/test_parity.py``; every
+comparison of two runs is ``tests/helpers.py::assert_same_run``.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ import pytest
 
 from repro.core.gumbo import Gumbo
 from repro.core.options import GumboOptions
-from repro.core.strategies import applicable_strategies
-from repro.cost.constants import HadoopSettings
 from repro.exec import make_backend
 from repro.fuzz.generator import FuzzConfig, generate_case
 from repro.fuzz.oracle import DifferentialOracle
@@ -47,12 +48,12 @@ from repro import obs
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import TraceCollector
 from repro.query.parser import parse_sgf
+from repro.service.sharded import ShardedBackend
 from repro.service.sharded.routing import shard_for_chunk
 from repro.service.sharded.worker import job_from_blob
-from repro.workloads.queries import database_for, section5_workloads, workload_query
-from repro.workloads.scaling import ScaledEnvironment
+from repro.workloads.queries import database_for, workload_query
 
-from test_kernels import assert_results_equal
+from helpers import assert_same_run, tiny_split_engine
 
 GUARD_TUPLES = 150
 
@@ -61,31 +62,6 @@ UNION_QUERY = (
     "Z := SELECT (x, y) FROM R(x, y, z, w) "
     "WHERE (S(x) AND T(y)) OR (U(z) AND NOT V(w));"
 )
-
-
-def tiny_split_engine(split_bytes: int = 420) -> MapReduceEngine:
-    """An engine whose input split is *split_bytes* (the paper's is 128 MB).
-
-    At the default a 150-row 4-ary guard is 15 map chunks and a unary
-    conditional four, so chunks land on both worker shards; the
-    per-reducer allowances shrink by the same factor, so jobs also spread
-    over several reducers.
-    """
-    paper_split_bytes = HadoopSettings.paper_values().split_mb * 1024 * 1024
-    return ScaledEnvironment(scale=split_bytes / paper_split_bytes).engine()
-
-
-@pytest.fixture(scope="module")
-def backends():
-    """serial and parallel(2) over one tiny-split engine."""
-    engine = tiny_split_engine()
-    made = {
-        name: make_backend(name, engine=engine, workers=2)
-        for name in ("serial", "parallel")
-    }
-    yield made
-    for backend in made.values():
-        backend.close()
 
 
 # -- partial-batch composition -----------------------------------------------------
@@ -205,57 +181,62 @@ def test_self_semi_join_chunk_counts_the_union_of_its_keys(chunks):
     assert batch.output_records == records
 
 
-# -- the parity matrix ---------------------------------------------------------------
+# -- the differential oracle on a tiny split ---------------------------------------
 
 
-@pytest.mark.parametrize(
-    "query_id,query",
-    section5_workloads(),
-    ids=[query_id for query_id, _ in section5_workloads()],
-)
-def test_tiny_split_parity_matrix(query_id, query, backends):
-    database = database_for(
-        query, guard_tuples=GUARD_TUPLES, selectivity=0.5, seed=17
-    )
-    for strategy in applicable_strategies(query, include_optimal=False):
-        reference = None
-        # The workers run kernels only; with kernels off a job is interpreted
-        # on the driver, i.e. the serial "off" run under another name.
-        for name, mode in (("serial", "auto"), ("serial", "off"), ("parallel", "auto")):
-            options = GumboOptions(kernel_mode=mode)
-            gumbo = Gumbo(backend=backends[name], options=options)
-            result = gumbo.execute(query, database, strategy)
-            context = f"{query_id}:{strategy}:{name}:{mode}"
-            if reference is None:
-                reference = result
-                base_mappers = [
-                    partition.mappers
-                    for metrics in result.metrics.job_metrics.values()
-                    for partition in metrics.partitions
-                    if partition.relation in database
-                ]
-                assert min(base_mappers) >= 3, context
-            else:
-                assert_results_equal(reference, result, context)
-
-
-def test_oracle_campaign_on_a_tiny_split_engine():
-    """Random programs over every backend, every relation multi-chunk.
+def _tiny_split_campaign():
+    """Six random programs over every backend, every relation multi-chunk.
 
     Fuzz databases hold a handful of rows, so the split is 16 bytes.
+    Returns every divergence the oracle reports.
     """
     config = FuzzConfig(max_statements=3, max_tuples=14)
+    divergences = []
     with DifferentialOracle(
         backends=("serial", "parallel", "sharded"),
         workers=2,
         shards=2,
         engine=tiny_split_engine(split_bytes=16),
-        include_optimal=False,
     ) as oracle:
         for index in range(6):
             case = generate_case(29, index, config)
-            divergences = oracle.check(case.program, case.database)
-            assert not divergences, "\n".join(str(d) for d in divergences)
+            divergences += oracle.check(case.program, case.database)
+    return divergences
+
+
+def test_oracle_campaign_on_a_tiny_split_engine():
+    divergences = _tiny_split_campaign()
+    assert not divergences, "\n".join(str(d) for d in divergences)
+
+
+def test_oracle_names_the_job_whose_reducer_loads_moved(monkeypatch):
+    """Keys placed on the wrong reducers change no headline number.
+
+    The mutant reverses the per-reducer durations of every job the workers'
+    backend runs: the same loads on other reducers, so net and total time
+    stay put and ``summary()`` cannot see it.  ``metrics ==`` does, and the
+    oracle names the job and the field.
+    """
+    real = ShardedBackend.run_job
+    moved = set()
+
+    def misplaced(self, job, database):
+        result = real(self, job, database)
+        durations = result.metrics.reduce_task_durations
+        if durations != durations[::-1]:
+            durations.reverse()
+            moved.add(job.job_id)
+        return result
+
+    monkeypatch.setattr(ShardedBackend, "run_job", misplaced)
+    divergences = _tiny_split_campaign()
+    assert moved and divergences
+    for divergence in divergences:
+        assert (divergence.kind, divergence.backend) == ("metrics", "parallel")
+        assert any(
+            f"job {job_id!r} reduce_task_durations:" in divergence.detail
+            for job_id in moved
+        ), divergence.detail
 
 
 # -- no per-key work unless a job spreads over reducers ----------------------------
@@ -304,7 +285,7 @@ def test_one_reducer_jobs_never_touch_a_key(monkeypatch):
                     )
                     runs.setdefault(query_id, []).append(result)
     for query_id, (serial, parallel) in runs.items():
-        assert_results_equal(serial, parallel, query_id)
+        assert_same_run(serial, parallel, query_id)
     assert replies
     for reply in replies:
         batch = reply.result  # unpickled from the worker's frame
@@ -333,13 +314,10 @@ def test_driver_rederives_key_loads_for_multi_reducer_jobs():
                 with obs.trace("run", collector=collector, backend=name):
                     results.append(gumbo.execute(query, database, "greedy"))
         serial, parallel = results
-        assert_results_equal(serial, parallel, query_id)
+        assert_same_run(serial, parallel, query_id)
         assert any(m.reducers > 1 for m in serial.metrics.job_metrics.values())
         for job_id, metrics in serial.metrics.job_metrics.items():
             tier = parallel.metrics.job_metrics[job_id]
-            assert [d.hex() for d in metrics.reduce_task_durations] == [
-                d.hex() for d in tier.reduce_task_durations
-            ], (query_id, job_id)
             if metrics.reducers > 1:
                 waves = sum(wave.elapsed_s for wave in tier.wall.waves)
                 assert tier.wall.map_elapsed_s > waves
@@ -363,7 +341,7 @@ def test_crash_on_a_kernel_map_batch_is_retried_bit_identically():
     )
     with make_backend("parallel", engine=engine, workers=2) as backend:
         gumbo = Gumbo(backend=backend)  # kernel_mode="auto": kernel map tasks
-        assert_results_equal(serial, gumbo.execute(query, database, "greedy"))
+        assert_same_run(serial, gumbo.execute(query, database, "greedy"))
         # Shard 0 owns some but not all chunks of the guard relation.
         guard = database["R"]
         owners = {
@@ -372,7 +350,7 @@ def test_crash_on_a_kernel_map_batch_is_retried_bit_identically():
         }
         assert owners == {0, 1}
         backend.cluster.inject_crash(0)
-        assert_results_equal(serial, gumbo.execute(query, database, "greedy"))
+        assert_same_run(serial, gumbo.execute(query, database, "greedy"))
         assert backend.cluster.respawns == 1
         assert backend.cluster.retries == 1
         assert backend.ensure_loaded(database) == 0  # reloaded, still warm
@@ -412,7 +390,8 @@ def test_worker_kernel_job_bookkeeping(name):
                 if mode == "off":
                     assert not wall.waves
                     continue
-                assert {wave.phase for wave in wall.waves} == {"map"}
+                # The kernel ran in the workers: one map wave, no reduce wave.
+                assert [wave.phase for wave in wall.waves] == ["map"]
                 assert wall.map_elapsed_s > 0 and wall.reduce_elapsed_s > 0
                 phases = wall.map_elapsed_s + wall.reduce_elapsed_s
                 assert wall.elapsed_s >= phases - 1e-9

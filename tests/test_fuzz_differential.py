@@ -245,23 +245,30 @@ def test_corrupted_partition_strategy_is_detected_and_shrunk(monkeypatch):
 def test_corrupted_one_round_job_is_isolated_to_that_strategy(monkeypatch):
     """A fused job that swallows outputs diverges on 1-ROUND and nowhere else.
 
-    The kernel axis is disabled here: the corruption is injected into the
-    interpreted ``reduce``, which the batch-kernel path (correctly) does not
-    execute — the mirror-image corruption is covered in test_kernels.py.
+    The corruption is injected into the interpreted ``reduce``, which the
+    batch-kernel path (correctly) does not execute — the mirror-image
+    corruption is covered in test_kernels.py.  So the interpreted ``serial``
+    axis misses tuples, and the ``serial+kernel`` axis answers correctly but
+    differs from it in simulated metrics (its jobs write the tuples the
+    corrupted ones swallow).
     """
     monkeypatch.setattr(FusedOneRoundJob, "reduce", lambda self, key, values: iter(()))
     program = parse_sgf("Z := SELECT (x) FROM R(x, y) WHERE S(x);")
     database = Database.from_dict({"R": [(1, 2), (3, 4)], "S": [(1,)]})
-    with DifferentialOracle(backends=("serial",), kernel_axis=False) as oracle:
+    with DifferentialOracle(backends=("serial",)) as oracle:
         divergences = oracle.check(program, database)
     assert divergences, "corrupted 1-ROUND job was not detected"
     assert {d.strategy for d in divergences} == {"1-round"}
-    assert all(d.kind == "mismatch" for d in divergences)
+    assert {(d.kind, d.backend) for d in divergences} == {
+        ("mismatch", "serial"),
+        ("metrics", "serial+kernel"),
+    }
 
     # The shrunk counterexample still shows the missing-tuple divergence.
     def diverges(candidate_program, candidate_database):
-        with DifferentialOracle(backends=("serial",), kernel_axis=False) as inner:
-            return bool(inner.check(candidate_program, candidate_database))
+        with DifferentialOracle(backends=("serial",)) as inner:
+            found = inner.check(candidate_program, candidate_database)
+            return any(divergence.kind == "mismatch" for divergence in found)
 
     shrunk_program, shrunk_database = shrink_case(program, database, diverges)
     assert len(shrunk_program) == 1
@@ -271,30 +278,9 @@ def test_corrupted_one_round_job_is_isolated_to_that_strategy(monkeypatch):
 # -- counterexample repro scripts ----------------------------------------------------
 
 
-def test_repro_script_is_executable_python(monkeypatch, tmp_path):
-    import repro.core.strategies as strategies
-
-    real = strategies.singleton_partition
-    monkeypatch.setattr(strategies, "singleton_partition", lambda s: real(s)[:-1])
-    report = run_fuzz(
-        FuzzOptions(
-            seed=3,
-            iterations=10,
-            config=FuzzConfig(max_statements=1),
-            backends=("serial",),
-        )
-    )
-    assert not report.ok
-    script = report.counterexamples[0].script()
-    # The script parses as a standalone Python program and embeds the case.
-    compile(script, "counterexample.py", "exec")
-    assert "parse_sgf" in script
-    assert "DifferentialOracle" in script
-    assert "generate_case(3," in script
-
-
 def test_repro_script_replays_the_campaigns_own_oracle(monkeypatch, capsys):
-    """A counterexample found on ``parallel(2)`` is replayed there, not on
+    """The repro script is a standalone Python program embedding the case,
+    and a counterexample found on ``parallel(2)`` is replayed there, not on
     the oracle's default backends and width."""
     import repro.core.strategies as strategies
 
@@ -311,6 +297,8 @@ def test_repro_script_replays_the_campaigns_own_oracle(monkeypatch, capsys):
     )
     assert not report.ok
     script = report.counterexamples[0].script()
+    assert "parse_sgf" in script
+    assert "generate_case(3," in script
     assert (
         "DifferentialOracle(backends=('parallel',), workers=2)" in script
     )

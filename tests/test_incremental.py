@@ -364,9 +364,7 @@ _ORACLE = None
 def _shared_oracle() -> DifferentialOracle:
     global _ORACLE
     if _ORACLE is None:
-        _ORACLE = DifferentialOracle(
-            backends=("serial",), include_dynamic=False, check_metrics=False
-        )
+        _ORACLE = DifferentialOracle(backends=("serial",))
     return _ORACLE
 
 

@@ -3,17 +3,15 @@
 The batch ("kernel") path of :mod:`repro.mapreduce.kernels` replaces the
 tuple-at-a-time map/combine/shuffle/reduce interpretation of every semi-join
 shaped job with compiled matchers and set operations, while computing the
-simulated Hadoop metrics analytically from pair counts.  These tests pin the
-contract down:
+simulated Hadoop metrics analytically from pair counts.  The Section 5
+matrix (every workload, strategy and backend, kernels on and off) is
+``tests/test_parity.py``; these tests pin the rest of the contract down:
 
-* on every Section 5 workload, under every applicable strategy and on both
-  execution backends, ``kernel_mode="auto"`` and ``kernel_mode="off"`` produce
-  bit-identical output relations **and** bit-identical :class:`JobMetrics`
-  (partition metrics, reducer counts, cost breakdowns, per-task durations —
-  i.e. including the skew-sensitive per-reducer loads);
-* the same parity holds for random (B)SGF programs (a hypothesis property
-  over the fuzzer's generator), including with the paper optimisations
-  ablated;
+* ``kernel_mode="auto"`` and ``kernel_mode="off"`` produce the same run
+  (``tests/helpers.py::assert_same_run``: identical output relations and
+  ``metrics ==``) for random (B)SGF programs (a hypothesis property over the
+  fuzzer's generator), with the paper optimisations ablated, and over
+  mixed-type, NaN-bearing and empty relations;
 * dispatch honours ``kernel_mode`` and ``supports_kernel`` (baseline and
   skew-salted jobs always interpret; ``"auto"`` means the same on every
   backend — ``tests/test_fanout_kernels.py`` covers the kernels that
@@ -33,7 +31,7 @@ from repro.core.msj import MSJJob
 from repro.core.options import GumboOptions
 from repro.core.skew import SkewAwareMSJJob
 from repro.core.strategies import applicable_strategies
-from repro.exec import SimulatedBackend, make_backend
+from repro.exec import make_backend
 from repro.fuzz.generator import FuzzConfig, generate_case
 from repro.fuzz.oracle import DifferentialOracle
 from repro.fuzz.runner import FuzzOptions, run_fuzz
@@ -46,75 +44,27 @@ from repro.model.relation import Relation
 from repro.query.parser import parse_bsgf, parse_sgf
 from repro.workloads.queries import database_for, section5_workloads
 
-WORKLOAD_TUPLES = 150
+from helpers import assert_same_run
 
 
-def assert_job_metrics_equal(interpreted, kernel, context=""):
-    """Every simulated measurement must match, field for field."""
-    assert set(interpreted.job_metrics) == set(kernel.job_metrics), context
-    for job_id, expected in interpreted.job_metrics.items():
-        got = kernel.job_metrics[job_id]
-        label = f"{context}:{job_id}"
-        assert expected.partitions == got.partitions, label
-        assert expected.reducers == got.reducers, label
-        assert expected.output_mb == got.output_mb, label
-        assert expected.output_records == got.output_records, label
-        assert expected.breakdown == got.breakdown, label
-        assert expected.map_task_durations == got.map_task_durations, label
-        assert expected.reduce_task_durations == got.reduce_task_durations, label
-    assert interpreted.summary() == kernel.summary(), context
-    assert interpreted.level_net_times == kernel.level_net_times, context
-
-
-def assert_results_equal(expected, got, context=""):
-    """Identical output relations and identical simulated metrics."""
-    assert set(expected.all_outputs) == set(got.all_outputs), context
-    for name, relation in expected.all_outputs.items():
-        assert relation.tuples() == got.all_outputs[name].tuples(), f"{context}:{name}"
-    assert_job_metrics_equal(expected.metrics, got.metrics, context)
-
-
-def assert_parity(query, database, strategy, backend_factory, options=None):
-    """Outputs and metrics of kernel-on vs kernel-off runs must be identical."""
+def assert_parity(query, database, strategies, backend="serial", options=None):
+    """Kernel-on and kernel-off runs of every strategy are the same run."""
     options = options or GumboOptions()
-    results = {}
-    for mode in ("off", "auto"):
-        backend = backend_factory()
-        try:
-            gumbo = Gumbo(backend=backend, options=options.without(kernel_mode=mode))
-            results[mode] = gumbo.execute(query, database, strategy)
-        finally:
-            backend.close()
-    assert_results_equal(results["off"], results["auto"], f"{strategy}")
+    with make_backend(backend, workers=2) as runner:
+        for strategy in strategies:
+            off, auto = (
+                Gumbo(backend=runner, options=options.without(kernel_mode=mode))
+                .execute(query, database, strategy)
+                for mode in ("off", "auto")
+            )
+            assert_same_run(off, auto, f"{backend}:{strategy}")
 
 
-# -- Section 5 workloads: the full strategy matrix ---------------------------------
+def non_optimal(query):
+    return applicable_strategies(query, include_optimal=False)
 
 
-@pytest.mark.parametrize(
-    "query_id,query",
-    section5_workloads(),
-    ids=[query_id for query_id, _ in section5_workloads()],
-)
-def test_kernel_parity_section5_serial(query_id, query):
-    database = database_for(
-        query, guard_tuples=WORKLOAD_TUPLES, selectivity=0.5, seed=13
-    )
-    for strategy in applicable_strategies(query, include_optimal=False):
-        assert_parity(query, database, strategy, lambda: SimulatedBackend())
-
-
-@pytest.mark.parametrize("query_id", ["A1", "A3", "B2", "C2"])
-def test_kernel_parity_parallel_backend(query_id):
-    query = dict(section5_workloads())[query_id]
-    database = database_for(query, guard_tuples=80, selectivity=0.5, seed=5)
-    strategy = next(iter(applicable_strategies(query, include_optimal=False)))
-    assert_parity(
-        query,
-        database,
-        strategy,
-        lambda: make_backend("parallel", workers=2),
-    )
+# -- optimisations ablated ---------------------------------------------------------
 
 
 def test_kernel_parity_with_optimisations_ablated():
@@ -125,10 +75,7 @@ def test_kernel_parity_with_optimisations_ablated():
             options = GumboOptions(
                 message_packing=packing, tuple_reference=reference
             )
-            for strategy in applicable_strategies(query, include_optimal=False):
-                assert_parity(
-                    query, database, strategy, lambda: SimulatedBackend(), options
-                )
+            assert_parity(query, database, non_optimal(query), options=options)
 
 
 # -- columnar storage: mixed-type columns, NaN values, empty relations --------------
@@ -149,25 +96,13 @@ MIXED_TYPE_DB = {
 MIXED_TYPE_QUERY = "Z := SELECT (x, y) FROM R(x, y) WHERE S(x) AND NOT T(y);"
 
 
-def test_kernel_parity_mixed_type_columns_serial():
-    """Mixed int/float/str/None columns defeat typed packing but not parity."""
+@pytest.mark.parametrize("backend", ["serial", "parallel"])
+def test_kernel_parity_mixed_type_columns(backend):
+    """Mixed int/float/str/None columns defeat typed packing but not parity;
+    on ``parallel`` the object-column fallback of ColumnBlock.packed ships."""
     query = parse_sgf(MIXED_TYPE_QUERY)
     database = Database.from_dict(MIXED_TYPE_DB)
-    for strategy in applicable_strategies(query, include_optimal=False):
-        assert_parity(query, database, strategy, lambda: SimulatedBackend())
-
-
-def test_kernel_parity_mixed_type_columns_parallel():
-    """Object-column fallback of ColumnBlock.packed still ships correctly."""
-    query = parse_sgf(MIXED_TYPE_QUERY)
-    database = Database.from_dict(MIXED_TYPE_DB)
-    strategy = next(iter(applicable_strategies(query, include_optimal=False)))
-    assert_parity(
-        query,
-        database,
-        strategy,
-        lambda: make_backend("parallel", workers=2),
-    )
+    assert_parity(query, database, non_optimal(query), backend)
 
 
 def test_kernel_parity_nan_values_serial():
@@ -187,8 +122,7 @@ def test_kernel_parity_nan_values_serial():
         }
     )
     query = parse_sgf("Z := SELECT (x, y) FROM R(x, y) WHERE S(x);")
-    for strategy in applicable_strategies(query, include_optimal=False):
-        assert_parity(query, database, strategy, lambda: SimulatedBackend())
+    assert_parity(query, database, non_optimal(query))
 
 
 def test_kernel_parity_empty_relations():
@@ -205,15 +139,8 @@ def test_kernel_parity_empty_relations():
             Relation.from_tuples(name, rows, arity=arities[name])
             for name, rows in shape.items()
         )
-        strategies = applicable_strategies(query, include_optimal=False)
-        for strategy in strategies:
-            assert_parity(query, database, strategy, lambda: SimulatedBackend())
-        assert_parity(
-            query,
-            database,
-            next(iter(strategies)),
-            lambda: make_backend("parallel", workers=2),
-        )
+        assert_parity(query, database, non_optimal(query))
+        assert_parity(query, database, non_optimal(query)[:1], "parallel")
 
 
 def test_fuzzer_kernel_axes_cover_adversarial_profile():
@@ -243,10 +170,7 @@ def test_fuzzer_kernel_axes_cover_adversarial_profile():
 @given(case_index=st.integers(min_value=0, max_value=400))
 def test_kernel_parity_random_programs(case_index):
     case = generate_case(77, case_index, FuzzConfig(max_statements=3, max_tuples=10))
-    for strategy in applicable_strategies(case.program, include_optimal=True):
-        assert_parity(
-            case.program, case.database, strategy, lambda: SimulatedBackend()
-        )
+    assert_parity(case.program, case.database, applicable_strategies(case.program))
 
 
 # -- dispatch rules ----------------------------------------------------------------
@@ -315,24 +239,6 @@ def test_invalid_kernel_mode_rejected():
         GumboOptions(kernel_mode="sometimes")
 
 
-def test_parallel_wall_metrics_present_for_forced_kernel():
-    query = parse_sgf("Z := SELECT (x) FROM R(x, y) WHERE S(x);")
-    database = Database.from_dict({"R": [(1, 2), (3, 4)], "S": [(1,)]})
-    backend = make_backend("parallel", workers=2)
-    try:
-        gumbo = Gumbo(backend=backend, options=GumboOptions(kernel_mode="auto"))
-        result = gumbo.execute(query, database, "par")
-    finally:
-        backend.close()
-    assert result.output().tuples() == {(1,)}
-    assert result.metrics.wall_elapsed_s > 0
-    for metrics in result.metrics.job_metrics.values():
-        assert metrics.wall is not None
-        assert metrics.wall.backend == "parallel"
-        # The kernel ran in the workers, not in-process: a real map wave.
-        assert [wave.phase for wave in metrics.wall.waves] == ["map"]
-
-
 # -- the oracle's kernel axes detect kernel bugs -----------------------------------
 
 
@@ -347,7 +253,7 @@ def test_corrupted_reduce_batch_is_detected_on_the_kernel_axes(monkeypatch):
     monkeypatch.setattr(MSJJob, "reduce_batch", corrupted)
     program = parse_sgf("Z := SELECT (x) FROM R(x, y) WHERE S(x);")
     database = Database.from_dict({"R": [(1, 2), (3, 4)], "S": [(1,)]})
-    with DifferentialOracle(backends=("serial",), include_dynamic=False) as oracle:
+    with DifferentialOracle(backends=("serial",)) as oracle:
         divergences = oracle.check(program, database)
     assert divergences, "corrupted kernel was not detected"
     assert all(d.backend.endswith("+kernel") for d in divergences), [

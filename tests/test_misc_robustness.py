@@ -12,7 +12,14 @@ from repro.query.reference import evaluate_bsgf
 from repro.workloads.queries import bsgf_query_set, database_for
 from repro.workloads.scaling import ScaledEnvironment
 
-from helpers import as_set, simple_query, small_database, star_database, star_query
+from helpers import (
+    as_set,
+    assert_same_run,
+    simple_query,
+    small_database,
+    star_database,
+    star_query,
+)
 
 
 class TestDeterminism:
@@ -23,10 +30,7 @@ class TestDeterminism:
         gumbo = Gumbo()
         first = gumbo.execute(queries, db, "greedy")
         second = gumbo.execute(queries, db, "greedy")
-        assert first.metrics.net_time == second.metrics.net_time
-        assert first.metrics.total_time == second.metrics.total_time
-        assert first.metrics.communication_mb == second.metrics.communication_mb
-        assert as_set(first.output("A1")) == as_set(second.output("A1"))
+        assert_same_run(first, second)
 
     def test_workload_generation_is_seeded(self):
         queries = bsgf_query_set("A3")

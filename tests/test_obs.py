@@ -29,6 +29,8 @@ from repro.obs.trace import NOOP, Span, TraceCollector, Tracer
 from repro.service import QueryService
 from repro.workloads.queries import database_for, workload_query
 
+from helpers import assert_same_run
+
 
 @pytest.fixture(autouse=True)
 def _clean_collector():
@@ -437,14 +439,7 @@ class TestEndToEnd:
             results[traced] = gumbo.execute(query, database)
             # Tracing off collects nothing; tracing on collects the request.
             assert bool(obs.drain_traces()) is traced
-        untraced, traced = results[False], results[True]
-        assert set(untraced.all_outputs) == set(traced.all_outputs)
-        for name in untraced.all_outputs:
-            assert (
-                untraced.all_outputs[name].tuples()
-                == traced.all_outputs[name].tuples()
-            ), name
-        assert untraced.summary() == traced.summary()
+        assert_same_run(results[False], results[True])
 
     def test_refresh_trace_and_histogram(self, workload):
         query, database = workload

@@ -1,5 +1,7 @@
 """Unit tests for GumboOptions and the metrics containers."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.options import GumboOptions
@@ -86,6 +88,29 @@ class TestJobMetrics:
 
 
 class TestProgramMetrics:
+    def test_equality_ignores_exactly_the_wall_clock(self):
+        """``==`` is the parity contract: every simulated field counts, and
+        only ``wall``, ``backend`` and ``wall_elapsed_s`` do not."""
+        assert {f.name for f in fields(JobMetrics) if not f.compare} == {"wall"}
+        assert {f.name for f in fields(ProgramMetrics) if not f.compare} == {
+            "backend",
+            "wall_elapsed_s",
+        }
+
+        def program(**changes):
+            metrics = ProgramMetrics(**{"net_time": 70.0, "rounds": 1, **changes})
+            metrics.add_job(_metrics("a"))
+            return metrics
+
+        timed = program(backend="parallel", wall_elapsed_s=1.5)
+        timed.job_metrics["a"].wall = WallClockMetrics(elapsed_s=1.0)
+        assert timed == program()
+        assert program(rounds=2) != program()
+        assert program(level_net_times=[69.0]) != program()
+        moved = program()
+        moved.job_metrics["a"].reduce_task_durations.reverse()
+        assert moved != program()
+
     def test_aggregation(self):
         program = ProgramMetrics()
         program.add_job(_metrics("a"))

@@ -1,16 +1,19 @@
-"""The sharded persistent worker tier: routing math, RPC framing, serial
-parity, worker supervision, the asyncio front-end and a differential fuzz
+"""The sharded persistent worker tier: routing math, RPC framing, warm
+runs, worker supervision, the asyncio front-end and a differential fuzz
 campaign.
 
 The tier's core contract mirrors the other backends': outputs and simulated
 metrics must be *bit-identical* to the serial simulator on every Section 5
 workload — sharding may only change wall-clock time and which process holds
-which rows.  On top of that the tier adds its own promises, each tested
-here: placement is a pure function of ``stable_hash`` (so re-partitioning on
-a shard-count change is exact re-evaluation), a worker killed mid-request is
-respawned and its batch retried without the caller noticing, deterministic
-worker errors are raised (never retried into silence), and the front-end
-sheds load beyond its admission limit instead of queueing unboundedly.
+which rows.  That matrix is ``tests/test_parity.py`` (``sharded`` and
+``parallel`` name one class); every comparison here is
+``tests/helpers.py::assert_same_run``.  On top of that the tier adds its own
+promises, each tested here: placement is a pure function of ``stable_hash``
+(so re-partitioning on a shard-count change is exact re-evaluation), a
+worker killed mid-request is respawned and its batch retried without the
+caller noticing, deterministic worker errors are raised (never retried into
+silence), and the front-end sheds load beyond its admission limit instead of
+queueing unboundedly.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ import time
 import pytest
 
 from repro.core.gumbo import Gumbo
-from repro.core.options import GumboOptions
-from repro.exec import SimulatedBackend, make_backend, partition_index
+from repro.exec import SimulatedBackend, partition_index
 from repro.fuzz import FuzzOptions, run_fuzz
 from repro.mapreduce.engine import MapReduceEngine
 from repro.model.database import Database
@@ -50,14 +52,9 @@ from repro.service.sharded.rpc import (
     recv_frame,
     send_frame,
 )
-from repro.workloads.queries import (
-    bsgf_query_set,
-    database_for,
-    section5_workloads,
-    sgf_query,
-)
+from repro.workloads.queries import bsgf_query_set, database_for
 
-from test_exec_backends import _assert_metrics_match, _assert_results_match
+from helpers import assert_same_run
 
 #: Shard count used throughout; small so clusters stay cheap on CI boxes.
 SHARDS = 2
@@ -264,56 +261,10 @@ class TestRouting:
                     assert held == expected[shard], (relation.name, shard)
 
 
-# -- serial parity -------------------------------------------------------------------
+# -- serial parity of warm runs ------------------------------------------------------
 
 
 class TestShardedParity:
-    @pytest.mark.parametrize(
-        "query_id", [qid for qid, _ in section5_workloads()]
-    )
-    def test_section5_workloads(self, query_id, serial_backend, sharded_backend):
-        """Every Section 5 workload: identical outputs, identical simulated
-        metrics, through the persistent worker tier."""
-        from repro.workloads.queries import workload_query
-
-        query = workload_query(query_id)
-        database = database_for(query, guard_tuples=120, selectivity=0.5, seed=5)
-        serial = Gumbo(backend=serial_backend).execute(query, database)
-        sharded = Gumbo(backend=sharded_backend).execute(query, database)
-        _assert_results_match(serial, sharded)
-        assert sharded.metrics.backend == "sharded"
-        assert sharded.metrics.wall_elapsed_s > 0
-
-    @pytest.mark.parametrize("strategy", ["seq", "par", "greedy", "1-round"])
-    def test_every_bsgf_strategy(self, strategy, serial_backend, sharded_backend):
-        queries = bsgf_query_set("A3")
-        database = database_for(queries, guard_tuples=200, selectivity=0.5, seed=3)
-        serial = Gumbo(backend=serial_backend).execute(queries, database, strategy)
-        sharded = Gumbo(backend=sharded_backend).execute(queries, database, strategy)
-        _assert_results_match(serial, sharded)
-
-    def test_kernel_path_parity(self, serial_backend, sharded_backend):
-        queries = bsgf_query_set("A1")
-        database = database_for(queries, guard_tuples=150, selectivity=0.5, seed=9)
-        options = GumboOptions(kernel_mode="auto")
-        serial = Gumbo(backend=serial_backend, options=options).execute(
-            queries, database, "greedy"
-        )
-        sharded = Gumbo(backend=sharded_backend, options=options).execute(
-            queries, database, "greedy"
-        )
-        _assert_results_match(serial, sharded)
-
-    def test_dynamic_executor_parity(self, serial_backend, sharded_backend):
-        query = sgf_query("C2")
-        database = database_for(query, guard_tuples=150, selectivity=0.5, seed=11)
-        serial = Gumbo(backend=serial_backend).execute_dynamic(query, database)
-        sharded = Gumbo(backend=sharded_backend).execute_dynamic(query, database)
-        assert set(serial.outputs) == set(sharded.outputs)
-        for name in serial.outputs:
-            assert serial.outputs[name].tuples() == sharded.outputs[name].tuples()
-        _assert_metrics_match(serial.metrics, sharded.metrics)
-
     def test_warm_second_run_ships_nothing(self, serial_backend, sharded_backend):
         """The second run over the same database finds every relation resident
         (copy-on-write identity), ships zero relations, and still matches."""
@@ -323,24 +274,9 @@ class TestShardedParity:
         first = gumbo.execute(queries, database, "greedy")
         assert sharded_backend.ensure_loaded(database) == 0  # all warm now
         second = gumbo.execute(queries, database, "greedy")
-        _assert_results_match(first, second)
+        assert_same_run(first, second)
         serial = Gumbo(backend=serial_backend).execute(queries, database, "greedy")
-        _assert_results_match(serial, second)
-
-    def test_make_backend_by_name(self):
-        backend = make_backend("sharded", shards=SHARDS)
-        try:
-            assert isinstance(backend, ShardedBackend)
-            assert backend.shards == SHARDS
-        finally:
-            backend.close()
-
-    def test_instance_shard_conflict_rejected(self, sharded_backend):
-        """An instance carries its own shard count; a mismatching shards=
-        is a configuration error, while a matching one passes through."""
-        with pytest.raises(ValueError):
-            make_backend(sharded_backend, shards=SHARDS + 1)
-        assert make_backend(sharded_backend, shards=SHARDS) is sharded_backend
+        assert_same_run(serial, second)
 
 
 # -- worker supervision --------------------------------------------------------------
@@ -356,11 +292,11 @@ class TestWorkerSupervision:
         serial = Gumbo().execute(queries, database, "greedy")
         with ShardedBackend(shards=SHARDS) as backend:
             gumbo = Gumbo(backend=backend)
-            _assert_results_match(serial, gumbo.execute(queries, database, "greedy"))
+            assert_same_run(serial, gumbo.execute(queries, database, "greedy"))
             assert backend.cluster.respawns == 0
             backend.cluster.inject_crash(0)
             survived = gumbo.execute(queries, database, "greedy")
-            _assert_results_match(serial, survived)
+            assert_same_run(serial, survived)
             assert backend.cluster.respawns == 1
             assert backend.cluster.retries == 1
             # The respawned worker reloaded shard 0's chunks: still warm.
@@ -385,7 +321,7 @@ class TestWorkerSupervision:
                     break
                 time.sleep(0.01)
             result = gumbo.execute(queries, database, "greedy")
-            _assert_results_match(serial, result)
+            assert_same_run(serial, result)
             assert backend.cluster.respawns >= 1
             pids = {stats.pid for stats in backend.cluster.worker_stats()}
             assert victim.pid not in pids
@@ -417,7 +353,7 @@ class TestWorkerSupervision:
             backend.close()
             assert not backend.cluster.started
             second = Gumbo(backend=backend).execute(queries, database, "greedy")
-            _assert_results_match(first, second)
+            assert_same_run(first, second)
         finally:
             backend.close()
 

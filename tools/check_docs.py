@@ -1,7 +1,7 @@
 """Documentation checks: runnable examples, resolvable links, honest --help.
 
 Run by the CI ``docs`` job (and locally via ``PYTHONPATH=src python
-tools/check_docs.py``).  Four families of checks, all blocking:
+tools/check_docs.py``).  Five families of checks, all blocking:
 
 1. **Examples** — every fenced ``python`` code block in ``docs/*.md`` is
    executed, top to bottom, in one namespace per file (so a later block may
@@ -17,7 +17,12 @@ tools/check_docs.py``).  Four families of checks, all blocking:
    trace flags) — and none of them
    may offer the removed job-level SQL backend again (``sql`` as a
    ``--backend`` choice, ``--sql-db``).
-4. **Cited docs** — every ``*.md`` path a ``.py`` file under ``src/``,
+4. **Documented flags** — the other direction of 3: every ``--flag`` on a
+   fenced ``python -m repro <command> …`` line in ``README.md`` and
+   ``docs/*.md`` (backslash continuations joined, ``#`` comments dropped)
+   must appear in that command's ``--help``, and the command must exist, so
+   a removed flag or subcommand cannot survive in the docs.
+5. **Cited docs** — every ``*.md`` path a ``.py`` file under ``src/``,
    ``tools/``, ``tests/`` or top-level ``benchmarks/`` cites must exist,
    relative to the repository root or to the citing file.
 
@@ -71,6 +76,9 @@ _FENCE = re.compile(r"^```(\w*)\s*$")
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
 _MD_PATH = re.compile(r"[\w./-]*\w\.md\b")
+_REPRO_COMMAND = re.compile(r"python3? -m repro\s+(\S+)(.*)")
+_FLAG = re.compile(r"(?<![\w-])--[\w-]+")
+_COMMENT = re.compile(r"(^|\s)#.*")
 
 
 def _python_blocks(path: Path):
@@ -87,6 +95,25 @@ def _python_blocks(path: Path):
             start, language = None, None
         elif start is not None:
             block.append(line)
+
+
+def _fenced_commands(path: Path):
+    """Yield (line number, command) for every line inside a fence, with
+    backslash continuations joined and ``#`` comments dropped."""
+    in_fence, pending, start = False, "", None
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if _FENCE.match(line):
+            in_fence = not in_fence
+            continue
+        if not in_fence:
+            continue
+        text = _COMMENT.sub("", line).strip()
+        start = start or number
+        if text.endswith("\\"):
+            pending += text[:-1] + " "
+            continue
+        yield start, pending + text
+        pending, start = "", None
 
 
 def _github_slug(heading: str) -> str:
@@ -157,18 +184,24 @@ def check_cited_docs() -> list:
     return failures
 
 
-def check_cli_help() -> list:
+def _parsers():
+    """The ``repro`` parser and its subcommand parsers by name."""
     from repro.cli import build_parser
 
-    failures = []
     parser = build_parser()
     subparsers = next(
         action
         for action in parser._actions  # noqa: SLF001 - argparse offers no API
         if hasattr(action, "choices") and action.choices
     )
+    return parser, subparsers.choices
+
+
+def check_cli_help() -> list:
+    failures = []
+    parser, subparsers = _parsers()
     for argv, expected in HELP_CHECKS:
-        target = subparsers.choices[argv[0]] if argv else parser
+        target = subparsers[argv[0]] if argv else parser
         help_text = target.format_help()
         label = "repro " + " ".join(argv) if argv else "repro"
         for needle in expected:
@@ -176,16 +209,53 @@ def check_cli_help() -> list:
                 failures.append(f"{label} --help no longer mentions {needle!r}")
     # Every subcommand, not only the ones above.  Lower case: the backend
     # choice and both flags, not "SQL oracle" prose.
-    for name, target in [("", parser), *subparsers.choices.items()]:
+    for name, target in [("", parser), *subparsers.items()]:
         if "sql" in target.format_help():
             label = f"repro {name}".rstrip()
             failures.append(f"{label} --help offers the removed sql backend again")
     return failures
 
 
+def check_documented_flags() -> list:
+    failures = []
+    parser, subparsers = _parsers()
+    for path in LINK_FILES:
+        for number, command in _fenced_commands(path):
+            match = _REPRO_COMMAND.search(command)
+            if not match:
+                continue
+            name, rest = match.groups()
+            where = f"{path.relative_to(REPO)}:{number}"
+            if name.startswith("-"):
+                name, target, rest = "", parser, f"{name}{rest}"
+            elif name in subparsers:
+                target = subparsers[name]
+            else:
+                failures.append(f"{where}: no command 'repro {name}'")
+                continue
+            help_text = target.format_help()
+            for flag in _FLAG.findall(rest):
+                if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", help_text):
+                    label = f"repro {name}".rstrip()
+                    failures.append(f"{where}: {label} --help has no {flag}")
+    return failures
+
+
 def main() -> int:
-    failures = check_examples() + check_links() + check_cli_help() + check_cited_docs()
+    failures = (
+        check_examples()
+        + check_links()
+        + check_cli_help()
+        + check_documented_flags()
+        + check_cited_docs()
+    )
     examples = sum(1 for path in EXAMPLE_FILES for _ in _python_blocks(path))
+    commands = sum(
+        1
+        for path in LINK_FILES
+        for _, command in _fenced_commands(path)
+        if _REPRO_COMMAND.search(command)
+    )
     if failures:
         print(f"check_docs: {len(failures)} failure(s)")
         for failure in failures:
@@ -195,6 +265,7 @@ def main() -> int:
         f"check_docs: ok ({examples} doc examples executed, "
         f"{len(LINK_FILES)} files link-checked, "
         f"{len(HELP_CHECKS)} --help surfaces verified, "
+        f"{commands} documented commands' flags found in --help, "
         f"{len(CITING_FILES)} Python files' doc citations resolved)"
     )
     return 0

@@ -32,6 +32,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.gumbo import Gumbo
 from repro.exec.base import make_backend
+from repro.mapreduce.counters import ProgramMetrics
 from repro.workloads.queries import database_for, workload_query
 
 SHAPES = ("A1", "A3", "B2", "C3", "C4")
@@ -39,15 +40,17 @@ TIERS = ("serial", "parallel")
 WIDTH = 2
 
 
-def _time_runs(backend, program, database, repeats: int) -> Tuple[List[float], dict]:
-    """Milliseconds of *repeats* warm runs, and the last run's metric summary."""
+def _time_runs(
+    backend, program, database, repeats: int
+) -> Tuple[List[float], ProgramMetrics]:
+    """Milliseconds of *repeats* warm runs, and the last run's metrics."""
     backend.run_program(program, database)
     times = []
     for _ in range(repeats):
         start = perf_counter()
         result = backend.run_program(program, database)
         times.append((perf_counter() - start) * 1e3)
-    return times, result.metrics.summary()
+    return times, result.metrics
 
 
 def measure(size: int, repeats: int, seed: int) -> Dict[str, Dict[str, List[float]]]:
@@ -65,11 +68,11 @@ def measure(size: int, repeats: int, seed: int) -> Dict[str, Dict[str, List[floa
             timings[shape] = {}
             reference = None
             for name, backend in backends.items():
-                times, summary = _time_runs(backend, program, database, repeats)
+                times, metrics = _time_runs(backend, program, database, repeats)
                 timings[shape][name] = times
                 if reference is None:
-                    reference = summary
-                elif summary != reference:
+                    reference = metrics
+                elif metrics != reference:
                     raise SystemExit(
                         f"{name} diverged from serial on {shape} at {size} rows"
                     )
