@@ -27,7 +27,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..cost.constants import GUMBO_MB_PER_REDUCER, PIG_INPUT_MB_PER_REDUCER
 from ..cost.estimates import RelationStats, StatisticsCatalog
@@ -50,6 +50,7 @@ from .messages import (
 )
 from .msj import MSJJob, msj_layout
 from .options import GumboOptions
+from .plan import eval_targets_for
 
 _MB = 1024.0 * 1024.0
 
@@ -61,18 +62,32 @@ def _key_bytes(key_length: int) -> int:
 
 
 def _key_signature(atom: Atom, join_key: Sequence) -> Tuple[int, ...]:
-    """Column positions of the join-key variables within *atom*.
+    """First column positions of the join-key variables within *atom* (``-1``
+    for a variable it lacks).
 
     Two messages emitted by the same fact share their key value whenever the
     join keys project the same columns of that fact, which is exactly what
     this signature captures (for atoms without constants or repeated
     variables, which covers the experiment workloads).
     """
-    positions = []
-    for variable in join_key:
-        occurrences = atom.positions_of(variable)
-        positions.append(occurrences[0] if occurrences else -1)
-    return tuple(positions)
+    first = atom.first_positions
+    return tuple([first.get(variable, -1) for variable in join_key])
+
+
+def _spec_relations(specs: Sequence[SemiJoinSpec]) -> Iterable[str]:
+    """The relations whose statistics Equation (5) reads for *specs*."""
+    for spec in specs:
+        yield spec.guard.relation
+        yield spec.conditional.relation
+
+
+def query_relations(queries: Sequence[BSGFQuery]) -> Iterable[str]:
+    """The relations whose statistics Equations (5) and (7) read for any
+    grouping of *queries*' semi-joins: their guards and conditionals."""
+    for query in queries:
+        yield query.guard.relation
+        for atom in query.conditional_atoms:
+            yield atom.relation
 
 
 @dataclass(frozen=True)
@@ -135,11 +150,12 @@ class PlanCostEstimator:
         #: selectivity instead of the paper's upper bound (all guard facts
         #: survive).  The upper bound is the default, matching Section 4.1.
         self.use_selectivity_for_outputs = use_selectivity_for_outputs
-        #: Equation (5) estimates by ordered spec tuple, and GOPT partitions
-        #: by query tuple (filled by :mod:`repro.core.strategies`), each
-        #: entry stamped as :meth:`memoised` describes.
-        self._msj_memo: Dict[Tuple[SemiJoinSpec, ...], Tuple[tuple, JobEstimate]] = {}
-        self.gopt_memo: Dict[Tuple[BSGFQuery, ...], Tuple[tuple, object]] = {}
+        #: Equation (5) estimates by ordered spec tuple, Equation (7) ones
+        #: and GOPT partitions (filled by :mod:`repro.core.strategies`) by
+        #: query tuple, each entry stamped as :meth:`memoised` describes.
+        self._msj_memo: Dict[Tuple[SemiJoinSpec, ...], tuple] = {}
+        self._eval_memo: Dict[Tuple[BSGFQuery, ...], tuple] = {}
+        self.gopt_memo: Dict[Tuple[BSGFQuery, ...], tuple] = {}
 
     # -- shared helpers --------------------------------------------------------
 
@@ -147,7 +163,7 @@ class PlanCostEstimator:
         """A copy over a scratch catalog: planning-time estimate registrations
         (intermediate outputs, chain steps) stay local to this copy while the
         sampled base-relation statistics remain shared.  The copy starts with
-        an empty Equation (5) memo."""
+        empty memos."""
         return PlanCostEstimator(
             self.catalog.scratch_copy(),
             self.cost_model,
@@ -162,29 +178,31 @@ class PlanCostEstimator:
         self,
         memo: Dict,
         key: object,
-        specs: Sequence[SemiJoinSpec],
+        relations: Callable[[], Iterable[str]],
         compute: Callable[[], T],
     ) -> T:
         """``compute()``, memoised under *key* in *memo*, one of this
         estimator's per-plan memos.
 
-        An entry holds while the catalog still holds the very stats objects
-        of the guard and conditional relations of *specs* (everything
-        ``compute`` reads), so
-        :meth:`~repro.cost.estimates.StatisticsCatalog.refresh_relation` or a
-        late estimate registration forces a recompute.
+        ``relations()`` names every relation whose statistics ``compute``
+        reads.  An entry stored at the catalog's current
+        :attr:`~repro.cost.estimates.StatisticsCatalog.generation` is a hit
+        with no further look; after a change it still holds (re-stamped) if
+        those relations' stats objects are the very ones it was stored with,
+        so :meth:`~repro.cost.estimates.StatisticsCatalog.refresh_relation`
+        or a late registration of one of them forces a recompute.
         """
-        relation_stats = self.catalog.relation_stats
-        stamp = tuple(
-            relation_stats(name)
-            for spec in specs
-            for name in (spec.guard.relation, spec.conditional.relation)
-        )
+        generation = self.catalog.generation
         entry = memo.get(key)
-        if entry is not None and all(map(operator.is_, entry[0], stamp)):
-            return entry[1]
-        value = compute()
-        memo[key] = (stamp, value)
+        if entry is not None and entry[0] == generation:
+            return entry[2]
+        relation_stats = self.catalog.relation_stats
+        stamp = tuple(relation_stats(name) for name in relations())
+        if entry is not None and all(map(operator.is_, entry[1], stamp)):
+            value = entry[2]
+        else:
+            value = compute()
+        memo[key] = (generation, stamp, value)
         return value
 
     def _mappers_for(self, input_mb: float) -> int:
@@ -280,29 +298,22 @@ class PlanCostEstimator:
         same join-key column signature, and the asserts of the atoms over one
         relation with the same signature (charged at the largest atom count).
         """
-        # Request-side contributions, grouped per relation.
+        # Request-side contributions, grouped per relation.  Per fact, bytes
+        # and records are exact integer sums; the float sums keep their order.
         request_bytes: Dict[str, float] = defaultdict(float)
         request_records: Dict[str, float] = defaultdict(float)
         by_atom: Dict[Tuple[str, Atom], List[RequestSide]] = defaultdict(list)
         for side in layout.requests:
             by_atom[side.relation, side.atom].append(side)
         for (relation, atom), sides in by_atom.items():
+            keys = [(s.prefix, _key_signature(atom, s.join_key)) for s in sides]
+            if packing:
+                keys = set(keys)
+            key_bytes = sum([_key_bytes(len(p) + len(sig)) for p, sig in keys])
+            per_tuple_bytes = key_bytes + sum([s.size for s in sides])
             count = request_count(sides[0])
-            groups: Dict[tuple, List[RequestSide]] = defaultdict(list)
-            for side in sides:
-                groups[side.prefix, _key_signature(atom, side.join_key)].append(side)
-            per_tuple_bytes = 0.0
-            per_tuple_records = 0
-            for (prefix, signature), members in groups.items():
-                key_bytes = _key_bytes(len(prefix) + len(signature))
-                if packing:
-                    per_tuple_bytes += key_bytes + sum(m.size for m in members)
-                    per_tuple_records += 1
-                else:
-                    per_tuple_bytes += sum(key_bytes + m.size for m in members)
-                    per_tuple_records += len(members)
             request_bytes[relation] += count * per_tuple_bytes
-            request_records[relation] += count * per_tuple_records
+            request_records[relation] += count * len(keys)
 
         # Assert-side contributions: atoms over the same relation with the
         # same key signature share key values fact-by-fact, so packing merges
@@ -343,7 +354,10 @@ class PlanCostEstimator:
         """
         key = tuple(specs)
         return self.memoised(
-            self._msj_memo, key, key, lambda: self._msj_estimate(key)
+            self._msj_memo,
+            key,
+            lambda: _spec_relations(key),
+            lambda: self._msj_estimate(key),
         )
 
     def _msj_estimate(self, specs: Tuple[SemiJoinSpec, ...]) -> JobEstimate:
@@ -414,15 +428,18 @@ class PlanCostEstimator:
         return self.eval_estimate(targets).cost
 
     def eval_cost_for_queries(self, queries: Sequence[BSGFQuery]) -> float:
-        """EVAL cost when every query's semi-joins get default intermediate names."""
-        targets = [
-            EvalTarget(
-                query,
-                tuple(spec.output for spec in query.semijoin_specs()),
-            )
-            for query in queries
-        ]
-        return self.eval_cost(targets)
+        """EVAL cost when every query's semi-joins get default intermediate names.
+
+        Memoised per query tuple (see :meth:`memoised`): every plan of one
+        query set — PAR, GREEDY, OPTIMAL, an SGF stage — has the same EVAL job.
+        """
+        key = tuple(queries)
+        return self.memoised(
+            self._eval_memo,
+            key,
+            lambda: query_relations(key),
+            lambda: self.eval_estimate(eval_targets_for(key)),
+        ).cost
 
     # -- fused 1-ROUND jobs ----------------------------------------------------------------
 

@@ -12,8 +12,9 @@ and repeatedly merge the pair of blocks with the largest positive *gain*
 until no merge has positive gain.
 
 This module implements both the greedy heuristic (:func:`greedy_partition`)
-and a brute-force exact solver (:func:`optimal_partition`) used on small
-queries by tests and by the plan-exploration example.
+and a brute-force exact solver (:func:`optimal_partition`).  The exact solver
+is the OPTIMAL strategy, which AUTO prices beside GREEDY on every flat query
+of up to :data:`MAX_OPTIMAL_SPECS` semi-joins.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .costing import PlanCostEstimator
 
 #: A partition of semi-join specs into groups (each group becomes one MSJ job).
 Partition = List[List[SemiJoinSpec]]
+
+#: The largest number of semi-joins on which AUTO prices OPTIMAL.
+MAX_OPTIMAL_SPECS = 6
 
 
 def greedy_partition(
@@ -91,6 +95,20 @@ def set_partitions(items: Sequence) -> Iterator[List[List]]:
     yield from _recurse(0, [])
 
 
+def _partition_masks(n: int) -> Iterator[Tuple[int, ...]]:
+    """:func:`set_partitions` of ``range(n)``, in its order, each block as
+    the bitmask of its items."""
+    for partition in set_partitions(range(n)):
+        yield tuple(sum(1 << item for item in block) for block in partition)
+
+
+#: ``_PARTITION_MASKS[n]``: the partitions of ``n`` items as block masks,
+#: for the sizes AUTO prices (at most Bell(6) = 203).
+_PARTITION_MASKS = tuple(
+    tuple(_partition_masks(n)) for n in range(MAX_OPTIMAL_SPECS + 1)
+)
+
+
 def optimal_partition(
     specs: Sequence[SemiJoinSpec],
     estimator: PlanCostEstimator,
@@ -102,24 +120,33 @@ def optimal_partition(
     for every partition), so the EVAL cost is excluded here; callers comparing
     full program costs should add it separately.  Refuses inputs with more
     than *max_specs* semi-joins.
+
+    Each of the ``2^n - 1`` groups is priced once, specs in index order; the
+    partitions are scanned in :func:`set_partitions`' order, summing prices
+    in block order, and the first one cheaper than every earlier one by more
+    than ``1e-12`` wins.
     """
     specs = list(specs)
-    if len(specs) > max_specs:
+    n = len(specs)
+    if n > max_specs:
         raise ValueError(
-            f"refusing brute-force partition search over {len(specs)} semi-joins "
+            f"refusing brute-force partition search over {n} semi-joins "
             f"(limit {max_specs})"
         )
     if not specs:
         return [], 0.0
-    best: Optional[Partition] = None
+    blocks = [[specs[i] for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
+    price = [0.0] + [estimator.msj_cost(block) for block in blocks[1:]]
+    partitions = _PARTITION_MASKS[n] if n <= MAX_OPTIMAL_SPECS else _partition_masks(n)
+    best: Optional[Tuple[int, ...]] = None
     best_cost = float("inf")
-    for partition in set_partitions(specs):
-        cost = sum(estimator.msj_cost(group) for group in partition)
+    for masks in partitions:
+        cost = sum([price[mask] for mask in masks])
         if cost < best_cost - 1e-12:
             best_cost = cost
-            best = partition
+            best = masks
     assert best is not None
-    return best, best_cost
+    return [blocks[mask] for mask in best], best_cost
 
 
 def partition_cost(

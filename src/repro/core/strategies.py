@@ -41,9 +41,10 @@ from ..mapreduce.program import MRProgram
 from ..query.bsgf import BSGFQuery, SemiJoinSpec
 from ..query.dependency import DependencyGraph
 from ..query.sgf import SGFQuery
-from .costing import PlanCostEstimator
+from .costing import PlanCostEstimator, query_relations
 from .fused import one_round_applicable
 from .greedy_bsgf import (
+    MAX_OPTIMAL_SPECS,
     Partition,
     greedy_partition,
     optimal_partition,
@@ -63,7 +64,6 @@ from .plan import (
     build_one_round_program,
     build_sequential_program_for_set,
     build_two_round_program,
-    eval_targets_for,
 )
 
 #: Canonical names of the BSGF strategies.
@@ -111,9 +111,9 @@ def normalise_strategy(strategy: str) -> str:
 #: The SGF strategy a BSGF strategy name stands for on a nested SGF query.
 _SGF_EQUIVALENT = {SEQ: SEQUNIT, PAR: PARUNIT, GREEDY: GREEDY_SGF, OPTIMAL: OPTIMAL_SGF}
 
-#: Size bounds of the brute-force OPTIMAL (semi-joins) and OPTIMAL-SGF
-#: (subqueries) strategies in :func:`applicable_strategies`.
-MAX_OPTIMAL_SPECS = 6
+#: Size bound of the brute-force OPTIMAL-SGF strategy (subqueries) in
+#: :func:`applicable_strategies`; OPTIMAL's (semi-joins) is
+#: :data:`~repro.core.greedy_bsgf.MAX_OPTIMAL_SPECS`.
 MAX_OPTIMAL_SUBQUERIES = 5
 
 
@@ -200,7 +200,7 @@ def _staged_job_costs(stages: Stages, estimator: PlanCostEstimator) -> List[floa
             for index, group in enumerate(groups):
                 msj_level.append((f"{prefix}msj-{index}", estimator.msj_cost(group)))
             (eval_level if groups else msj_level).append(
-                (f"{prefix}eval", estimator.eval_cost(eval_targets_for(queries)))
+                (f"{prefix}eval", estimator.eval_cost_for_queries(queries))
             )
         for level in (msj_level, eval_level):
             costs.extend(cost for _, cost in sorted(level))
@@ -431,7 +431,7 @@ def _gopt(queries: Sequence[BSGFQuery], estimator: PlanCostEstimator) -> Partiti
     return estimator.memoised(
         estimator.gopt_memo,
         tuple(queries),
-        specs,
+        lambda: query_relations(queries),
         lambda: greedy_partition(specs, estimator),
     )
 

@@ -79,6 +79,11 @@ class StatisticsCatalog:
         self._relation_stats: Dict[str, RelationStats] = {}
         self._samples: Dict[str, List[Tuple[object, ...]]] = {}
         self._fraction_cache: Dict[Atom, float] = {}
+        #: Counts the changes to the relation stats (:meth:`register_estimate`,
+        #: :meth:`refresh_relation`): atom counts and the planner's memoised
+        #: estimates hold while it stands still.
+        self.generation = 0
+        self._counts: Dict[Atom, float] = {}
         for relation in database:
             self._relation_stats[relation.name] = RelationStats(
                 name=relation.name,
@@ -107,6 +112,7 @@ class StatisticsCatalog:
         whose sizes the planner must guess before they are materialised.
         """
         self._relation_stats[stats.name] = stats
+        self._changed()
 
     def refresh_relation(self, name: str) -> None:
         """Recompute the stats of one relation in place after a data change.
@@ -132,6 +138,11 @@ class StatisticsCatalog:
         self._samples.pop(name, None)
         for atom in [a for a in self._fraction_cache if a.relation == name]:
             del self._fraction_cache[atom]
+        self._changed()
+
+    def _changed(self) -> None:
+        self.generation += 1
+        self._counts.clear()
 
     def scratch_copy(self) -> "StatisticsCatalog":
         """A copy whose registered estimates do not leak back into this catalog.
@@ -141,6 +152,7 @@ class StatisticsCatalog:
         relations), while the relation-stats mapping is copied so that
         :meth:`register_estimate` calls made while planning one query (whose
         intermediate names may collide with another query's) stay isolated.
+        The copy starts at this catalog's generation, with no atom counts.
         """
         copy = StatisticsCatalog.__new__(StatisticsCatalog)
         copy._database = self._database
@@ -149,6 +161,8 @@ class StatisticsCatalog:
         copy._relation_stats = dict(self._relation_stats)
         copy._samples = self._samples
         copy._fraction_cache = self._fraction_cache
+        copy.generation = self.generation
+        copy._counts = {}
         return copy
 
     # -- sampling --------------------------------------------------------------------
@@ -203,11 +217,14 @@ class StatisticsCatalog:
         return fraction
 
     def atom_count(self, atom: Atom) -> float:
-        """Estimated number of facts conforming to *atom*."""
-        stats = self._relation_stats.get(atom.relation)
-        if stats is None:
-            return 0.0
-        return stats.tuples * self.atom_fraction(atom)
+        """Estimated number of facts conforming to *atom*, kept until the
+        next change to the relation stats."""
+        count = self._counts.get(atom)
+        if count is None:
+            stats = self._relation_stats.get(atom.relation)
+            count = 0.0 if stats is None else stats.tuples * self.atom_fraction(atom)
+            self._counts[atom] = count
+        return count
 
     def atom_size_mb(self, atom: Atom) -> float:
         """Estimated size ``|atom|`` in MB of the facts conforming to *atom*."""

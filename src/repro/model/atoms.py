@@ -114,6 +114,15 @@ class Atom:
         """Variables occurring in both this atom and *other*."""
         return self.variable_set() & other.variable_set()
 
+    @computed_once
+    def first_positions(self) -> Dict[Variable, int]:
+        """Each variable's first position (0-based); do not mutate."""
+        positions: Dict[Variable, int] = {}
+        for index, term in enumerate(self.terms):
+            if isinstance(term, Variable) and term not in positions:
+                positions[term] = index
+        return positions
+
     def positions_of(self, variable: Variable) -> Tuple[int, ...]:
         """All positions (0-based) where *variable* occurs."""
         return tuple(i for i, t in enumerate(self.terms) if t == variable)

@@ -141,9 +141,9 @@ class ShardedBackend(ExecutionBackend):
         for relation in database:
             if len(relation) == 0:
                 continue  # empty chunks are synthesised locally, no shipping
-            block = relation.columns()
-            if self._cluster.resident_info(relation.name, block) is not None:
+            if self._cluster.resident_info(relation.name, relation) is not None:
                 continue
+            block = relation.columns()
             mappers = self.engine.mappers_for(relation.size_mb())
             chunks = relation.column_chunks(mappers)
             self._cluster.load_relation(relation.name, chunks, token=block)
@@ -210,7 +210,7 @@ class ShardedBackend(ExecutionBackend):
             if relation is None or not len(relation):
                 continue
             name = partition.relation
-            resident = self._cluster.resident_info(name, relation.columns())
+            resident = self._cluster.resident_info(name, relation)
             if resident is not None:
                 version, chunk_count = resident
                 payloads: List[object] = [None] * chunk_count

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...exec.base import check_width
-from ...model.relation import ColumnBlock
+from ...model.relation import ColumnBlock, Relation
 from .routing import shard_for_chunk
 from .rpc import (
     Crash,
@@ -304,14 +304,15 @@ class ShardCluster:
 
     # -- resident data -----------------------------------------------------------
 
-    def resident_info(self, name: str, token: object) -> Optional[Tuple[int, int]]:
-        """``(version, chunk count)`` when *name* is resident at *token*.
+    def resident_info(self, name: str, relation: Relation) -> Optional[Tuple[int, int]]:
+        """``(version, chunk count)`` when *name* is resident with *relation*'s rows.
 
-        The token is the relation's full column block; copy-on-write copies
-        share it, so identity equality is an exact "rows unchanged" test.
+        The token is the relation's full column block, built only for a
+        resident name (intermediates never are); copy-on-write copies share
+        it, so identity equality is an exact "rows unchanged" test.
         """
         resident = self._resident.get(name)
-        if resident is None or resident.token is not token:
+        if resident is None or resident.token is not relation.columns():
             return None
         return resident.version, len(resident.chunks)
 

@@ -251,3 +251,74 @@ class TestMSJMemo:
         query, estimator = self._shape(query_id)
         choose_strategy(query, estimator)
         assert calls and max(calls.values()) == 1
+
+    @pytest.mark.parametrize("query_id", SHAPES)
+    def test_one_eval_price_per_query_set_and_plan(self, query_id, monkeypatch):
+        calls = Counter()
+        priced = PlanCostEstimator.eval_estimate
+
+        def counting(self, targets):
+            calls[tuple(target.query for target in targets)] += 1
+            return priced(self, targets)
+
+        monkeypatch.setattr(PlanCostEstimator, "eval_estimate", counting)
+        query, estimator = self._shape(query_id)
+        choose_strategy(query, estimator)
+        assert calls and max(calls.values()) == 1
+
+
+class TestCacheCoherence:
+    """Atom counts and memoised estimates follow every change to the stats,
+    and a scratch copy's changes stay in the copy."""
+
+    TEXT = "OUT := SELECT (x) FROM R(x, y, z, 4) WHERE S(x) AND Z1(y) AND NOT T(x);"
+    Z1 = RelationStats("Z1", tuples=5000, arity=1, size_mb=0.04, bytes_per_field=8)
+
+    def _values(self, estimator):
+        query = parse_bsgf(self.TEXT)
+        specs = query.semijoin_specs()
+        atoms = [query.guard, *query.conditional_atoms]
+        return (
+            [estimator.catalog.atom_count(atom) for atom in atoms],
+            estimator.msj_estimate(specs),
+            estimator.eval_cost_for_queries([query]),
+        )
+
+    def _fresh(self, database, registered):
+        estimator = PlanCostEstimator(StatisticsCatalog(database, sample_size=100))
+        if registered:
+            estimator.catalog.register_estimate(self.Z1)
+        return estimator
+
+    def test_caches_follow_registration_refresh_and_copies(self):
+        database = star_database()
+        estimator = self._fresh(database, registered=False)
+        before = self._values(estimator)
+        assert self._values(estimator) == before == self._values(
+            self._fresh(database, registered=False)
+        )
+
+        estimator.catalog.register_estimate(self.Z1)
+        registered = self._values(estimator)
+        assert registered != before
+        assert registered == self._values(self._fresh(database, registered=True))
+
+        database.get("R").update([(n, n + 1, n + 2, 4) for n in range(10, 20)])
+        estimator.catalog.refresh_relation("R")
+        refreshed = self._values(estimator)
+        assert refreshed != registered
+        assert refreshed == self._values(self._fresh(database, registered=True))
+        assert self._values(estimator.scratch_copy()) == refreshed
+
+    def test_scratch_registration_leaves_the_parent_alone(self):
+        estimator = self._fresh(star_database(), registered=False)
+        counts, msj, eval_cost = self._values(estimator)
+        generation = estimator.catalog.generation
+
+        scratch = estimator.scratch_copy()
+        scratch.catalog.register_estimate(self.Z1)
+        assert self._values(scratch)[1].cost > msj.cost
+
+        assert estimator.catalog.generation == generation
+        assert estimator.msj_estimate(parse_bsgf(self.TEXT).semijoin_specs()) is msj
+        assert self._values(estimator) == (counts, msj, eval_cost)

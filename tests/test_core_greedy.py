@@ -1,6 +1,7 @@
 """Unit tests for Greedy-BSGF / BSGF-Opt and Greedy-SGF / SGF-Opt."""
 
 import math
+import random
 
 import pytest
 
@@ -27,6 +28,16 @@ from repro.query.dependency import DependencyGraph
 from repro.workloads.queries import database_for, query_a4, sgf_query
 
 from helpers import star_database, star_query
+
+
+class _TableEstimator:
+    """Prices a group of specs by a fixed table lookup."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def msj_cost(self, group):
+        return self.table[tuple(group)]
 
 
 def _bell(n: int) -> int:
@@ -129,6 +140,32 @@ class TestGreedyBSGF:
     def test_optimal_partition_empty(self, estimator):
         partition, cost = optimal_partition([], estimator)
         assert partition == [] and cost == 0.0
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_optimal_partition_equals_brute_force(self, n):
+        """The subset-table scan picks the partition, block order, spec order
+        and float bits of a plain scan over ``set_partitions``, on seeded
+        cost tables full of exact ties and of gaps below the 1e-12 margin."""
+        specs = [f"s{i}" for i in range(n)]
+        for seed in range(16 if n < 7 else 4):
+            rng = random.Random(f"{n}/{seed}")
+            table = {}
+            for mask in range(1, 1 << n):
+                group = tuple(s for i, s in enumerate(specs) if mask >> i & 1)
+                per_spec = rng.choice((0.1, 0.3, 1 / 3, 1 / 7))
+                extra = rng.choice((0, 0, 1e-13, 4e-13, 0.1))
+                table[group] = per_spec * len(group) + extra
+            estimator = _TableEstimator(table)
+
+            best, best_cost = None, math.inf
+            for partition in set_partitions(specs):
+                cost = sum(estimator.msj_cost(group) for group in partition)
+                if cost < best_cost - 1e-12:
+                    best, best_cost = partition, cost
+
+            partition, cost = optimal_partition(specs, estimator)
+            assert partition == best
+            assert cost.hex() == float(best_cost).hex()
 
     def test_helper_partitions(self):
         specs = star_query().semijoin_specs()

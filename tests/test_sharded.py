@@ -33,6 +33,7 @@ from repro.exec import SimulatedBackend, partition_index
 from repro.fuzz import FuzzOptions, run_fuzz
 from repro.mapreduce.engine import MapReduceEngine
 from repro.model.database import Database
+from repro.model.relation import Relation
 from repro.service.sharded import (
     RequestTimeoutError,
     ServiceOverloadedError,
@@ -52,7 +53,7 @@ from repro.service.sharded.rpc import (
     recv_frame,
     send_frame,
 )
-from repro.workloads.queries import bsgf_query_set, database_for
+from repro.workloads.queries import bsgf_query_set, database_for, workload_query
 
 from helpers import assert_same_run
 
@@ -277,6 +278,26 @@ class TestShardedParity:
         assert_same_run(first, second)
         serial = Gumbo(backend=serial_backend).execute(queries, database, "greedy")
         assert_same_run(serial, second)
+
+    def test_warm_runs_sort_no_relation(self, sharded_backend, monkeypatch):
+        """Residency is asked by name before any column block is built: warm
+        runs sort neither a resident base relation nor an intermediate
+        (never resident, and read as one chunk here)."""
+        query = workload_query("C3")
+        database = database_for(query, guard_tuples=200, seed=2)
+        gumbo = Gumbo(backend=sharded_backend)
+        gumbo.execute(query, database, "greedy")
+        sorted_by = []
+        sorted_tuples = Relation.sorted_tuples
+
+        def counting(relation):
+            sorted_by.append(relation.name)
+            return sorted_tuples(relation)
+
+        monkeypatch.setattr(Relation, "sorted_tuples", counting)
+        for _ in range(3):
+            gumbo.execute(query, database, "greedy")
+        assert sorted_by == []
 
 
 # -- worker supervision --------------------------------------------------------------

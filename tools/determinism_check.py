@@ -40,8 +40,10 @@ A planning-history pass guards the planner the same way: one
 :class:`~repro.service.QueryService` plans (AUTO) the five batch shapes, a
 few multi-level SGF texts whose intermediate names collide, a pair whose
 first query estimates an intermediate at 0 tuples, a flat text whose PAR and
-GREEDY partitions coincide and a nested one whose Greedy-SGF and SGF-Opt
-sorts differ, in list order or, under ``--reverse-jobs``, in reverse.  One
+GREEDY partitions coincide, one of six semi-joins over conditionals with tied
+statistics (OPTIMAL scans all 203 partitions of its price table, many of
+them tied) and a nested one whose Greedy-SGF and SGF-Opt sorts differ, in
+list order or, under ``--reverse-jobs``, in reverse.  One
 sorted line per query gives the winner and a digest of every candidate's
 estimated cost, as IEEE-754 bit patterns: a statistic or memoised estimate
 one query leaves behind for the next shows up as a difference between the
@@ -160,12 +162,18 @@ PLANNING_TEXTS = {
     ),
 }
 
-#: Planning-history texts only (no dynamic pass), for the two ways AUTO
-#: reuses work: a flat query whose PAR, GREEDY and OPTIMAL partitions
-#: coincide (one priced partition), and a nested one on which Greedy-SGF and
-#: SGF-Opt choose different multiway sorts.
+#: Planning-history texts only (no dynamic pass), for the ways AUTO reuses
+#: work: a flat query whose PAR, GREEDY and OPTIMAL partitions coincide (one
+#: priced partition), a flat one of six semi-joins whose conditionals have
+#: equal statistics (OPTIMAL's subset table, its scan over every partition
+#: and its tie-break), and a nested one on which Greedy-SGF and SGF-Opt
+#: choose different multiway sorts.
 PRICING_TEXTS = {
     "par-is-greedy": "Z := SELECT (x, y) FROM G(x, y, z, w) WHERE NOT S(x);",
+    "optimal-six-tied": (
+        "Z := SELECT (x, y) FROM R(x, y, z, w) "
+        "WHERE S(x) AND T(x) AND U(x) AND V(x) AND S(y) AND T(y);"
+    ),
     "sgf-sorts-differ": (
         "Z1 := SELECT x FROM R(x, y, z, w) WHERE S(x); "
         "Z2 := SELECT x FROM G(x, y, z, w) WHERE T(y); "
